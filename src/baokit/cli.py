@@ -96,7 +96,7 @@ def _parse_gen(spec: str, ambient: SetAlgebra) -> Element:
 
 
 def _cmd_example(args) -> ExperimentReport:
-    result = example_algebra(args.u, cap=args.cap)
+    result = example_algebra(args.u)
     ok = (
         result.closed_form_verified
         and result.chain_distinct == args.u + 1
@@ -105,7 +105,7 @@ def _cmd_example(args) -> ExperimentReport:
     )
     return ExperimentReport(
         "example",
-        {"u": args.u, "cap": args.cap},
+        {"u": args.u},
         "pass" if ok else "fail",
         {
             "chain_distinct": result.chain_distinct,
@@ -129,7 +129,7 @@ def _cmd_atoms(args) -> ExperimentReport:
         if not x.is_zero()
     )
     details = {
-        "carrier_size": len(algebra.carrier),
+        "carrier_size": len(algebra),
         "atom_count": len(ats),
         "every_nonzero_bounds_an_atom": covered,
         "atoms": [a.serialize() for a in ats[:16]],
@@ -214,8 +214,8 @@ def _cmd_free_ba(args) -> ExperimentReport:
     for k in range(args.k + 1):
         algebra, gens = free_boolean_algebra(k)
         ats = atoms(algebra)
-        size_ok = len(algebra.carrier) == 2 ** (2**k) and len(ats) == 2**k
-        details[f"k={k}"] = f"size {len(algebra.carrier)}, atoms {len(ats)}"
+        size_ok = len(algebra) == 2 ** (2**k) and len(ats) == 2**k
+        details[f"k={k}"] = f"size {len(algebra)}, atoms {len(ats)}"
         ok = ok and size_ok
     for k in (1, 2):
         if k + 1 > args.k:
@@ -510,6 +510,19 @@ def _extensional(model: ModelFinite) -> bool:
     return len(set(extents)) == len(extents)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baokit", description="finite algebras of relations, desk-scale experiments"
@@ -518,66 +531,65 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("example", help="single-generated algebra and its chain")
-    p.add_argument("--u", type=int, default=3)
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--u", type=_at_least(2), default=3)
     p.set_defaults(run=_cmd_example)
 
     p = sub.add_parser("atoms", help="generate a subalgebra and list its atoms")
-    p.add_argument("--u", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--u", type=_at_least(1), default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--kind", default="CA", choices=["BA", "DF", "SC", "CA"])
     p.add_argument("--gens", nargs="+", default=["diag:0,1"])
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=_at_least(1), default=4096)
     p.add_argument("--dump", default=None, help="write the algebra to a file")
     p.set_defaults(run=_cmd_atoms)
 
     p = sub.add_parser("check-identity", help="compare two terms over a full algebra")
-    p.add_argument("--u", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--u", type=_at_least(1), default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--kind", default="CA", choices=["BA", "DF", "SC", "CA", "RA"])
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_check_identity)
 
     p = sub.add_parser("free-ba", help="free Boolean algebra structure")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_at_least(0), default=3)
     p.set_defaults(run=_cmd_free_ba)
 
     p = sub.add_parser("tau-sigma-delta", help="the one-variable term identities")
-    p.add_argument("--u", type=int, default=2)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--u", type=_at_least(1), default=2)
+    p.add_argument("--samples", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_tau_sigma_delta)
 
     p = sub.add_parser("window", help="margin-bounded window evaluation")
     p.add_argument("--formula", default="eta")
     p.add_argument("--fixed", type=lambda s: [int(x) for x in s.split(",")], default=[0])
-    p.add_argument("--w", type=int, default=16)
-    p.add_argument("--margin", type=int, default=2)
+    p.add_argument("--w", type=_at_least(1), default=16)
+    p.add_argument("--margin", type=_at_least(1), default=2)
     p.set_defaults(run=_cmd_window)
 
     p = sub.add_parser("translate", help="equality elimination soundness sweeps")
-    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--rank", type=_at_least(1), default=3)
     p.add_argument("--corpus", default=None)
     p.set_defaults(run=_cmd_translate)
 
     p = sub.add_parser("pairing", help="quasiprojection checks on a set universe")
-    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--rank", type=_at_least(1), default=3)
     p.set_defaults(run=_cmd_pairing)
 
     p = sub.add_parser("arith", help="ordinal arithmetic instances and agreement")
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_at_least(0), default=6)
     p.set_defaults(run=_cmd_arith)
 
     p = sub.add_parser("hereditary", help="atom bound under hereditarily closed elements")
-    p.add_argument("--u", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--u", type=_at_least(1), default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--kind", default="CA", choices=["DF", "SC", "CA"])
-    p.add_argument("--trials", type=int, default=12)
+    p.add_argument("--trials", type=_at_least(1), default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--cap", type=_at_least(1), default=512)
     p.set_defaults(run=_cmd_hereditary)
 
     p = sub.add_parser("corpus-check", help="compiler and translation sweeps over a corpus")
@@ -597,7 +609,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except (FormulaSyntaxError, ValueError) as exc:
+    except (BaokitError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     report.elapsed = time.perf_counter() - started

@@ -10,15 +10,14 @@ m = u, giving u + 1 distinct values.  Substitution instances of the chain
 produce every coordinate threshold, hence every singleton tuple, so the
 generated subalgebra is the full powerset and is simple.
 
-For u = 2 the closure (256 elements) is enumerated outright; for larger u
-the powerset is certified by generating each singleton explicitly, since
-enumerating 2**(u**3) elements is out of reach.
+The subalgebra is generated by atoms, so its u**3 singleton atoms are
+found without enumerating the 2**(u**3) elements; `singleton_witnesses`
+rebuilds each singleton by the argument above, as an independent check.
 """
 
 from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, atoms, discriminator_value, generate_subalgebra
-from .errors import ClosureCapError
 from .spaces import Element, SetAlgebra, cyl, subst
 
 
@@ -95,21 +94,15 @@ class ExampleResult:
     chain: GeneratorChain
     closed_form_verified: bool
     chain_distinct: int
-    algebra: FiniteAlgebra | None
+    algebra: FiniteAlgebra
     carrier_size: int
     atom_count: int
     is_simple: bool
     is_full_powerset: bool
-    singletons_certified: bool
 
 
-def example_algebra(u: int, *, kind: str = "SC", cap: int = 4096) -> ExampleResult:
-    """Build the chain and the subalgebra generated by the order element.
-
-    When the full closure fits under `cap` it is enumerated; otherwise the
-    powerset identity is certified through singleton witnesses and the
-    algebra is reported without a materialized carrier.
-    """
+def example_algebra(u: int, *, kind: str = "SC") -> ExampleResult:
+    """Build the chain and the subalgebra generated by the order element."""
     if u < 2:
         raise ValueError("the construction needs a base with at least 2 elements")
     ambient = SetAlgebra(kind, u, 3)
@@ -119,50 +112,23 @@ def example_algebra(u: int, *, kind: str = "SC", cap: int = 4096) -> ExampleResu
     closed_form = all(
         chain.elements[m] == threshold(ambient, 1, m) for m in range(u + 1)
     )
-    distinct = chain.distinct_count()
-
     full_size = 1 << ambient.space.size
-    algebra = None
-    singletons_ok = False
-    if full_size <= cap:
-        algebra = generate_subalgebra(ambient, [x], cap=cap)
-        carrier_size = len(algebra.carrier)
-        algebra_atoms = atoms(algebra)
-        atom_count = len(algebra_atoms)
-        simple = all(
-            discriminator_value(algebra, v).is_full()
-            for v in algebra.carrier
-            if not v.is_zero()
-        )
-        is_full = carrier_size == full_size
-    else:
-        witnesses = singleton_witnesses(ambient, chain)
-        singletons_ok = all(
-            w.count == 1 and w.bits == (1 << i) for i, w in enumerate(witnesses)
-        )
-        if not singletons_ok:
-            raise ClosureCapError(cap, full_size)
-        # Every subset is a join of generated singletons, so the closure is
-        # the whole powerset; its atoms are the singletons, and the
-        # discriminator of each singleton already fills the space, which is
-        # enough for simplicity because the discriminator is monotone.
-        carrier_size = full_size
-        atom_count = ambient.space.size
-        simple = all(ambient.discriminator(w).is_full() for w in witnesses)
-        is_full = True
-        singletons_ok = True
-
+    algebra = generate_subalgebra(ambient, [x], cap=full_size)
+    algebra_atoms = atoms(algebra)
+    # The discriminator is additive, so it is the top on every nonzero
+    # element exactly when it is the top on every atom.
+    simple = all(discriminator_value(algebra, a).is_full() for a in algebra_atoms)
+    size = 1 << len(algebra_atoms)  # len() stops at sys.maxsize; u = 4 has 2**64
     return ExampleResult(
         base_size=u,
         ambient=ambient,
         generator=x,
         chain=chain,
         closed_form_verified=closed_form,
-        chain_distinct=distinct,
+        chain_distinct=chain.distinct_count(),
         algebra=algebra,
-        carrier_size=carrier_size,
-        atom_count=atom_count,
+        carrier_size=size,
+        atom_count=len(algebra_atoms),
         is_simple=simple,
-        is_full_powerset=is_full,
-        singletons_certified=singletons_ok or algebra is not None,
+        is_full_powerset=size == full_size,
     )

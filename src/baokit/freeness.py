@@ -6,7 +6,7 @@ that acquires two images is returned as a failure witness.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import CapacityError, PreconditionError, SignatureError
 from .algebras import FiniteAlgebra, SetDomain, atoms, generate_subalgebra
@@ -129,7 +129,7 @@ def is_independent(algebra, ys, probe_family=None) -> bool:
         return True
     if not probe_family:
         raise PreconditionError("non-Boolean signatures need a probe family")
-    sub = generate_subalgebra(algebra.domain, list(ys), cap=len(algebra.carrier))
+    sub = generate_subalgebra(algebra.domain, list(ys), cap=len(algebra))
     for probe in probe_family:
         carrier = probe.carrier
         count = len(carrier)
@@ -153,7 +153,8 @@ def is_independent(algebra, ys, probe_family=None) -> bool:
 
 def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
     """The free Boolean algebra on k generators, as subsets of the 2**k
-    valuations; generator i collects the valuations that set bit i."""
+    valuations; generator i collects the valuations that set bit i, and
+    the atoms are the single valuations."""
     if not 0 <= k <= 4:
         raise CapacityError("free Boolean algebras are built for k <= 4")
     ambient = SetAlgebra("BA", 2**k, 1)
@@ -164,70 +165,43 @@ def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
             if (f >> i) & 1:
                 bits |= 1 << f
         gens.append(ambient.from_bits(bits))
-    carrier = [ambient.from_bits(b) for b in range(1 << 2**k)]
-    algebra = FiniteAlgebra(SetDomain(ambient), carrier, check=False)
-    return algebra, gens
+    valuations = [ambient.from_bits(1 << f) for f in range(2**k)]
+    return FiniteAlgebra.from_atoms(SetDomain(ambient), valuations), gens
 
 
 def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
     """A bijective homomorphism, or None.
 
-    Searches over atom images; Boolean structure is then forced, and the
-    non-Boolean operators are verified on the induced map.
+    Searches over bijections between the atoms, each of which extends to
+    a Boolean isomorphism.  The operators are additive in each argument, so
+    a candidate is checked on atoms (tuples of atoms) only.
     """
-    if left.signature != right.signature:
+    if left.signature != right.signature or len(left) != len(right):
         return None
-    if len(left.carrier) != len(right.carrier):
-        return None
-    if len(left.carrier) > 4096:
-        raise CapacityError("isomorphism search is budgeted to 4096 elements")
     latoms, ratoms = atoms(left), atoms(right)
-    if len(latoms) != len(ratoms):
-        return None
     if len(latoms) > 10:
         raise CapacityError("isomorphism search is budgeted to 10 atoms")
     ldom, rdom = left.domain, right.domain
 
-    def build_map(perm):
-        mapping = {}
-        for x in left.carrier:
-            image = right.zero
-            for a, b in zip(latoms, perm):
-                if left.le(a, x):
-                    image = rdom.join(image, b)
-            if rdom.key(image) not in right._index:
-                return None
-            mapping[ldom.key(x)] = image
-        if len({rdom.key(v) for v in mapping.values()}) != len(left.carrier):
-            return None
-        return mapping
+    def image(x, perm):
+        out = right.zero
+        for a, b in zip(latoms, perm):
+            if left.le(a, x):
+                out = rdom.join(out, b)
+        return out
 
-    def respects_ops(mapping):
+    def respects_ops(perm):
         for op, arity in left.operator_descriptors():
-            if arity == 0:
-                if rdom.key(mapping[ldom.key(ldom.apply(op))]) != rdom.key(
-                    rdom.apply(op)
-                ):
+            for idx in product(range(len(latoms)), repeat=arity):
+                got = rdom.apply(op, *(perm[i] for i in idx))
+                want = image(ldom.apply(op, *(latoms[i] for i in idx)), perm)
+                if rdom.key(got) != rdom.key(want):
                     return False
-            elif arity == 1:
-                for x in left.carrier:
-                    got = rdom.apply(op, mapping[ldom.key(x)])
-                    if rdom.key(got) != rdom.key(mapping[ldom.key(ldom.apply(op, x))]):
-                        return False
-            else:
-                for x in left.carrier:
-                    for y in left.carrier:
-                        got = rdom.apply(op, mapping[ldom.key(x)], mapping[ldom.key(y)])
-                        want = mapping[ldom.key(ldom.apply(op, x, y))]
-                        if rdom.key(got) != rdom.key(want):
-                            return False
         return True
 
     for perm in permutations(ratoms):
-        mapping = build_map(perm)
-        if mapping is None:
-            continue
-        if respects_ops(mapping):
+        if respects_ops(perm):
+            mapping = {ldom.key(x): image(x, perm) for x in left.carrier}
             return Homomorphism(left, right, mapping)
     return None
 
@@ -243,8 +217,8 @@ def splitting_check(algebra, freegens, a, y) -> bool:
         raise PreconditionError("y must be one of the free generators")
     rest = [g for g in freegens if key(g) != key(y)]
     if rest:
-        sub = generate_subalgebra(algebra.domain, rest, cap=len(algebra.carrier))
-        if key(a) not in sub._index:
+        sub = generate_subalgebra(algebra.domain, rest, cap=len(algebra))
+        if a not in sub:
             raise PreconditionError("a is not generated by the remaining generators")
     elif key(a) not in (key(algebra.zero), key(algebra.one)):
         raise PreconditionError("a is not generated by the remaining generators")

@@ -292,15 +292,6 @@ class SetAlgebra:
     def contains(self, x) -> bool:
         return isinstance(x, Element) and x.space == self.space
 
-    def discriminator(self, x: Element) -> Element:
-        """c_0 c_1 ... c_{n-1} x; the full space exactly when x is nonzero."""
-        if not self.contains(x):
-            raise SpaceMismatchError("element does not belong to this algebra")
-        out = x
-        for i in range(self.space.dimension):
-            out = cyl(i, out)
-        return out
-
     def apply(self, op: OpRef, *args: Element) -> Element:
         if not self.signature.allows(op):
             raise SignatureError(f"{op} is not in the {self.signature.label} signature")
@@ -326,8 +317,11 @@ class SetAlgebra:
             return subst(params[0], params[1], args[0])
         if name == "diag":
             return diag(self.space, params[0], params[1])
-        if name == "disc":
-            return self.discriminator(args[0])
+        if name == "disc":  # c_0 c_1 ... c_{n-1}: the top exactly when x is nonzero
+            out = args[0]
+            for i in range(self.space.dimension):
+                out = cyl(i, out)
+            return out
         raise SignatureError(f"unsupported operator {name!r}")
 
     def __repr__(self):

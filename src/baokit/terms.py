@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
-from .signatures import OpRef, Signature
+from .signatures import OpRef, Signature, opref_str
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,19 @@ class Term:
             return node.index
         if isinstance(node, Const):
             if self.signature.op_arity(node.op) != 0 or not self.signature.allows(node.op):
-                raise SignatureError(f"{node.op} is not a constant of {self.signature.label}")
+                raise SignatureError(
+                    f"{opref_str(node.op)} is not a constant of {self.signature.label}"
+                )
             return -1
         if isinstance(node, App):
             if not self.signature.allows(node.op):
-                raise SignatureError(f"{node.op} is not in {self.signature.label}")
+                raise SignatureError(
+                    f"{opref_str(node.op)} is not in {self.signature.label}"
+                )
             if self.signature.op_arity(node.op) != len(node.args):
-                raise SignatureError(f"{node.op} applied to {len(node.args)} arguments")
+                raise SignatureError(
+                    f"{opref_str(node.op)} applied to {len(node.args)} arguments"
+                )
             top = -1
             for a in node.args:
                 top = max(top, self._validate(a))
@@ -146,48 +152,52 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_term(text: str, signature: Signature) -> Term:
+    """Parse the s-expression form; a syntax error is a ValueError that
+    names the position of the offending token."""
     tokens = _tokenize(text)
     pos = 0
 
-    def fail(msg):
-        raise ValueError(f"term syntax error: {msg}")
+    def fail(msg, at):
+        raise ValueError(f"term syntax error: {msg} (at token {at})")
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            fail("unexpected end of input", pos)
+        pos += 1
+        return tokens[pos - 1]
+
+    def number() -> int:
+        tok = take()
+        try:
+            return int(tok)
+        except ValueError:
+            fail(f"expected a number, found {tok!r}", pos - 1)
 
     def parse_node():
         nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+        tok = take()
         if tok in _CONST_WORDS:
             return Const(_CONST_WORDS[tok])
         if tok != "(":
-            fail(f"unexpected token {tok!r}")
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        head = tokens[pos]
-        pos += 1
+            fail(f"unexpected token {tok!r}", pos - 1)
+        head = take()
         if head == "var":
-            idx = int(tokens[pos])
-            pos += 1
-            node = Var(idx)
+            node = Var(number())
         elif head == "diag":
-            i, j = int(tokens[pos]), int(tokens[pos + 1])
-            pos += 2
-            node = Const(("diag", (i, j)))
+            node = Const(("diag", (number(), number())))
         else:
-            nparams = _PARAM_COUNT.get(head, 0)
-            params = tuple(int(tokens[pos + k]) for k in range(nparams))
-            pos += nparams
+            params = tuple(number() for _ in range(_PARAM_COUNT.get(head, 0)))
             args = []
             while pos < len(tokens) and tokens[pos] != ")":
                 args.append(parse_node())
             node = App((head, params), tuple(args))
         if pos >= len(tokens) or tokens[pos] != ")":
-            fail("missing closing parenthesis")
+            fail("missing closing parenthesis", pos)
         pos += 1
         return node
 
     root = parse_node()
     if pos != len(tokens):
-        fail(f"trailing input from token {pos}")
+        fail("trailing input", pos)
     return Term(root, signature)

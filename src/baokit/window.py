@@ -128,6 +128,11 @@ def _cyl_over(space: TupleSpace, x: Element, coord: int, values: range) -> Eleme
     return Element(space, out)
 
 
+def _window_space(f: Formula, radius: int) -> TupleSpace:
+    """The assignment space at one radius; raises CapacityError past the budget."""
+    return TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
+
+
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     """Satisfaction bitset at one radius, margin ranges applied per depth."""
     depth = quantifier_depth(f)
@@ -135,8 +140,7 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
         raise PreconditionError(
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
-    n = max(max_var_index(f) + 1, 1)
-    space = TupleSpace(2 * radius + 1, n)
+    space = _window_space(f, radius)
     rel_cache: dict = {}
 
     def allowed(depth_now: int) -> range:
@@ -182,6 +186,7 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
         closed = Forall(v, closed)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
+    _window_space(closed, max(radii))  # fail on capacity before any work
     by_radius = {}
     for r in radii:
         sat = window_satisfaction(model, closed, r)

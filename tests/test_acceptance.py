@@ -9,6 +9,7 @@ import time
 
 from baokit import (
     HFSet,
+    PreconditionError,
     RelationAlgebra,
     SetAlgebra,
     WindowModel,
@@ -193,7 +194,7 @@ def test_criterion_07_hereditary_bound_and_decomposition():
             assert len(inside) <= 2  # 2**m for m = 1 generator
             try:
                 decomposition = decompose_by_zero_dimensional(algebra, b)
-            except Exception:
+            except PreconditionError:
                 continue
             decompositions += 1
             assert len(decomposition.below.carrier) * len(

@@ -6,6 +6,7 @@ from baokit import (
     ClosureCapError,
     FiniteAlgebra,
     PreconditionError,
+    RelationAlgebra,
     SetAlgebra,
     Signature,
     atom_below,
@@ -328,3 +329,82 @@ def test_serialize_roundtrip():
     assert len(back.carrier) == len(alg.carrier)
     assert set(atoms(back)) == set(atoms(alg))
     assert back.serialize().splitlines()[3:] == text.splitlines()[3:]
+
+
+def _builders():
+    rng = random.Random(23)
+    for kind, u, n in (("CA", 2, 2), ("DF", 2, 2), ("SC", 2, 2)):
+        amb = SetAlgebra(kind, u, n)
+        yield f"generated {kind}", generate_subalgebra(amb, [amb.random_element(rng)])
+    ra = RelationAlgebra(2)
+    yield "generated RA", generate_subalgebra(ra, [ra.random_element(rng)])
+    amb, alg = diag_algebra()
+    yield "relativized", relativize(alg, diag(amb.space, 0, 1))
+    yield "relativized to 0", relativize(alg, amb.zero)
+    for k in range(4):
+        yield f"free k={k}", free_boolean_algebra(k)[0]
+
+
+BUILDERS = list(_builders())
+
+
+@pytest.mark.parametrize("label,algebra", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_serialize_roundtrip_every_builder(label, algebra):
+    text = algebra.serialize()
+    back = FiniteAlgebra.deserialize(text)
+    key = algebra.domain.key
+    assert [x.bits for x in back.carrier] == [key(x) for x in algebra.carrier], label
+    assert [a.bits for a in atoms(back)] == [key(a) for a in atoms(algebra)], label
+    assert back.serialize().splitlines()[3:] == text.splitlines()[3:], label
+    assert FiniteAlgebra.deserialize(back.serialize()).serialize() == back.serialize()
+
+
+def test_serialize_product_refused():
+    free1, _ = free_boolean_algebra(1)
+    with pytest.raises(PreconditionError):
+        product(free1, free1).serialize()
+
+
+def test_deserialize_truncated_text_is_value_error():
+    _, alg = diag_algebra()
+    lines = alg.serialize().splitlines()
+    for cut in range(len(lines)):
+        with pytest.raises(ValueError):
+            FiniteAlgebra.deserialize("\n".join(lines[:cut]) + "\n")
+    with pytest.raises(ValueError):
+        FiniteAlgebra.deserialize("\n".join(lines[:-1] + [lines[-1] + " 7"]) + "\n")
+
+
+def _square_tables(**extra):
+    values = ["bottom", "a", "b", "top"]
+    sets = {"bottom": set(), "a": {1}, "b": {2}, "top": {1, 2}}
+    name = {frozenset(v): k for k, v in sets.items()}
+    tables = {
+        "zero": {(): "bottom"},
+        "one": {(): "top"},
+        "and": {(x, y): name[frozenset(sets[x] & sets[y])] for x in values for y in values},
+        "or": {(x, y): name[frozenset(sets[x] | sets[y])] for x in values for y in values},
+        "not": {(x,): name[frozenset({1, 2} - sets[x])] for x in values},
+        "cyl:0": {(v,): v for v in values},
+    }
+    tables.update(extra)
+    return values, tables
+
+
+def test_outside_carrier_checked_exactly():
+    values, tables = _square_tables()
+    alg = FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)
+    assert atoms(alg) == ["a", "b"]
+    assert "b" in alg and "elsewhere" not in alg
+    # not the set of joins of its atoms: "b" is missing
+    with pytest.raises(ValueError):
+        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), ["bottom", "a", "top"])
+    # not additive: the top is not sent to the join of the images of a and b
+    values, tables = _square_tables(**{"cyl:0": {("bottom",): "bottom", ("a",): "a",
+                                                 ("b",): "b", ("top",): "a"}})
+    with pytest.raises(ValueError, match="additive"):
+        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)
+    # not normal
+    values, tables = _square_tables(**{"cyl:0": {(v,): "top" for v in values}})
+    with pytest.raises(ValueError, match="normal"):
+        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)

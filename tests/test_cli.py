@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from baokit.cli import main
 
 
@@ -135,3 +137,61 @@ def test_corpus_check_parse_failure_lists_line(tmp_path, capsys):
     code, out = run_cli(capsys, "corpus-check", str(bad))
     assert code == 1
     assert "line 2" in out
+
+
+def run_usage_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+def test_unclosed_term_is_usage_error(capsys):
+    err = run_usage_error(capsys, "check-identity", "--lhs", "(var", "--rhs", "(var 0)")
+    assert "at token 2" in err
+
+
+def test_operator_without_argument_is_usage_error(capsys):
+    err = run_usage_error(capsys, "check-identity", "--lhs", "(cyl 0)", "--rhs", "(var 0)")
+    assert "cyl:0" in err
+
+
+def test_missing_corpus_is_usage_error(capsys):
+    err = run_usage_error(capsys, "corpus-check", "/nonexistent")
+    assert "/nonexistent" in err
+
+
+def test_out_of_range_integers_rejected(capsys):
+    for argv in (["arith", "--max", "-1"], ["free-ba", "--k", "-1"], ["atoms", "--u", "0"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "below the minimum" in capsys.readouterr().err
+
+
+def test_window_capacity_checked_before_any_radius(capsys, monkeypatch):
+    import baokit.window
+
+    calls = []
+    original = baokit.window.window_satisfaction
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(baokit.window, "window_satisfaction", counting)
+    code = main(["window", "--formula", "eta", "--fixed", "0", "--w", "32"])
+    assert code == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_example_has_no_cap_flag(capsys):
+    code, out = run_cli(capsys, "--json", "example", "--u", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parameters"] == {"u": 4}
+    assert payload["details"]["atom_count"] == 64
+    with pytest.raises(SystemExit):
+        main(["example", "--cap", "10"])

@@ -149,17 +149,18 @@ def test_substitution_is_boolean_endomorphism():
 
 
 def test_discriminator_behavior():
+    disc = ("disc", ())
     amb = SetAlgebra("CA", 2, 2)
-    assert amb.discriminator(amb.zero).is_zero()
-    assert amb.discriminator(amb.element([(0, 1)])).is_full()
+    assert amb.apply(disc, amb.zero).is_zero()
+    assert amb.apply(disc, amb.element([(0, 1)])).is_full()
     amb3 = SetAlgebra("CA", 2, 3)
     # iterated-cylindrification oracle by scan
     d01 = diag(amb3.space, 0, 1)
     out = d01
     for i in range(3):
         out = cyl(i, out)
-    assert amb3.discriminator(d01) == out
-    assert amb3.discriminator(d01).is_full()
+    assert amb3.apply(disc, d01) == out
+    assert amb3.apply(disc, d01).is_full()
 
 
 def test_ra_operations():
