@@ -129,8 +129,8 @@ class TableDomain:
     """Explicit finite operation tables over hashable values."""
 
     def __init__(self, signature: Signature, values, tables: dict):
-        # tables: opref-string -> dict mapping argument tuples to values,
-        # plus "and"/"or"/"not"; "zero"/"one" map () to the constant.
+        # tables: opref-string -> dict mapping tuples of argument keys to
+        # values, plus "and"/"or"/"not"; "zero"/"one" map () to the constant.
         self.signature = signature
         self.values = list(values)
         self.tables = tables
@@ -142,13 +142,13 @@ class TableDomain:
         return self.tables["one"][()]
 
     def meet(self, a, b):
-        return self.tables["and"][(a, b)]
+        return self.tables["and"][(self.key(a), self.key(b))]
 
     def join(self, a, b):
-        return self.tables["or"][(a, b)]
+        return self.tables["or"][(self.key(a), self.key(b))]
 
     def compl(self, a):
-        return self.tables["not"][(a,)]
+        return self.tables["not"][(self.key(a),)]
 
     def apply(self, op: OpRef, *args):
         name = opref_str(op)
@@ -160,7 +160,7 @@ class TableDomain:
             return self.compl(*args)
         if name == "impl":
             return self.join(self.compl(args[0]), args[1])
-        return self.tables[name][tuple(args)]
+        return self.tables[name][tuple(map(self.key, args))]
 
     def key(self, v):
         return getattr(v, "bits", v)
@@ -263,8 +263,13 @@ class FiniteAlgebra:
             self._carrier = _joins(self.domain, self._atoms)
         return self._carrier
 
-    def __len__(self):
+    @property
+    def size(self) -> int:
+        """2**atoms; unlike len(), not capped at sys.maxsize."""
         return 1 << len(self._atoms)
+
+    def __len__(self):
+        return self.size
 
     def __contains__(self, v):
         dom = self.domain
@@ -408,18 +413,20 @@ class FiniteAlgebra:
         shapes = [("zero", 0), ("one", 0), ("not", 1), ("and", 2), ("or", 2)]
         shapes += [(opref_str(op), a) for op, a in signature.operator_descriptors()]
         tables = {}
+        domain = TableDomain(signature, values, tables)
+        keys = [domain.key(v) for v in values]
         for name, arity in shapes:
             row = rows.get(name)
             if row is None or len(row) != count**arity:
                 raise ValueError(f"truncated algebra text: table {name!r} incomplete")
             if not all(0 <= e < count for e in row):
                 raise ValueError(f"table {name!r} refers past the carrier")
-            args = itertools.product(values, repeat=arity)
+            args = itertools.product(keys, repeat=arity)
             tables[name] = {a: values[e] for a, e in zip(args, row)}
-        return cls(TableDomain(signature, values, tables), values)
+        return cls(domain, values)
 
     def __repr__(self):
-        return f"FiniteAlgebra({self.signature.label}, size={len(self)})"
+        return f"FiniteAlgebra({self.signature.label}, size={self.size})"
 
 
 def _read_values(desc: str, hexes) -> list:

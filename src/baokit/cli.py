@@ -129,7 +129,7 @@ def _cmd_atoms(args) -> ExperimentReport:
         if not x.is_zero()
     )
     details = {
-        "carrier_size": len(algebra),
+        "carrier_size": algebra.size,
         "atom_count": len(ats),
         "every_nonzero_bounds_an_atom": covered,
         "atoms": [a.serialize() for a in ats[:16]],
@@ -214,8 +214,8 @@ def _cmd_free_ba(args) -> ExperimentReport:
     for k in range(args.k + 1):
         algebra, gens = free_boolean_algebra(k)
         ats = atoms(algebra)
-        size_ok = len(algebra) == 2 ** (2**k) and len(ats) == 2**k
-        details[f"k={k}"] = f"size {len(algebra)}, atoms {len(ats)}"
+        size_ok = algebra.size == 2 ** (2**k) and len(ats) == 2**k
+        details[f"k={k}"] = f"size {algebra.size}, atoms {len(ats)}"
         ok = ok and size_ok
     for k in (1, 2):
         if k + 1 > args.k:

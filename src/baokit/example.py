@@ -118,7 +118,6 @@ def example_algebra(u: int, *, kind: str = "SC") -> ExampleResult:
     # The discriminator is additive, so it is the top on every nonzero
     # element exactly when it is the top on every atom.
     simple = all(discriminator_value(algebra, a).is_full() for a in algebra_atoms)
-    size = 1 << len(algebra_atoms)  # len() stops at sys.maxsize; u = 4 has 2**64
     return ExampleResult(
         base_size=u,
         ambient=ambient,
@@ -127,8 +126,8 @@ def example_algebra(u: int, *, kind: str = "SC") -> ExampleResult:
         closed_form_verified=closed_form,
         chain_distinct=chain.distinct_count(),
         algebra=algebra,
-        carrier_size=size,
+        carrier_size=algebra.size,
         atom_count=len(algebra_atoms),
         is_simple=simple,
-        is_full_powerset=size == full_size,
+        is_full_powerset=algebra.size == full_size,
     )

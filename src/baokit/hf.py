@@ -37,13 +37,6 @@ def tower(r: int) -> int:
     return 2 ** tower(r - 1)
 
 
-def _bit(code: int, position: int) -> int:
-    """Bit test that tolerates positions far past the code's width."""
-    if position >= code.bit_length():
-        return 0
-    return (code >> position) & 1
-
-
 _rank_cache: dict[int, int] = {0: 0}
 
 
@@ -102,7 +95,7 @@ class HFSet:
         return self.code.bit_count()
 
     def __contains__(self, other: "HFSet") -> bool:
-        return _bit(self.code, other.code) == 1
+        return (self.code >> other.code) & 1 == 1
 
     def __eq__(self, other):
         return isinstance(other, HFSet) and self.code == other.code
@@ -145,7 +138,7 @@ class HFUniverse:
         if name != "E":
             raise KeyError(name)
         a, b = row
-        return _bit(b, a) == 1
+        return (b >> a) & 1 == 1
 
     def model(self) -> ModelFinite:
         """Explicit membership model; only materialized through rank 3."""
@@ -214,7 +207,7 @@ def decode_pair(x: HFSet):
     for m in members:
         union_codes.update(m.member_codes())
     loose = [
-        c for c in sorted(union_codes) if not _bit(x.code, 1 << c)
+        c for c in sorted(union_codes) if not (x.code >> (1 << c)) & 1
     ]  # union elements whose singleton is not a member of x
     if len(loose) > 1:
         return None
@@ -260,7 +253,7 @@ def is_ordinal(x: HFSet) -> bool:
             return False  # a member's members leak out: not transitive
     for i, a in enumerate(member_codes):
         for b in member_codes[i + 1 :]:
-            if not (_bit(b, a) or _bit(a, b)):
+            if not ((b >> a) & 1 or (a >> b) & 1):
                 return False
     return True
 

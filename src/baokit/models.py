@@ -2,12 +2,14 @@
 
 satisfaction_set computes {s in carrier^n : the formula holds under s} as a
 bitset Element, working bottom-up with cylindrifications for quantifiers.
-holds evaluates one assignment recursively and accepts an optional
-quantifier domain, which relativizes every quantifier to a subset of the
-carrier (free variables may still take any value).
+holds evaluates one assignment with the formula compiled once into nested
+closures, and accepts an optional quantifier domain, which relativizes
+every quantifier to a subset of the carrier (free variables may still take
+any value).
 """
 
 import json
+from functools import lru_cache
 
 from .errors import UnboundVariableError
 from .formulas import (
@@ -22,6 +24,7 @@ from .formulas import (
     Not,
     Or,
     Vocabulary,
+    free_vars,
     max_var_index,
 )
 from .spaces import Element, TupleSpace, cyl, diag
@@ -138,51 +141,64 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int, *, _atom_cache=None
 def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool:
     """Evaluate one assignment; quantifiers range over `quantifier_domain`
     when given (any model-like object with carrier_size and rel_holds works).
+    Every free variable of `f` must be assigned, even one that
+    short-circuiting would skip.
     """
+    free, program = _compile(f)
     env: dict[int, int] = dict(assignment or {})
+    for var in free:
+        if var not in env:
+            raise UnboundVariableError(f"v{var} is unassigned")
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
     )
+    return program(env, model.rel_holds, domain)
 
-    def ev(g) -> bool:
-        if isinstance(g, Atom):
-            try:
-                row = tuple(env[a] for a in g.args)
-            except KeyError as exc:
-                raise UnboundVariableError(f"v{exc.args[0]} is unassigned") from None
-            return model.rel_holds(g.rel, row)
-        if isinstance(g, Eq):
-            return env[g.left] == env[g.right]
-        if isinstance(g, Not):
-            return not ev(g.body)
+
+@lru_cache(maxsize=None)
+def _compile(f: Formula):
+    """The sorted free variables of `f` and its program, nested closures
+    `(env, rel_holds, domain) -> bool` whose dispatch is fixed here, once."""
+    return tuple(sorted(free_vars(f))), _closure(f)
+
+
+def _closure(g):
+    if isinstance(g, Atom):
+        rel, args = g.rel, g.args
+        if len(args) == 2:  # binary atoms, membership above all: no tuple-building loop
+            a, b = args
+            return lambda env, rh, dom: rh(rel, (env[a], env[b]))
+        return lambda env, rh, dom: rh(rel, tuple([env[a] for a in args]))
+    if isinstance(g, Eq):
+        left, right = g.left, g.right
+        return lambda env, rh, dom: env[left] == env[right]
+    if isinstance(g, Not):
+        body = _closure(g.body)
+        return lambda env, rh, dom: not body(env, rh, dom)
+    if isinstance(g, (And, Or, Implies, Iff)):
+        p, q = _closure(g.left), _closure(g.right)
         if isinstance(g, And):
-            return ev(g.left) and ev(g.right)
+            return lambda env, rh, dom: p(env, rh, dom) and q(env, rh, dom)
         if isinstance(g, Or):
-            return ev(g.left) or ev(g.right)
+            return lambda env, rh, dom: p(env, rh, dom) or q(env, rh, dom)
         if isinstance(g, Implies):
-            return not ev(g.left) or ev(g.right)
-        if isinstance(g, Iff):
-            return ev(g.left) == ev(g.right)
-        if isinstance(g, (Exists, Forall)):
-            want = isinstance(g, Exists)
-            old = env.get(g.var)
-            for value in domain:
-                env[g.var] = value
-                if ev(g.body) == want:
+            return lambda env, rh, dom: not p(env, rh, dom) or q(env, rh, dom)
+        return lambda env, rh, dom: p(env, rh, dom) == q(env, rh, dom)
+    if isinstance(g, (Exists, Forall)):
+        var, body, want = g.var, _closure(g.body), isinstance(g, Exists)
+
+        def quantifier(env, rh, dom):
+            old = env.get(var)
+            result = not want
+            for env[var] in dom:
+                if body(env, rh, dom) == want:
                     result = want
                     break
-            else:
-                result = not want
             if old is None:
-                env.pop(g.var, None)
+                env.pop(var, None)
             else:
-                env[g.var] = old
+                env[var] = old
             return result
-        raise TypeError(f"not a formula: {g!r}")
 
-    return ev(f)
-
-
-def satisfying_assignments(model: ModelFinite, f: Formula, n: int):
-    """Decoded satisfying tuples, mostly for tests and small reports."""
-    return list(satisfaction_set(model, f, n).tuples())
+        return quantifier
+    raise TypeError(f"not a formula: {g!r}")

@@ -49,6 +49,13 @@ def test_generated_algebra_u3_witnessed():
     assert res.is_simple
 
 
+def test_algebra_size_past_sys_maxsize():
+    # 64 atoms: len() would overflow, so size and repr do not use it
+    algebra = example_algebra(4).algebra
+    assert algebra.size == 2**64
+    assert f"size={2**64}" in repr(algebra)
+
+
 def test_singleton_witnesses_are_singletons():
     amb = SetAlgebra("SC", 3, 3)
     x = strict_order_generator(amb)
