@@ -129,25 +129,13 @@ def is_independent(algebra, ys, probe_family=None) -> bool:
         return True
     if not probe_family:
         raise PreconditionError("non-Boolean signatures need a probe family")
-    sub = generate_subalgebra(algebra.domain, list(ys), cap=len(algebra))
+    sub = generate_subalgebra(algebra.domain, list(ys), cap=algebra.size)
     for probe in probe_family:
-        carrier = probe.carrier
-        count = len(carrier)
-        idx = [0] * len(ys)
-        while True:
-            images = [carrier[i] for i in idx]
-            if isinstance(extend_homomorphism(sub, list(ys), probe, images),
+        # reversed, so that the image of ys[0] varies fastest
+        for images in product(probe.carrier, repeat=len(ys)):
+            if isinstance(extend_homomorphism(sub, list(ys), probe, images[::-1]),
                           ExtensionConflict):
                 return False
-            p = 0
-            while p < len(idx):
-                idx[p] += 1
-                if idx[p] < count:
-                    break
-                idx[p] = 0
-                p += 1
-            if p == len(idx):
-                break
     return True
 
 
@@ -176,7 +164,7 @@ def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
     a Boolean isomorphism.  The operators are additive in each argument, so
     a candidate is checked on atoms (tuples of atoms) only.
     """
-    if left.signature != right.signature or len(left) != len(right):
+    if left.signature != right.signature or left.size != right.size:
         return None
     latoms, ratoms = atoms(left), atoms(right)
     if len(latoms) > 10:
@@ -217,7 +205,7 @@ def splitting_check(algebra, freegens, a, y) -> bool:
         raise PreconditionError("y must be one of the free generators")
     rest = [g for g in freegens if key(g) != key(y)]
     if rest:
-        sub = generate_subalgebra(algebra.domain, rest, cap=len(algebra))
+        sub = generate_subalgebra(algebra.domain, rest, cap=algebra.size)
         if a not in sub:
             raise PreconditionError("a is not generated by the remaining generators")
     elif key(a) not in (key(algebra.zero), key(algebra.one)):

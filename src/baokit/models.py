@@ -2,6 +2,9 @@
 
 satisfaction_set computes {s in carrier^n : the formula holds under s} as a
 bitset Element, working bottom-up with cylindrifications for quantifiers.
+Its walker, satisfaction_bits, is the one formula-to-bitset evaluator: the
+window module runs it too, with its own atoms and a digit-range mask per
+quantifier depth.
 holds evaluates one assignment with the formula compiled once into nested
 closures, and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
@@ -89,16 +92,16 @@ class ModelFinite:
         return f"ModelFinite(|carrier|={len(self.carrier)}, {rels})"
 
 
-def satisfaction_set(model: ModelFinite, f: Formula, n: int, *, _atom_cache=None):
+def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     """All satisfying assignments, as an Element over carrier^n."""
     top = max_var_index(f)
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
     space = TupleSpace(model.carrier_size, n)
-    cache = _atom_cache if _atom_cache is not None else {}
+    cache: dict = {}
 
     def atom_element(g: Atom) -> Element:
-        key = (g.rel, g.args, space.base_size, space.dimension)
+        key = (g.rel, g.args)
         got = cache.get(key)
         if got is not None:
             return got
@@ -114,28 +117,45 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int, *, _atom_cache=None
         cache[key] = out
         return out
 
-    def sat(g) -> Element:
+    return satisfaction_bits(space, f, atom_element)
+
+
+def satisfaction_bits(space: TupleSpace, f: Formula, atom, quantifier_mask=None) -> Element:
+    """The satisfaction set of `f` over `space`, bottom-up.
+
+    `atom(g)` gives the Element of each atom g.  A quantifier on v ranges
+    over the whole base, or, when `quantifier_mask(depth, v)` is given, over
+    the values of v that the returned Element allows, where depth counts
+    the quantifier's nesting from the root (outermost 1): the relativized
+    ex v phi is c_v(D . phi) and all v phi is -c_v(D . -phi).
+    """
+
+    def sat(g, depth: int) -> Element:
         if isinstance(g, Atom):
-            return atom_element(g)
+            return atom(g)
         if isinstance(g, Eq):
             return diag(space, g.left, g.right)
         if isinstance(g, Not):
-            return ~sat(g.body)
+            return ~sat(g.body, depth)
         if isinstance(g, And):
-            return sat(g.left) & sat(g.right)
+            return sat(g.left, depth) & sat(g.right, depth)
         if isinstance(g, Or):
-            return sat(g.left) | sat(g.right)
+            return sat(g.left, depth) | sat(g.right, depth)
         if isinstance(g, Implies):
-            return ~sat(g.left) | sat(g.right)
+            return ~sat(g.left, depth) | sat(g.right, depth)
         if isinstance(g, Iff):
-            return ~(sat(g.left) ^ sat(g.right))
-        if isinstance(g, Exists):
-            return cyl(g.var, sat(g.body))
-        if isinstance(g, Forall):
-            return ~cyl(g.var, ~sat(g.body))
+            return ~(sat(g.left, depth) ^ sat(g.right, depth))
+        if isinstance(g, (Exists, Forall)):
+            body = sat(g.body, depth + 1)
+            if isinstance(g, Forall):
+                body = ~body
+            if quantifier_mask is not None:
+                body = body & quantifier_mask(depth + 1, g.var)
+            out = cyl(g.var, body)
+            return ~out if isinstance(g, Forall) else out
         raise TypeError(f"not a formula: {g!r}")
 
-    return sat(f)
+    return sat(f, 0)
 
 
 def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool:

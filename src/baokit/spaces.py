@@ -4,8 +4,9 @@ A TupleSpace identifies the u**n tuples over a base of size u with the bit
 positions 0 .. u**n - 1 through a mixed-radix code, coordinate 0 least
 significant.  Element wraps one such bitset immutably; all operations are
 hard errors across distinct spaces.  Cylindrification, diagonals and
-substitutions are computed with per-coordinate digit masks, so each costs
-O(u) or O(u^2) big-integer operations instead of a full tuple scan.
+substitutions are computed with per-coordinate digit masks by doubling, so
+each costs O(log u) big-integer shifts instead of a full tuple scan;
+substitution is c_i(d_ij . x) and reuses cylindrification.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.
@@ -26,6 +27,17 @@ def _replicate(pattern: int, period: int, count: int) -> int:
     while have < count:
         step = min(have, count - have)
         out |= out << (step * period)
+        have += step
+    return out
+
+
+def _fold(bits: int, period: int, count: int) -> int:
+    """OR together `count` copies of `bits` shifted right by 0, period, ..."""
+    out = bits
+    have = 1
+    while have < count:
+        step = min(have, count - have)
+        out |= out >> (step * period)
         have += step
     return out
 
@@ -98,6 +110,14 @@ class TupleSpace:
         if not 0 <= value < self.base_size:
             raise ValueError(f"coordinate value {value} outside base {self.base_size}")
         return self.digit_zero_mask(coord) << (value * self.stride(coord))
+
+    def digit_range_mask(self, coord: int, values: range) -> int:
+        """Bitmask of all positions whose coordinate `coord` lies in `values`,
+        a nonempty range of base values with step 1."""
+        if values.step != 1 or not 0 <= values.start < values.stop <= self.base_size:
+            raise ValueError(f"{values!r} is not a nonempty run of base values")
+        stride = self.stride(coord)
+        return _replicate(self.digit_mask(coord, values.start), stride, len(values))
 
     def __eq__(self, other):
         return (
@@ -212,15 +232,8 @@ def cyl(coord: int, x: Element) -> Element:
     space.check_coord(coord)
     u = space.base_size
     stride = space.stride(coord)
-    zero_mask = space.digit_zero_mask(coord)
-    collapsed = 0
-    for t in range(u):
-        collapsed |= x.bits >> (t * stride)
-    collapsed &= zero_mask
-    out = 0
-    for t in range(u):
-        out |= collapsed << (t * stride)
-    return Element(space, out)
+    collapsed = _fold(x.bits, stride, u) & space.digit_zero_mask(coord)
+    return Element(space, _replicate(collapsed, stride, u))
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
@@ -229,30 +242,17 @@ def diag(space: TupleSpace, i: int, j: int) -> Element:
     space.check_coord(j)
     if i == j:
         return Element(space, space.full_mask)
-    out = 0
-    for t in range(space.base_size):
-        out |= space.digit_mask(i, t) & space.digit_mask(j, t)
-    return Element(space, out)
+    both_zero = space.digit_zero_mask(i) & space.digit_zero_mask(j)
+    step = space.stride(i) + space.stride(j)
+    return Element(space, _replicate(both_zero, step, space.base_size))
 
 
 def subst(i: int, j: int, x: Element) -> Element:
     """Replacement substitution: tuples s with s[i := s_j] in x."""
-    space = x.space
-    space.check_coord(i)
-    space.check_coord(j)
+    same = diag(x.space, i, j)  # checks both coordinates
     if i == j:
         raise ValueError("substitution needs two distinct coordinates")
-    u = space.base_size
-    stride = space.stride(i)
-    zero_mask = space.digit_zero_mask(i)
-    out = 0
-    for t in range(u):
-        selected = (x.bits >> (t * stride)) & zero_mask
-        spread = 0
-        for s in range(u):
-            spread |= selected << (s * stride)
-        out |= spread & space.digit_mask(j, t)
-    return Element(space, out)
+    return cyl(i, same & x)
 
 
 class SetAlgebra:

@@ -11,30 +11,18 @@ and are surrogates, not proofs; they are labeled as such everywhere.
 Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
-on its last coordinate.
+on its last coordinate.  Evaluation runs models' bitset walker with these
+atoms and a mask of the allowed digit range for each quantifier depth.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import CapacityError, PreconditionError
-from .formulas import (
-    And,
-    Atom,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    format_formula,
-    free_vars,
-    max_var_index,
-    quantifier_depth,
-)
-from .models import ModelFinite
-from .spaces import Element, TupleSpace, diag
+from .formulas import Formula, format_formula, max_var_index, quantifier_depth
+from .library import close_universally
+from .models import ModelFinite, satisfaction_bits
+from .spaces import Element, TupleSpace
 
 
 @dataclass(frozen=True)
@@ -69,16 +57,10 @@ class WindowModel:
             raise CapacityError("window too large to materialize as a table")
         rows = [
             row
-            for row in _product(points, arity)
+            for row in product(points, repeat=arity)
             if self.related(row[0], row[1])
         ]
         return ModelFinite(points, {"R": rows})
-
-
-def _product(points, arity):
-    if arity == 2:
-        return ((a, b) for a in points for b in points)
-    return ((a, b, c) for a in points for b in points for c in points)
 
 
 @dataclass
@@ -115,19 +97,6 @@ def _relation_element(space: TupleSpace, model: WindowModel, radius: int,
     return out
 
 
-def _cyl_over(space: TupleSpace, x: Element, coord: int, values: range) -> Element:
-    stride = space.stride(coord)
-    zero_mask = space.digit_zero_mask(coord)
-    collapsed = 0
-    for t in values:
-        collapsed |= x.bits >> (t * stride)
-    collapsed &= zero_mask
-    out = 0
-    for t in range(space.base_size):
-        out |= collapsed << (t * stride)
-    return Element(space, out)
-
-
 def _window_space(f: Formula, radius: int) -> TupleSpace:
     """The assignment space at one radius; raises CapacityError past the budget."""
     return TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
@@ -143,36 +112,17 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     space = _window_space(f, radius)
     rel_cache: dict = {}
 
-    def allowed(depth_now: int) -> range:
+    def atom(g) -> Element:
+        return _relation_element(space, model, radius, g.args[0], g.args[1], rel_cache)
+
+    # rebuilt per quantifier: caching these full-width masks raised the
+    # peak memory of a radius-64 window by about a fifth
+    def allowed(depth_now: int, var: int) -> Element:
         reach = radius - depth_now * model.margin
-        return range(-reach + radius, reach + radius + 1)  # as indices
+        values = range(radius - reach, radius + reach + 1)  # as indices
+        return Element(space, space.digit_range_mask(var, values))
 
-    def sat(g, depth_now: int) -> Element:
-        if isinstance(g, Atom):
-            return _relation_element(
-                space, model, radius, g.args[0], g.args[1], rel_cache
-            )
-        if isinstance(g, Eq):
-            return diag(space, g.left, g.right)
-        if isinstance(g, Not):
-            return ~sat(g.body, depth_now)
-        if isinstance(g, And):
-            return sat(g.left, depth_now) & sat(g.right, depth_now)
-        if isinstance(g, Or):
-            return sat(g.left, depth_now) | sat(g.right, depth_now)
-        if isinstance(g, Implies):
-            return ~sat(g.left, depth_now) | sat(g.right, depth_now)
-        if isinstance(g, Iff):
-            return ~(sat(g.left, depth_now) ^ sat(g.right, depth_now))
-        if isinstance(g, Exists):
-            body = sat(g.body, depth_now + 1)
-            return _cyl_over(space, body, g.var, allowed(depth_now + 1))
-        if isinstance(g, Forall):
-            body = sat(g.body, depth_now + 1)
-            return ~_cyl_over(space, ~body, g.var, allowed(depth_now + 1))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return sat(f, 0)
+    return satisfaction_bits(space, f, atom, allowed)
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
@@ -181,9 +131,7 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     Open formulas are universally closed first; the closing quantifiers
     count toward the nesting depth like any others.
     """
-    closed = f
-    for v in sorted(free_vars(f), reverse=True):
-        closed = Forall(v, closed)
+    closed = close_universally(f)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
     _window_space(closed, max(radii))  # fail on capacity before any work

@@ -48,6 +48,21 @@ def test_atoms_command_with_dump(tmp_path, capsys):
     assert len(FiniteAlgebra.deserialize(text).carrier) == 4
 
 
+def test_check_identity_counterexamples_vary_variable_zero_fastest(capsys):
+    code, out = run_cli(
+        capsys, "--json", "check-identity", "--kind", "BA", "--u", "2", "--n", "1",
+        "--lhs", "(var 0)", "--rhs", "(var 1)",
+    )
+    assert code == 1
+    details = json.loads(out)["details"]
+    assert details["exhaustive"] and details["cases"] == 4
+    assert details["counterexamples"] == [
+        {"0": "space:2,1:1", "1": "space:2,1:0"},
+        {"0": "space:2,1:2", "1": "space:2,1:0"},
+        {"0": "space:2,1:3", "1": "space:2,1:0"},
+    ]
+
+
 def test_check_identity_pass_and_fail(capsys):
     code, _ = run_cli(
         capsys,

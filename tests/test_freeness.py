@@ -4,6 +4,7 @@ import pytest
 
 from baokit import (
     CapacityError,
+    FiniteAlgebra,
     PreconditionError,
     SetAlgebra,
     atoms,
@@ -16,6 +17,8 @@ from baokit import (
     product,
     splitting_check,
 )
+from baokit.algebras import SetDomain
+from baokit.example import example_algebra
 from baokit.freeness import ExtensionConflict, Homomorphism
 
 
@@ -153,6 +156,25 @@ def test_splitting_exhaustive_small():
                 if a.is_zero():
                     continue
                 assert splitting_check(algebra, gens, a, y)
+
+
+def test_algebras_past_sys_maxsize_reach_the_budgets():
+    # 64 atoms: len() of such an algebra raises OverflowError
+    example = example_algebra(4)
+    big = example.algebra
+    with pytest.raises(CapacityError):  # the 10-atom budget
+        find_isomorphism(big, big)
+    with pytest.raises(CapacityError):  # the probe's carrier, 2**64 elements
+        is_independent(big, [example.generator], probe_family=[big])
+    ambient = SetAlgebra("BA", 64, 1)
+    gens = [
+        ambient.from_bits(sum(1 << f for f in range(64) if (f >> i) & 1))
+        for i in range(6)
+    ]
+    free6 = FiniteAlgebra.from_atoms(
+        SetDomain(ambient), [ambient.from_bits(1 << f) for f in range(64)]
+    )
+    assert splitting_check(free6, gens, gens[0], gens[5])
 
 
 def test_freeness_transfer_map_counts():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baokit import (
     CapacityError,
@@ -92,6 +94,53 @@ def test_subst_matches_scan_oracle():
                     ),
                 )
                 assert subst(i, j, x) == expected
+
+
+@st.composite
+def kernel_cases(draw):
+    """An element of a space with u <= 4 and n <= 3, two coordinates and a
+    nonempty run of base values."""
+    u, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    space = TupleSpace(u, n)
+    x = Element(space, draw(st.integers(0, space.full_mask)))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    lo = draw(st.integers(0, u - 1))
+    return x, i, j, range(lo, draw(st.integers(lo + 1, u)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=kernel_cases())
+def test_kernels_match_tuple_scan(case):
+    x, i, j, values = case
+    space = x.space
+    members = set(x.tuples())
+
+    def scan(predicate) -> Element:
+        bits = 0
+        for s in space.tuples():
+            if predicate(s):
+                bits |= 1 << space.encode(s)
+        return Element(space, bits)
+
+    def put(s, coord, value):
+        return s[:coord] + (value,) + s[coord + 1:]
+
+    base = range(space.base_size)
+    assert cyl(i, x) == scan(lambda s: any(put(s, i, t) in members for t in base))
+    assert diag(space, i, j) == scan(lambda s: s[i] == s[j])
+    if i != j:
+        assert subst(i, j, x) == scan(lambda s: put(s, i, s[j]) in members)
+    # the relativized cylindrification of window quantifiers: c_i(D . x)
+    ranged = Element(space, space.digit_range_mask(i, values))
+    assert ranged == scan(lambda s: s[i] in values)
+    assert cyl(i, ranged & x) == scan(lambda s: any(put(s, i, t) in members for t in values))
+
+
+def test_digit_range_mask_rejects_runs_outside_the_base():
+    space = TupleSpace(3, 2)
+    for values in (range(0, 4), range(1, 1), range(0, 3, 2), range(-1, 2)):
+        with pytest.raises(ValueError):
+            space.digit_range_mask(1, values)
 
 
 def test_subst_rejects_equal_coordinates():

@@ -1,12 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baokit import (
+    Element,
     PreconditionError,
+    TupleSpace,
     WindowModel,
+    diag,
     eval_window,
     holds,
+    max_var_index,
     parse_formula,
+    quantifier_depth,
 )
+from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.library import formula_library
 from baokit.window import window_satisfaction
 
@@ -110,3 +118,81 @@ def test_open_formulas_are_universally_closed():
     assert report.value is True
     report2 = eval_window(wm, parse_formula("R(v0,v1,v2)"), radii=(8,))
     assert report2.value is False
+
+
+def _cyl_over(space, x, coord, values):
+    stride = space.stride(coord)
+    zero_mask = space.digit_zero_mask(coord)
+    collapsed = 0
+    for t in values:
+        collapsed |= x.bits >> (t * stride)
+    collapsed &= zero_mask
+    out = 0
+    for t in range(space.base_size):
+        out |= collapsed << (t * stride)
+    return Element(space, out)
+
+
+def walk_window(model, f, radius):
+    """The private walker and value-by-value cylindrification that
+    window_satisfaction replaced, kept as its oracle; atoms by tuple scan."""
+    space = TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
+
+    def related(a, b):
+        bits = 0
+        for s in space.tuples():
+            if model.related(s[a] - radius, s[b] - radius):
+                bits |= 1 << space.encode(s)
+        return Element(space, bits)
+
+    def allowed(depth_now):
+        reach = radius - depth_now * model.margin
+        return range(-reach + radius, reach + radius + 1)
+
+    def sat(g, depth_now):
+        if isinstance(g, Atom):
+            return related(g.args[0], g.args[1])
+        if isinstance(g, Eq):
+            return diag(space, g.left, g.right)
+        if isinstance(g, Not):
+            return ~sat(g.body, depth_now)
+        if isinstance(g, And):
+            return sat(g.left, depth_now) & sat(g.right, depth_now)
+        if isinstance(g, Or):
+            return sat(g.left, depth_now) | sat(g.right, depth_now)
+        if isinstance(g, Implies):
+            return ~sat(g.left, depth_now) | sat(g.right, depth_now)
+        if isinstance(g, Iff):
+            return ~(sat(g.left, depth_now) ^ sat(g.right, depth_now))
+        body = sat(g.body, depth_now + 1)
+        if isinstance(g, Exists):
+            return _cyl_over(space, body, g.var, allowed(depth_now + 1))
+        return ~_cyl_over(space, ~body, g.var, allowed(depth_now + 1))
+
+    return sat(f, 0)
+
+
+VARS = st.integers(0, 2)
+WINDOW_FORMULAS = st.recursive(
+    st.one_of(
+        st.builds(lambda a, b, c: Atom("R", (a, b, c)), VARS, VARS, VARS),
+        st.builds(Eq, VARS, VARS),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
+        *(st.builds(q, VARS, sub) for q in (Exists, Forall)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(f=WINDOW_FORMULAS, margin=st.integers(1, 2), slack=st.integers(1, 3),
+       fixed=st.sets(st.integers(-1, 1)))
+def test_window_satisfaction_matches_private_walker(f, margin, slack, fixed):
+    radius = quantifier_depth(f) * margin + slack
+    if radius <= margin:  # keep the fixed points inside the margin interval
+        fixed = set()
+    model = WindowModel(radius, margin, tuple(sorted(fixed)))
+    assert window_satisfaction(model, f, radius) == walk_window(model, f, radius), f
