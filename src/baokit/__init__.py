@@ -96,7 +96,7 @@ from .spaces import (
     diag,
     subst,
 )
-from .terms import Term, eval_term, format_term, parse_term
+from .terms import Term, eval_term, eval_term_lanes, format_term, parse_term
 from .translate import (
     CongruenceWitness,
     StrongCongruenceError,

@@ -9,12 +9,12 @@ approximate, and never prove, facts about the unbounded order.
 """
 
 import argparse
-import itertools
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebras import atoms, generate_subalgebra, is_hereditary_closed, product
 from .compiler import compiler_agrees, is_restricted, unrestricted_atom
@@ -36,7 +36,7 @@ from .identities import identity_sweep
 from .library import formula_library, load_corpus
 from .models import ModelFinite, holds, satisfaction_set
 from .spaces import Element, RelationAlgebra, SetAlgebra, diag
-from .terms import eval_term, parse_term
+from .terms import eval_term_lanes, lane_batches, parse_term
 from .translate import (
     StrongCongruenceError,
     duplicated_model,
@@ -159,25 +159,37 @@ def _cmd_check_identity(args) -> ExperimentReport:
     var_count = max(lhs.var_count, rhs.var_count)
     size = args.u**2 if args.kind == "RA" else args.u**args.n
     exhaustive = var_count * size <= 16 and (1 << size) ** var_count <= 65536
-    rng = random.Random(args.seed)
+    if exhaustive:
+        # lane l is assignment number l, variable 0 varying fastest
+        total = (1 << size) ** var_count
+        values = (
+            (lane >> (i * size)) & ((1 << size) - 1)
+            for lane in range(total)
+            for i in range(var_count)
+        )
+    else:
+        rng = random.Random(args.seed)
+        total = args.samples
+        values = (
+            ambient.random_element(rng).bits for _ in range(total * var_count)
+        )
     failures = []
-    total = 0
-
-    def assignments():
-        if exhaustive:
-            # reversed, so that variable 0 varies fastest
-            for idx in itertools.product(range(1 << size), repeat=var_count):
-                yield {i: _from_bits(ambient, bits) for i, bits in enumerate(idx[::-1])}
-        else:
-            for _ in range(args.samples):
-                yield {i: ambient.random_element(rng) for i in range(var_count)}
-
-    for assignment in assignments():
-        total += 1
-        if eval_term(lhs, assignment, ambient) != eval_term(rhs, assignment, ambient):
-            failures.append({k: v.serialize() for k, v in assignment.items()})
-            if len(failures) >= 3:
-                break
+    cases = total
+    for batch in lane_batches(ambient, total):
+        flat = list(islice(values, len(batch) * var_count))
+        columns = {i: flat[i::var_count] for i in range(var_count)}
+        left = eval_term_lanes(lhs, columns, ambient)
+        right = eval_term_lanes(rhs, columns, ambient)
+        for lane, (a, b) in enumerate(zip(left, right)):
+            if a != b:
+                failures.append(
+                    {i: _from_bits(ambient, columns[i][lane]).serialize() for i in columns}
+                )
+                if len(failures) == 3:
+                    cases = batch.start + lane + 1
+                    break
+        if len(failures) == 3:
+            break
     return ExperimentReport(
         "check-identity",
         {
@@ -189,7 +201,7 @@ def _cmd_check_identity(args) -> ExperimentReport:
             "seed": args.seed,
         },
         "pass" if not failures else "fail",
-        {"cases": total, "exhaustive": exhaustive, "counterexamples": failures},
+        {"cases": cases, "exhaustive": exhaustive, "counterexamples": failures},
     )
 
 

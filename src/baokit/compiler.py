@@ -302,8 +302,4 @@ def compiler_agrees(f: Formula, model: ModelFinite, n: int, kind: str) -> bool:
     )
     ambient = SetAlgebra(kind, model.carrier_size, n)
     gens = natural_atom_sets(model, compiled.symbols, n)
-    direct = satisfaction_set(model, f, n)
-    if not compiled.symbols:
-        # Pure-equality formulas compile to constant terms.
-        return _eval_term(compiled.term, {}, ambient) == direct
-    return compiled.evaluate(ambient, gens) == direct
+    return compiled.evaluate(ambient, gens) == satisfaction_set(model, f, n)

@@ -8,59 +8,78 @@ another quantifier, or a parenthesized formula).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 from .errors import FormulaSyntaxError
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Freeze `cls` as a dataclass whose hash is computed on first use and
+    stored.  The generated hash would walk the whole tree on every call,
+    and every cache keyed by a formula hashes it."""
+    fields = attrgetter(*cls.__annotations__)
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((cls, fields(self)))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return dataclass(frozen=True)(cls)
+
+
+@_node
 class Atom:
     rel: str
     args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: int
     right: int
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: int
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     var: int
     body: "Formula"

@@ -4,16 +4,20 @@ Compiling the fixed-point formulas through the restricted correspondence
 yields three single-variable terms tau, sigma, delta over the ternary
 generator.  On finite bases every subset of the triple space interprets
 the generator, and the sweep checks sigma(tau(x)) = x and
-delta(tau(x)) = top for all (or randomly sampled) values x.
+delta(tau(x)) = top for all (or randomly sampled) values x.  The values
+are evaluated side by side as the lanes of one wide bitset (see
+`terms.Lanes`), and a lane fails when it differs from the packed input,
+or from the packed top.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .compiler import CompiledTerm, compile_to_term, restrict_formula
 from .library import formula_library
 from .spaces import SetAlgebra
-from .terms import eval_term
+from .terms import Lanes, lane_batches
 
 
 @dataclass
@@ -51,22 +55,27 @@ def identity_sweep(
     size = ambient.space.size
     exhaustive = (1 << size) <= exhaustive_limit
     if exhaustive:
-        values = (ambient.from_bits(b) for b in range(1 << size))
         total = 1 << size
+        values = iter(range(total))
     else:
         rng = random.Random(seed)
-        values = (ambient.random_element(rng) for _ in range(samples))
         total = samples
+        values = (ambient.random_element(rng).bits for _ in range(samples))
 
-    tau, sigma, delta = terms["tau"], terms["sigma"], terms["delta"]
+    tau, sigma, delta = (terms[name].term for name in ("tau", "sigma", "delta"))
     failures = []
-    for x in values:
-        image = eval_term(tau.term, {0: x}, ambient)
-        back = eval_term(sigma.term, {0: image}, ambient)
-        if back != x:
-            failures.append(("sigma(tau(x)) = x", x.serialize()))
-        if not eval_term(delta.term, {0: image}, ambient).is_full():
-            failures.append(("delta(tau(x)) = 1", x.serialize()))
+    for batch in lane_batches(ambient, total):
+        xs = list(islice(values, len(batch)))
+        lanes = Lanes(ambient, len(xs))
+        x = lanes.pack(xs)
+        image = {0: lanes.run(tau, {0: x})}
+        back_differs = lanes.unpack(lanes.run(sigma, image) ^ x)
+        top_differs = lanes.unpack(lanes.run(delta, image) ^ lanes.full)
+        for value, back, top in zip(xs, back_differs, top_differs):
+            if back:
+                failures.append(("sigma(tau(x)) = x", ambient.from_bits(value).serialize()))
+            if top:
+                failures.append(("delta(tau(x)) = 1", ambient.from_bits(value).serialize()))
     return IdentitySweepResult(
         base_size=u, total=total, exhaustive=exhaustive, failures=failures
     )

@@ -20,26 +20,30 @@ from .signatures import OpRef, Signature
 MAX_SPACE_BITS = 1 << 24
 
 
-def _replicate(pattern: int, period: int, count: int) -> int:
-    """OR together `count` copies of `pattern` placed at offsets 0, period, ..."""
-    out = pattern
+def doubling_shifts(period: int, count: int) -> tuple[int, ...]:
+    """Shifts that make `count` copies of a pattern, at offsets 0, period,
+    ..., by ORing in a shifted copy of everything so far: O(log count)."""
+    shifts = []
     have = 1
     while have < count:
         step = min(have, count - have)
-        out |= out << (step * period)
+        shifts.append(step * period)
         have += step
-    return out
+    return tuple(shifts)
+
+
+def _replicate(pattern: int, period: int, count: int) -> int:
+    """OR together `count` copies of `pattern` placed at offsets 0, period, ..."""
+    for shift in doubling_shifts(period, count):
+        pattern |= pattern << shift
+    return pattern
 
 
 def _fold(bits: int, period: int, count: int) -> int:
     """OR together `count` copies of `bits` shifted right by 0, period, ..."""
-    out = bits
-    have = 1
-    while have < count:
-        step = min(have, count - have)
-        out |= out >> (step * period)
-        have += step
-    return out
+    for shift in doubling_shifts(period, count):
+        bits |= bits >> shift
+    return bits
 
 
 class TupleSpace:
@@ -422,6 +426,33 @@ class RaElement:
         return f"RaElement(base={self.base_size}, count={self.count})"
 
 
+def compose_bits(u: int, r: int, s: int) -> int:
+    """Relational composition r;s of two relation bitsets on a base of size u."""
+    row_mask = (1 << u) - 1
+    s_rows = [(s >> (b * u)) & row_mask for b in range(u)]
+    out = 0
+    for a in range(u):
+        row = (r >> (a * u)) & row_mask
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= s_rows[low.bit_length() - 1]
+            row ^= low
+        out |= acc << (a * u)
+    return out
+
+
+def converse_bits(u: int, r: int) -> int:
+    """The converse of a relation bitset on a base of size u."""
+    out = 0
+    while r:
+        low = r & -r
+        a, b = divmod(low.bit_length() - 1, u)
+        out |= 1 << (b * u + a)
+        r ^= low
+    return out
+
+
 class RelationAlgebra:
     """All binary relations on a finite base, with ;, converse and Id."""
 
@@ -466,26 +497,10 @@ class RelationAlgebra:
 
     def compose(self, r: RaElement, s: RaElement) -> RaElement:
         r._peer(s)
-        u = self.base_size
-        row_mask = (1 << u) - 1
-        s_rows = [(s.bits >> (b * u)) & row_mask for b in range(u)]
-        out = 0
-        for a in range(u):
-            row = (r.bits >> (a * u)) & row_mask
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= s_rows[low.bit_length() - 1]
-                row ^= low
-            out |= acc << (a * u)
-        return RaElement(u, out)
+        return RaElement(self.base_size, compose_bits(self.base_size, r.bits, s.bits))
 
     def converse(self, r: RaElement) -> RaElement:
-        u = self.base_size
-        bits = 0
-        for a, b in r.pairs():
-            bits |= 1 << (b * u + a)
-        return RaElement(u, bits)
+        return RaElement(self.base_size, converse_bits(self.base_size, r.bits))
 
     def residual(self, r: RaElement, s: RaElement) -> RaElement:
         """Boolean residual r -> s, that is -r + s."""

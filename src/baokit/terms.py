@@ -1,15 +1,39 @@
 """Terms over an operator signature, with evaluation and a text form.
 
+A term is compiled once per value domain (the tuple space of a set
+algebra, or the base of a relation algebra) into a straight-line program
+over raw ints, kept on the term: the constants and diagonals are hoisted,
+each cylindrification is bound to its stride and digit mask, and a shared
+subterm is computed once.  `eval_term` runs it on one assignment;
+`eval_term_lanes` runs it on many at once, side by side as the lanes of a
+wider space (see `Lanes`), since the operators on coordinates below n
+never touch the coordinates n and up.
+
 The text form is prefix s-expressions, for example
 ``(and (cyl 0 (var 0)) (not (diag 0 1)))``.  Constants ``zero``, ``one``
 and ``id`` are bare words.
 """
 
+import operator
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
 from .signatures import OpRef, Signature, opref_str
+from .spaces import (
+    MAX_SPACE_BITS,
+    Element,
+    RaElement,
+    RelationAlgebra,
+    SetAlgebra,
+    TupleSpace,
+    compose_bits,
+    converse_bits,
+    diag,
+    doubling_shifts,
+)
 
 
 @dataclass(frozen=True)
@@ -34,12 +58,13 @@ TermNode = Union[Var, Const, App]
 class Term:
     """A validated term: every operator belongs to the declared signature."""
 
-    __slots__ = ("root", "signature", "var_count")
+    __slots__ = ("root", "signature", "var_count", "_programs")
 
     def __init__(self, root: TermNode, signature: Signature):
         self.root = root
         self.signature = signature
         self.var_count = self._validate(root) + 1
+        self._programs: dict = {}  # compiled programs, by value domain
 
     def _validate(self, node: TermNode) -> int:
         """Check operators against the signature; return the max variable index."""
@@ -82,47 +107,358 @@ class Term:
         return f"Term({format_term(self)}, {self.signature.label})"
 
 
-def eval_term(term: Term, assignment, ambient):
-    """Evaluate bottom-up in `ambient` (a SetAlgebra or RelationAlgebra).
-
-    `assignment` maps variable indices to elements of the ambient algebra.
-    Structurally shared subterms are evaluated once.
-    """
+def _check_signature(term: Term, ambient) -> None:
     if ambient.signature != term.signature:
         raise SignatureError(
             f"term over {term.signature.label} evaluated in {ambient.signature.label}"
         )
-    cache: dict[int, object] = {}
 
-    def ev(node):
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            try:
-                value = assignment[node.index]
-            except KeyError:
-                raise UnboundVariableError(f"no value for variable {node.index}") from None
-            if not ambient.contains(value):
-                raise SignatureError(f"assignment for variable {node.index} is foreign")
-        elif isinstance(node, Const):
-            value = ambient.apply(node.op)
+
+class _Program:
+    """A term compiled for one value domain, as a straight-line program.
+
+    The registers hold the hoisted constants, then one input per variable
+    (in `variables` order, the order of first occurrence), then the
+    results of the operator nodes, children before parents, so that a
+    shared subterm is computed once.  Step k stores
+    functions[k](r[left[k]], r[right[k]]) in r[out[k]]; a unary operator
+    reads one register twice.  A result register is reused once its last
+    reader has run, so at most `width` values are alive at a time, however
+    long the program.
+    """
+
+    __slots__ = (
+        "variables", "constants", "functions", "left", "right", "out", "blank", "root"
+    )
+
+    def __init__(self, variables, constants, functions, left, right, out, width, root):
+        self.variables = variables
+        self.constants = constants
+        self.functions = functions
+        self.left = left
+        self.right = right
+        self.out = out
+        self.blank = [None] * (width - len(constants) - len(variables))
+        self.root = root
+
+    def run(self, inputs: list) -> int:
+        r = self.constants + inputs + self.blank
+        for f, a, b, out in zip(self.functions, self.left, self.right, self.out):
+            r[out] = f(r[a], r[b])
+        return r[self.root]
+
+
+def _compile(term: Term, domain) -> _Program:
+    """Lay out the term's DAG (nodes told apart by identity) as a program;
+    `domain` supplies the constants' values and the operators' functions."""
+    order = []
+    seen = set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if isinstance(node, App):
+            for a in node.args:
+                visit(a)
+        order.append(node)
+
+    visit(term.root)
+    apps = [n for n in order if isinstance(n, App)]
+    last_read = {id(a): k for k, node in enumerate(apps) for a in node.args}
+    constants = list(dict.fromkeys(n.op for n in order if isinstance(n, Const)))
+    variables = list(dict.fromkeys(n.index for n in order if isinstance(n, Var)))
+    const_slot = {op: k for k, op in enumerate(constants)}
+    var_slot = {index: len(constants) + k for k, index in enumerate(variables)}
+    fixed = len(constants) + len(variables)
+    slot = {}
+    for node in order:
+        if isinstance(node, Const):
+            slot[id(node)] = const_slot[node.op]
+        elif isinstance(node, Var):
+            slot[id(node)] = var_slot[node.index]
+    functions, left, right, out = [], array("l"), array("l"), array("l")
+    free: list[int] = []  # result registers whose last reader has run
+    width = fixed
+    for k, node in enumerate(apps):
+        functions.append(domain.function(node.op))
+        left.append(slot[id(node.args[0])])
+        right.append(slot[id(node.args[-1])])
+        for a in dict.fromkeys(id(a) for a in node.args):
+            if last_read[a] == k and slot[a] >= fixed:
+                free.append(slot[a])
+        if free:
+            slot[id(node)] = free.pop()
         else:
-            name = node.op[0]
-            if name == "and":
-                value = ev(node.args[0]) & ev(node.args[1])
-            elif name == "or":
-                value = ev(node.args[0]) | ev(node.args[1])
-            elif name == "not":
-                value = ~ev(node.args[0])
-            elif name == "impl":
-                value = ~ev(node.args[0]) | ev(node.args[1])
-            else:
-                value = ambient.apply(node.op, *(ev(a) for a in node.args))
-        cache[id(node)] = value
-        return value
+            slot[id(node)] = width
+            width += 1
+        out.append(slot[id(node)])
+    return _Program(
+        tuple(variables),
+        [domain.constant(op) for op in constants],
+        tuple(functions),
+        left,
+        right,
+        out,
+        width,
+        slot[id(term.root)],
+    )
 
-    return ev(term.root)
+
+class _Domain:
+    """The raw-int operators of one value domain, each built once and shared
+    by every step that applies it; all are binary, a unary one ignoring its
+    second argument."""
+
+    def __init__(self, full: int):
+        self.full = full
+        self.functions = {
+            ("and", ()): operator.and_,
+            ("or", ()): operator.or_,
+            ("not", ()): lambda x, _: full ^ x,
+            ("impl", ()): lambda x, y: (full ^ x) | y,
+        }
+
+    def function(self, op):
+        f = self.functions.get(op)
+        if f is None:
+            f = self.functions[op] = self.make(op)
+        return f
+
+
+class _SetDomain(_Domain):
+    """Operators of a set algebra on coordinates 0 .. n-1 of `space`; every
+    coordinate of `space` from n up is left alone, so it may number lanes."""
+
+    def __init__(self, space: TupleSpace, n: int):
+        super().__init__(space.full_mask)
+        self.space = space
+        self.n = n
+
+    def constant(self, op) -> int:
+        name, params = op
+        if name == "zero":
+            return 0
+        if name == "one":
+            return self.full
+        if name == "diag":
+            return diag(self.space, *params).bits
+        raise SignatureError(f"unsupported constant {name!r}")
+
+    def make(self, op):
+        name, params = op
+        if name == "cyl":
+            return self._cylinder(self.full, params)
+        if name == "subst":  # c_i(d_ij . x)
+            i, j = params
+            return self._cylinder(diag(self.space, i, j).bits, (i,))
+        if name == "disc":  # c_0 c_1 ... c_{n-1}: the top exactly when x is nonzero
+            return self._cylinder(self.full, range(self.n))
+        raise SignatureError(f"unsupported operator {name!r}")
+
+    def _cylinder(self, within: int, coords):
+        """x & within, cylindrified along each coordinate in turn: its
+        copies folded onto digit 0 and replicated back, by doubling."""
+        space = self.space
+        passes = [
+            (doubling_shifts(space.stride(c), space.base_size), space.digit_zero_mask(c))
+            for c in coords
+        ]
+
+        def cylinder(x, _):
+            x &= within
+            for shifts, zero in passes:
+                for s in shifts:
+                    x |= x >> s
+                x &= zero
+                for s in shifts:
+                    x |= x << s
+            return x
+
+        return cylinder
+
+
+class _RelationDomain(_Domain):
+    """Operators of the algebra of all binary relations on a finite base."""
+
+    def __init__(self, ambient: RelationAlgebra):
+        super().__init__(ambient.one.bits)
+        self.ambient = ambient
+
+    def constant(self, op) -> int:
+        return self.ambient.apply(op).bits
+
+    def make(self, op):
+        u = self.ambient.base_size
+        if op[0] == "conv":
+            return lambda x, _: converse_bits(u, x)
+        if op[0] == "comp":
+            return lambda x, y: compose_bits(u, x, y)
+        raise SignatureError(f"unsupported operator {op[0]!r}")
+
+
+def _cached_program(term: Term, key: tuple, domain) -> _Program:
+    program = term._programs.get(key)
+    if program is None:
+        program = term._programs[key] = _compile(term, domain())
+    return program
+
+
+def _set_program(term: Term, space: TupleSpace, n: int) -> _Program:
+    key = (space.base_size, space.dimension, n)
+    return _cached_program(term, key, lambda: _SetDomain(space, n))
+
+
+def _program(term: Term, ambient) -> _Program:
+    """The term compiled for `ambient`, built on first use and kept on the term."""
+    _check_signature(term, ambient)
+    if isinstance(ambient, SetAlgebra):
+        return _set_program(term, ambient.space, ambient.space.dimension)
+    if isinstance(ambient, RelationAlgebra):
+        key = (ambient.base_size,)
+        return _cached_program(term, key, lambda: _RelationDomain(ambient))
+    raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
+
+
+def eval_term(term: Term, assignment, ambient):
+    """Evaluate in `ambient` (a SetAlgebra or RelationAlgebra).
+
+    `assignment` maps variable indices to elements of the ambient algebra.
+    The term is compiled once per space and kept on the term; a structurally
+    shared subterm is evaluated once.
+    """
+    program = _program(term, ambient)
+    inputs = []
+    for index in program.variables:
+        try:
+            value = assignment[index]
+        except KeyError:
+            raise UnboundVariableError(f"no value for variable {index}") from None
+        if not ambient.contains(value):
+            raise SignatureError(f"assignment for variable {index} is foreign")
+        inputs.append(value.bits)
+    bits = program.run(inputs)
+    if isinstance(ambient, RelationAlgebra):
+        return RaElement(ambient.base_size, bits)
+    return Element(ambient.space, bits)
+
+
+def lanes_per_batch(ambient) -> int:
+    """How many values `eval_term_lanes` evaluates in one go: u**d for the
+    largest d with u**(n + d) within the space budget; 1 for relations."""
+    if isinstance(ambient, RelationAlgebra) or ambient.space.base_size == 1:
+        return 1
+    u = ambient.space.base_size
+    size = ambient.space.size
+    lanes = 1
+    while size * lanes * u <= MAX_SPACE_BITS:
+        lanes *= u
+    return lanes
+
+
+def lane_batches(ambient, count: int) -> Iterator[range]:
+    """Split lanes 0 .. count-1 into the batches evaluated in one go."""
+    step = lanes_per_batch(ambient)
+    for start in range(0, count, step):
+        yield range(start, min(start + step, count))
+
+
+class Lanes:
+    """`count` values of one set algebra side by side in one integer.
+
+    Value l sits in bits l*w .. (l+1)*w - 1, where w = u**n is the width of
+    one value: the coordinates n and up of TupleSpace(u, n + d), with
+    u**d >= count, number the lanes.  A term over the algebra's signature
+    acts on coordinates below n only, so its program never mixes lanes.
+    """
+
+    __slots__ = ("ambient", "space", "count", "width", "full")
+
+    def __init__(self, ambient: SetAlgebra, count: int):
+        if not 1 <= count <= lanes_per_batch(ambient):
+            raise ValueError(f"{count} lanes do not fit one batch of {ambient!r}")
+        base = ambient.space
+        u = base.base_size
+        extra = 0
+        while u**extra < count:
+            extra += 1
+        self.ambient = ambient
+        self.space = TupleSpace(u, base.dimension + extra)
+        self.count = count
+        self.width = base.size
+        self.full = (1 << (count * self.width)) - 1  # every lane the top
+
+    def pack(self, values) -> int:
+        """One integer holding `values` (raw bits below 2**width), value 0
+        in lane 0, by pairing neighbours level by level."""
+        if len(values) != self.count:
+            raise ValueError(f"expected {self.count} values, got {len(values)}")
+        parts = list(values)
+        span = self.width
+        while len(parts) > 1:
+            if len(parts) & 1:
+                parts.append(0)
+            parts = [lo | hi << span for lo, hi in zip(parts[::2], parts[1::2])]
+            span *= 2
+        return parts[0]
+
+    def unpack(self, bits: int) -> list[int]:
+        """The raw bits of each lane, by halving."""
+        parts = [bits & self.full]
+        for level in reversed(range((self.count - 1).bit_length())):
+            half = self.width << level
+            low = (1 << half) - 1
+            parts = [q for p in parts for q in (p & low, p >> half)]
+        return parts[: self.count]
+
+    def run(self, term: Term, packed) -> int:
+        """Evaluate `term` on every lane at once; `packed` maps variable
+        indices to packed integers."""
+        _check_signature(term, self.ambient)
+        program = _set_program(term, self.space, self.ambient.space.dimension)
+        try:
+            inputs = [packed[index] for index in program.variables]
+        except KeyError as exc:
+            raise UnboundVariableError(f"no value for variable {exc.args[0]}") from None
+        return program.run(inputs)
+
+
+def eval_term_lanes(term: Term, columns, ambient) -> list[int]:
+    """Evaluate `term` once per lane, lane l assigning each variable i the
+    raw bits columns[i][l]; return the raw bits of each lane's value.
+
+    The columns must have one common length, the number of lanes; with no
+    columns there is one lane, the empty assignment.  Set algebras run
+    `lanes_per_batch` lanes per program run (see `Lanes`); relation
+    algebras run one.
+    """
+    _check_signature(term, ambient)
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError("columns of different lengths")
+    count = lengths.pop() if lengths else 1
+    relations = isinstance(ambient, RelationAlgebra)
+    width = ambient.base_size**2 if relations else ambient.space.size
+    for column in columns.values():
+        if column and (min(column) < 0 or max(column) >> width):
+            raise ValueError(f"a value does not fit in {width} bits")
+    if relations:
+        u = ambient.base_size
+        return [
+            eval_term(
+                term, {i: RaElement(u, c[lane]) for i, c in columns.items()}, ambient
+            ).bits
+            for lane in range(count)
+        ]
+    out = []
+    for lanes in lane_batches(ambient, count):
+        batch = Lanes(ambient, len(lanes))
+        packed = {
+            index: batch.pack(column[lanes.start : lanes.stop])
+            for index, column in columns.items()
+        }
+        out += batch.unpack(batch.run(term, packed))
+    return out
 
 
 _CONST_WORDS = {"zero": ("zero", ()), "one": ("one", ()), "id": ("id", ())}

@@ -85,3 +85,37 @@ def test_vocabulary_checks():
         check_vocabulary(parse_formula("E(v0,v1,v2)"), vocab)
     with pytest.raises(ValueError):
         check_vocabulary(parse_formula("Q(v0)"), vocab)
+
+
+def _occurrences(f) -> int:
+    if isinstance(f, (Atom, Eq)):
+        return 1
+    if isinstance(f, (Not, Exists, Forall)):
+        return 1 + _occurrences(f.body)
+    return 1 + _occurrences(f.left) + _occurrences(f.right)
+
+
+def test_formula_hash_is_computed_once_per_node(monkeypatch):
+    from baokit.library import ord_formula
+
+    first, second = ord_formula(), ord_formula()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert hash(Not(Atom("E", (0, 1)))) == hash(Not(Atom("E", (0, 1))))
+    assert Not(Atom("E", (0, 1))) != Not(Atom("E", (1, 0)))
+
+    calls = []
+    for cls in (Atom, Eq, Not, And, Or, Implies, Iff, Exists, Forall):
+        original = cls.__hash__
+
+        def counted(self, original=original):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    fresh = ord_formula()
+    value = hash(fresh)
+    assert len(calls) == _occurrences(fresh)  # one walk, each node once
+    assert hash(fresh) == value
+    assert len(calls) == _occurrences(fresh) + 1  # the second hash stops at the root
+    assert value == hash(first)
