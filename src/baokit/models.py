@@ -5,8 +5,8 @@ bitset Element, working bottom-up with cylindrifications for quantifiers.
 Its walker, satisfaction_bits, is the one formula-to-bitset evaluator: the
 window module runs it too, with its own atoms and a digit-range mask per
 quantifier depth.
-holds evaluates one assignment with the formula compiled once into nested
-closures, and accepts an optional quantifier domain, which relativizes
+holds evaluates one assignment (compiled once per formula to a Python
+function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
 any value).
 """
@@ -162,10 +162,10 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     """Evaluate one assignment; quantifiers range over `quantifier_domain`
     when given (any model-like object with carrier_size and rel_holds works).
     Every free variable of `f` must be assigned, even one that
-    short-circuiting would skip.
+    short-circuiting would skip.  The assignment is read, never written.
     """
     free, program = _compile(f)
-    env: dict[int, int] = dict(assignment or {})
+    env = assignment if isinstance(assignment, dict) else dict(assignment or {})
     for var in free:
         if var not in env:
             raise UnboundVariableError(f"v{var} is unassigned")
@@ -177,48 +177,90 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
 
 @lru_cache(maxsize=None)
 def _compile(f: Formula):
-    """The sorted free variables of `f` and its program, nested closures
-    `(env, rel_holds, domain) -> bool` whose dispatch is fixed here, once."""
-    return tuple(sorted(free_vars(f))), _closure(f)
+    """The sorted free variables of `f` and its program, a Python function
+    `(env, rh, dom) -> bool` compiled from generated source, once."""
+    free = tuple(sorted(free_vars(f)))
+    return free, _Source().program(f, free)
 
 
-def _closure(g):
-    if isinstance(g, Atom):
-        rel, args = g.rel, g.args
-        if len(args) == 2:  # binary atoms, membership above all: no tuple-building loop
-            a, b = args
-            return lambda env, rh, dom: rh(rel, (env[a], env[b]))
-        return lambda env, rh, dom: rh(rel, tuple([env[a] for a in args]))
-    if isinstance(g, Eq):
-        left, right = g.left, g.right
-        return lambda env, rh, dom: env[left] == env[right]
-    if isinstance(g, Not):
-        body = _closure(g.body)
-        return lambda env, rh, dom: not body(env, rh, dom)
-    if isinstance(g, (And, Or, Implies, Iff)):
-        p, q = _closure(g.left), _closure(g.right)
+# CPython's parser refuses more than 200 nested parentheses, and each level
+# of an expression below opens at most two, so a subformula this deep moves
+# into a function of its own.
+_MAX_NESTING = 40
+
+
+def _var(i: int) -> str:
+    """The local name of variable i."""
+    return "v%d" % i if i >= 0 else "w%d" % -i
+
+
+class _Source:
+    """Python source for one formula.
+
+    Each variable is a local `v<i>`; the entry function reads the free ones
+    from `env` once.  Every quantifier, and every subformula nested past
+    _MAX_NESTING, is a module-level function of the variables free in it,
+    `rh` and `dom`, so Python's scoping restores a shadowed variable.
+    Relation names are constants of the exec namespace, never source text.
+    """
+
+    def __init__(self):
+        self.defs: list[str] = []
+        self.functions: dict = {}  # subformula -> name of its function
+        self.namespace: dict = {}
+        self.relations: dict = {}  # relation name -> name of its constant
+
+    def program(self, f: Formula, free: tuple):
+        """The entry function `(env, rh, dom)` for f, whose free variables are `free`."""
+        reads = "".join(f"    {_var(v)} = env[{v:d}]\n" for v in free)
+        self.defs.append(f"def program(env, rh, dom):\n{reads}    return {self.expr(f, 0)}\n")
+        exec(compile("\n".join(self.defs), "<baokit.models.holds>", "exec"), self.namespace)
+        return self.namespace["program"]
+
+    def expr(self, g, depth: int) -> str:
+        """An expression for g; connectives short-circuit left to right."""
+        if isinstance(g, Atom):
+            rel = self.relations.get(g.rel)
+            if rel is None:
+                rel = self.relations[g.rel] = f"r{len(self.relations)}"
+                self.namespace[rel] = g.rel
+            row = ", ".join(_var(a) for a in g.args) + ("," if len(g.args) == 1 else "")
+            return f"rh({rel}, ({row}))"
+        if isinstance(g, Eq):
+            return f"({_var(g.left)} == {_var(g.right)})"
+        if isinstance(g, (Exists, Forall)) or depth >= _MAX_NESTING:
+            return self.call(g)
+        depth += 1
+        if isinstance(g, Not):
+            return f"(not {self.expr(g.body, depth)})"
+        if not isinstance(g, (And, Or, Implies, Iff)):
+            raise TypeError(f"not a formula: {g!r}")
+        left, right = self.expr(g.left, depth), self.expr(g.right, depth)
         if isinstance(g, And):
-            return lambda env, rh, dom: p(env, rh, dom) and q(env, rh, dom)
+            return f"({left} and {right})"
         if isinstance(g, Or):
-            return lambda env, rh, dom: p(env, rh, dom) or q(env, rh, dom)
+            return f"({left} or {right})"
         if isinstance(g, Implies):
-            return lambda env, rh, dom: not p(env, rh, dom) or q(env, rh, dom)
-        return lambda env, rh, dom: p(env, rh, dom) == q(env, rh, dom)
-    if isinstance(g, (Exists, Forall)):
-        var, body, want = g.var, _closure(g.body), isinstance(g, Exists)
+            return f"(not {left} or {right})"
+        return f"((not {left}) == (not {right}))"  # truth values, not objects
 
-        def quantifier(env, rh, dom):
-            old = env.get(var)
-            result = not want
-            for env[var] in dom:
-                if body(env, rh, dom) == want:
-                    result = want
-                    break
-            if old is None:
-                env.pop(var, None)
+    def call(self, g) -> str:
+        """A call of the function that evaluates g, emitted on first use."""
+        params = "".join(f"{_var(v)}, " for v in sorted(free_vars(g)))
+        name = self.functions.get(g)
+        if name is None:
+            name = self.functions[g] = f"f{len(self.functions)}"
+            if isinstance(g, (Exists, Forall)):
+                test = self.expr(g.body, 0)
+                found = isinstance(g, Exists)
+                body = (
+                    f"    for {_var(g.var)} in dom:\n"
+                    f"        if {'' if found else 'not '}{test}:\n"
+                    f"            return {found}\n"
+                    f"    return {not found}\n"
+                )
             else:
-                env[var] = old
-            return result
+                body = f"    return {self.expr(g, 0)}\n"
+            self.defs.append(f"def {name}({params}rh, dom):\n{body}")
+        return f"{name}({params}rh, dom)"
 
-        return quantifier
-    raise TypeError(f"not a formula: {g!r}")

@@ -10,6 +10,7 @@ model factors through it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PreconditionError
 from .formulas import (
@@ -27,12 +28,14 @@ from .formulas import (
 from .models import ModelFinite, satisfaction_set
 
 
+@lru_cache(maxsize=None)
 def tr(f: Formula, member: str = "E") -> Formula:
     """Replace v_i = v_j by `all v_k (E(v_k,v_i) <-> E(v_k,v_j))`.
 
     The quantified variable is the smallest index distinct from i and j, so
     a trivial equality v_i = v_i turns into a tautology of the same shape.
-    Equality-free formulas come back unchanged (the same object).
+    Equality-free formulas come back unchanged (the same object).  Built
+    once per formula and member symbol, like free_vars.
     """
 
     def spare(i: int, j: int) -> int:

@@ -13,6 +13,9 @@ argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
 on its last coordinate.  Evaluation runs models' bitset walker with these
 atoms and a mask of the allowed digit range for each quantifier depth.
+Each strict-order atom s_a < s_b starts from the diagonal moved up one step
+of coordinate b and doubles the gaps it covers, O(log u) big-integer shifts
+in all, instead of two digit masks per base value.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from .errors import CapacityError, PreconditionError
 from .formulas import Formula, format_formula, max_var_index, quantifier_depth
 from .library import close_universally
 from .models import ModelFinite, satisfaction_bits
-from .spaces import Element, TupleSpace
+from .spaces import Element, TupleSpace, diag
 
 
 @dataclass(frozen=True)
@@ -85,16 +88,32 @@ def _relation_element(space: TupleSpace, model: WindowModel, radius: int,
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius)
     else:
-        bits = 0
-        below = 0
-        for value in range(space.base_size):
-            bits |= space.digit_mask(b, value) & below
-            below |= space.digit_mask(a, value)
+        bits = _strictly_below(space, a, b)
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
     out = Element(space, bits)
     cache[key] = out
     return out
+
+
+def _strictly_below(space: TupleSpace, a: int, b: int) -> int:
+    """Bits of {s : s_a < s_b} for a != b, by doubling along coordinate b.
+
+    The diagonal s_a = s_b, without its tuples at the top value of b and
+    shifted up one step of b, is s_b = s_a + 1.  Each round ORs in a copy
+    shifted up by the largest gap found so far, leaving out the tuples that
+    would pass the top value, so the gaps found double.
+    """
+    u = space.base_size
+    stride = space.stride(b)
+    top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
+    bits = (diag(space, a, b).bits & ~top) << stride
+    gap = 1
+    while gap < u - 1:
+        bits |= (bits & ~top) << gap * stride
+        top |= top >> gap * stride  # past the last round, no longer used
+        gap *= 2
+    return bits
 
 
 def _window_space(f: Formula, radius: int) -> TupleSpace:

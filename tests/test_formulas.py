@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baokit import (
     And,
@@ -119,3 +121,26 @@ def test_formula_hash_is_computed_once_per_node(monkeypatch):
     assert hash(fresh) == value
     assert len(calls) == _occurrences(fresh) + 1  # the second hash stops at the root
     assert value == hash(first)
+
+
+VARS = st.integers(0, 12)
+FORMULAS = st.recursive(
+    st.one_of(
+        st.builds(Atom, st.sampled_from(["E", "R", "P2", "all_", "ex1"]),
+                  st.lists(VARS, min_size=1, max_size=3).map(tuple)),
+        st.builds(Eq, VARS, VARS),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
+        *(st.builds(q, VARS, sub) for q in (Exists, Forall)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=FORMULAS)
+def test_formula_print_parse_round_trip(f):
+    text = format_formula(f)
+    assert parse_formula(text) == f, text

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
@@ -14,11 +15,13 @@ from baokit import (
     free_vars,
     hf_universe,
     holds,
+    ordinal_hf,
     parse_formula,
     quantifier_depth,
     satisfaction_set,
 )
-from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
+from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
+from baokit.library import formula_library
 
 
 def order_model(u=3):
@@ -209,3 +212,116 @@ def test_json_roundtrip():
 def test_carrier_labels_must_be_unique():
     with pytest.raises(ValueError):
         ModelFinite([0, 0], {"E": []})
+
+
+def deep_formulas():
+    """Formulas nested past what one Python expression may hold."""
+    atoms = [Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]
+    yield "250-atom conj", conj(atoms)
+    not_chain = Atom("R", (0, 1))
+    for _ in range(300):
+        not_chain = Not(not_chain)
+    yield "300-deep Not", not_chain
+    yield "250-deep Or", reduce(lambda right, p: Or(p, right), reversed(atoms))
+    mixed = Atom("P", (0,))
+    for i in range(200):  # no two neighbours share a connective
+        op = (Implies, Iff, And, Or)[i % 4]
+        mixed = op(mixed, Not(atoms[i])) if i % 3 else op(atoms[i], mixed)
+    yield "200-deep mixed", mixed
+
+
+@pytest.mark.parametrize("name, f", list(deep_formulas()))
+def test_deep_formulas_match_recursive_walker(name, f):
+    model = ORDER3[0]
+    for values in iproduct(range(3), repeat=3):
+        assignment = dict(enumerate(values))
+        assert holds(model, f, assignment) == walk(model, f, assignment), (name, values)
+
+
+def test_shadowing_quantifier_restores_the_outer_variable():
+    model = ORDER3[0]
+    # v0 is bound by the quantifier, then read again outside it
+    f = And(Exists(0, Atom("R", (1, 0))), Atom("R", (0, 1)))
+    g = Or(Forall(0, Atom("R", (1, 0))), Atom("R", (0, 1)))
+    nested = Exists(1, And(Forall(1, Atom("P", (1,))), Atom("R", (0, 1))))
+    for formula in (f, g, nested):
+        for a, b in iproduct(range(3), repeat=2):
+            assignment = {0: a, 1: b}
+            got = holds(model, formula, assignment)
+            assert got == walk(model, formula, assignment), (formula, a, b)
+            assert assignment == {0: a, 1: b}
+    assert holds(model, f, {0: 0, 1: 1}) and not holds(model, f, {0: 1, 1: 2})
+
+
+def test_library_ford_matches_recursive_walker():
+    # successor_set inside ford rebinds an index that is free around it
+    ford = formula_library()["ford"].formula
+    rank3 = hf_universe(3)
+    verdicts = [holds(rank3, ford, {0: code}) for code in range(rank3.size)]
+    assert verdicts == [walk(rank3, ford, {0: code}) for code in range(rank3.size)]
+    assert [code for code in range(rank3.size) if verdicts[code]] == sorted(
+        ordinal_hf(k).code for k in range(4)
+    )
+    rank4, domain = hf_universe(4), range(16)
+    for code in [ordinal_hf(k).code for k in range(5)] + [5, 7, 2**16 - 1]:
+        got = holds(rank4, ford, {0: code}, quantifier_domain=domain)
+        assert got == walk(rank4, ford, {0: code}, domain), code
+
+
+class TruthModel:
+    """P(v) is the truth value of v: 0 false, anything else true."""
+
+    carrier_size = 3
+
+    def rel_holds(self, name, row):
+        if name != "P":
+            raise KeyError(name)
+        return row[0]
+
+
+def test_connectives_over_every_truth_combination():
+    model = TruthModel()
+    p, q = Atom("P", (0,)), Atom("P", (1,))
+    tables = {
+        And: lambda a, b: a and b,
+        Or: lambda a, b: a or b,
+        Implies: lambda a, b: not a or b,
+        Iff: lambda a, b: a == b,
+    }
+    for a, b in iproduct((False, True), repeat=2):
+        assignment = {0: int(a), 1: int(b)}
+        assert holds(model, Not(p), assignment) == (not a)
+        for op, table in tables.items():
+            assert bool(holds(model, op(p, q), assignment)) == table(a, b), (op, a, b)
+    # Iff compares truth values, not the objects rel_holds returns
+    assert holds(model, Iff(p, q), {0: 1, 1: 2}) is True
+    assert holds(model, Iff(p, Not(q)), {0: 1, 1: 2}) is False
+    # quantifiers range over the domain only
+    assert holds(model, Exists(0, p), {}) is True
+    assert holds(model, Exists(0, p), {}, quantifier_domain=[0]) is False
+    assert holds(model, Forall(0, p), {}, quantifier_domain=[1, 2]) is True
+    assert holds(model, Forall(0, p), {}, quantifier_domain=[]) is True
+    assert holds(model, Exists(0, p), {}, quantifier_domain=[]) is False
+
+
+def test_unknown_relation_raises_the_models_key_error_in_evaluation_order():
+    model, p, s = ORDER3[0], Atom("P", (0,)), Atom("S", (0, 1))
+    for m in (model, hf_universe(2)):
+        with pytest.raises(KeyError) as info:
+            holds(m, Or(Eq(0, 1), s), {0: 0, 1: 1})
+        assert info.value.args == ("S",)
+    # left to right: an atom after a false conjunct is never asked for
+    assert holds(model, And(p, s), {0: 1, 1: 1}) is False
+    with pytest.raises(KeyError):
+        holds(model, And(s, p), {0: 1, 1: 1})
+
+
+def test_holds_reads_the_assignment_without_changing_it():
+    model = ORDER3[0]
+    f = parse_formula("ex v0 (R(v1,v0) & all v1 P(v1)) | R(v0,v1)")
+    assignment = {0: 0, 1: 1, 5: "unused"}
+    before = dict(assignment)
+    assert holds(model, f, assignment) == walk(model, f, assignment)
+    assert assignment == before
+    # any input dict() accepts still works
+    assert holds(model, f, [(0, 0), (1, 1)]) == holds(model, f, {0: 0, 1: 1})

@@ -29,6 +29,13 @@ def test_tr_identity_on_equality_free():
     assert tr(f) is f
 
 
+def test_tr_is_built_once_per_formula():
+    f = parse_formula("ex v2 (v0 = v2 & E(v2,v1))")
+    assert tr(f) is tr(f)
+    assert tr(f) is tr(parse_formula("ex v2 (v0 = v2 & E(v2,v1))"))
+    assert tr(f, "M") is not tr(f) and tr(f, "M") == tr(f, member="M")
+
+
 def test_tr_reflexive_equality_becomes_tautology():
     out = tr(Eq(1, 1))
     assert out == Forall(0, Iff(Atom("E", (0, 1)), Atom("E", (0, 1))))

@@ -16,7 +16,7 @@ from baokit import (
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.library import formula_library
-from baokit.window import window_satisfaction
+from baokit.window import _relation_element, _strictly_below, window_satisfaction
 
 
 def test_fixed_points_must_respect_margin():
@@ -196,3 +196,54 @@ def test_window_satisfaction_matches_private_walker(f, margin, slack, fixed):
         fixed = set()
     model = WindowModel(radius, margin, tuple(sorted(fixed)))
     assert window_satisfaction(model, f, radius) == walk_window(model, f, radius), f
+
+
+def relation_by_value_loop(space, model, radius, a, b):
+    """The per-value loop that built the order atoms before doubling, kept
+    as their oracle: two digit masks per base value."""
+    bits = 0
+    if a == b:
+        for c in model.fixed:
+            bits |= space.digit_mask(a, c + radius)
+        return bits
+    below = 0
+    for value in range(space.base_size):
+        bits |= space.digit_mask(b, value) & below
+        below |= space.digit_mask(a, value)
+    for c in model.fixed:
+        bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
+    return bits
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_order_atoms_match_value_loop(radius, n):
+    space = TupleSpace(2 * radius + 1, n)
+    inner = range(-radius + 1, radius)  # the margin-1 interval
+    for fixed in {(), (0,), tuple(inner), (inner[0], inner[-1])}:
+        model = WindowModel(radius, 1, fixed)
+        for a in range(n):
+            for b in range(n):
+                got = _relation_element(space, model, radius, a, b, {})
+                want = relation_by_value_loop(space, model, radius, a, b)
+                assert got.bits == want, (fixed, a, b)
+
+
+@pytest.mark.parametrize("u", range(1, 10))
+def test_strictly_below_matches_tuple_scan(u):
+    for n in (2, 3):
+        space = TupleSpace(u, n)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                want = sum(1 << space.encode(s) for s in space.tuples() if s[a] < s[b])
+                assert _strictly_below(space, a, b) == want, (u, n, a, b)
+
+
+def test_order_atoms_match_value_loop_at_radius_16():
+    space, model = TupleSpace(33, 3), WindowModel(16, 2, (0, 5))
+    for a in range(3):
+        for b in range(3):
+            got = _relation_element(space, model, 16, a, b, {})
+            assert got.bits == relation_by_value_loop(space, model, 16, a, b), (a, b)
