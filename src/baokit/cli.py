@@ -35,7 +35,7 @@ from .hf import (
 from .identities import identity_sweep
 from .library import formula_library, load_corpus
 from .models import ModelFinite, holds, satisfaction_set
-from .spaces import Element, RelationAlgebra, SetAlgebra, diag
+from .spaces import Element, RelationAlgebra, SetAlgebra, diag, strictly_below
 from .terms import eval_term_lanes, lane_batches, parse_term
 from .translate import (
     StrongCongruenceError,
@@ -80,20 +80,31 @@ class ExperimentReport:
 
 
 def _parse_gen(spec: str, ambient: SetAlgebra) -> Element:
+    space = ambient.space
     kind, _, rest = spec.partition(":")
-    if kind == "diag":
-        i, j = (int(p) for p in rest.split(","))
-        return diag(ambient.space, i, j)
-    if kind == "less":
-        i, j = (int(p) for p in rest.split(","))
-        bits = 0
-        for idx in range(ambient.space.size):
-            s = ambient.space.decode(idx)
-            if s[i] < s[j]:
-                bits |= 1 << idx
-        return ambient.from_bits(bits)
+    if kind in ("diag", "less"):
+        try:
+            i, j = (int(p) for p in rest.split(","))
+        except ValueError:
+            raise ValueError(f"generator spec {spec!r}: expected {kind}:i,j") from None
+        if not (0 <= i < space.dimension and 0 <= j < space.dimension):
+            raise ValueError(
+                f"generator spec {spec!r}: coordinates must lie in 0..{space.dimension - 1}"
+            )
+        if kind == "diag":
+            return diag(space, i, j)
+        return ambient.from_bits(strictly_below(space, i, j))
     if kind == "hex":
-        return ambient.from_bits(int(rest, 16))
+        try:
+            bits = int(rest, 16)
+        except ValueError:
+            raise ValueError(f"generator spec {spec!r}: expected hex digits") from None
+        if bits < 0 or bits >> space.size:
+            raise ValueError(
+                f"generator spec {spec!r}: not a nonnegative value of at most "
+                f"{space.size} bits"
+            )
+        return ambient.from_bits(bits)
     raise ValueError(f"unknown generator spec {spec!r}; use diag:i,j less:i,j hex:...")
 
 

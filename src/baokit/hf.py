@@ -245,16 +245,19 @@ class OrdinalReport:
 
 
 def is_ordinal(x: HFSet) -> bool:
-    """Transitive, with membership linear on the members."""
+    """Transitive, with membership linear on the members.
+
+    The only such set with k members is the ordinal k = (k-1) + {k-1},
+    whose largest member k-1 has the largest code.  So x is one exactly
+    when its code is its top member's code with that member's bit added,
+    and so on down to 0: one bit test per member, no member pairs.
+    """
     code = x.code
-    member_codes = x.member_codes()
-    for m in member_codes:
-        if m & ~code:
-            return False  # a member's members leak out: not transitive
-    for i, a in enumerate(member_codes):
-        for b in member_codes[i + 1 :]:
-            if not ((b >> a) & 1 or (a >> b) & 1):
-                return False
+    while code:
+        top = code.bit_length() - 1
+        if code != top | (1 << top):
+            return False
+        code = top
     return True
 
 

@@ -1,10 +1,12 @@
 """Finite relational models, satisfaction sets, and pointwise evaluation.
 
 satisfaction_set computes {s in carrier^n : the formula holds under s} as a
-bitset Element, working bottom-up with cylindrifications for quantifiers.
-Its walker, satisfaction_bits, is the one formula-to-bitset evaluator: the
-window module runs it too, with its own atoms and a digit-range mask per
-quantifier depth.
+bitset Element.  Its evaluator, satisfaction_bits, is the one
+formula-to-bitset evaluator: each formula is compiled once into a
+straight-line program over raw ints, its plan, in which a repeated
+subformula, atom or diagonal is computed once; each call binds the plan to
+its space.  The window module runs it too, with its own atoms and a run of
+values for each quantifier depth.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
@@ -12,6 +14,7 @@ any value).
 """
 
 import json
+from array import array
 from functools import lru_cache
 
 from .errors import UnboundVariableError
@@ -30,7 +33,8 @@ from .formulas import (
     free_vars,
     max_var_index,
 )
-from .spaces import Element, TupleSpace, cyl, diag
+from .spaces import Element, TupleSpace, cylinder, diag, relation_bits
+from .terms import Operators, StraightLine
 
 
 class ModelFinite:
@@ -98,64 +102,150 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
     space = TupleSpace(model.carrier_size, n)
-    cache: dict = {}
 
-    def atom_element(g: Atom) -> Element:
-        key = (g.rel, g.args)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        bits = 0
-        for row in model.relations[g.rel]:
-            mask = space.full_mask
-            for var, value in zip(g.args, row):
-                mask &= space.digit_mask(var, value)
-                if not mask:
-                    break
-            bits |= mask
-        out = Element(space, bits)
-        cache[key] = out
-        return out
+    def atom(g: Atom) -> int:
+        return relation_bits(space, g.args, model.relations[g.rel])
 
-    return satisfaction_bits(space, f, atom_element)
+    return Element(space, satisfaction_bits(space, f, atom))
 
 
-def satisfaction_bits(space: TupleSpace, f: Formula, atom, quantifier_mask=None) -> Element:
-    """The satisfaction set of `f` over `space`, bottom-up.
+def satisfaction_bits(space: TupleSpace, f: Formula, atom, quantifier_range=None,
+                      cache=None) -> int:
+    """The bits of the satisfaction set of `f` over `space`.
 
-    `atom(g)` gives the Element of each atom g.  A quantifier on v ranges
-    over the whole base, or, when `quantifier_mask(depth, v)` is given, over
-    the values of v that the returned Element allows, where depth counts
-    the quantifier's nesting from the root (outermost 1): the relativized
-    ex v phi is c_v(D . phi) and all v phi is -c_v(D . -phi).
+    `f` runs as its plan (see `_plan`), compiled once per formula and bound
+    here to the space.  `atom(g)` gives the bits of each distinct atom g,
+    and each distinct diagonal is taken from `cache` (see `diagonal_bits`),
+    once per call.  A quantifier on v ranges over the whole base, or, when
+    `quantifier_range(depth, v)` is given, over the run of base values it
+    returns, where depth counts the quantifier's nesting from the root
+    (outermost 1): the relativized ex v phi is c_v(D . phi) and all v phi
+    is -c_v(D . -phi), D holding the tuples whose v lies in the run.
+    """
+    plan = _plan(f, quantifier_range is not None)
+    if cache is None:
+        cache = {}
+    inputs = [
+        atom(g) if isinstance(g, Atom) else diagonal_bits(space, g.left, g.right, cache)
+        for g in plan.leaves
+    ]
+    operators = _Operators(space, quantifier_range)
+    bound = [operators.function(op) for op in plan.ops]
+    return plan.execute([bound[k] for k in plan.kinds], inputs)
+
+
+def diagonal_bits(space: TupleSpace, i: int, j: int, cache: dict) -> int:
+    """The bits of diag(i, j) over `space`, kept in `cache` under Eq(i, j)
+    with i <= j."""
+    key = Eq(i, j) if i <= j else Eq(j, i)
+    bits = cache.get(key)
+    if bits is None:
+        bits = cache[key] = diag(space, i, j).bits
+    return bits
+
+
+class _Plan(StraightLine):
+    """A formula laid out once, for every space, as a straight-line program.
+
+    Its inputs are its distinct atoms and diagonals, `leaves` (an Eq with
+    left <= right stands for a diagonal).  `ops` are its distinct
+    operators, each a connective ("not", ()), ("and", ()), ... or a
+    quantifier ("ex" | "all", (var, depth)); step k applies ops[kinds[k]].
     """
 
-    def sat(g, depth: int) -> Element:
-        if isinstance(g, Atom):
-            return atom(g)
-        if isinstance(g, Eq):
-            return diag(space, g.left, g.right)
-        if isinstance(g, Not):
-            return ~sat(g.body, depth)
-        if isinstance(g, And):
-            return sat(g.left, depth) & sat(g.right, depth)
-        if isinstance(g, Or):
-            return sat(g.left, depth) | sat(g.right, depth)
-        if isinstance(g, Implies):
-            return ~sat(g.left, depth) | sat(g.right, depth)
-        if isinstance(g, Iff):
-            return ~(sat(g.left, depth) ^ sat(g.right, depth))
-        if isinstance(g, (Exists, Forall)):
-            body = sat(g.body, depth + 1)
-            if isinstance(g, Forall):
-                body = ~body
-            if quantifier_mask is not None:
-                body = body & quantifier_mask(depth + 1, g.var)
-            out = cyl(g.var, body)
-            return ~out if isinstance(g, Forall) else out
-        raise TypeError(f"not a formula: {g!r}")
+    __slots__ = ("leaves", "ops", "kinds")
 
-    return sat(f, 0)
+    def __init__(self, leaves, ops, kinds, operands, root):
+        super().__init__(len(leaves), operands, root)
+        self.leaves = leaves
+        self.ops = ops
+        self.kinds = kinds
+
+
+_CONNECTIVES = {Not: "not", And: "and", Or: "or", Implies: "impl", Iff: "iff"}
+
+
+@lru_cache(maxsize=None)
+def _plan(f: Formula, ranged: bool) -> _Plan:
+    """Lay out the DAG of f: a repeated subformula, atom or diagonal is
+    computed once.  With `ranged`, a quantifier's range depends on its
+    depth, so a subformula is told apart by its depth as well; without,
+    every depth counts as 0.  The walk keeps its own stack, so deep
+    formulas need no recursion."""
+    leaves: dict = {}  # atom or diagonal -> its input number
+    steps: dict = {}  # (subformula, depth) -> its step number
+    ops: dict = {}  # operator -> its number
+    kinds, operands = array("l"), []
+
+    def laid_out(g, depth):
+        """The node of g if known: ~input for a leaf, the step number for
+        a subformula laid out already, else None."""
+        if isinstance(g, Atom):
+            return ~leaves.setdefault(g, len(leaves))
+        if isinstance(g, Eq):
+            diagonal = g if g.left <= g.right else Eq(g.right, g.left)
+            return ~leaves.setdefault(diagonal, len(leaves))
+        return steps.get((g, depth))
+
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack[-1]
+        if laid_out(g, depth) is not None:
+            stack.pop()
+            continue
+        if isinstance(g, (Exists, Forall)):
+            children = [(g.body, depth + ranged)]
+            op = ("ex" if isinstance(g, Exists) else "all", (g.var, depth + ranged))
+        elif type(g) in _CONNECTIVES:
+            parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
+            children = [(part, depth) for part in parts]
+            op = (_CONNECTIVES[type(g)], ())
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        nodes = []
+        for child in children:  # left to right, as the atoms are met
+            node = laid_out(*child)
+            if node is None:
+                break
+            nodes.append(node)
+        if len(nodes) < len(children):
+            stack.append(child)  # lay out that child first, then look again
+            continue
+        stack.pop()
+        steps[(g, depth)] = len(operands)
+        kinds.append(ops.setdefault(op, len(ops)))
+        operands.append(nodes)
+    fixed = len(leaves)
+    root = laid_out(f, 0)
+    return _Plan(
+        tuple(leaves),
+        tuple(ops),
+        kinds,
+        [[~a if a < 0 else fixed + a for a in nodes] for nodes in operands],
+        ~root if root < 0 else fixed + root,
+    )
+
+
+class _Operators(Operators):
+    """The raw-int functions of a plan's steps over one space: the
+    connectives, and each quantifier as the cylindrification of its
+    variable, relativized to `quantifier_range(depth, var)` when given."""
+
+    def __init__(self, space: TupleSpace, quantifier_range):
+        full = space.full_mask
+        super().__init__(full)
+        self.functions[("iff", ())] = lambda x, y: full ^ x ^ y
+        self.space = space
+        self.quantifier_range = quantifier_range
+
+    def make(self, op):
+        name, (var, depth) = op
+        ranged = self.quantifier_range
+        exists = cylinder(self.space, var, None if ranged is None else ranged(depth, var))
+        if name == "ex":
+            return exists
+        full = self.full
+        return lambda x, _: full ^ exists(full ^ x)
 
 
 def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool:

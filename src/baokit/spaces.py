@@ -6,13 +6,17 @@ significant.  Element wraps one such bitset immutably; all operations are
 hard errors across distinct spaces.  Cylindrification, diagonals and
 substitutions are computed with per-coordinate digit masks by doubling, so
 each costs O(log u) big-integer shifts instead of a full tuple scan;
-substitution is c_i(d_ij . x) and reuses cylindrification.
+substitution is c_i(d_ij . x) and reuses cylindrification.  `cylinder`
+gives the raw-int kernel of cylindrification, relativized to a run of
+values of its coordinate, and `strictly_below` the order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.
 """
 
+import operator
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .errors import CapacityError, SignatureError, SpaceMismatchError
 from .signatures import OpRef, Signature
@@ -20,9 +24,11 @@ from .signatures import OpRef, Signature
 MAX_SPACE_BITS = 1 << 24
 
 
+@lru_cache(maxsize=1024)
 def doubling_shifts(period: int, count: int) -> tuple[int, ...]:
     """Shifts that make `count` copies of a pattern, at offsets 0, period,
-    ..., by ORing in a shifted copy of everything so far: O(log count)."""
+    ..., by ORing in a shifted copy of everything so far: O(log count).
+    Kept per (period, count), since every kernel call asks again."""
     shifts = []
     have = 1
     while have < count:
@@ -37,13 +43,6 @@ def _replicate(pattern: int, period: int, count: int) -> int:
     for shift in doubling_shifts(period, count):
         pattern |= pattern << shift
     return pattern
-
-
-def _fold(bits: int, period: int, count: int) -> int:
-    """OR together `count` copies of `bits` shifted right by 0, period, ..."""
-    for shift in doubling_shifts(period, count):
-        bits |= bits >> shift
-    return bits
 
 
 class TupleSpace:
@@ -118,8 +117,7 @@ class TupleSpace:
     def digit_range_mask(self, coord: int, values: range) -> int:
         """Bitmask of all positions whose coordinate `coord` lies in `values`,
         a nonempty range of base values with step 1."""
-        if values.step != 1 or not 0 <= values.start < values.stop <= self.base_size:
-            raise ValueError(f"{values!r} is not a nonempty run of base values")
+        _check_run(values, self.base_size)
         stride = self.stride(coord)
         return _replicate(self.digit_mask(coord, values.start), stride, len(values))
 
@@ -230,14 +228,49 @@ class Element:
         )
 
 
-def cyl(coord: int, x: Element) -> Element:
-    """Existential projection along `coord`: replace the coordinate freely."""
-    space = x.space
+def _check_run(values: range, base_size: int) -> None:
+    if values.step != 1 or not 0 <= values.start < values.stop <= base_size:
+        raise ValueError(f"{values!r} is not a nonempty run of base values")
+
+
+def cylinder(space: TupleSpace, coord: int, values: range | None = None):
+    """The kernel x -> c_coord(D . x) on raw bitsets over `space`, where D
+    holds the tuples whose coordinate `coord` lies in `values`, a nonempty
+    run of base values (the whole base by default).
+
+    x is shifted right by values.start steps of `coord`, its len(values)
+    copies are folded onto digit 0 and the result is replicated u times,
+    O(log u) shifts each way; D itself is never built.  The kernel ignores
+    a second argument, so a straight-line program applies it like any
+    binary operator.
+    """
     space.check_coord(coord)
     u = space.base_size
     stride = space.stride(coord)
-    collapsed = _fold(x.bits, stride, u) & space.digit_zero_mask(coord)
-    return Element(space, _replicate(collapsed, stride, u))
+    spread = doubling_shifts(stride, u)
+    if values is None:
+        start, fold = 0, spread
+    else:
+        _check_run(values, u)
+        start, fold = values.start * stride, doubling_shifts(stride, len(values))
+    zero = space.digit_zero_mask(coord)
+
+    def kernel(x: int, _=None) -> int:
+        if start:
+            x >>= start
+        for shift in fold:
+            x |= x >> shift
+        x &= zero
+        for shift in spread:
+            x |= x << shift
+        return x
+
+    return kernel
+
+
+def cyl(coord: int, x: Element) -> Element:
+    """Existential projection along `coord`: replace the coordinate freely."""
+    return Element(x.space, cylinder(x.space, coord)(x.bits))
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
@@ -249,6 +282,67 @@ def diag(space: TupleSpace, i: int, j: int) -> Element:
     both_zero = space.digit_zero_mask(i) & space.digit_zero_mask(j)
     step = space.stride(i) + space.stride(j)
     return Element(space, _replicate(both_zero, step, space.base_size))
+
+
+def relation_bits(space: TupleSpace, coords, rows) -> int:
+    """Bits of {s : (s[c] for c in coords) is one of `rows`}, rows of one
+    length; coordinates and row places are paired as zip pairs them, so
+    the shorter of the two counts.
+
+    Each row sets one bit, at its tuple with every other coordinate 0, and
+    the result is replicated along each other coordinate, O(log u) shifts.
+    A coordinate repeated in `coords` keeps only the rows that agree on it.
+    """
+    width = len(next(iter(rows), ()))
+    if width != len(coords):
+        coords = tuple(coords[:width])
+        rows = [row[: len(coords)] for row in rows]
+    distinct = list(dict.fromkeys(coords))
+    if len(distinct) < len(coords):
+        first = [coords.index(c) for c in coords]
+        keep = list(dict.fromkeys(first))
+        rows = [
+            [row[k] for k in keep]
+            for row in rows
+            if all(row[k] == row[j] for k, j in enumerate(first))
+        ]
+    strides = [space.stride(c) for c in distinct]
+    bits = 0
+    if len(strides) == 2:  # the common binary case, without calls per row
+        sx, sy = strides
+        for x, y in rows:
+            bits |= 1 << (x * sx + y * sy)
+    else:
+        for row in rows:
+            bits |= 1 << sum(map(operator.mul, row, strides))
+    for c in range(space.dimension):
+        if c not in distinct:
+            bits = _replicate(bits, space.stride(c), space.base_size)
+    return bits
+
+
+def strictly_below(space: TupleSpace, a: int, b: int) -> int:
+    """Bits of {s : s_a < s_b}, by doubling along coordinate b (none when
+    a == b).
+
+    The diagonal s_a = s_b, without its tuples at the top value of b and
+    shifted up one step of b, is s_b = s_a + 1.  Each round ORs in a copy
+    shifted up by the largest gap found so far, leaving out the tuples that
+    would pass the top value, so the gaps found double.
+    """
+    if a == b:
+        space.check_coord(a)
+        return 0
+    u = space.base_size
+    stride = space.stride(b)
+    top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
+    bits = (diag(space, a, b).bits & ~top) << stride
+    gap = 1
+    while gap < u - 1:
+        bits |= (bits & ~top) << gap * stride
+        top |= top >> gap * stride  # past the last round, no longer used
+        gap *= 2
+    return bits
 
 
 def subst(i: int, j: int, x: Element) -> Element:

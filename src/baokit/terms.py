@@ -31,8 +31,8 @@ from .spaces import (
     TupleSpace,
     compose_bits,
     converse_bits,
+    cylinder,
     diag,
-    doubling_shifts,
 )
 
 
@@ -114,38 +114,69 @@ def _check_signature(term: Term, ambient) -> None:
         )
 
 
-class _Program:
-    """A term compiled for one value domain, as a straight-line program.
+class StraightLine:
+    """The register layout of a straight-line program, apart from the
+    functions its steps apply and the values of its inputs.
 
-    The registers hold the hoisted constants, then one input per variable
-    (in `variables` order, the order of first occurrence), then the
-    results of the operator nodes, children before parents, so that a
-    shared subterm is computed once.  Step k stores
-    functions[k](r[left[k]], r[right[k]]) in r[out[k]]; a unary operator
-    reads one register twice.  A result register is reused once its last
-    reader has run, so at most `width` values are alive at a time, however
-    long the program.
+    Registers 0 .. fixed-1 hold the inputs.  Step k reads the nodes in
+    operands[k] (node i < fixed is input i, node fixed + j the result of
+    step j; a unary step reads one node, twice) from registers left[k] and
+    right[k] and stores its result in out[k].  A result register is reused
+    once its last reader has run, so at most fixed + len(blank) values are
+    alive at a time, however long the program.
     """
 
-    __slots__ = (
-        "variables", "constants", "functions", "left", "right", "out", "blank", "root"
-    )
+    __slots__ = ("left", "right", "out", "blank", "root")
 
-    def __init__(self, variables, constants, functions, left, right, out, width, root):
+    def __init__(self, fixed: int, operands, root: int):
+        last_read = {a: k for k, args in enumerate(operands) for a in args}
+        slot = list(range(fixed))  # node -> register
+        free: list[int] = []  # result registers whose last reader has run
+        width = fixed
+        self.left, self.right, self.out = array("l"), array("l"), array("l")
+        for k, args in enumerate(operands):
+            self.left.append(slot[args[0]])
+            self.right.append(slot[args[-1]])
+            for a in dict.fromkeys(args):
+                if last_read[a] == k and a >= fixed:
+                    free.append(slot[a])
+            if free:
+                slot.append(free.pop())
+            else:
+                slot.append(width)
+                width += 1
+            self.out.append(slot[-1])
+        self.blank = [None] * (width - fixed)
+        self.root = slot[root]
+
+    def execute(self, functions, inputs: list) -> int:
+        """The root's value: step k applies functions[k] to its two
+        operand registers."""
+        r = inputs + self.blank
+        for f, a, b, out in zip(functions, self.left, self.right, self.out):
+            r[out] = f(r[a], r[b])
+        return r[self.root]
+
+
+class _Program(StraightLine):
+    """A term compiled for one value domain.
+
+    Its inputs are the hoisted constants, then one value per variable (in
+    `variables` order, the order of first occurrence); its steps are the
+    operator nodes, children before parents, so that a shared subterm is
+    computed once.
+    """
+
+    __slots__ = ("variables", "constants", "functions")
+
+    def __init__(self, variables, constants, functions, operands, root):
+        super().__init__(len(constants) + len(variables), operands, root)
         self.variables = variables
         self.constants = constants
         self.functions = functions
-        self.left = left
-        self.right = right
-        self.out = out
-        self.blank = [None] * (width - len(constants) - len(variables))
-        self.root = root
 
     def run(self, inputs: list) -> int:
-        r = self.constants + inputs + self.blank
-        for f, a, b, out in zip(self.functions, self.left, self.right, self.out):
-            r[out] = f(r[a], r[b])
-        return r[self.root]
+        return self.execute(self.functions, self.constants + inputs)
 
 
 def _compile(term: Term, domain) -> _Program:
@@ -164,51 +195,33 @@ def _compile(term: Term, domain) -> _Program:
         order.append(node)
 
     visit(term.root)
-    apps = [n for n in order if isinstance(n, App)]
-    last_read = {id(a): k for k, node in enumerate(apps) for a in node.args}
     constants = list(dict.fromkeys(n.op for n in order if isinstance(n, Const)))
     variables = list(dict.fromkeys(n.index for n in order if isinstance(n, Var)))
-    const_slot = {op: k for k, op in enumerate(constants)}
-    var_slot = {index: len(constants) + k for k, index in enumerate(variables)}
-    fixed = len(constants) + len(variables)
-    slot = {}
+    const_node = {op: k for k, op in enumerate(constants)}
+    var_node = {index: len(constants) + k for k, index in enumerate(variables)}
+    number = {}  # id(node) -> node number
+    apps = []
     for node in order:
         if isinstance(node, Const):
-            slot[id(node)] = const_slot[node.op]
+            number[id(node)] = const_node[node.op]
         elif isinstance(node, Var):
-            slot[id(node)] = var_slot[node.index]
-    functions, left, right, out = [], array("l"), array("l"), array("l")
-    free: list[int] = []  # result registers whose last reader has run
-    width = fixed
-    for k, node in enumerate(apps):
-        functions.append(domain.function(node.op))
-        left.append(slot[id(node.args[0])])
-        right.append(slot[id(node.args[-1])])
-        for a in dict.fromkeys(id(a) for a in node.args):
-            if last_read[a] == k and slot[a] >= fixed:
-                free.append(slot[a])
-        if free:
-            slot[id(node)] = free.pop()
+            number[id(node)] = var_node[node.index]
         else:
-            slot[id(node)] = width
-            width += 1
-        out.append(slot[id(node)])
+            number[id(node)] = len(constants) + len(variables) + len(apps)
+            apps.append(node)
     return _Program(
         tuple(variables),
         [domain.constant(op) for op in constants],
-        tuple(functions),
-        left,
-        right,
-        out,
-        width,
-        slot[id(term.root)],
+        tuple(domain.function(node.op) for node in apps),
+        [tuple(number[id(a)] for a in node.args) for node in apps],
+        number[id(term.root)],
     )
 
 
-class _Domain:
-    """The raw-int operators of one value domain, each built once and shared
-    by every step that applies it; all are binary, a unary one ignoring its
-    second argument."""
+class Operators:
+    """The raw-int operators of one value domain, each built once and
+    shared by every step that applies it; all are binary, a unary one
+    ignoring its second argument.  A subclass builds the others in make."""
 
     def __init__(self, full: int):
         self.full = full
@@ -226,7 +239,7 @@ class _Domain:
         return f
 
 
-class _SetDomain(_Domain):
+class _SetDomain(Operators):
     """Operators of a set algebra on coordinates 0 .. n-1 of `space`; every
     coordinate of `space` from n up is left alone, so it may number lanes."""
 
@@ -248,37 +261,25 @@ class _SetDomain(_Domain):
     def make(self, op):
         name, params = op
         if name == "cyl":
-            return self._cylinder(self.full, params)
+            return cylinder(self.space, params[0])
         if name == "subst":  # c_i(d_ij . x)
             i, j = params
-            return self._cylinder(diag(self.space, i, j).bits, (i,))
+            same = diag(self.space, i, j).bits
+            project = cylinder(self.space, i)
+            return lambda x, _: project(x & same)
         if name == "disc":  # c_0 c_1 ... c_{n-1}: the top exactly when x is nonzero
-            return self._cylinder(self.full, range(self.n))
+            kernels = [cylinder(self.space, c) for c in range(self.n)]
+
+            def disc(x, _):
+                for kernel in kernels:
+                    x = kernel(x)
+                return x
+
+            return disc
         raise SignatureError(f"unsupported operator {name!r}")
 
-    def _cylinder(self, within: int, coords):
-        """x & within, cylindrified along each coordinate in turn: its
-        copies folded onto digit 0 and replicated back, by doubling."""
-        space = self.space
-        passes = [
-            (doubling_shifts(space.stride(c), space.base_size), space.digit_zero_mask(c))
-            for c in coords
-        ]
 
-        def cylinder(x, _):
-            x &= within
-            for shifts, zero in passes:
-                for s in shifts:
-                    x |= x >> s
-                x &= zero
-                for s in shifts:
-                    x |= x << s
-            return x
-
-        return cylinder
-
-
-class _RelationDomain(_Domain):
+class _RelationDomain(Operators):
     """Operators of the algebra of all binary relations on a finite base."""
 
     def __init__(self, ambient: RelationAlgebra):

@@ -11,11 +11,11 @@ and are surrogates, not proofs; they are labeled as such everywhere.
 Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
-on its last coordinate.  Evaluation runs models' bitset walker with these
-atoms and a mask of the allowed digit range for each quantifier depth.
-Each strict-order atom s_a < s_b starts from the diagonal moved up one step
-of coordinate b and doubles the gaps it covers, O(log u) big-integer shifts
-in all, instead of two digit masks per base value.
+on its last coordinate.  Evaluation runs models' compiled satisfaction
+plan with these atoms and, for each quantifier depth, the run of values
+its variable may take.  Each unordered pair of coordinates costs one
+doubled strict-order atom (spaces.strictly_below): the other order is what
+is neither below nor equal.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +24,8 @@ from itertools import product
 from .errors import CapacityError, PreconditionError
 from .formulas import Formula, format_formula, max_var_index, quantifier_depth
 from .library import close_universally
-from .models import ModelFinite, satisfaction_bits
-from .spaces import Element, TupleSpace, diag
+from .models import ModelFinite, diagonal_bits, satisfaction_bits
+from .spaces import Element, TupleSpace, strictly_below
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def _relation_element(space: TupleSpace, model: WindowModel, radius: int,
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius)
     else:
-        bits = _strictly_below(space, a, b)
+        bits = _below(space, a, b, cache)
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
     out = Element(space, bits)
@@ -96,23 +96,15 @@ def _relation_element(space: TupleSpace, model: WindowModel, radius: int,
     return out
 
 
-def _strictly_below(space: TupleSpace, a: int, b: int) -> int:
-    """Bits of {s : s_a < s_b} for a != b, by doubling along coordinate b.
-
-    The diagonal s_a = s_b, without its tuples at the top value of b and
-    shifted up one step of b, is s_b = s_a + 1.  Each round ORs in a copy
-    shifted up by the largest gap found so far, leaving out the tuples that
-    would pass the top value, so the gaps found double.
-    """
-    u = space.base_size
-    stride = space.stride(b)
-    top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
-    bits = (diag(space, a, b).bits & ~top) << stride
-    gap = 1
-    while gap < u - 1:
-        bits |= (bits & ~top) << gap * stride
-        top |= top >> gap * stride  # past the last round, no longer used
-        gap *= 2
+def _below(space: TupleSpace, a: int, b: int, cache: dict) -> int:
+    """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair:
+    for a > b they are the tuples neither below nor on the diagonal."""
+    if a > b:
+        return space.full_mask ^ _below(space, b, a, cache) ^ diagonal_bits(space, a, b, cache)
+    key = ("<", a, b)
+    bits = cache.get(key)
+    if bits is None:
+        bits = cache[key] = strictly_below(space, a, b)
     return bits
 
 
@@ -129,19 +121,16 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     space = _window_space(f, radius)
-    rel_cache: dict = {}
+    cache: dict = {}  # order atoms and diagonals, shared with the Eq leaves
 
-    def atom(g) -> Element:
-        return _relation_element(space, model, radius, g.args[0], g.args[1], rel_cache)
+    def atom(g) -> int:
+        return _relation_element(space, model, radius, g.args[0], g.args[1], cache).bits
 
-    # rebuilt per quantifier: caching these full-width masks raised the
-    # peak memory of a radius-64 window by about a fifth
-    def allowed(depth_now: int, var: int) -> Element:
+    def allowed(depth_now: int, var: int) -> range:
         reach = radius - depth_now * model.margin
-        values = range(radius - reach, radius + reach + 1)  # as indices
-        return Element(space, space.digit_range_mask(var, values))
+        return range(radius - reach, radius + reach + 1)  # as indices
 
-    return satisfaction_bits(space, f, atom, allowed)
+    return Element(space, satisfaction_bits(space, f, atom, allowed, cache))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:

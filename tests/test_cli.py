@@ -1,8 +1,10 @@
 import json
+from itertools import product
 
 import pytest
 
-from baokit.cli import main
+from baokit import SetAlgebra
+from baokit.cli import _parse_gen, main
 
 
 def run_cli(capsys, *argv):
@@ -210,3 +212,28 @@ def test_example_has_no_cap_flag(capsys):
     assert payload["details"]["atom_count"] == 64
     with pytest.raises(SystemExit):
         main(["example", "--cap", "10"])
+
+
+@pytest.mark.parametrize("spec", [
+    "diag:0,5", "diag:-1,0", "less:0,5", "less:-1,0", "less:5,0",
+    "hex:10", "hex:fff1", "hex:-1", "hex:zz", "diag:0", "less:0,1,1", "cyl:0",
+])
+def test_malformed_generator_specs_are_usage_errors(capsys, spec):
+    err = run_usage_error(capsys, "atoms", "--u", "2", "--n", "2", "--kind", "CA", "--gens", spec)
+    assert spec in err
+
+
+def test_generator_specs_at_the_edge_of_the_space(capsys):
+    code, out = run_cli(capsys, "--json", "atoms", "--u", "2", "--n", "2", "--kind", "CA",
+                        "--gens", "hex:f", "diag:1,1", "less:1,1", "less:1,0")
+    assert code == 0
+    assert json.loads(out)["details"]["carrier_size"] == 16  # every subset of 4 tuples
+
+
+def test_less_generator_matches_tuple_scan():
+    for u in range(1, 5):
+        for n in range(1, 4):
+            ambient = SetAlgebra("CA", u, n)
+            for i, j in product(range(n), repeat=2):
+                want = ambient.element([s for s in ambient.space.tuples() if s[i] < s[j]])
+                assert _parse_gen(f"less:{i},{j}", ambient) == want, (u, n, i, j)

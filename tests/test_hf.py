@@ -19,7 +19,7 @@ from baokit import (
     quasiprojection_relations,
     satisfaction_set,
 )
-from baokit.hf import code_rank, exp_value, prod_value, sum_value, tower
+from baokit.hf import code_rank, exp_value, is_ordinal, prod_value, sum_value, tower
 from baokit.library import formula_library
 
 
@@ -168,6 +168,29 @@ def test_ordinal_oracles_examples():
     not_transitive = HFSet.from_members([HFSet.from_members([HFSet(0)])])
     assert not ordinal_oracles(not_transitive).is_ord
     assert ordinal_oracles(HFSet(0)).value == 0
+
+
+def is_ordinal_by_member_pairs(x: HFSet) -> bool:
+    """The definition is_ordinal had before it went by bits, kept as its
+    oracle: transitive, and every two members comparable by membership."""
+    code = x.code
+    member_codes = x.member_codes()
+    for m in member_codes:
+        if m & ~code:
+            return False  # a member's members leak out: not transitive
+    for i, a in enumerate(member_codes):
+        for b in member_codes[i + 1 :]:
+            if not ((b >> a) & 1 or (a >> b) & 1):
+                return False
+    return True
+
+
+def test_is_ordinal_matches_member_pairs_on_every_rank_4_code():
+    verdicts = [is_ordinal(HFSet(code)) for code in range(2**16)]
+    assert verdicts == [is_ordinal_by_member_pairs(HFSet(code)) for code in range(2**16)]
+    assert [code for code in range(2**16) if verdicts[code]] == [
+        ordinal_hf(k).code for k in range(5)
+    ]
 
 
 def test_ordinal_formula_agreement_exhaustive_rank_3():

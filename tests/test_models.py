@@ -7,11 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from baokit import (
+    Element,
     ModelFinite,
     SetAlgebra,
+    TupleSpace,
     UnboundVariableError,
     Vocabulary,
     cyl,
+    diag,
     free_vars,
     hf_universe,
     holds,
@@ -22,6 +25,7 @@ from baokit import (
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
 from baokit.library import formula_library
+from baokit.models import _plan, satisfaction_bits
 
 
 def order_model(u=3):
@@ -325,3 +329,193 @@ def test_holds_reads_the_assignment_without_changing_it():
     assert assignment == before
     # any input dict() accepts still works
     assert holds(model, f, [(0, 0), (1, 1)]) == holds(model, f, {0: 0, 1: 1})
+
+
+# -- satisfaction sets -----------------------------------------------------------
+
+
+def sat_walk(space, f, atom, quantifier_mask=None) -> Element:
+    """The recursive Element walker that satisfaction_set and window ran
+    before formulas were compiled, kept as the oracle of the compiled plan."""
+
+    def sat(g, depth: int) -> Element:
+        if isinstance(g, Atom):
+            return atom(g)
+        if isinstance(g, Eq):
+            return diag(space, g.left, g.right)
+        if isinstance(g, Not):
+            return ~sat(g.body, depth)
+        if isinstance(g, And):
+            return sat(g.left, depth) & sat(g.right, depth)
+        if isinstance(g, Or):
+            return sat(g.left, depth) | sat(g.right, depth)
+        if isinstance(g, Implies):
+            return ~sat(g.left, depth) | sat(g.right, depth)
+        if isinstance(g, Iff):
+            return ~(sat(g.left, depth) ^ sat(g.right, depth))
+        body = sat(g.body, depth + 1)
+        if isinstance(g, Forall):
+            body = ~body
+        if quantifier_mask is not None:
+            body = body & quantifier_mask(depth + 1, g.var)
+        out = cyl(g.var, body)
+        return ~out if isinstance(g, Forall) else out
+
+    return sat(f, 0)
+
+
+def row_atoms(model, space):
+    """The old walker's atoms: each row of the relation as digit masks."""
+
+    def atom(g) -> Element:
+        bits = 0
+        for row in model.relations[g.rel]:
+            mask = space.full_mask
+            for var, value in zip(g.args, row):
+                mask &= space.digit_mask(var, value)
+            bits |= mask
+        return Element(space, bits)
+
+    return atom
+
+
+def _sat_formulas(n: int):
+    """Formulas in v0 .. v(n-1) over R/2, P/1, T/3 (arguments may repeat)
+    and Z/0, with every connective and both quantifiers.  A second layer
+    is built over a pool of quantified formulas, its leaves #i standing
+    for pool entries, so that one subformula recurs at the same depth and
+    at different depths."""
+    var = st.integers(0, n - 1)
+    leaves = st.one_of(
+        st.builds(lambda a, b: Atom("R", (a, b)), var, var),
+        st.builds(lambda a: Atom("P", (a,)), var),
+        st.builds(lambda a, b, c: Atom("T", (a, b, c)), var, var, var),
+        st.just(Atom("Z", ())),
+        st.builds(Eq, var, var),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Not, sub),
+            *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
+            *(st.builds(q, var, sub) for q in (Exists, Forall)),
+        )
+
+    quantified = st.builds(
+        lambda q, v, body: q(v, body),
+        st.sampled_from([Exists, Forall]), var, st.recursive(leaves, extend, max_leaves=3),
+    )
+    pool = st.lists(quantified, min_size=1, max_size=3)
+    slots = st.builds(lambda i: Atom("#", (i,)), st.integers(0, 2))
+    tree = st.builds(_fill, st.recursive(slots | leaves, extend, max_leaves=6), pool)
+    # t next to a quantifier over t: every quantifier of t at two depths
+    nested = st.builds(
+        lambda op, q, v, t: op(t, q(v, t)),
+        st.sampled_from([And, Or, Implies, Iff]), st.sampled_from([Exists, Forall]), var, tree,
+    )
+    return tree | nested
+
+
+def _fill(g, pool):
+    """g with each #i replaced by pool entry i (mod the pool's size)."""
+    if isinstance(g, Atom):
+        return pool[g.args[0] % len(pool)] if g.rel == "#" else g
+    if isinstance(g, Eq):
+        return g
+    if isinstance(g, Not):
+        return Not(_fill(g.body, pool))
+    if isinstance(g, (Exists, Forall)):
+        return type(g)(g.var, _fill(g.body, pool))
+    return type(g)(_fill(g.left, pool), _fill(g.right, pool))
+
+
+SAT_FORMULAS = {n: _sat_formulas(n) for n in (1, 2, 3)}
+
+
+@st.composite
+def sat_cases(draw):
+    """A formula, a model with u <= 4 and n <= 3, and maybe a run of
+    values for each quantifier depth and variable."""
+    u, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    f = draw(SAT_FORMULAS[n])
+    points = st.integers(0, u - 1)
+    relations = {
+        "R": draw(st.lists(st.tuples(points, points), max_size=10)),
+        "P": [(a,) for a in draw(st.lists(points, max_size=4))],
+        "T": draw(st.lists(st.tuples(points, points, points), max_size=12)),
+        "Z": draw(st.sampled_from([[], [()]])),
+    }
+    model = ModelFinite(list(range(u)), relations, Vocabulary.of(R=2, P=1, T=3, Z=0))
+    ranges = None
+    if draw(st.integers(0, 2)):  # two cases in three
+        depth = quantifier_depth(f)
+        ranges = {}
+        for key in iproduct(range(1, depth + 1), range(n)):
+            lo = draw(points)
+            ranges[key] = range(lo, draw(st.integers(lo + 1, u)))
+    return f, model, n, ranges
+
+
+def check_against_walker(f, model, n, ranges):
+    space = TupleSpace(model.carrier_size, n)
+    if ranges is None:
+        got = satisfaction_set(model, f, n)
+        assert got == sat_walk(space, f, row_atoms(model, space)), f
+        return
+    want = sat_walk(
+        space, f, row_atoms(model, space),
+        lambda depth, var: Element(space, space.digit_range_mask(var, ranges[depth, var])),
+    )
+    atom = row_atoms(model, space)
+    bits = satisfaction_bits(
+        space, f, lambda g: atom(g).bits, lambda depth, var: ranges[depth, var]
+    )
+    assert bits == want.bits, (f, ranges)
+
+
+# one quantified subformula at depths 0 and 1, whose ranges differ
+SHARED = Exists(1, Atom("R", (0, 1)))
+SHARED_WORLD = ModelFinite([0, 1, 2], {"R": [(0, 0), (1, 2), (2, 2)]})
+SHARED_RANGES = {(d, v): range(0, 3) for d in (1, 2) for v in range(3)}
+SHARED_RANGES.update({(1, 1): range(0, 1), (2, 1): range(1, 3)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=sat_cases())
+@example(case=(Or(SHARED, Exists(2, SHARED)), SHARED_WORLD, 3, SHARED_RANGES))
+@example(case=(Or(Not(SHARED), Iff(SHARED, Forall(1, Not(SHARED)))), SHARED_WORLD, 2, None))
+def test_compiled_satisfaction_matches_recursive_walker(case):
+    check_against_walker(*case)
+
+
+@pytest.mark.parametrize("name, f", [
+    (name, f) for name, f in deep_formulas() if name in ("250-atom conj", "300-deep Not")
+])
+def test_deep_satisfaction_matches_recursive_walker(name, f):
+    model = ModelFinite([0, 1, 2], {"R": [(0, 1), (1, 2)]})
+    check_against_walker(f, model, 3, None)
+    check_against_walker(Forall(2, f), model, 3, {(1, 2): range(1, 3)})
+
+
+def test_satisfaction_plan_is_built_once_and_shares_subformulas():
+    f = parse_formula("ex v2 R(v0,v1,v2) & (ex v2 R(v0,v1,v2) | ex v2 R(v1,v0,v2))")
+    model = ModelFinite([0, 1], {"R": [(0, 1, 0), (1, 1, 1)]})
+    _plan.cache_clear()
+    first = satisfaction_set(model, f, 3)
+    assert satisfaction_set(model, f, 3) == first
+    assert _plan.cache_info().misses == 1
+    plan = _plan(f, False)
+    # two atoms, and ex v2 R(v0,v1,v2) computed once
+    assert len(plan.leaves) == 2 and len(plan.kinds) == 4
+    long_conj = _plan(conj([Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]), False)
+    assert len(long_conj.kinds) == 249 and len(long_conj.blank) == 1  # one register reused
+
+
+def test_atoms_pair_arguments_with_rows_as_zip_does():
+    # an atom whose argument count differs from its relation's arity
+    model = ModelFinite([0, 1, 2], {"E": [(0, 1), (1, 2), (2, 2)], "Z": [()]},
+                        Vocabulary.of(E=2, Z=0))
+    for text in ("E(v0,v1,v2)", "E(v0)", "ex v1 E(v1,v0,v0)", "E(v0,v0,v1) & E(v1)", "Z(v0)"):
+        check_against_walker(parse_formula(text), model, 3, None)
+    empty = ModelFinite([0, 1], {"E": []}, Vocabulary.of(E=2))
+    check_against_walker(parse_formula("E(v0,v1,v1) | E(v1)"), empty, 2, None)

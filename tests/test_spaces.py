@@ -15,6 +15,7 @@ from baokit import (
     diag,
     subst,
 )
+from baokit.spaces import cylinder, relation_bits, strictly_below
 
 
 def scan_element(ambient, predicate):
@@ -136,11 +137,39 @@ def test_kernels_match_tuple_scan(case):
     assert cyl(i, ranged & x) == scan(lambda s: any(put(s, i, t) in members for t in values))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=kernel_cases(), rows=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=8),
+       arity=st.integers(0, 3), data=st.data())
+def test_raw_kernels_match_tuple_scan(case, rows, arity, data):
+    x, i, j, values = case
+    space = x.space
+    u, n = space.base_size, space.dimension
+    members = set(x.tuples())
+
+    def scan(predicate) -> int:
+        return sum(1 << space.encode(s) for s in space.tuples() if predicate(s))
+
+    def put(s, coord, value):
+        return s[:coord] + (value,) + s[coord + 1:]
+
+    assert cylinder(space, i, values)(x.bits) == scan(
+        lambda s: any(put(s, i, t) in members for t in values))
+    assert cylinder(space, i)(x.bits) == cyl(i, x).bits
+    assert strictly_below(space, i, j) == scan(lambda s: s[i] < s[j])
+    # coordinates may repeat; rows are cut down to the base
+    coords = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity)))
+    table = {tuple(v % u for v in row[:arity]) for row in rows}
+    assert relation_bits(space, coords, table) == scan(
+        lambda s: tuple(s[c] for c in coords) in table)
+
+
 def test_digit_range_mask_rejects_runs_outside_the_base():
     space = TupleSpace(3, 2)
     for values in (range(0, 4), range(1, 1), range(0, 3, 2), range(-1, 2)):
         with pytest.raises(ValueError):
             space.digit_range_mask(1, values)
+        with pytest.raises(ValueError):
+            cylinder(space, 1, values)
 
 
 def test_subst_rejects_equal_coordinates():

@@ -16,7 +16,8 @@ from baokit import (
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.library import formula_library
-from baokit.window import _relation_element, _strictly_below, window_satisfaction
+from baokit.spaces import strictly_below
+from baokit.window import _relation_element, window_satisfaction
 
 
 def test_fixed_points_must_respect_margin():
@@ -238,7 +239,7 @@ def test_strictly_below_matches_tuple_scan(u):
                 if a == b:
                     continue
                 want = sum(1 << space.encode(s) for s in space.tuples() if s[a] < s[b])
-                assert _strictly_below(space, a, b) == want, (u, n, a, b)
+                assert strictly_below(space, a, b) == want, (u, n, a, b)
 
 
 def test_order_atoms_match_value_loop_at_radius_16():
