@@ -109,39 +109,49 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     return Element(space, satisfaction_bits(space, f, atom))
 
 
+class Diagonals:
+    """The diagonals of one space, each built once: calling it with (i, j)
+    gives the bits of diag(i, j).  Made per call, so no full-width mask
+    outlives it."""
+
+    __slots__ = ("space", "_bits")
+
+    def __init__(self, space: TupleSpace):
+        self.space = space
+        self._bits: dict[tuple[int, int], int] = {}
+
+    def __call__(self, i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        bits = self._bits.get(key)
+        if bits is None:
+            bits = self._bits[key] = diag(self.space, i, j).bits
+        return bits
+
+
 def satisfaction_bits(space: TupleSpace, f: Formula, atom, quantifier_range=None,
-                      cache=None) -> int:
+                      diagonals: Diagonals | None = None) -> int:
     """The bits of the satisfaction set of `f` over `space`.
 
     `f` runs as its plan (see `_plan`), compiled once per formula and bound
     here to the space.  `atom(g)` gives the bits of each distinct atom g,
-    and each distinct diagonal is taken from `cache` (see `diagonal_bits`),
-    once per call.  A quantifier on v ranges over the whole base, or, when
-    `quantifier_range(depth, v)` is given, over the run of base values it
-    returns, where depth counts the quantifier's nesting from the root
-    (outermost 1): the relativized ex v phi is c_v(D . phi) and all v phi
-    is -c_v(D . -phi), D holding the tuples whose v lies in the run.
+    and each distinct diagonal is taken from `diagonals`, a fresh
+    `Diagonals(space)` unless the caller shares its own.  A quantifier on v
+    ranges over the whole base, or, when `quantifier_range(depth, v)` is
+    given, over the run of base values it returns, where depth counts the
+    quantifier's nesting from the root (outermost 1): the relativized
+    ex v phi is c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the
+    tuples whose v lies in the run.
     """
     plan = _plan(f, quantifier_range is not None)
-    if cache is None:
-        cache = {}
+    if diagonals is None:
+        diagonals = Diagonals(space)
     inputs = [
-        atom(g) if isinstance(g, Atom) else diagonal_bits(space, g.left, g.right, cache)
+        atom(g) if isinstance(g, Atom) else diagonals(g.left, g.right)
         for g in plan.leaves
     ]
     operators = _Operators(space, quantifier_range)
     bound = [operators.function(op) for op in plan.ops]
     return plan.execute([bound[k] for k in plan.kinds], inputs)
-
-
-def diagonal_bits(space: TupleSpace, i: int, j: int, cache: dict) -> int:
-    """The bits of diag(i, j) over `space`, kept in `cache` under Eq(i, j)
-    with i <= j."""
-    key = Eq(i, j) if i <= j else Eq(j, i)
-    bits = cache.get(key)
-    if bits is None:
-        bits = cache[key] = diag(space, i, j).bits
-    return bits
 
 
 class _Plan(StraightLine):

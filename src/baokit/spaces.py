@@ -16,7 +16,6 @@ with composition, converse and the identity relation.
 
 import operator
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
 from .errors import CapacityError, SignatureError, SpaceMismatchError
 from .signatures import OpRef, Signature
@@ -24,11 +23,9 @@ from .signatures import OpRef, Signature
 MAX_SPACE_BITS = 1 << 24
 
 
-@lru_cache(maxsize=1024)
 def doubling_shifts(period: int, count: int) -> tuple[int, ...]:
     """Shifts that make `count` copies of a pattern, at offsets 0, period,
-    ..., by ORing in a shifted copy of everything so far: O(log count).
-    Kept per (period, count), since every kernel call asks again."""
+    ..., by ORing in a shifted copy of everything so far: O(log count)."""
     shifts = []
     have = 1
     while have < count:
@@ -308,13 +305,8 @@ def relation_bits(space: TupleSpace, coords, rows) -> int:
         ]
     strides = [space.stride(c) for c in distinct]
     bits = 0
-    if len(strides) == 2:  # the common binary case, without calls per row
-        sx, sy = strides
-        for x, y in rows:
-            bits |= 1 << (x * sx + y * sy)
-    else:
-        for row in rows:
-            bits |= 1 << sum(map(operator.mul, row, strides))
+    for row in rows:
+        bits |= 1 << sum(map(operator.mul, row, strides))
     for c in range(space.dimension):
         if c not in distinct:
             bits = _replicate(bits, space.stride(c), space.base_size)

@@ -24,7 +24,7 @@ from itertools import product
 from .errors import CapacityError, PreconditionError
 from .formulas import Formula, format_formula, max_var_index, quantifier_depth
 from .library import close_universally
-from .models import ModelFinite, diagonal_bits, satisfaction_bits
+from .models import Diagonals, ModelFinite, satisfaction_bits
 from .spaces import Element, TupleSpace, strictly_below
 
 
@@ -76,35 +76,33 @@ class WindowReport:
     )
 
 
-def _relation_element(space: TupleSpace, model: WindowModel, radius: int,
-                      a: int, b: int, cache: dict) -> Element:
-    """Bitset of assignments s with s_a related to s_b."""
-    key = (a, b)
-    got = cache.get(key)
-    if got is not None:
-        return got
+def _relation_element(space: TupleSpace, model: WindowModel, radius: int, a: int,
+                      b: int, below: dict, diagonals: Diagonals | None = None) -> Element:
+    """The assignments s with s_a related to s_b.  `below` keeps the strict
+    order atoms (see `_below`); `diagonals`, made here unless given, are
+    the diagonals of the space."""
     if a == b:
         bits = 0
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius)
-    else:
-        bits = _below(space, a, b, cache)
-        for c in model.fixed:
-            bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
-    out = Element(space, bits)
-    cache[key] = out
-    return out
+        return Element(space, bits)
+    if diagonals is None:
+        diagonals = Diagonals(space)
+    bits = _below(space, a, b, below, diagonals)
+    for c in model.fixed:
+        bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
+    return Element(space, bits)
 
 
-def _below(space: TupleSpace, a: int, b: int, cache: dict) -> int:
-    """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair:
-    for a > b they are the tuples neither below nor on the diagonal."""
+def _below(space: TupleSpace, a: int, b: int, below: dict, diagonals: Diagonals) -> int:
+    """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair
+    and kept in `below` under (a, b) with a < b: for a > b they are the
+    tuples neither below nor on the diagonal."""
     if a > b:
-        return space.full_mask ^ _below(space, b, a, cache) ^ diagonal_bits(space, a, b, cache)
-    key = ("<", a, b)
-    bits = cache.get(key)
+        return space.full_mask ^ _below(space, b, a, below, diagonals) ^ diagonals(a, b)
+    bits = below.get((a, b))
     if bits is None:
-        bits = cache[key] = strictly_below(space, a, b)
+        bits = below[(a, b)] = strictly_below(space, a, b)
     return bits
 
 
@@ -121,16 +119,18 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     space = _window_space(f, radius)
-    cache: dict = {}  # order atoms and diagonals, shared with the Eq leaves
+    below: dict[tuple[int, int], int] = {}
+    diagonals = Diagonals(space)  # shared with the Eq leaves
 
     def atom(g) -> int:
-        return _relation_element(space, model, radius, g.args[0], g.args[1], cache).bits
+        return _relation_element(space, model, radius, g.args[0], g.args[1],
+                                 below, diagonals).bits
 
     def allowed(depth_now: int, var: int) -> range:
         reach = radius - depth_now * model.margin
         return range(radius - reach, radius + reach + 1)  # as indices
 
-    return Element(space, satisfaction_bits(space, f, atom, allowed, cache))
+    return Element(space, satisfaction_bits(space, f, atom, allowed, diagonals))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
