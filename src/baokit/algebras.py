@@ -444,7 +444,8 @@ def _read_values(desc: str, hexes) -> list:
 
 
 def generate_subalgebra(ambient, gens, cap: int = 4096) -> FiniteAlgebra:
-    """Least subuniverse containing `gens`, 0, 1 and the signature constants.
+    """Least subuniverse containing `gens`, 0, 1 and the signature constants;
+    with no gens, the subalgebra of the constants.
 
     `ambient` is a SetAlgebra or RelationAlgebra (or any value domain).  The
     atoms are found by partition refinement: start from the cells cut out
@@ -455,8 +456,6 @@ def generate_subalgebra(ambient, gens, cap: int = 4096) -> FiniteAlgebra:
     ClosureCapError as soon as a round leaves more than log2(cap) cells.
     """
     domain = ambient if hasattr(ambient, "meet") else SetDomain(ambient)
-    if not gens:
-        raise ValueError("at least one generator is required")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     key = domain.key

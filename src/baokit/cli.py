@@ -194,7 +194,7 @@ def _cmd_check_identity(args) -> ExperimentReport:
         for lane, (a, b) in enumerate(zip(left, right)):
             if a != b:
                 failures.append(
-                    {i: _from_bits(ambient, columns[i][lane]).serialize() for i in columns}
+                    {i: ambient.from_bits(columns[i][lane]).serialize() for i in columns}
                 )
                 if len(failures) == 3:
                     cases = batch.start + lane + 1
@@ -214,14 +214,6 @@ def _cmd_check_identity(args) -> ExperimentReport:
         "pass" if not failures else "fail",
         {"cases": cases, "exhaustive": exhaustive, "counterexamples": failures},
     )
-
-
-def _from_bits(ambient, bits: int):
-    if isinstance(ambient, RelationAlgebra):
-        from .spaces import RaElement
-
-        return RaElement(ambient.base_size, bits)
-    return ambient.from_bits(bits)
 
 
 def _cmd_free_ba(args) -> ExperimentReport:

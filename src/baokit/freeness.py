@@ -1,15 +1,16 @@
 """Homomorphism extension, independence, free Boolean algebras, isomorphisms.
 
-The homomorphism machinery works by closing the generator graph: the pair
-relation is grown under all operations until it stabilizes, and any element
-that acquires two images is returned as a failure witness.
+A homomorphism out of a finite algebra is known by its graph {(x, h x)},
+which is a subalgebra of source x target.  Extension and isomorphism
+checking both generate that subalgebra from a few pairs by the one closure,
+`generate_subalgebra`, and read the answer off its atoms.
 """
 
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import CapacityError, PreconditionError, SignatureError
-from .algebras import FiniteAlgebra, SetDomain, atoms, generate_subalgebra
+from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
+from .algebras import FiniteAlgebra, ProductDomain, SetDomain, atoms, generate_subalgebra
 from .spaces import SetAlgebra
 
 
@@ -31,105 +32,63 @@ class ExtensionConflict:
     images: tuple
 
 
+def _graph(source, target, pairs, most: int) -> FiniteAlgebra:
+    """The subalgebra of source x target generated by `pairs`.
+
+    Raises ClosureCapError as soon as it has more than `most` atoms.  Its
+    atoms are disjoint nonzero pairs of the product, so there are never more
+    than len(atoms(source)) + len(atoms(target)) of them.
+    """
+    domain = ProductDomain(source.domain, target.domain)
+    return generate_subalgebra(domain, list(pairs), cap=1 << most)
+
+
 def extend_homomorphism(source, gens, target, images):
     """Extend gens -> images to a homomorphism, or explain why none exists.
 
-    Returns a Homomorphism when the induced graph closure is functional,
-    otherwise an ExtensionConflict naming the doubly-mapped element.
-    Raises PreconditionError when gens do not generate the source.
+    The homomorphism, if any, has as its graph the subalgebra of
+    source x target generated by the pairs (gen, image).  That subalgebra
+    is the graph of a function exactly when none of its atoms is a pair
+    (0, y): such an atom and (0, 0) give 0 two images, and two images
+    y1 != y2 of one x give the pair (0, y1 ^ y2), which lies above such an
+    atom.  The first such atom in key order is the witness, returned as
+    ExtensionConflict(source.zero, (target.zero, y)).  Otherwise the graph
+    is a function on the subalgebra the gens generate, and
+    PreconditionError is raised when that is not the source.
     """
     if len(gens) != len(images):
         raise ValueError("need exactly one image per generator")
     if source.signature != target.signature:
         raise SignatureError("homomorphisms require a shared signature")
-    sdom, tdom = source.domain, target.domain
-    skey = sdom.key
-
-    mapping: dict = {}
-    frontier: list = []
-
-    def record(x, y):
-        k = skey(x)
-        known = mapping.get(k)
-        if known is None:
-            mapping[k] = (x, y)
-            frontier.append((x, y))
-            return None
-        if tdom.key(known[1]) != tdom.key(y):
-            return ExtensionConflict(x, (known[1], y))
-        return None
-
-    seeds = [(source.zero, target.zero), (source.one, target.one)]
-    for op, arity in source.operator_descriptors():
-        if arity == 0:
-            seeds.append((sdom.apply(op), tdom.apply(op)))
-    seeds.extend(zip(gens, images))
-    for x, y in seeds:
-        conflict = record(x, y)
-        if conflict:
-            return conflict
-
-    while frontier:
-        batch, frontier = frontier, []
-        pairs = list(mapping.values())
-        for x, y in batch:
-            conflict = record(sdom.compl(x), tdom.compl(y))
-            if conflict:
-                return conflict
-            for op, arity in source.operator_descriptors():
-                if arity == 1:
-                    conflict = record(sdom.apply(op, x), tdom.apply(op, y))
-                    if conflict:
-                        return conflict
-            for x2, y2 in pairs:
-                for sx, sy in (
-                    (sdom.meet(x, x2), tdom.meet(y, y2)),
-                    (sdom.join(x, x2), tdom.join(y, y2)),
-                ):
-                    conflict = record(sx, sy)
-                    if conflict:
-                        return conflict
-                for op, arity in source.operator_descriptors():
-                    if arity == 2:
-                        conflict = record(
-                            sdom.apply(op, x, x2), tdom.apply(op, y, y2)
-                        )
-                        if conflict:
-                            return conflict
-                        conflict = record(
-                            sdom.apply(op, x2, x), tdom.apply(op, y2, y)
-                        )
-                        if conflict:
-                            return conflict
-
-    if len(mapping) != len(source.carrier):
+    most = len(atoms(source)) + len(atoms(target))
+    graph = _graph(source, target, zip(gens, images), most)
+    pairs = atoms(graph)
+    skey, zero = source.domain.key, source.domain.key(source.zero)
+    for x, y in pairs:
+        if skey(x) == zero:
+            return ExtensionConflict(source.zero, (target.zero, y))
+    span, total = len(pairs), len(atoms(source))
+    if span != total:  # more, when some gen lies outside the source
         raise PreconditionError(
-            f"generators span only {len(mapping)} of {len(source.carrier)} elements"
+            f"generators span only 2**{span} of 2**{total} elements"
         )
-    return Homomorphism(source, target, {k: y for k, (x, y) in mapping.items()})
+    return Homomorphism(source, target, {skey(x): y for x, y in graph.carrier})
 
 
 def is_independent(algebra, ys, probe_family=None) -> bool:
     """Freeness test for a subset of the carrier.
 
     Boolean signature: every meet of the ys and their complements must be
-    nonzero.  Other signatures: every map into every probe algebra must
-    extend to a homomorphism (the probe family stands in for the whole
-    class, which no finite test can cover).
+    nonzero, that is, the ys generate 2**len(ys) atoms.  Other signatures:
+    every map into every probe algebra must extend to a homomorphism (the
+    probe family stands in for the whole class, which no finite test can
+    cover).
     """
-    dom = algebra.domain
-    key = dom.key
+    sub = generate_subalgebra(algebra.domain, list(ys), cap=algebra.size)
     if algebra.signature.kind == "BA":
-        for mask in range(1 << len(ys)):
-            acc = algebra.one
-            for i, y in enumerate(ys):
-                acc = dom.meet(acc, y if (mask >> i) & 1 else dom.compl(y))
-            if key(acc) == key(algebra.zero):
-                return False
-        return True
+        return len(atoms(sub)) == 1 << len(ys)
     if not probe_family:
         raise PreconditionError("non-Boolean signatures need a probe family")
-    sub = generate_subalgebra(algebra.domain, list(ys), cap=algebra.size)
     for probe in probe_family:
         # reversed, so that the image of ys[0] varies fastest
         for images in product(probe.carrier, repeat=len(ys)):
@@ -161,36 +120,24 @@ def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
     """A bijective homomorphism, or None.
 
     Searches over bijections between the atoms, each of which extends to
-    a Boolean isomorphism.  The operators are additive in each argument, so
-    a candidate is checked on atoms (tuples of atoms) only.
+    a Boolean isomorphism.  The pairs (atom, image) are disjoint and join
+    to the top of left x right, so they generate at least len(atoms)
+    atoms; the bijection is an isomorphism exactly when they generate no
+    more, for then they are the atoms of the graph of the map.  The
+    closure stops as soon as it passes that count.
     """
     if left.signature != right.signature or left.size != right.size:
         return None
     latoms, ratoms = atoms(left), atoms(right)
     if len(latoms) > 10:
         raise CapacityError("isomorphism search is budgeted to 10 atoms")
-    ldom, rdom = left.domain, right.domain
-
-    def image(x, perm):
-        out = right.zero
-        for a, b in zip(latoms, perm):
-            if left.le(a, x):
-                out = rdom.join(out, b)
-        return out
-
-    def respects_ops(perm):
-        for op, arity in left.operator_descriptors():
-            for idx in product(range(len(latoms)), repeat=arity):
-                got = rdom.apply(op, *(perm[i] for i in idx))
-                want = image(ldom.apply(op, *(latoms[i] for i in idx)), perm)
-                if rdom.key(got) != rdom.key(want):
-                    return False
-        return True
-
+    key = left.domain.key
     for perm in permutations(ratoms):
-        if respects_ops(perm):
-            mapping = {ldom.key(x): image(x, perm) for x in left.carrier}
-            return Homomorphism(left, right, mapping)
+        try:
+            graph = _graph(left, right, zip(latoms, perm), len(latoms))
+        except ClosureCapError:
+            continue
+        return Homomorphism(left, right, {key(x): y for x, y in graph.carrier})
     return None
 
 
@@ -204,11 +151,7 @@ def splitting_check(algebra, freegens, a, y) -> bool:
     if not any(key(y) == key(g) for g in freegens):
         raise PreconditionError("y must be one of the free generators")
     rest = [g for g in freegens if key(g) != key(y)]
-    if rest:
-        sub = generate_subalgebra(algebra.domain, rest, cap=algebra.size)
-        if a not in sub:
-            raise PreconditionError("a is not generated by the remaining generators")
-    elif key(a) not in (key(algebra.zero), key(algebra.one)):
+    if a not in generate_subalgebra(algebra.domain, rest, cap=algebra.size):
         raise PreconditionError("a is not generated by the remaining generators")
     return (
         key(dom.meet(a, y)) != key(algebra.zero)

@@ -575,6 +575,9 @@ class RelationAlgebra:
             bits |= 1 << (a * u + b)
         return RaElement(u, bits)
 
+    def from_bits(self, bits: int) -> RaElement:
+        return RaElement(self.base_size, bits)
+
     def random_element(self, rng) -> RaElement:
         return RaElement(self.base_size, rng.getrandbits(self.base_size**2))
 

@@ -24,8 +24,6 @@ from .errors import SignatureError, UnboundVariableError
 from .signatures import OpRef, Signature, opref_str
 from .spaces import (
     MAX_SPACE_BITS,
-    Element,
-    RaElement,
     RelationAlgebra,
     SetAlgebra,
     TupleSpace,
@@ -181,20 +179,24 @@ class _Program(StraightLine):
 
 def _compile(term: Term, domain) -> _Program:
     """Lay out the term's DAG (nodes told apart by identity) as a program;
-    `domain` supplies the constants' values and the operators' functions."""
-    order = []
+    `domain` supplies the constants' values and the operators' functions.
+    The walk keeps its own stack: a recursive closure would refer to itself
+    and leave a reference cycle behind every compile."""
+    order = []  # children before parents, each node once
     seen = set()
-
-    def visit(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, App):
-            for a in node.args:
-                visit(a)
-        order.append(node)
-
-    visit(term.root)
+    stack = [(term.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, App):  # laid out after its arguments, in order
+                stack.append((node, True))
+                for a in reversed(node.args):
+                    stack.append((a, False))
+            else:
+                order.append(node)
     constants = list(dict.fromkeys(n.op for n in order if isinstance(n, Const)))
     variables = list(dict.fromkeys(n.index for n in order if isinstance(n, Var)))
     const_node = {op: k for k, op in enumerate(constants)}
@@ -338,10 +340,7 @@ def eval_term(term: Term, assignment, ambient):
         if not ambient.contains(value):
             raise SignatureError(f"assignment for variable {index} is foreign")
         inputs.append(value.bits)
-    bits = program.run(inputs)
-    if isinstance(ambient, RelationAlgebra):
-        return RaElement(ambient.base_size, bits)
-    return Element(ambient.space, bits)
+    return ambient.from_bits(program.run(inputs))
 
 
 def lanes_per_batch(ambient) -> int:
@@ -444,10 +443,9 @@ def eval_term_lanes(term: Term, columns, ambient) -> list[int]:
         if column and (min(column) < 0 or max(column) >> width):
             raise ValueError(f"a value does not fit in {width} bits")
     if relations:
-        u = ambient.base_size
         return [
             eval_term(
-                term, {i: RaElement(u, c[lane]) for i, c in columns.items()}, ambient
+                term, {i: ambient.from_bits(c[lane]) for i, c in columns.items()}, ambient
             ).bits
             for lane in range(count)
         ]

@@ -44,15 +44,18 @@ def test_closure_of_diagonal_is_four_elements():
 
 
 def test_closure_of_one_is_trivial():
+    # no generators at all give the same: the subalgebra of the constants
     for kind in ("BA", "DF", "SC"):
         amb = SetAlgebra(kind, 2, 2)
-        alg = generate_subalgebra(amb, [amb.one])
-        assert len(alg.carrier) == 2
+        for gens in ([amb.one], []):
+            alg = generate_subalgebra(amb, gens)
+            assert alg.carrier == (amb.zero, amb.one)
     # with diagonals, the constants always join the closure
-    amb = SetAlgebra("CA", 2, 2)
-    alg = generate_subalgebra(amb, [amb.one])
-    assert len(alg.carrier) == 4
-    assert diag(amb.space, 0, 1) in alg
+    amb, diagonal = diag_algebra()
+    for gens in ([amb.one], []):
+        alg = generate_subalgebra(amb, gens)
+        assert alg.carrier == diagonal.carrier
+        assert diag(amb.space, 0, 1) in alg
 
 
 def test_closure_cap_reports_partial_size():

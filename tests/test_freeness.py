@@ -1,4 +1,5 @@
-from itertools import combinations, product as iproduct
+import random
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -6,6 +7,7 @@ from baokit import (
     CapacityError,
     FiniteAlgebra,
     PreconditionError,
+    RelationAlgebra,
     SetAlgebra,
     atoms,
     diag,
@@ -15,11 +17,180 @@ from baokit import (
     generate_subalgebra,
     is_independent,
     product,
+    relativize,
     splitting_check,
 )
 from baokit.algebras import SetDomain
 from baokit.example import example_algebra
 from baokit.freeness import ExtensionConflict, Homomorphism
+
+
+def closure_extend(source, gens, target, images):
+    """The all-pairs carrier closure that extend_homomorphism replaced: grow
+    the pair relation under every operation until it stabilizes; the first
+    element given two images is the conflict."""
+    sdom, tdom = source.domain, target.domain
+    skey = sdom.key
+
+    mapping: dict = {}
+    frontier: list = []
+
+    def record(x, y):
+        k = skey(x)
+        known = mapping.get(k)
+        if known is None:
+            mapping[k] = (x, y)
+            frontier.append((x, y))
+            return None
+        if tdom.key(known[1]) != tdom.key(y):
+            return ExtensionConflict(x, (known[1], y))
+        return None
+
+    seeds = [(source.zero, target.zero), (source.one, target.one)]
+    for op, arity in source.operator_descriptors():
+        if arity == 0:
+            seeds.append((sdom.apply(op), tdom.apply(op)))
+    seeds.extend(zip(gens, images))
+    for x, y in seeds:
+        conflict = record(x, y)
+        if conflict:
+            return conflict
+
+    while frontier:
+        batch, frontier = frontier, []
+        pairs = list(mapping.values())
+        for x, y in batch:
+            conflict = record(sdom.compl(x), tdom.compl(y))
+            if conflict:
+                return conflict
+            for op, arity in source.operator_descriptors():
+                if arity == 1:
+                    conflict = record(sdom.apply(op, x), tdom.apply(op, y))
+                    if conflict:
+                        return conflict
+            for x2, y2 in pairs:
+                for sx, sy in (
+                    (sdom.meet(x, x2), tdom.meet(y, y2)),
+                    (sdom.join(x, x2), tdom.join(y, y2)),
+                ):
+                    conflict = record(sx, sy)
+                    if conflict:
+                        return conflict
+                for op, arity in source.operator_descriptors():
+                    if arity == 2:
+                        conflict = record(
+                            sdom.apply(op, x, x2), tdom.apply(op, y, y2)
+                        )
+                        if conflict:
+                            return conflict
+                        conflict = record(
+                            sdom.apply(op, x2, x), tdom.apply(op, y2, y)
+                        )
+                        if conflict:
+                            return conflict
+
+    if len(mapping) != len(source.carrier):
+        raise PreconditionError(
+            f"generators span only {len(mapping)} of {len(source.carrier)} elements"
+        )
+    return Homomorphism(source, target, {k: y for k, (x, y) in mapping.items()})
+
+
+def permutation_isomorphism(left, right):
+    """The search that find_isomorphism replaced: try each bijection of the
+    atoms and check every operator on (tuples of) atoms directly."""
+    if left.signature != right.signature or left.size != right.size:
+        return None
+    latoms, ratoms = atoms(left), atoms(right)
+    ldom, rdom = left.domain, right.domain
+
+    def image(x, perm):
+        out = right.zero
+        for a, b in zip(latoms, perm):
+            if left.le(a, x):
+                out = rdom.join(out, b)
+        return out
+
+    def respects_ops(perm):
+        for op, arity in left.operator_descriptors():
+            for idx in iproduct(range(len(latoms)), repeat=arity):
+                got = rdom.apply(op, *(perm[i] for i in idx))
+                want = image(ldom.apply(op, *(latoms[i] for i in idx)), perm)
+                if rdom.key(got) != rdom.key(want):
+                    return False
+        return True
+
+    for perm in permutations(ratoms):
+        if respects_ops(perm):
+            mapping = {ldom.key(x): image(x, perm) for x in left.carrier}
+            return Homomorphism(left, right, mapping)
+    return None
+
+
+def meet_loop_independent(algebra, ys) -> bool:
+    """The Boolean branch is_independent replaced: every meet of the ys and
+    their complements is nonzero."""
+    dom = algebra.domain
+    for mask in range(1 << len(ys)):
+        acc = algebra.one
+        for i, y in enumerate(ys):
+            acc = dom.meet(acc, y if (mask >> i) & 1 else dom.compl(y))
+        if dom.key(acc) == dom.key(algebra.zero):
+            return False
+    return True
+
+
+def catalogue() -> dict:
+    """Small algebras of four signatures; the Boolean ones include the
+    one-element algebra."""
+    free = {f"F({k})": free_boolean_algebra(k)[0] for k in range(3)}
+    ca2 = SetAlgebra("CA", 2, 2)
+    ca3 = SetAlgebra("CA", 3, 2)
+    df = SetAlgebra("DF", 2, 2)
+    ra = RelationAlgebra(2)
+    return {
+        "BA": {**free, "one-element": relativize(free["F(1)"], free["F(1)"].zero)},
+        "CA_2": {
+            "diagonal u=2": generate_subalgebra(ca2, [diag(ca2.space, 0, 1)]),
+            "constants u=3": generate_subalgebra(ca3, []),
+            "full u=2": generate_subalgebra(ca2, [ca2.element([(0, 0)])]),
+        },
+        "DF_2": {
+            "constants": generate_subalgebra(df, []),
+            "point": generate_subalgebra(df, [df.element([(0, 1)])]),
+        },
+        "RA_2": {
+            "constants": generate_subalgebra(ra, []),
+            "full": generate_subalgebra(ra, [ra.element([(0, 1)])]),
+        },
+    }
+
+
+def outcome(extend, source, gens, target, images):
+    """What an extension gives, in comparable form: the type of result,
+    with the mapping by keys for a homomorphism."""
+    try:
+        result = extend(source, gens, target, images)
+    except PreconditionError:
+        return "does not generate"
+    if isinstance(result, ExtensionConflict):
+        return "conflict"
+    key = target.domain.key
+    return {k: key(y) for k, y in result.mapping.items()}
+
+
+def extension_cases(rng):
+    """(source, gens, target, images) over every same-signature pair of the
+    catalogue: no generators, every single generator with every image, and
+    a sample of generator pairs."""
+    for family in catalogue().values():
+        for source, target in iproduct(family.values(), repeat=2):
+            yield source, [], target, []
+            for x, y in iproduct(source.carrier, target.carrier):
+                yield source, [x], target, [y]
+            for _ in range(60):
+                yield (source, rng.choices(source.carrier, k=2),
+                       target, rng.choices(target.carrier, k=2))
 
 
 def two_element():
@@ -77,8 +248,12 @@ def test_extend_homomorphism_conflict_witness():
 def test_extend_homomorphism_nongenerating_reported():
     free2, gens = free_boolean_algebra(2)
     two = two_element()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"span only 2\*\*2 of 2\*\*4 elements"):
         extend_homomorphism(free2, [gens[0]], two, [two.one])
+    # a generator outside the source spans more than the source
+    outside = two.domain.ambient.from_bits(1)
+    with pytest.raises(PreconditionError, match=r"span only 2\*\*2 of 2\*\*1"):
+        extend_homomorphism(two, [outside], two, [two.one])
 
 
 def test_independence_examples():
@@ -101,8 +276,6 @@ def test_independence_with_probe_family():
     with pytest.raises(PreconditionError):
         is_independent(alg, [diag(amb.space, 0, 1)], probe_family=[])
     # against the degenerate one-element probe every map extends
-    from baokit import relativize
-
     degenerate = relativize(alg, amb.zero)
     assert is_independent(alg, [diag(amb.space, 0, 1)], probe_family=[degenerate])
 
@@ -184,13 +357,10 @@ def test_freeness_transfer_map_counts():
     free2, gens = free_boolean_algebra(2)
     candidates = []
     for pair in combinations(free2.carrier, 2):
-        try:
-            sub = generate_subalgebra(free2.domain, list(pair), cap=16)
-        except Exception:
-            continue
+        sub = generate_subalgebra(free2.domain, list(pair), cap=16)
         if len(sub.carrier) == 16 and is_independent(free2, list(pair)):
             candidates.append(pair)
-    assert gens[0:2] not in candidates or True
+    assert tuple(gens) in candidates
     assert candidates, "some independent generating pair exists"
     for pair in candidates[:6]:
         extending = 0
@@ -200,3 +370,105 @@ def test_freeness_transfer_map_counts():
             ):
                 extending += 1
         assert extending == len(two.carrier) ** 2
+
+
+def test_extend_homomorphism_matches_carrier_closure():
+    rng = random.Random(0)
+    seen = set()
+    for source, gens, target, images in extension_cases(rng):
+        got = outcome(extend_homomorphism, source, gens, target, images)
+        assert got == outcome(closure_extend, source, gens, target, images)
+        seen.add(got if isinstance(got, str) else "homomorphism")
+    assert seen == {"conflict", "does not generate", "homomorphism"}
+
+
+def test_extension_conflict_witness_is_a_zero_atom_of_the_graph():
+    # in RA_2 the map (0,1) -> Id breaks comp: (0,1);(0,1) is 0, Id;Id is Id
+    ra = RelationAlgebra(2)
+    full = generate_subalgebra(ra, [ra.element([(0, 1)])])
+    conflict = extend_homomorphism(full, [ra.element([(0, 1)])], full, [ra.identity])
+    assert isinstance(conflict, ExtensionConflict)
+    assert conflict.element == full.zero
+    zero, y = conflict.images
+    assert zero == full.zero and y != full.zero
+    # a CA constant is fixed: sending -d01 to d01 gives d01 two images
+    ca = SetAlgebra("CA", 2, 2)
+    d01 = diag(ca.space, 0, 1)
+    alg = generate_subalgebra(ca, [d01])
+    assert isinstance(extend_homomorphism(alg, [~d01], alg, [d01]), ExtensionConflict)
+    assert isinstance(extend_homomorphism(alg, [], alg, []), Homomorphism)
+
+
+def test_empty_generators_and_one_element_algebras():
+    algebras = catalogue()["BA"]
+    one = algebras["one-element"]
+    for name, alg in algebras.items():
+        if name in ("F(0)", "one-element"):  # generated by the constants
+            result = extend_homomorphism(alg, [], alg, [])
+            assert all(result(x) == x for x in alg.carrier)
+        else:
+            with pytest.raises(PreconditionError, match=r"span only 2\*\*1 of"):
+                extend_homomorphism(alg, [], alg, [])
+        # every algebra maps onto the one-element algebra, and that maps
+        # into no other: its 0, which is its 1, would have two images
+        ats = atoms(alg)
+        to_one = extend_homomorphism(alg, ats, one, [one.zero] * len(ats))
+        assert isinstance(to_one, Homomorphism)
+        from_one = extend_homomorphism(one, [], alg, [])
+        assert isinstance(from_one, ExtensionConflict) == (alg is not one)
+    assert find_isomorphism(one, one).mapping == {one.domain.key(one.zero): one.zero}
+
+
+def test_find_isomorphism_matches_permutation_search():
+    families = catalogue()
+    # products whose atoms come in another order, and products of the
+    # same size as a simple algebra, so that a first bijection fails
+    for name, small in (("CA_2", SetAlgebra("CA", 1, 2)), ("RA_2", RelationAlgebra(1))):
+        family = families[name]
+        big, tiny = list(family.values())[0], generate_subalgebra(small, [])
+        family["big x tiny"] = product(big, tiny)
+        family["tiny x big"] = product(tiny, big)
+        family["big x big"] = product(big, big)
+    found = 0
+    for family in families.values():
+        for left, right in iproduct(family.values(), repeat=2):
+            got = find_isomorphism(left, right)
+            want = permutation_isomorphism(left, right)
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                key = right.domain.key
+                assert {k: key(y) for k, y in got.mapping.items()} == {
+                    k: key(y) for k, y in want.mapping.items()
+                }
+    assert found >= 10
+    for k in (1, 2):
+        bigger, _ = free_boolean_algebra(k + 1)
+        smaller, _ = free_boolean_algebra(k)
+        squared = product(smaller, smaller)
+        got = find_isomorphism(bigger, squared).mapping
+        assert got == permutation_isomorphism(bigger, squared).mapping
+
+
+def test_extend_homomorphism_identity_on_free_ba_4():
+    free4, gens = free_boolean_algebra(4)
+    result = extend_homomorphism(free4, gens, free4, gens)
+    assert isinstance(result, Homomorphism)
+    assert len(result.mapping) == 65536
+    assert all(result(x) == x for x in free4.carrier)
+
+
+def test_independence_matches_meet_loop():
+    algebras = [free_boolean_algebra(k)[0] for k in range(4)]
+    algebras += [two_element(), catalogue()["BA"]["one-element"]]
+    rng = random.Random(1)
+    for alg in algebras:
+        tuples = [ys for n in range(3) for ys in iproduct(alg.carrier, repeat=n)]
+        if alg.size <= 16:
+            tuples += iproduct(alg.carrier, repeat=3)
+        else:
+            tuples = rng.sample(tuples, 400) + [
+                rng.choices(alg.carrier, k=3) for _ in range(400)
+            ]
+        for ys in tuples:
+            assert is_independent(alg, list(ys)) == meet_loop_independent(alg, ys)

@@ -1,6 +1,7 @@
 """The compiled term evaluator and its lanes, against the per-node,
 per-value walkers they replaced (kept here as oracles)."""
 
+import gc
 import random
 
 import pytest
@@ -191,6 +192,20 @@ def test_result_registers_are_reused():
     program = sigma._programs[(2, 3, 3)]
     assert len(program.functions) > 100  # steps
     assert len(program.constants) + 1 + len(program.blank) < 16  # registers
+
+
+def test_compiling_a_term_leaves_no_reference_cycles():
+    sigma = identities.order_terms(3)["sigma"].term
+    amb = SetAlgebra("CA", 2, 3)
+    fresh = Term(sigma.root, sigma.signature)  # nothing compiled yet
+    gc.collect()
+    gc.disable()
+    try:
+        eval_term(fresh, {0: amb.one}, amb)
+        assert (2, 3, 3) in fresh._programs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
