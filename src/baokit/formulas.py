@@ -3,7 +3,8 @@
 Variables are nonnegative indices printed as v0, v1, ...  The concrete
 grammar uses ASCII connectives: & | ! -> <-> = != and the quantifier words
 `all` and `ex`.  A quantifier body is a unary item (atom, negation,
-another quantifier, or a parenthesized formula).
+another quantifier, or a parenthesized formula).  Nesting of (, ! and
+quantifiers past MAX_NESTING is a syntax error.
 """
 
 from dataclasses import dataclass
@@ -281,8 +282,15 @@ def _var_index(token) -> int:
     return int(text[1:])
 
 
+# The deepest nesting of (, ! and quantifiers a parse accepts: far above any
+# shipped formula, and far below where the recursive passes over a formula
+# run out of stack.
+MAX_NESTING = 100
+
+
 def parse_formula(text: str) -> Formula:
     toks = _Tokens(text)
+    depth = 0  # the (, ! and quantifiers open around the current token
 
     def parse_iff():
         left = parse_impl()
@@ -313,23 +321,27 @@ def parse_formula(text: str) -> Formula:
         return left
 
     def parse_unary():
+        nonlocal depth
         kind, text, at = toks.peek()
+        if text not in ("!", "(", "all", "ex"):
+            if kind == "word":
+                return parse_atom()
+            raise FormulaSyntaxError(f"unexpected token {text!r}", at)
+        if depth == MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", at)
+        toks.next()
+        depth += 1
         if text == "!":
-            toks.next()
-            return Not(parse_unary())
-        if text == "(":
-            toks.next()
-            inner = parse_iff()
+            out = Not(parse_unary())
+        elif text == "(":
+            out = parse_iff()
             toks.expect(")")
-            return inner
-        if text in ("all", "ex"):
-            toks.next()
+        else:
             var = _var_index(toks.next())
             body = parse_unary()
-            return Forall(var, body) if text == "all" else Exists(var, body)
-        if kind == "word":
-            return parse_atom()
-        raise FormulaSyntaxError(f"unexpected token {text!r}", at)
+            out = Forall(var, body) if text == "all" else Exists(var, body)
+        depth -= 1
+        return out
 
     def parse_atom():
         kind, text, at = toks.next()

@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
 from .algebras import FiniteAlgebra, ProductDomain, SetDomain, atoms, generate_subalgebra
-from .spaces import SetAlgebra
+from .spaces import MAX_SPACE_BITS, SetAlgebra
 
 
 @dataclass
@@ -98,12 +98,19 @@ def is_independent(algebra, ys, probe_family=None) -> bool:
     return True
 
 
+def check_free_budget(k: int) -> None:
+    """F(k) has 2**k atoms of 2**k bits: k is allowed while their 4**k bits
+    fit the space budget."""
+    if k < 0 or 4**k > MAX_SPACE_BITS:
+        top = (MAX_SPACE_BITS.bit_length() - 1) // 2
+        raise CapacityError(f"free Boolean algebras are built for 0 <= k <= {top}, not {k}")
+
+
 def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
     """The free Boolean algebra on k generators, as subsets of the 2**k
     valuations; generator i collects the valuations that set bit i, and
     the atoms are the single valuations."""
-    if not 0 <= k <= 4:
-        raise CapacityError("free Boolean algebras are built for k <= 4")
+    check_free_budget(k)
     ambient = SetAlgebra("BA", 2**k, 1)
     gens = []
     for i in range(k):

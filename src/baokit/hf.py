@@ -131,9 +131,6 @@ class HFUniverse:
     def sets(self):
         return (HFSet(code) for code in range(self.size))
 
-    def contains_code(self, code: int) -> bool:
-        return 0 <= code < self.size
-
     def rel_holds(self, name: str, row: tuple) -> bool:
         if name != "E":
             raise KeyError(name)

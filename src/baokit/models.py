@@ -33,8 +33,8 @@ from .formulas import (
     free_vars,
     max_var_index,
 )
-from .spaces import Element, TupleSpace, cylinder, diag, relation_bits
-from .terms import Operators, StraightLine
+from .spaces import Element, Operators, TupleSpace, cylinder, diag, relation_bits
+from .terms import StraightLine
 
 
 class ModelFinite:
@@ -242,9 +242,7 @@ class _Operators(Operators):
     variable, relativized to `quantifier_range(depth, var)` when given."""
 
     def __init__(self, space: TupleSpace, quantifier_range):
-        full = space.full_mask
-        super().__init__(full)
-        self.functions[("iff", ())] = lambda x, y: full ^ x ^ y
+        super().__init__(space.full_mask)
         self.space = space
         self.quantifier_range = quantifier_range
 

@@ -41,12 +41,6 @@ def opref_str(op: OpRef) -> str:
     return name + ":" + ",".join(str(p) for p in params)
 
 
-def opref_from_str(text: str) -> OpRef:
-    name, _, rest = text.partition(":")
-    params = tuple(int(p) for p in rest.split(",")) if rest else ()
-    return (name, params)
-
-
 @dataclass(frozen=True)
 class Signature:
     """An algebra kind together with its dimension, if it has one."""

@@ -12,6 +12,10 @@ values of its coordinate, and `strictly_below` the order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.
+
+An operator table (`SetOperators`, `RelationOperators`) is the one map from
+operator names to raw-int kernels; each algebra owns one for `apply`, and
+term programs and formula plans run tables too.
 """
 
 import operator
@@ -110,13 +114,6 @@ class TupleSpace:
         if not 0 <= value < self.base_size:
             raise ValueError(f"coordinate value {value} outside base {self.base_size}")
         return self.digit_zero_mask(coord) << (value * self.stride(coord))
-
-    def digit_range_mask(self, coord: int, values: range) -> int:
-        """Bitmask of all positions whose coordinate `coord` lies in `values`,
-        a nonempty range of base values with step 1."""
-        _check_run(values, self.base_size)
-        stride = self.stride(coord)
-        return _replicate(self.digit_mask(coord, values.start), stride, len(values))
 
     def __eq__(self, other):
         return (
@@ -345,6 +342,71 @@ def subst(i: int, j: int, x: Element) -> Element:
     return cyl(i, same & x)
 
 
+class Operators:
+    """The raw-int operators of one value domain, each built on first use
+    and kept; all are binary, a unary one ignoring its second argument.
+    A subclass builds the others in make."""
+
+    def __init__(self, full: int):
+        self.full = full
+        self.functions = {
+            ("and", ()): operator.and_,
+            ("or", ()): operator.or_,
+            ("not", ()): lambda x, _: full ^ x,
+            ("impl", ()): lambda x, y: (full ^ x) | y,
+            ("iff", ()): lambda x, y: full ^ x ^ y,
+        }
+
+    def function(self, op: OpRef):
+        f = self.functions.get(op)
+        if f is None:
+            f = self.functions[op] = self.make(op)
+        return f
+
+
+class SetOperators(Operators):
+    """The operators of a set algebra on coordinates 0 .. n-1 of `space`:
+    c_i, d_ij and s_ij = c_i(d_ij . x) (Henkin, Monk and Tarski,
+    Cylindric Algebras I, 1.5).  Every coordinate of `space` from n up is
+    left alone, so it may number lanes."""
+
+    def __init__(self, space: TupleSpace, n: int):
+        super().__init__(space.full_mask)
+        self.space = space
+        self.n = n
+        self.key = (space.base_size, space.dimension, n)  # same key, same kernels
+
+    def constant(self, op: OpRef) -> int:
+        name, params = op
+        if name == "zero":
+            return 0
+        if name == "one":
+            return self.full
+        if name == "diag":
+            return diag(self.space, *params).bits
+        raise SignatureError(f"unsupported constant {name!r}")
+
+    def make(self, op: OpRef):
+        name, params = op
+        if name == "cyl":
+            return cylinder(self.space, params[0])
+        if name == "subst":
+            i, j = params
+            same = diag(self.space, i, j).bits
+            project = cylinder(self.space, i)
+            return lambda x, _: project(x & same)
+        if name == "disc":  # c_0 ... c_{n-1}: the top exactly when x is nonzero
+            kernels = [cylinder(self.space, c) for c in range(self.n)]
+
+            def disc(x, _):
+                for kernel in kernels:
+                    x = kernel(x)
+                return x
+
+            return disc
+        raise SignatureError(f"unsupported operator {name!r}")
+
+
 class SetAlgebra:
     """The full algebra of all subsets of a tuple space under one signature."""
 
@@ -353,6 +415,7 @@ class SetAlgebra:
             raise SignatureError("use RelationAlgebra for binary relations")
         self.signature = Signature(kind, None if kind == "BA" else dimension)
         self.space = TupleSpace(base_size, dimension)
+        self.operators = SetOperators(self.space, dimension)
 
     @property
     def zero(self) -> Element:
@@ -385,34 +448,12 @@ class SetAlgebra:
     def apply(self, op: OpRef, *args: Element) -> Element:
         if not self.signature.allows(op):
             raise SignatureError(f"{op} is not in the {self.signature.label} signature")
-        name, params = op
         for a in args:
             if not self.contains(a):
                 raise SpaceMismatchError("operand from a different space")
-        if name == "zero":
-            return self.zero
-        if name == "one":
-            return self.one
-        if name == "not":
-            return ~args[0]
-        if name == "and":
-            return args[0] & args[1]
-        if name == "or":
-            return args[0] | args[1]
-        if name == "impl":
-            return ~args[0] | args[1]
-        if name == "cyl":
-            return cyl(params[0], args[0])
-        if name == "subst":
-            return subst(params[0], params[1], args[0])
-        if name == "diag":
-            return diag(self.space, params[0], params[1])
-        if name == "disc":  # c_0 c_1 ... c_{n-1}: the top exactly when x is nonzero
-            out = args[0]
-            for i in range(self.space.dimension):
-                out = cyl(i, out)
-            return out
-        raise SignatureError(f"unsupported operator {name!r}")
+        table = self.operators
+        bits = table.function(op)(args[0].bits, args[-1].bits) if args else table.constant(op)
+        return Element(self.space, bits)
 
     def __repr__(self):
         return (
@@ -539,6 +580,34 @@ def converse_bits(u: int, r: int) -> int:
     return out
 
 
+class RelationOperators(Operators):
+    """The operators of the algebra of all binary relations on a base of
+    size u: composition, converse and the identity relation."""
+
+    def __init__(self, u: int):
+        super().__init__((1 << (u * u)) - 1)
+        self.u = u
+        self.key = (u,)
+
+    def constant(self, op: OpRef) -> int:
+        name = op[0]
+        if name == "zero":
+            return 0
+        if name == "one":
+            return self.full
+        if name == "id":  # the pairs (a, a), at bits a*u + a
+            return _replicate(1, self.u + 1, self.u)
+        raise SignatureError(f"unsupported constant {name!r}")
+
+    def make(self, op: OpRef):
+        u = self.u
+        if op[0] == "conv":
+            return lambda x, _: converse_bits(u, x)
+        if op[0] == "comp":
+            return lambda x, y: compose_bits(u, x, y)
+        raise SignatureError(f"unsupported operator {op[0]!r}")
+
+
 class RelationAlgebra:
     """All binary relations on a finite base, with ;, converse and Id."""
 
@@ -549,6 +618,7 @@ class RelationAlgebra:
             raise CapacityError(f"base {base_size} exceeds the desk-scale budget")
         self.signature = Signature("RA")
         self.base_size = base_size
+        self.operators = RelationOperators(base_size)
 
     @property
     def zero(self) -> RaElement:
@@ -560,11 +630,7 @@ class RelationAlgebra:
 
     @property
     def identity(self) -> RaElement:
-        u = self.base_size
-        bits = 0
-        for a in range(u):
-            bits |= 1 << (a * u + a)
-        return RaElement(u, bits)
+        return RaElement(self.base_size, self.operators.constant(("id", ())))
 
     def element(self, pairs: Iterable[tuple[int, int]]) -> RaElement:
         u = self.base_size
@@ -598,29 +664,12 @@ class RelationAlgebra:
     def apply(self, op: OpRef, *args: RaElement) -> RaElement:
         if not self.signature.allows(op):
             raise SignatureError(f"{op} is not in the RA signature")
-        name = op[0]
         for a in args:
             if not self.contains(a):
                 raise SpaceMismatchError("operand on a different base")
-        if name == "zero":
-            return self.zero
-        if name == "one":
-            return self.one
-        if name == "id":
-            return self.identity
-        if name == "not":
-            return ~args[0]
-        if name == "and":
-            return args[0] & args[1]
-        if name == "or":
-            return args[0] | args[1]
-        if name == "impl":
-            return ~args[0] | args[1]
-        if name == "conv":
-            return self.converse(args[0])
-        if name == "comp":
-            return self.compose(args[0], args[1])
-        raise SignatureError(f"unsupported operator {name!r}")
+        table = self.operators
+        bits = table.function(op)(args[0].bits, args[-1].bits) if args else table.constant(op)
+        return RaElement(self.base_size, bits)
 
     def __repr__(self):
         return f"RelationAlgebra(base={self.base_size})"

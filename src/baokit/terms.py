@@ -2,36 +2,27 @@
 
 A term is compiled once per value domain (the tuple space of a set
 algebra, or the base of a relation algebra) into a straight-line program
-over raw ints, kept on the term: the constants and diagonals are hoisted,
-each cylindrification is bound to its stride and digit mask, and a shared
-subterm is computed once.  `eval_term` runs it on one assignment;
-`eval_term_lanes` runs it on many at once, side by side as the lanes of a
-wider space (see `Lanes`), since the operators on coordinates below n
-never touch the coordinates n and up.
+over raw ints, kept on the term.  The program takes its kernels from the
+domain's operator table in `spaces`: the constants and diagonals are
+hoisted, and a shared subterm is computed once.  `eval_term` runs it on
+one assignment; `eval_term_lanes` runs it on many at once, side by side as
+the lanes of a wider space (see `Lanes`), since the operators on
+coordinates below n never touch the coordinates n and up.
 
 The text form is prefix s-expressions, for example
 ``(and (cyl 0 (var 0)) (not (diag 0 1)))``.  Constants ``zero``, ``one``
 and ``id`` are bare words.
 """
 
-import operator
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
+from .formulas import MAX_NESTING
 from .signatures import OpRef, Signature, opref_str
-from .spaces import (
-    MAX_SPACE_BITS,
-    RelationAlgebra,
-    SetAlgebra,
-    TupleSpace,
-    compose_bits,
-    converse_bits,
-    cylinder,
-    diag,
-)
+from .spaces import MAX_SPACE_BITS, RelationAlgebra, SetAlgebra, SetOperators, TupleSpace
 
 
 @dataclass(frozen=True)
@@ -177,11 +168,12 @@ class _Program(StraightLine):
         return self.execute(self.functions, self.constants + inputs)
 
 
-def _compile(term: Term, domain) -> _Program:
+def _compile(term: Term, operators) -> _Program:
     """Lay out the term's DAG (nodes told apart by identity) as a program;
-    `domain` supplies the constants' values and the operators' functions.
-    The walk keeps its own stack: a recursive closure would refer to itself
-    and leave a reference cycle behind every compile."""
+    the table `operators` supplies the constants' values and the
+    operators' functions.  The walk keeps its own stack: a recursive
+    closure would refer to itself and leave a reference cycle behind every
+    compile."""
     order = []  # children before parents, each node once
     seen = set()
     stack = [(term.root, False)]
@@ -213,114 +205,20 @@ def _compile(term: Term, domain) -> _Program:
             apps.append(node)
     return _Program(
         tuple(variables),
-        [domain.constant(op) for op in constants],
-        tuple(domain.function(node.op) for node in apps),
+        [operators.constant(op) for op in constants],
+        tuple(operators.function(node.op) for node in apps),
         [tuple(number[id(a)] for a in node.args) for node in apps],
         number[id(term.root)],
     )
 
 
-class Operators:
-    """The raw-int operators of one value domain, each built once and
-    shared by every step that applies it; all are binary, a unary one
-    ignoring its second argument.  A subclass builds the others in make."""
-
-    def __init__(self, full: int):
-        self.full = full
-        self.functions = {
-            ("and", ()): operator.and_,
-            ("or", ()): operator.or_,
-            ("not", ()): lambda x, _: full ^ x,
-            ("impl", ()): lambda x, y: (full ^ x) | y,
-        }
-
-    def function(self, op):
-        f = self.functions.get(op)
-        if f is None:
-            f = self.functions[op] = self.make(op)
-        return f
-
-
-class _SetDomain(Operators):
-    """Operators of a set algebra on coordinates 0 .. n-1 of `space`; every
-    coordinate of `space` from n up is left alone, so it may number lanes."""
-
-    def __init__(self, space: TupleSpace, n: int):
-        super().__init__(space.full_mask)
-        self.space = space
-        self.n = n
-
-    def constant(self, op) -> int:
-        name, params = op
-        if name == "zero":
-            return 0
-        if name == "one":
-            return self.full
-        if name == "diag":
-            return diag(self.space, *params).bits
-        raise SignatureError(f"unsupported constant {name!r}")
-
-    def make(self, op):
-        name, params = op
-        if name == "cyl":
-            return cylinder(self.space, params[0])
-        if name == "subst":  # c_i(d_ij . x)
-            i, j = params
-            same = diag(self.space, i, j).bits
-            project = cylinder(self.space, i)
-            return lambda x, _: project(x & same)
-        if name == "disc":  # c_0 c_1 ... c_{n-1}: the top exactly when x is nonzero
-            kernels = [cylinder(self.space, c) for c in range(self.n)]
-
-            def disc(x, _):
-                for kernel in kernels:
-                    x = kernel(x)
-                return x
-
-            return disc
-        raise SignatureError(f"unsupported operator {name!r}")
-
-
-class _RelationDomain(Operators):
-    """Operators of the algebra of all binary relations on a finite base."""
-
-    def __init__(self, ambient: RelationAlgebra):
-        super().__init__(ambient.one.bits)
-        self.ambient = ambient
-
-    def constant(self, op) -> int:
-        return self.ambient.apply(op).bits
-
-    def make(self, op):
-        u = self.ambient.base_size
-        if op[0] == "conv":
-            return lambda x, _: converse_bits(u, x)
-        if op[0] == "comp":
-            return lambda x, y: compose_bits(u, x, y)
-        raise SignatureError(f"unsupported operator {op[0]!r}")
-
-
-def _cached_program(term: Term, key: tuple, domain) -> _Program:
-    program = term._programs.get(key)
+def _program(term: Term, operators) -> _Program:
+    """The term compiled against the table `operators`, built on first use
+    and kept on the term for every table with the same key."""
+    program = term._programs.get(operators.key)
     if program is None:
-        program = term._programs[key] = _compile(term, domain())
+        program = term._programs[operators.key] = _compile(term, operators)
     return program
-
-
-def _set_program(term: Term, space: TupleSpace, n: int) -> _Program:
-    key = (space.base_size, space.dimension, n)
-    return _cached_program(term, key, lambda: _SetDomain(space, n))
-
-
-def _program(term: Term, ambient) -> _Program:
-    """The term compiled for `ambient`, built on first use and kept on the term."""
-    _check_signature(term, ambient)
-    if isinstance(ambient, SetAlgebra):
-        return _set_program(term, ambient.space, ambient.space.dimension)
-    if isinstance(ambient, RelationAlgebra):
-        key = (ambient.base_size,)
-        return _cached_program(term, key, lambda: _RelationDomain(ambient))
-    raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
 
 
 def eval_term(term: Term, assignment, ambient):
@@ -330,7 +228,10 @@ def eval_term(term: Term, assignment, ambient):
     The term is compiled once per space and kept on the term; a structurally
     shared subterm is evaluated once.
     """
-    program = _program(term, ambient)
+    _check_signature(term, ambient)
+    if not isinstance(ambient, (SetAlgebra, RelationAlgebra)):
+        raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
+    program = _program(term, ambient.operators)
     inputs = []
     for index in program.variables:
         try:
@@ -372,7 +273,7 @@ class Lanes:
     acts on coordinates below n only, so its program never mixes lanes.
     """
 
-    __slots__ = ("ambient", "space", "count", "width", "full")
+    __slots__ = ("ambient", "space", "operators", "count", "width", "full")
 
     def __init__(self, ambient: SetAlgebra, count: int):
         if not 1 <= count <= lanes_per_batch(ambient):
@@ -384,6 +285,7 @@ class Lanes:
             extra += 1
         self.ambient = ambient
         self.space = TupleSpace(u, base.dimension + extra)
+        self.operators = SetOperators(self.space, base.dimension)
         self.count = count
         self.width = base.size
         self.full = (1 << (count * self.width)) - 1  # every lane the top
@@ -415,7 +317,7 @@ class Lanes:
         """Evaluate `term` on every lane at once; `packed` maps variable
         indices to packed integers."""
         _check_signature(term, self.ambient)
-        program = _set_program(term, self.space, self.ambient.space.dimension)
+        program = _program(term, self.operators)
         try:
             inputs = [packed[index] for index in program.variables]
         except KeyError as exc:
@@ -491,6 +393,7 @@ def parse_term(text: str, signature: Signature) -> Term:
     names the position of the offending token."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0  # the parentheses open around the current token
 
     def fail(msg, at):
         raise ValueError(f"term syntax error: {msg} (at token {at})")
@@ -510,12 +413,15 @@ def parse_term(text: str, signature: Signature) -> Term:
             fail(f"expected a number, found {tok!r}", pos - 1)
 
     def parse_node():
-        nonlocal pos
+        nonlocal pos, depth
         tok = take()
         if tok in _CONST_WORDS:
             return Const(_CONST_WORDS[tok])
         if tok != "(":
             fail(f"unexpected token {tok!r}", pos - 1)
+        if depth == MAX_NESTING:
+            fail(f"nesting deeper than {MAX_NESTING} levels", pos - 1)
+        depth += 1
         head = take()
         if head == "var":
             node = Var(number())
@@ -530,6 +436,7 @@ def parse_term(text: str, signature: Signature) -> Term:
         if pos >= len(tokens) or tokens[pos] != ")":
             fail("missing closing parenthesis", pos)
         pos += 1
+        depth -= 1
         return node
 
     root = parse_node()

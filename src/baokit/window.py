@@ -19,12 +19,11 @@ is neither below nor equal.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 from .formulas import Formula, format_formula, max_var_index, quantifier_depth
 from .library import close_universally
-from .models import Diagonals, ModelFinite, satisfaction_bits
+from .models import Diagonals, satisfaction_bits
 from .spaces import Element, TupleSpace, strictly_below
 
 
@@ -52,18 +51,6 @@ class WindowModel:
     def carrier(self, radius: int | None = None) -> list[int]:
         w = self.radius if radius is None else radius
         return list(range(-w, w + 1))
-
-    def as_model(self, radius: int | None = None, arity: int = 3) -> ModelFinite:
-        """An explicit finite model of the window, mostly for cross-checks."""
-        points = self.carrier(radius)
-        if len(points) ** arity > 1 << 22:
-            raise CapacityError("window too large to materialize as a table")
-        rows = [
-            row
-            for row in product(points, repeat=arity)
-            if self.related(row[0], row[1])
-        ]
-        return ModelFinite(points, {"R": rows})
 
 
 @dataclass

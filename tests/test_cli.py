@@ -179,6 +179,51 @@ def test_missing_corpus_is_usage_error(capsys):
     assert "/nonexistent" in err
 
 
+def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
+    parens = tmp_path / "parens.txt"
+    parens.write_text("deep: " + "(" * 250 + "E(v0,v1)" + ")" * 250 + "\n")
+    bangs = tmp_path / "bangs.txt"
+    bangs.write_text("deep: " + "!" * 400 + "E(v0,v1)\n")
+    for corpus in (parens, bangs):
+        err = run_usage_error(capsys, "translate", "--corpus", str(corpus))
+        assert "line 1 (deep): nesting deeper than 100 levels" in err
+        code, out = run_cli(capsys, "corpus-check", str(corpus))  # a parse failure
+        assert code == 1 and "nesting deeper than 100 levels" in out
+    lhs = "(not " * 1200 + "(var 0)" + ")" * 1200
+    err = run_usage_error(capsys, "check-identity", "--lhs", lhs, "--rhs", "(var 0)")
+    assert "nesting deeper than 100 levels" in err
+
+
+def test_atoms_past_sixteen_atoms(capsys):
+    code, out = run_cli(capsys, "--json", "atoms", "--u", "3", "--n", "3", "--kind", "CA",
+                        "--gens", "less:0,1", "--cap", str(2**27))
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["atom_count"] == 27 and details["carrier_size"] == 2**27
+    assert details["every_nonzero_bounds_an_atom"] is True
+    assert len(details["atoms"]) == 16
+
+
+def test_free_ba_budget_checked_before_any_algebra(capsys, monkeypatch):
+    import baokit.cli
+
+    calls = []
+    original = baokit.cli.free_boolean_algebra
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(baokit.cli, "free_boolean_algebra", counting)
+    err = run_usage_error(capsys, "free-ba", "--k", "13")
+    assert "capacity error" in err and "k <= 12" in err
+    assert calls == []
+    code, out = run_cli(capsys, "--json", "free-ba", "--k", "12")
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["k=12"] == f"size {2**4096}, atoms 4096"
+
+
 def test_out_of_range_integers_rejected(capsys):
     for argv in (["arith", "--max", "-1"], ["free-ba", "--k", "-1"], ["atoms", "--u", "0"]):
         with pytest.raises(SystemExit) as info:

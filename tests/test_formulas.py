@@ -20,6 +20,7 @@ from baokit import (
     parse_formula,
     quantifier_depth,
 )
+from baokit.formulas import MAX_NESTING
 
 
 def test_parse_examples():
@@ -64,6 +65,20 @@ def test_syntax_errors_carry_positions():
         parse_formula("all x E(v0,v1)")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("E(v0,v1) extra")
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    atom = "E(v0,v1)"
+    for opener, closer in (("(", ")"), ("!", ""), ("ex v0 ", "")):
+        parse_formula(opener * MAX_NESTING + atom + closer * MAX_NESTING)
+        deeper = opener * (MAX_NESTING + 1) + atom + closer * (MAX_NESTING + 1)
+        with pytest.raises(FormulaSyntaxError, match="nesting deeper than 100") as info:
+            parse_formula(deeper)
+        assert info.value.position == len(opener) * MAX_NESTING
+    parse_formula("(!ex v0 " * 33 + "!" + atom + ")" * 33)  # the three kinds add up
+    with pytest.raises(FormulaSyntaxError, match="nesting"):
+        parse_formula("(!ex v0 " * 34 + atom + ")" * 34)
+    parse_formula(" & ".join([atom] * 300))  # long flat chains are not nesting
 
 
 def test_cached_attributes():

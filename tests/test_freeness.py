@@ -205,7 +205,7 @@ def test_free_ba_sizes_and_atoms():
         assert len(atoms(algebra)) == 2**k
         assert len(gens) == k
     with pytest.raises(CapacityError):
-        free_boolean_algebra(5)
+        free_boolean_algebra(13)
 
 
 def test_free_ba_generators_generate():

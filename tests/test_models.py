@@ -464,7 +464,9 @@ def check_against_walker(f, model, n, ranges):
         return
     want = sat_walk(
         space, f, row_atoms(model, space),
-        lambda depth, var: Element(space, space.digit_range_mask(var, ranges[depth, var])),
+        lambda depth, var: Element(
+            space, sum(space.digit_mask(var, value) for value in ranges[depth, var])
+        ),
     )
     atom = row_atoms(model, space)
     bits = satisfaction_bits(

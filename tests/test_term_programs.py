@@ -3,6 +3,7 @@ per-value walkers they replaced (kept here as oracles)."""
 
 import gc
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,16 @@ from baokit import (
     RelationAlgebra,
     SetAlgebra,
     SignatureError,
+    SpaceMismatchError,
     Term,
     UnboundVariableError,
+    cyl,
+    diag,
     eval_term,
     format_term,
     free_boolean_algebra,
     parse_term,
+    subst,
 )
 from baokit import cli, identities
 from baokit.compiler import CompiledTerm
@@ -31,6 +36,43 @@ from baokit.terms import (
     lane_batches,
     lanes_per_batch,
 )
+
+
+def oracle_apply(ambient, op, *args):
+    """One operator applied through the Element-level kernels (a loop of
+    cyl for disc), the relation methods and an identity built pair by
+    pair: no operator table is read."""
+    name, params = op
+    if name == "zero":
+        return ambient.zero
+    if name == "one":
+        return ambient.one
+    if name == "id":
+        return ambient.element((a, a) for a in range(ambient.base_size))
+    if name == "diag":
+        return diag(ambient.space, *params)
+    if name == "and":
+        return args[0] & args[1]
+    if name == "or":
+        return args[0] | args[1]
+    if name == "not":
+        return ~args[0]
+    if name == "impl":
+        return ~args[0] | args[1]
+    if name == "cyl":
+        return cyl(params[0], args[0])
+    if name == "subst":
+        return subst(*params, args[0])
+    if name == "disc":
+        out = args[0]
+        for i in range(ambient.space.dimension):
+            out = cyl(i, out)
+        return out
+    if name == "conv":
+        return ambient.converse(args[0])
+    if name == "comp":
+        return ambient.compose(args[0], args[1])
+    raise SignatureError(f"unsupported operator {name!r}")
 
 
 def recursive_eval(term: Term, assignment, ambient):
@@ -53,24 +95,81 @@ def recursive_eval(term: Term, assignment, ambient):
                 raise UnboundVariableError(f"no value for variable {node.index}") from None
             if not ambient.contains(value):
                 raise SignatureError(f"assignment for variable {node.index} is foreign")
-        elif isinstance(node, Const):
-            value = ambient.apply(node.op)
         else:
-            name = node.op[0]
-            if name == "and":
-                value = ev(node.args[0]) & ev(node.args[1])
-            elif name == "or":
-                value = ev(node.args[0]) | ev(node.args[1])
-            elif name == "not":
-                value = ~ev(node.args[0])
-            elif name == "impl":
-                value = ~ev(node.args[0]) | ev(node.args[1])
-            else:
-                value = ambient.apply(node.op, *(ev(a) for a in node.args))
+            args = node.args if isinstance(node, App) else ()
+            value = oracle_apply(ambient, node.op, *(ev(a) for a in args))
         cache[id(node)] = value
         return value
 
     return ev(term.root)
+
+
+def _every_operator(ambient):
+    """(op, arity) for every operator `ambient` allows, with a diagonal for
+    every pair of coordinates, equal ones included."""
+    signature = ambient.signature
+    ops = _BOOLEAN_OPS + [(("zero", ()), 0), (("one", ()), 0)]
+    ops += list(signature.operator_descriptors())
+    if signature.kind == "CA":
+        n = signature.dimension
+        ops += [(("diag", (i, j)), 0) for i in range(n) for j in range(n) if i >= j]
+    if signature.kind != "RA":
+        ops.append((("disc", ()), 1))
+    return ops
+
+
+def _small_ambients():
+    for u in (1, 2, 3):
+        yield RelationAlgebra(u)
+        for n in (1, 2, 3):
+            for kind in ("BA", "DF", "SC", "CA"):
+                yield SetAlgebra(kind, u, n)
+
+
+def test_apply_matches_oracle_on_every_operator():
+    rng = random.Random(11)
+    checked = set()
+    for ambient in _small_ambients():
+        width = _width(ambient)
+        if width <= 4:
+            values = [_from_bits(ambient, b) for b in range(1 << width)]
+        else:
+            values = [ambient.zero, ambient.one]
+            values += [ambient.random_element(rng) for _ in range(6)]
+        for op, arity in _every_operator(ambient):
+            checked.add(op[0])
+            for args in iproduct(values, repeat=arity):
+                got = ambient.apply(op, *args)
+                want = oracle_apply(ambient, op, *args)
+                assert type(got) is type(want) and got == want, (ambient, op, args)
+    assert checked == {"zero", "one", "and", "or", "not", "impl", "cyl", "subst", "diag",
+                       "disc", "id", "conv", "comp"}
+
+
+def test_apply_rejects_foreign_operators_and_operands():
+    ca = SetAlgebra("CA", 2, 2)
+    for op in [("comp", ()), ("id", ()), ("subst", (0, 1)), ("cyl", (2,)), ("diag", (0, 2)),
+               ("nope", ())]:
+        with pytest.raises(SignatureError):
+            ca.apply(op, ca.one)
+    with pytest.raises(SignatureError):
+        SetAlgebra("BA", 2, 2).apply(("cyl", (0,)), ca.one)
+    with pytest.raises(SignatureError):
+        SetAlgebra("SC", 2, 2).apply(("subst", (1, 1)), ca.one)
+    ra = RelationAlgebra(2)
+    for op in [("cyl", (0,)), ("disc", ()), ("diag", (0, 1)), ("nope", ())]:
+        with pytest.raises(SignatureError):
+            ra.apply(op, ra.one)
+    for stranger in (SetAlgebra("CA", 3, 2).one, SetAlgebra("CA", 2, 3).one, ra.one):
+        with pytest.raises(SpaceMismatchError):
+            ca.apply(("and", ()), ca.one, stranger)
+        with pytest.raises(SpaceMismatchError):
+            ca.apply(("cyl", (0,)), stranger)
+    for stranger in (RelationAlgebra(3).one, ca.one):
+        with pytest.raises(SpaceMismatchError):
+            ra.apply(("comp", ()), ra.one, stranger)
+        with pytest.raises(SpaceMismatchError):
+            ra.apply(("conv", ()), stranger)
 
 
 def _from_bits(ambient, bits):

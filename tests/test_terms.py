@@ -12,6 +12,7 @@ from baokit import (
     format_term,
     parse_term,
 )
+from baokit.formulas import MAX_NESTING
 from baokit.terms import App, Const, Var
 
 
@@ -32,6 +33,14 @@ def test_parse_ra_terms():
     sig = Signature("RA")
     term = parse_term("(comp (conv (var 0)) id)", sig)
     assert format_term(term) == "(comp (conv (var 0)) id)"
+
+
+def test_term_nesting_past_the_limit_is_a_syntax_error():
+    sig = Signature("BA")
+    parse_term("(not " * (MAX_NESTING - 1) + "(var 0)" + ")" * (MAX_NESTING - 1), sig)
+    deeper = "(not " * MAX_NESTING + "(var 0)" + ")" * MAX_NESTING
+    with pytest.raises(ValueError, match=r"nesting deeper than 100 levels \(at token 200\)"):
+        parse_term(deeper, sig)
 
 
 def test_signature_validation():

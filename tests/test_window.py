@@ -1,9 +1,12 @@
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baokit import (
     Element,
+    ModelFinite,
     PreconditionError,
     TupleSpace,
     WindowModel,
@@ -103,11 +106,18 @@ def test_psi_strips_greatest_fixed_point():
             assert got == wm0.related(a, b), (a, b)
 
 
+def window_table(wm: WindowModel, radius: int) -> ModelFinite:
+    """The window as an explicit finite model, one row per related triple."""
+    points = wm.carrier(radius)
+    rows = [row for row in iproduct(points, repeat=3) if wm.related(row[0], row[1])]
+    return ModelFinite(points, {"R": rows})
+
+
 def test_quantifier_free_agrees_with_pointwise_evaluation():
     wm = WindowModel(6, 2, (0,))
     f = parse_formula("R(v0,v1,v2) & !R(v1,v0,v2)")
     sat = window_satisfaction(wm, f, 6)
-    model = wm.as_model(6)
+    model = window_table(wm, 6)
     for s in sat.space.tuples():
         got = bool((sat.bits >> sat.space.encode(s)) & 1)
         assert got == holds(model, f, dict(enumerate(s)))
