@@ -12,7 +12,7 @@ operation tables.
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
 from .signatures import OpRef, Signature, opref_str
@@ -520,11 +520,14 @@ class Ideal:
     parent: FiniteAlgebra
     generator: object
     closure: object
-    members: tuple
+
+    @cached_property
+    def members(self) -> tuple:
+        below = [a for a in atoms(self.parent) if self.parent.le(a, self.closure)]
+        return _joins(self.parent.domain, below)
 
     def __contains__(self, v):
-        key = self.parent.domain.key
-        return any(key(v) == key(m) for m in self.members)
+        return v in self.parent and self.parent.le(v, self.closure)
 
 
 def principal_ideal(algebra: FiniteAlgebra, b) -> Ideal:
@@ -544,8 +547,7 @@ def principal_ideal(algebra: FiniteAlgebra, b) -> Ideal:
         if key(acc) == key(current):
             break
         current = acc
-    below = [a for a in algebra._atoms if algebra.le(a, current)]
-    return Ideal(algebra, b, current, _joins(dom, below))
+    return Ideal(algebra, b, current)
 
 
 def product(left: FiniteAlgebra, right: FiniteAlgebra) -> FiniteAlgebra:
@@ -560,9 +562,20 @@ def product(left: FiniteAlgebra, right: FiniteAlgebra) -> FiniteAlgebra:
 
 @dataclass
 class Decomposition:
+    """Rl_b x Rl_-b, reached from the algebra through x -> (x.b, x.-b)."""
+
     below: FiniteAlgebra
     above: FiniteAlgebra
-    mapping: dict
+    algebra: FiniteAlgebra
+    b: object
+
+    def split(self, x) -> tuple:
+        dom = self.algebra.domain
+        return (dom.meet(x, self.b), dom.meet(x, dom.compl(self.b)))
+
+    @cached_property
+    def mapping(self) -> dict:  # key of x -> split(x)
+        return {self.algebra.domain.key(x): self.split(x) for x in self.algebra.carrier}
 
 
 def decompose_by_zero_dimensional(algebra: FiniteAlgebra, b) -> Decomposition:
@@ -576,30 +589,22 @@ def decompose_by_zero_dimensional(algebra: FiniteAlgebra, b) -> Decomposition:
     dom = algebra.domain
     key = dom.key
     not_b = dom.compl(b)
-    all_atoms_below = all(algebra.le(atom, b) for atom in atoms(algebra))
-    if not all_atoms_below:
-        j0 = principal_ideal(algebra, b)
-        j1 = principal_ideal(algebra, not_b)
-        meet = dom.meet(j0.closure, j1.closure)
-        if key(meet) != key(algebra.zero):
+    if not all(algebra.le(atom, b) for atom in atoms(algebra)):
+        closures = [principal_ideal(algebra, c).closure for c in (b, not_b)]
+        if key(dom.meet(*closures)) != key(algebra.zero):
             witness = next(a for a in atoms(algebra) if not algebra.le(a, b))
             raise PreconditionError(
                 "ideals generated by b and -b overlap; decomposition unavailable",
                 witness=witness,
             )
-    below = relativize(algebra, b)
-    above = relativize(algebra, not_b)
-    pd = ProductDomain(below.domain, above.domain)
-
-    def split(x):
-        return (dom.meet(x, b), dom.meet(x, not_b))
-
+    out = Decomposition(relativize(algebra, b), relativize(algebra, not_b), algebra, b)
+    pd = ProductDomain(out.below.domain, out.above.domain)
     for op, arity in algebra.operator_descriptors():
         for args in itertools.product(atoms(algebra), repeat=arity):
-            got = pd.apply(op, *map(split, args))
-            if pd.key(got) != pd.key(split(dom.apply(op, *args))):
+            got = pd.apply(op, *map(out.split, args))
+            if pd.key(got) != pd.key(out.split(dom.apply(op, *args))):
                 raise PreconditionError(f"decomposition map breaks {op}")
-    return Decomposition(below, above, {key(x): split(x) for x in algebra.carrier})
+    return out
 
 
 def is_hereditary_closed(algebra: FiniteAlgebra, b) -> bool:

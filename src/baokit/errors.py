@@ -37,7 +37,7 @@ class FormulaSyntaxError(BaokitError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class CompileError(BaokitError):

@@ -18,7 +18,7 @@ rebuilds each singleton by the argument above, as an independent check.
 from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, atoms, discriminator_value, generate_subalgebra
-from .spaces import Element, SetAlgebra, cyl, subst
+from .spaces import Element, SetAlgebra, cyl, strictly_below, subst
 
 
 @dataclass
@@ -32,22 +32,15 @@ class GeneratorChain:
 
 
 def strict_order_generator(ambient: SetAlgebra) -> Element:
-    space = ambient.space
-    bits = 0
-    for idx in range(space.size):
-        s = space.decode(idx)
-        if s[0] < s[1]:
-            bits |= 1 << idx
-    return ambient.from_bits(bits)
+    """X = {s : s_0 < s_1}."""
+    return ambient.from_bits(strictly_below(ambient.space, 0, 1))
 
 
 def threshold(ambient: SetAlgebra, coord: int, m: int) -> Element:
     """The set {s : s_coord >= m}."""
     space = ambient.space
-    bits = 0
-    for value in range(m, space.base_size):
-        bits |= space.digit_mask(coord, value)
-    return ambient.from_bits(bits)
+    masks = (space.digit_mask(coord, v) for v in range(m, space.base_size))
+    return ambient.from_bits(sum(masks))  # disjoint, so the sum is the union
 
 
 def build_chain(ambient: SetAlgebra, x: Element) -> GeneratorChain:
@@ -78,12 +71,7 @@ def singleton_witnesses(ambient: SetAlgebra, chain: GeneratorChain) -> list[Elem
         for coord in range(3)
         for m in range(u)
     }
-    out = []
-    for idx in range(space.size):
-        a, b, c = space.decode(idx)
-        witness = sections[(0, a)] & sections[(1, b)] & sections[(2, c)]
-        out.append(witness)
-    return out
+    return [sections[0, a] & sections[1, b] & sections[2, c] for a, b, c in space.tuples()]
 
 
 @dataclass

@@ -4,11 +4,11 @@ Variables are nonnegative indices printed as v0, v1, ...  The concrete
 grammar uses ASCII connectives: & | ! -> <-> = != and the quantifier words
 `all` and `ex`.  A quantifier body is a unary item (atom, negation,
 another quantifier, or a parenthesized formula).  Nesting of (, ! and
-quantifiers past MAX_NESTING is a syntax error.
+quantifiers, or a formula tree, past MAX_NESTING levels is a syntax error.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Union
 
@@ -282,9 +282,9 @@ def _var_index(token) -> int:
     return int(text[1:])
 
 
-# The deepest nesting of (, ! and quantifiers a parse accepts: far above any
-# shipped formula, and far below where the recursive passes over a formula
-# run out of stack.
+# The deepest nesting a parse accepts, of the (, ! and quantifiers around a
+# token and of the tree it builds: far above any shipped formula, and far
+# below where the recursive passes over a formula run out of stack.
 MAX_NESTING = 100
 
 
@@ -292,32 +292,39 @@ def parse_formula(text: str) -> Formula:
     toks = _Tokens(text)
     depth = 0  # the (, ! and quantifiers open around the current token
 
+    # Each parse step returns a (formula, height) pair.
+    def grow(at, make, *parts):
+        height = 1 + max(h for _, h in parts)
+        if height > MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", at)
+        return make(*(f for f, _ in parts)), height
+
     def parse_iff():
         left = parse_impl()
         while toks.peek()[1] == "<->":
-            toks.next()
-            left = Iff(left, parse_impl())
+            left = grow(toks.next()[2], Iff, left, parse_impl())
         return left
 
-    def parse_impl():
-        left = parse_or()
-        if toks.peek()[1] == "->":
-            toks.next()
-            return Implies(left, parse_impl())
-        return left
+    def parse_impl():  # right-associative, folded in a loop
+        parts, arrows = [parse_or()], []
+        while toks.peek()[1] == "->":
+            arrows.append(toks.next()[2])
+            parts.append(parse_or())
+        out = parts.pop()
+        while parts:
+            out = grow(arrows.pop(), Implies, parts.pop(), out)
+        return out
 
     def parse_or():
         left = parse_and()
         while toks.peek()[1] == "|":
-            toks.next()
-            left = Or(left, parse_and())
+            left = grow(toks.next()[2], Or, left, parse_and())
         return left
 
     def parse_and():
         left = parse_unary()
         while toks.peek()[1] == "&":
-            toks.next()
-            left = And(left, parse_unary())
+            left = grow(toks.next()[2], And, left, parse_unary())
         return left
 
     def parse_unary():
@@ -332,14 +339,13 @@ def parse_formula(text: str) -> Formula:
         toks.next()
         depth += 1
         if text == "!":
-            out = Not(parse_unary())
+            out = grow(at, Not, parse_unary())
         elif text == "(":
             out = parse_iff()
             toks.expect(")")
         else:
             var = _var_index(toks.next())
-            body = parse_unary()
-            out = Forall(var, body) if text == "all" else Exists(var, body)
+            out = grow(at, partial(Forall if text == "all" else Exists, var), parse_unary())
         depth -= 1
         return out
 
@@ -349,9 +355,9 @@ def parse_formula(text: str) -> Formula:
             left = int(text[1:])
             op = toks.next()
             if op[1] == "=":
-                return Eq(left, _var_index(toks.next()))
+                return Eq(left, _var_index(toks.next())), 0
             if op[1] == "!=":
-                return Not(Eq(left, _var_index(toks.next())))
+                return Not(Eq(left, _var_index(toks.next()))), 1
             raise FormulaSyntaxError(f"expected = or != after v{left}", op[2])
         if not text[0].isalpha():
             raise FormulaSyntaxError(f"expected a relation symbol, found {text!r}", at)
@@ -361,9 +367,9 @@ def parse_formula(text: str) -> Formula:
             toks.next()
             args.append(_var_index(toks.next()))
         toks.expect(")")
-        return Atom(text, tuple(args))
+        return Atom(text, tuple(args)), 0
 
-    out = parse_iff()
+    out, _ = parse_iff()
     kind, text, at = toks.peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"trailing input {text!r}", at)

@@ -3,10 +3,12 @@
 A homomorphism out of a finite algebra is known by its graph {(x, h x)},
 which is a subalgebra of source x target.  Extension and isomorphism
 checking both generate that subalgebra from a few pairs by the one closure,
-`generate_subalgebra`, and read the answer off its atoms.
+`generate_subalgebra`, read the answer off its atoms, and keep the graph as
+the homomorphism; the map over the whole carrier is built only when read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
@@ -18,10 +20,20 @@ from .spaces import MAX_SPACE_BITS, SetAlgebra
 class Homomorphism:
     source: FiniteAlgebra
     target: FiniteAlgebra
-    mapping: dict  # source value key -> target value
+    graph: FiniteAlgebra  # the subalgebra {(x, h x)} of source x target
+
+    @cached_property
+    def mapping(self) -> dict:  # source value key -> target value
+        return {self.source.domain.key(x): y for x, y in self.graph.carrier}
 
     def __call__(self, v):
         return self.mapping[self.source.domain.key(v)]
+
+    def is_injective(self) -> bool:
+        """No atom of the graph is a pair (x, 0), so no atom maps to 0."""
+        key = self.target.domain.key
+        zero = key(self.target.zero)
+        return all(key(y) != zero for _, y in atoms(self.graph))
 
 
 @dataclass
@@ -72,7 +84,7 @@ def extend_homomorphism(source, gens, target, images):
         raise PreconditionError(
             f"generators span only 2**{span} of 2**{total} elements"
         )
-    return Homomorphism(source, target, {skey(x): y for x, y in graph.carrier})
+    return Homomorphism(source, target, graph)
 
 
 def is_independent(algebra, ys, probe_family=None) -> bool:
@@ -112,13 +124,10 @@ def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
     the atoms are the single valuations."""
     check_free_budget(k)
     ambient = SetAlgebra("BA", 2**k, 1)
-    gens = []
-    for i in range(k):
-        bits = 0
-        for f in range(2**k):
-            if (f >> i) & 1:
-                bits |= 1 << f
-        gens.append(ambient.from_bits(bits))
+    gens = [
+        ambient.from_bits(sum(1 << f for f in range(2**k) if (f >> i) & 1))
+        for i in range(k)
+    ]
     valuations = [ambient.from_bits(1 << f) for f in range(2**k)]
     return FiniteAlgebra.from_atoms(SetDomain(ambient), valuations), gens
 
@@ -138,13 +147,12 @@ def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
     latoms, ratoms = atoms(left), atoms(right)
     if len(latoms) > 10:
         raise CapacityError("isomorphism search is budgeted to 10 atoms")
-    key = left.domain.key
     for perm in permutations(ratoms):
         try:
             graph = _graph(left, right, zip(latoms, perm), len(latoms))
         except ClosureCapError:
             continue
-        return Homomorphism(left, right, {key(x): y for x, y in graph.carrier})
+        return Homomorphism(left, right, graph)
     return None
 
 

@@ -456,6 +456,6 @@ def load_corpus(path=None) -> list[tuple[str, Formula]]:
             out.append((name.strip(), parse_formula(body)))
         except FormulaSyntaxError as exc:
             raise FormulaSyntaxError(
-                f"line {lineno} ({name.strip()}): {exc.args[0]}", exc.position
+                f"line {lineno} ({name.strip()}): {exc.message}", exc.position
             ) from None
     return out

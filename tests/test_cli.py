@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from baokit import SetAlgebra
+from baokit import SetAlgebra, find_isomorphism, free_boolean_algebra
+from baokit.algebras import product as direct_product
 from baokit.cli import _parse_gen, main
 
 
@@ -184,7 +185,11 @@ def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
     parens.write_text("deep: " + "(" * 250 + "E(v0,v1)" + ")" * 250 + "\n")
     bangs = tmp_path / "bangs.txt"
     bangs.write_text("deep: " + "!" * 400 + "E(v0,v1)\n")
-    for corpus in (parens, bangs):
+    ands = tmp_path / "ands.txt"  # a left-nested And 999 deep
+    ands.write_text("deep: " + " & ".join(["E(v0,v1)"] * 1000) + "\n")
+    arrows = tmp_path / "arrows.txt"  # a right-nested Implies 999 deep
+    arrows.write_text("deep: " + " -> ".join(["E(v0,v1)"] * 1000) + "\n")
+    for corpus in (parens, bangs, ands, arrows):
         err = run_usage_error(capsys, "translate", "--corpus", str(corpus))
         assert "line 1 (deep): nesting deeper than 100 levels" in err
         code, out = run_cli(capsys, "corpus-check", str(corpus))  # a parse failure
@@ -192,6 +197,18 @@ def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
     lhs = "(not " * 1200 + "(var 0)" + ")" * 1200
     err = run_usage_error(capsys, "check-identity", "--lhs", lhs, "--rhs", "(var 0)")
     assert "nesting deeper than 100 levels" in err
+
+
+def test_corpus_syntax_error_names_its_position_once(tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_text("fine: E(v0,v1)\nbad: E(v0,v1) &\n")
+    err = run_usage_error(capsys, "translate", "--corpus", str(corpus))
+    assert err == "usage error: line 2 (bad): unexpected token '' (at position 11)\n"
+    code, out = run_cli(capsys, "--json", "corpus-check", str(corpus))
+    assert code == 1
+    assert json.loads(out)["details"]["parse_error"] == (
+        "line 2 (bad): unexpected token '' (at position 11)"
+    )
 
 
 def test_atoms_past_sixteen_atoms(capsys):
@@ -222,6 +239,19 @@ def test_free_ba_budget_checked_before_any_algebra(capsys, monkeypatch):
     assert code == 0
     details = json.loads(out)["details"]
     assert details["k=12"] == f"size {2**4096}, atoms 4096"
+    isos = {key: value for key, value in details.items() if key.startswith("iso")}
+    assert isos == {f"iso_k{k + 1}_vs_k{k}_squared": True for k in range(1, 12)}
+
+
+def test_free_ba_extension_check_matches_isomorphism_search(capsys):
+    code, out = run_cli(capsys, "--json", "free-ba", "--k", "3")
+    assert code == 0
+    details = json.loads(out)["details"]
+    for k in (1, 2):
+        bigger, _ = free_boolean_algebra(k + 1)
+        small, _ = free_boolean_algebra(k)
+        found = find_isomorphism(bigger, direct_product(small, small))
+        assert details[f"iso_k{k + 1}_vs_k{k}_squared"] == (found is not None)
 
 
 def test_out_of_range_integers_rejected(capsys):

@@ -22,6 +22,13 @@ def test_chain_closed_form_u3():
     assert res.chain_distinct == 4
 
 
+def test_strict_order_generator_matches_tuple_scan():
+    for u in range(1, 7):
+        amb = SetAlgebra("SC", u, 3)
+        want = amb.element([s for s in amb.space.tuples() if s[0] < s[1]])
+        assert strict_order_generator(amb) == want
+
+
 def test_chain_first_step_is_cylindrification():
     for u in (2, 3, 4):
         amb = SetAlgebra("SC", u, 3)

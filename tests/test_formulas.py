@@ -78,7 +78,15 @@ def test_nesting_past_the_limit_is_a_syntax_error():
     parse_formula("(!ex v0 " * 33 + "!" + atom + ")" * 33)  # the three kinds add up
     with pytest.raises(FormulaSyntaxError, match="nesting"):
         parse_formula("(!ex v0 " * 34 + atom + ")" * 34)
-    parse_formula(" & ".join([atom] * 300))  # long flat chains are not nesting
+    for op in (" & ", " | ", " -> ", " <-> "):  # flat chains nest the tree
+        parse_formula(op.join([atom] * (MAX_NESTING + 1)))
+        deeper = op.join([atom] * (MAX_NESTING + 2))
+        with pytest.raises(FormulaSyntaxError, match="nesting deeper than 100") as info:
+            parse_formula(deeper)
+        assert deeper[info.value.position :].startswith(op.strip())
+        with pytest.raises(FormulaSyntaxError, match="nesting deeper than 100") as info:
+            parse_formula("!(" + op.join([atom] * (MAX_NESTING + 1)) + ")")
+        assert info.value.position == 0
 
 
 def test_cached_attributes():

@@ -10,12 +10,14 @@ from baokit import (
     RelationAlgebra,
     SetAlgebra,
     atoms,
+    decompose_by_zero_dimensional,
     diag,
     extend_homomorphism,
     find_isomorphism,
     free_boolean_algebra,
     generate_subalgebra,
     is_independent,
+    principal_ideal,
     product,
     relativize,
     splitting_check,
@@ -28,7 +30,8 @@ from baokit.freeness import ExtensionConflict, Homomorphism
 def closure_extend(source, gens, target, images):
     """The all-pairs carrier closure that extend_homomorphism replaced: grow
     the pair relation under every operation until it stabilizes; the first
-    element given two images is the conflict."""
+    element given two images is the conflict.  A homomorphism comes back as
+    its mapping, source key -> target value."""
     sdom, tdom = source.domain, target.domain
     skey = sdom.key
 
@@ -93,12 +96,13 @@ def closure_extend(source, gens, target, images):
         raise PreconditionError(
             f"generators span only {len(mapping)} of {len(source.carrier)} elements"
         )
-    return Homomorphism(source, target, {k: y for k, (x, y) in mapping.items()})
+    return {k: y for k, (x, y) in mapping.items()}
 
 
 def permutation_isomorphism(left, right):
     """The search that find_isomorphism replaced: try each bijection of the
-    atoms and check every operator on (tuples of) atoms directly."""
+    atoms and check every operator on (tuples of) atoms directly.  Returns
+    the mapping, left key -> right value, or None."""
     if left.signature != right.signature or left.size != right.size:
         return None
     latoms, ratoms = atoms(left), atoms(right)
@@ -122,8 +126,7 @@ def permutation_isomorphism(left, right):
 
     for perm in permutations(ratoms):
         if respects_ops(perm):
-            mapping = {ldom.key(x): image(x, perm) for x in left.carrier}
-            return Homomorphism(left, right, mapping)
+            return {ldom.key(x): image(x, perm) for x in left.carrier}
     return None
 
 
@@ -168,7 +171,7 @@ def catalogue() -> dict:
 
 def outcome(extend, source, gens, target, images):
     """What an extension gives, in comparable form: the type of result,
-    with the mapping by keys for a homomorphism."""
+    with the mapping by keys for a homomorphism (or a mapping)."""
     try:
         result = extend(source, gens, target, images)
     except PreconditionError:
@@ -176,7 +179,8 @@ def outcome(extend, source, gens, target, images):
     if isinstance(result, ExtensionConflict):
         return "conflict"
     key = target.domain.key
-    return {k: key(y) for k, y in result.mapping.items()}
+    mapping = result if isinstance(result, dict) else result.mapping
+    return {k: key(y) for k, y in mapping.items()}
 
 
 def extension_cases(rng):
@@ -439,7 +443,7 @@ def test_find_isomorphism_matches_permutation_search():
                 found += 1
                 key = right.domain.key
                 assert {k: key(y) for k, y in got.mapping.items()} == {
-                    k: key(y) for k, y in want.mapping.items()
+                    k: key(y) for k, y in want.items()
                 }
     assert found >= 10
     for k in (1, 2):
@@ -447,7 +451,7 @@ def test_find_isomorphism_matches_permutation_search():
         smaller, _ = free_boolean_algebra(k)
         squared = product(smaller, smaller)
         got = find_isomorphism(bigger, squared).mapping
-        assert got == permutation_isomorphism(bigger, squared).mapping
+        assert got == permutation_isomorphism(bigger, squared)
 
 
 def test_extend_homomorphism_identity_on_free_ba_4():
@@ -472,3 +476,62 @@ def test_independence_matches_meet_loop():
             ]
         for ys in tuples:
             assert is_independent(alg, list(ys)) == meet_loop_independent(alg, ys)
+
+
+def test_homomorphism_past_the_carrier_budget():
+    # F(5) has 2**32 elements: the graph has 32 atoms and no carrier is built
+    free5, gens = free_boolean_algebra(5)
+    result = extend_homomorphism(free5, gens, free5, gens)
+    assert isinstance(result, Homomorphism)
+    assert len(atoms(result.graph)) == 32 and result.is_injective()
+    assert "mapping" not in vars(result)
+    with pytest.raises(CapacityError):
+        result.mapping
+    decomposition = decompose_by_zero_dimensional(free5, gens[0])
+    assert len(atoms(decomposition.below)) == len(atoms(decomposition.above)) == 16
+    assert "mapping" not in vars(decomposition)
+
+
+def test_mappings_are_built_once():
+    free2, gens = free_boolean_algebra(2)
+    result = extend_homomorphism(free2, gens, free2, gens)
+    assert result.mapping is result.mapping
+    decomposition = decompose_by_zero_dimensional(free2, gens[0])
+    assert decomposition.mapping is decomposition.mapping
+    key = free2.domain.key
+    assert decomposition.mapping == {
+        key(x): (free2.meet(x, gens[0]), free2.meet(x, free2.compl(gens[0])))
+        for x in free2.carrier
+    }
+
+
+def test_ideal_membership_matches_members():
+    # every value of each algebra's ambient, inside the algebra or not
+    for family in catalogue().values():
+        for algebra in family.values():
+            dom = algebra.domain
+            ambient = getattr(dom, "ambient", None) or dom.base.ambient
+            values = [ambient.from_bits(bits)
+                      for bits in range(1 << ambient.one.bits.bit_length())]
+            for b in algebra.carrier:
+                ideal = principal_ideal(algebra, b)
+                assert "members" not in vars(ideal)
+                keys = {dom.key(m) for m in ideal.members}
+                assert [x in ideal for x in values] == [dom.key(x) in keys for x in values]
+
+
+def test_is_injective_matches_the_mapping():
+    # every extension of the generators of F(2) into F(1)^2
+    free2, gens = free_boolean_algebra(2)
+    free1, (g,) = free_boolean_algebra(1)
+    squared = product(free1, free1)
+    key = squared.domain.key
+    seen = set()
+    for images in iproduct(squared.carrier, repeat=2):
+        result = extend_homomorphism(free2, gens, squared, list(images))
+        one_to_one = len({key(y) for y in result.mapping.values()}) == free2.size
+        assert result.is_injective() == one_to_one
+        seen.add(one_to_one)
+    assert seen == {True, False}
+    images = [(g, g), (free1.zero, free1.zero)]  # g1 -> (0, 0)
+    assert not extend_homomorphism(free2, gens, squared, images).is_injective()
