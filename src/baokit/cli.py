@@ -40,8 +40,8 @@ from .hf import (
 from .identities import identity_sweep
 from .library import formula_library, load_corpus
 from .models import ModelFinite, holds
-from .spaces import Element, RelationAlgebra, SetAlgebra, diag, strictly_below
-from .terms import eval_term_lanes, lane_batches, parse_term
+from .spaces import MAX_SPACE_BITS, Element, RelationAlgebra, SetAlgebra, diag, strictly_below
+from .terms import eval_term_lanes, lanes_per_batch, parse_term
 from .translate import (
     StrongCongruenceError,
     duplicated_model,
@@ -187,10 +187,16 @@ def _cmd_check_identity(args) -> ExperimentReport:
         values = (
             ambient.random_element(rng).bits for _ in range(total * var_count)
         )
+    # a batch draws at most MAX_SPACE_BITS bits of assignments
+    step = min(lanes_per_batch(ambient), MAX_SPACE_BITS // (var_count * size or 1))
+    if step == 0:
+        raise CapacityError(
+            f"an assignment of {var_count} variables passes {MAX_SPACE_BITS} bits"
+        )
     failures = []
     cases = total
-    for batch in lane_batches(ambient, total):
-        flat = list(islice(values, len(batch) * var_count))
+    for start in range(0, total, step):
+        flat = list(islice(values, min(step, total - start) * var_count))
         columns = {i: flat[i::var_count] for i in range(var_count)}
         left = eval_term_lanes(lhs, columns, ambient)
         right = eval_term_lanes(rhs, columns, ambient)
@@ -200,7 +206,7 @@ def _cmd_check_identity(args) -> ExperimentReport:
                     {i: ambient.from_bits(columns[i][lane]).serialize() for i in columns}
                 )
                 if len(failures) == 3:
-                    cases = batch.start + lane + 1
+                    cases = start + lane + 1
                     break
         if len(failures) == 3:
             break

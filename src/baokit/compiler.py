@@ -200,6 +200,9 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
     cylindrification of its variable, and equalities diagonal constants.
     kind "SC": the formula must be equality-free; atoms in any variable
     order are reached from the generator by replacement substitutions.
+    Equal subformulas (a repeated atom, rewritten atom or connective, and
+    both sides of a biconditional) compile to one shared node, so the
+    term's DAG has a few nodes per distinct subformula.
     """
     if kind not in ("CA", "SC"):
         raise CompileError(f"compilation targets CA or SC, not {kind!r}")
@@ -208,6 +211,7 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
     signature = Signature(kind, n)
     symbols = sorted(_relation_symbols(f))
     slot = {s: i for i, s in enumerate(symbols)}
+    nodes: dict = {}  # subformula -> its node
 
     def atom_term(g: Atom, bound: int | None) -> TermNode:
         base: TermNode = Var(slot[g.rel])
@@ -236,6 +240,12 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
         return Const(("diag", (min(i, j), max(i, j))))
 
     def walk(g) -> TermNode:
+        node = nodes.get(g)
+        if node is None:
+            node = nodes[g] = build(g)
+        return node
+
+    def build(g) -> TermNode:
         if isinstance(g, Atom):
             return atom_term(g, None)
         if isinstance(g, Eq):

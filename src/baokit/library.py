@@ -41,6 +41,7 @@ from .formulas import (
     Not,
     Or,
     Vocabulary,
+    check_vocabulary,
     conj,
     disj,
     free_vars,
@@ -438,7 +439,9 @@ def formula_library() -> dict[str, LibraryEntry]:
 
 
 def load_corpus(path=None) -> list[tuple[str, Formula]]:
-    """Named formulas, one `name: formula` per line; # starts a comment."""
+    """Named formulas over E/2, one `name: formula` per line; # starts a
+    comment.  Another symbol, or E with other than two arguments, is a
+    ValueError that names the line."""
     if path is None:
         text = resources.files("baokit.data").joinpath("corpus.txt").read_text()
     else:
@@ -454,8 +457,11 @@ def load_corpus(path=None) -> list[tuple[str, Formula]]:
             raise FormulaSyntaxError(f"line {lineno}: missing name prefix", 0)
         try:
             out.append((name.strip(), parse_formula(body)))
+            check_vocabulary(out[-1][1], MEMBER_VOCAB)
         except FormulaSyntaxError as exc:
             raise FormulaSyntaxError(
                 f"line {lineno} ({name.strip()}): {exc.message}", exc.position
             ) from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno} ({name.strip()}): {exc}") from None
     return out

@@ -1,10 +1,11 @@
 """Terms over an operator signature, with evaluation and a text form.
 
-A term is compiled once per value domain (the tuple space of a set
-algebra, or the base of a relation algebra) into a straight-line program
-over raw ints, kept on the term.  The program takes its kernels from the
-domain's operator table in `spaces`: the constants and diagonals are
-hoisted, and a shared subterm is computed once.  `eval_term` runs it on
+A term is laid out once, when it is made, as a straight-line program over
+raw ints: its constants and diagonals hoisted, a shared subterm (one node
+reached along several paths) computed once.  The layout is bound once per
+value domain (the tuple space of a set algebra, or the base of a relation
+algebra) to the kernels of the domain's operator table in `spaces`, and
+the binding is kept on the term.  `eval_term` runs it on
 one assignment; `eval_term_lanes` runs it on many at once, side by side as
 the lanes of a wider space (see `Lanes`), since the operators on
 coordinates below n never touch the coordinates n and up.
@@ -45,42 +46,17 @@ TermNode = Union[Var, Const, App]
 
 
 class Term:
-    """A validated term: every operator belongs to the declared signature."""
+    """A validated term: every operator belongs to the declared signature.
+    It is laid out as its straight-line program (see `_lay_out`) at once."""
 
-    __slots__ = ("root", "signature", "var_count", "_programs")
+    __slots__ = ("root", "signature", "var_count", "_layout", "_programs")
 
     def __init__(self, root: TermNode, signature: Signature):
         self.root = root
         self.signature = signature
-        self.var_count = self._validate(root) + 1
-        self._programs: dict = {}  # compiled programs, by value domain
-
-    def _validate(self, node: TermNode) -> int:
-        """Check operators against the signature; return the max variable index."""
-        if isinstance(node, Var):
-            if node.index < 0:
-                raise SignatureError("variable indices must be nonnegative")
-            return node.index
-        if isinstance(node, Const):
-            if self.signature.op_arity(node.op) != 0 or not self.signature.allows(node.op):
-                raise SignatureError(
-                    f"{opref_str(node.op)} is not a constant of {self.signature.label}"
-                )
-            return -1
-        if isinstance(node, App):
-            if not self.signature.allows(node.op):
-                raise SignatureError(
-                    f"{opref_str(node.op)} is not in {self.signature.label}"
-                )
-            if self.signature.op_arity(node.op) != len(node.args):
-                raise SignatureError(
-                    f"{opref_str(node.op)} applied to {len(node.args)} arguments"
-                )
-            top = -1
-            for a in node.args:
-                top = max(top, self._validate(a))
-            return top
-        raise TypeError(f"not a term node: {node!r}")
+        self._layout = _lay_out(root, signature)
+        self.var_count = max(self._layout.variables, default=-1) + 1
+        self._programs: dict = {}  # bindings of the layout, by value domain
 
     def __eq__(self, other):
         return (
@@ -147,93 +123,115 @@ class StraightLine:
         return r[self.root]
 
 
-class _Program(StraightLine):
-    """A term compiled for one value domain.
+class _Layout(StraightLine):
+    """A term laid out once, for every value domain, as a straight-line
+    program.
 
-    Its inputs are the hoisted constants, then one value per variable (in
-    `variables` order, the order of first occurrence); its steps are the
-    operator nodes, children before parents, so that a shared subterm is
-    computed once.
+    Its inputs are the distinct constants, then one value per variable (in
+    `variables` order); both in order of first occurrence.  `ops` are its
+    distinct operators, and step k applies ops[kinds[k]].
     """
 
-    __slots__ = ("variables", "constants", "functions")
+    __slots__ = ("variables", "constants", "ops", "kinds")
 
-    def __init__(self, variables, constants, functions, operands, root):
+    def __init__(self, variables, constants, ops, kinds, operands, root):
         super().__init__(len(constants) + len(variables), operands, root)
         self.variables = variables
         self.constants = constants
-        self.functions = functions
+        self.ops = ops
+        self.kinds = kinds
 
-    def run(self, inputs: list) -> int:
-        return self.execute(self.functions, self.constants + inputs)
+    def run(self, binding, inputs: list) -> int:
+        constants, functions = binding
+        return self.execute(functions, constants + inputs)
 
 
-def _compile(term: Term, operators) -> _Program:
-    """Lay out the term's DAG (nodes told apart by identity) as a program;
-    the table `operators` supplies the constants' values and the
-    operators' functions.  The walk keeps its own stack: a recursive
-    closure would refer to itself and leave a reference cycle behind every
-    compile."""
-    order = []  # children before parents, each node once
-    seen = set()
-    stack = [(term.root, False)]
+def _check_node(node, signature: Signature) -> None:
+    if isinstance(node, Var):
+        if node.index < 0:
+            raise SignatureError("variable indices must be nonnegative")
+    elif isinstance(node, Const):
+        if signature.op_arity(node.op) != 0 or not signature.allows(node.op):
+            raise SignatureError(f"{opref_str(node.op)} is not a constant of {signature.label}")
+    elif isinstance(node, App):
+        if not signature.allows(node.op):
+            raise SignatureError(f"{opref_str(node.op)} is not in {signature.label}")
+        if signature.op_arity(node.op) != len(node.args):
+            raise SignatureError(f"{opref_str(node.op)} applied to {len(node.args)} arguments")
+    else:
+        raise TypeError(f"not a term node: {node!r}")
+
+
+def _lay_out(root: TermNode, signature: Signature) -> _Layout:
+    """Check the DAG under root against the signature and lay it out.
+
+    Nodes are told apart by identity, so a shared subterm is one step.
+    Each distinct node is checked once, in pre-order from left to right
+    (the first error is the one a walk of the whole tree meets first),
+    and laid out after its arguments.  The walk keeps its own stack, so
+    deep terms need no recursion.
+    """
+    leaves: dict = {}  # constant op or variable index -> leaf number
+    ops: dict = {}  # operator -> its number
+    number: dict = {}  # id(node) -> its step number, or ~its leaf number
+    kinds, operands = array("l"), []
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, App):  # laid out after its arguments, in order
+            number[id(node)] = len(operands)
+            kinds.append(ops.setdefault(node.op, len(ops)))
+            operands.append([number[id(a)] for a in node.args])
+        elif id(node) not in number:
+            _check_node(node, signature)
+            if isinstance(node, App):
                 stack.append((node, True))
-                for a in reversed(node.args):
-                    stack.append((a, False))
+                stack.extend((a, False) for a in reversed(node.args))
             else:
-                order.append(node)
-    constants = list(dict.fromkeys(n.op for n in order if isinstance(n, Const)))
-    variables = list(dict.fromkeys(n.index for n in order if isinstance(n, Var)))
-    const_node = {op: k for k, op in enumerate(constants)}
-    var_node = {index: len(constants) + k for k, index in enumerate(variables)}
-    number = {}  # id(node) -> node number
-    apps = []
-    for node in order:
-        if isinstance(node, Const):
-            number[id(node)] = const_node[node.op]
-        elif isinstance(node, Var):
-            number[id(node)] = var_node[node.index]
-        else:
-            number[id(node)] = len(constants) + len(variables) + len(apps)
-            apps.append(node)
-    return _Program(
-        tuple(variables),
-        [operators.constant(op) for op in constants],
-        tuple(operators.function(node.op) for node in apps),
-        [tuple(number[id(a)] for a in node.args) for node in apps],
-        number[id(term.root)],
+                leaf = node.index if isinstance(node, Var) else node.op
+                number[id(node)] = ~leaves.setdefault(leaf, len(leaves))
+    constants = tuple(leaf for leaf in leaves if not isinstance(leaf, int))
+    variables = tuple(leaf for leaf in leaves if isinstance(leaf, int))
+    place = {leaf: k for k, leaf in enumerate(constants + variables)}
+    inputs = [place[leaf] for leaf in leaves]  # leaf number -> input number
+    fixed = len(inputs)
+    root = number[id(root)]
+    return _Layout(
+        variables,
+        constants,
+        tuple(ops),
+        kinds,
+        [[fixed + a if a >= 0 else inputs[~a] for a in args] for args in operands],
+        fixed + root if root >= 0 else inputs[~root],
     )
 
 
-def _program(term: Term, operators) -> _Program:
-    """The term compiled against the table `operators`, built on first use
-    and kept on the term for every table with the same key."""
-    program = term._programs.get(operators.key)
-    if program is None:
-        program = term._programs[operators.key] = _compile(term, operators)
-    return program
+def _program(term: Term, operators) -> tuple[list, list]:
+    """The term's layout bound to the table `operators`: the constants'
+    values and each step's function, bound on first use and kept on the
+    term for every table with the same key."""
+    binding = term._programs.get(operators.key)
+    if binding is None:
+        layout = term._layout
+        constants = [operators.constant(op) for op in layout.constants]
+        bound = [operators.function(op) for op in layout.ops]
+        binding = term._programs[operators.key] = (constants, [bound[k] for k in layout.kinds])
+    return binding
 
 
 def eval_term(term: Term, assignment, ambient):
     """Evaluate in `ambient` (a SetAlgebra or RelationAlgebra).
 
     `assignment` maps variable indices to elements of the ambient algebra.
-    The term is compiled once per space and kept on the term; a structurally
+    The term's layout is bound once per space and kept on the term; a
     shared subterm is evaluated once.
     """
     _check_signature(term, ambient)
     if not isinstance(ambient, (SetAlgebra, RelationAlgebra)):
         raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
-    program = _program(term, ambient.operators)
+    binding = _program(term, ambient.operators)
     inputs = []
-    for index in program.variables:
+    for index in term._layout.variables:
         try:
             value = assignment[index]
         except KeyError:
@@ -241,7 +239,7 @@ def eval_term(term: Term, assignment, ambient):
         if not ambient.contains(value):
             raise SignatureError(f"assignment for variable {index} is foreign")
         inputs.append(value.bits)
-    return ambient.from_bits(program.run(inputs))
+    return ambient.from_bits(term._layout.run(binding, inputs))
 
 
 def lanes_per_batch(ambient) -> int:
@@ -317,12 +315,12 @@ class Lanes:
         """Evaluate `term` on every lane at once; `packed` maps variable
         indices to packed integers."""
         _check_signature(term, self.ambient)
-        program = _program(term, self.operators)
+        binding = _program(term, self.operators)
         try:
-            inputs = [packed[index] for index in program.variables]
+            inputs = [packed[index] for index in term._layout.variables]
         except KeyError as exc:
             raise UnboundVariableError(f"no value for variable {exc.args[0]}") from None
-        return program.run(inputs)
+        return term._layout.run(binding, inputs)
 
 
 def eval_term_lanes(term: Term, columns, ambient) -> list[int]:

@@ -2,8 +2,17 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from baokit import SetAlgebra, find_isomorphism, free_boolean_algebra
+from baokit import (
+    SetAlgebra,
+    compile_to_term,
+    find_isomorphism,
+    free_boolean_algebra,
+    parse_formula,
+    restrict_formula,
+)
 from baokit.algebras import product as direct_product
 from baokit.cli import _parse_gen, main
 
@@ -312,3 +321,96 @@ def test_less_generator_matches_tuple_scan():
             for i, j in product(range(n), repeat=2):
                 want = ambient.element([s for s in ambient.space.tuples() if s[i] < s[j]])
                 assert _parse_gen(f"less:{i},{j}", ambient) == want, (u, n, i, j)
+
+
+def test_long_biconditional_chain_is_checked_in_linear_time(tmp_path, capsys):
+    corpus = tmp_path / "iffs.txt"
+    corpus.write_text("iffs: " + " <-> ".join(["E(v0,v1)"] * 101) + "\n")
+    code, out = run_cli(capsys, "--json", "corpus-check", str(corpus))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    for n in (2, 17, 101):
+        atoms = [("E(v0,v1)", "E(v1,v2)", "E(v2,v0)")[k % 3] for k in range(n)]
+        formula = parse_formula(" <-> ".join(atoms))
+        for kind, f in (("CA", restrict_formula(formula, 3)), ("SC", formula)):
+            assert len(compile_to_term(f, kind, 3).term._layout.kinds) <= 10 * n
+
+
+def test_corpus_symbols_outside_membership_are_usage_errors(tmp_path, capsys):
+    corpus = tmp_path / "other.txt"
+    for body, why in [("R(v0,v1,v2)", "unknown relation symbol 'R'"),
+                      ("E(v0,v1) & E(v0)", "E expects 2 arguments")]:
+        corpus.write_text(f"fine: E(v0,v1)\nother: {body}\n")
+        for argv in (["translate", "--corpus", str(corpus)], ["corpus-check", str(corpus)]):
+            err = run_usage_error(capsys, *argv)
+            assert err == f"usage error: line 2 (other): {why}\n"
+
+
+def test_sampled_assignments_past_the_budget_are_a_capacity_error(capsys):
+    err = run_usage_error(capsys, "check-identity", "--lhs", "(var 4194304)", "--rhs", "(var 0)",
+                          "--samples", "1")
+    assert err == "capacity error: an assignment of 4194305 variables passes 16777216 bits\n"
+
+
+_TERM_LEAVES = ["(var 0)", "(var 1)", "(var 3)", "(var -1)", "(var 4194304)",
+                "(var 10000000000000000000000)", "zero", "one", "id", "(diag 0 1)", "(diag 0 9)",
+                "(diag -1 0)"]
+_TERM_OPS = ["and", "or", "not", "impl", "cyl 0", "cyl 7", "cyl -1", "subst 0 1", "subst 1 1",
+             "disc", "comp", "conv", "nope"]
+_FORMULA_LEAVES = ["E(v0,v1)", "E(v1,v0)", "E(v2,v2)", "E(v0,v9)", "E(v0)", "E(v0,v1,v2)",
+                   "R(v0,v1)", "E(v99999999999999999999999,v0)", "v0 = v1", "v0 != v2", "v3 = v0"]
+_FORMULA_OPS = ["!", "ex v0 ", "all v1 ", "ex v9 ", " & ", " | ", " -> ", " <-> "]
+_JUNK = ["(", ")", "))", "(var", "(var x)", "(cyl", "junk", "9" * 5000, "E(", "v", ",", "=",
+         "ex", "&", "#", "!"]
+
+
+@st.composite
+def fuzzed_text(draw, language):
+    """A random term or formula built from in- and out-of-range pieces,
+    perhaps with a junk token spliced in, perhaps nested or chained deep."""
+    term = language == "term"
+    pool = [draw(st.sampled_from(_TERM_LEAVES if term else _FORMULA_LEAVES))]
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(_TERM_OPS if term else _FORMULA_OPS))
+        if term:
+            args = draw(st.lists(st.sampled_from(pool), max_size=3))
+            pool.append(f"({op} {' '.join(args)})")
+        elif op.strip() in ("&", "|", "->", "<->"):
+            pool.append(f"({draw(st.sampled_from(pool))}{op}{draw(st.sampled_from(pool))})")
+        else:
+            pool.append(op + draw(st.sampled_from(pool)))
+    core = pool[-1]
+    if draw(st.integers(0, 2)) == 0:
+        cut = draw(st.integers(0, len(core)))
+        core = f"{core[:cut]} {draw(st.sampled_from(_JUNK))} {core[cut:]}"
+    depth = draw(st.sampled_from([0, 0, 1, 2, 99, 100, 101, 250]))
+    if term:
+        if draw(st.booleans()):
+            return "(not " * depth + core + ")" * depth
+        return "(and " * depth + core + (" " + core + ")") * depth
+    if draw(st.booleans()):
+        left, right = draw(st.sampled_from([("!", ""), ("(", ")"), ("ex v0 ", "")]))
+        return left * depth + core + right * depth
+    return draw(st.sampled_from([" & ", " -> ", " <-> "])).join([core] * (depth + 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_terms_and_formulas_keep_the_exit_code_contract(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(["check-identity", "translate", "corpus-check"]))
+    if command == "check-identity":
+        kind = data.draw(st.sampled_from(["BA", "DF", "SC", "CA", "RA"]))
+        argv = ["check-identity", "--kind", kind, "--u", "2", "--n", "2", "--samples", "5",
+                "--lhs=" + data.draw(fuzzed_text("term")),
+                "--rhs=" + data.draw(fuzzed_text("term"))]
+    else:
+        corpus = tmp_path / "fuzz.txt"
+        corpus.write_text("fuzz: " + data.draw(fuzzed_text("formula")) + "\n")
+        argv = (["translate", "--rank", "2", "--corpus", str(corpus)]
+                if command == "translate" else ["corpus-check", str(corpus)])
+    code = main(["--json", *argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1, err

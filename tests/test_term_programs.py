@@ -1,5 +1,7 @@
 """The compiled term evaluator and its lanes, against the per-node,
-per-value walkers they replaced (kept here as oracles)."""
+per-value walkers they replaced, and the term layout and the shared
+formula compile, against the per-table layout, the tree-building compile
+and the recursive validation they replaced (all kept here as oracles)."""
 
 import gc
 import random
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baokit import (
+    CapacityError,
     RaElement,
     RelationAlgebra,
     SetAlgebra,
@@ -25,12 +28,25 @@ from baokit import (
     parse_term,
     subst,
 )
-from baokit import cli, identities
-from baokit.compiler import CompiledTerm
+from baokit import ModelFinite, cli, identities, satisfaction_set, tr
+from baokit.compiler import (
+    STAR,
+    CompiledTerm,
+    _plan_rewrite,
+    _relation_symbols,
+    compile_to_term,
+    natural_atom_sets,
+    restrict_formula,
+)
+from baokit.formulas import And, Atom, Eq, Exists, Iff, Implies, Not, Or
+from baokit.hf import hf_universe
+from baokit.library import load_corpus
+from baokit.signatures import Signature, opref_str
 from baokit.terms import (
     App,
     Const,
     Lanes,
+    StraightLine,
     Var,
     eval_term_lanes,
     lane_batches,
@@ -285,12 +301,10 @@ def test_program_is_compiled_once_per_space():
 
 
 def test_result_registers_are_reused():
-    sigma = identities.order_terms(3)["sigma"].term
-    amb = SetAlgebra("CA", 2, 3)
-    eval_term(sigma, {0: amb.one}, amb)
-    program = sigma._programs[(2, 3, 3)]
-    assert len(program.functions) > 100  # steps
-    assert len(program.constants) + 1 + len(program.blank) < 16  # registers
+    layout = identities.order_terms(3)["sigma"].term._layout
+    registers = len(layout.constants) + len(layout.variables) + len(layout.blank)
+    assert registers < 16
+    assert len(layout.kinds) > 4 * registers  # steps, more than fit without reuse
 
 
 def test_compiling_a_term_leaves_no_reference_cycles():
@@ -527,3 +541,231 @@ def test_check_identity_matches_per_assignment_loop(monkeypatch, kind, u, n, lhs
             monkeypatch.setattr("baokit.terms.MAX_SPACE_BITS", budget)
         report = cli._cmd_check_identity(cli.build_parser().parse_args(argv))
         assert report.details == want
+
+
+def test_check_identity_bounds_each_batch_not_the_run(monkeypatch):
+    # 60 samples of two 9-bit values draw 1,080 bits; one assignment is 18
+    argv = ["check-identity", "--kind", "CA", "--u", "3", "--n", "2",
+            "--lhs", "(cyl 0 (and (var 0) (var 1)))",
+            "--rhs", "(and (cyl 0 (var 0)) (cyl 0 (var 1)))", "--samples", "60", "--seed", "4"]
+    want = check_identity_per_assignment(argv)
+    assert want["counterexamples"]
+    drawn = []
+    spy = lambda term, columns, ambient: (drawn.append(len(columns[0])),
+                                          eval_term_lanes(term, columns, ambient))[1]
+    monkeypatch.setattr(cli, "eval_term_lanes", spy)
+    for budget, lanes in ((10**6, 60), (40, 2), (18, 1)):
+        monkeypatch.setattr("baokit.terms.MAX_SPACE_BITS", budget)
+        monkeypatch.setattr(cli, "MAX_SPACE_BITS", budget)
+        drawn.clear()
+        report = cli._cmd_check_identity(cli.build_parser().parse_args(argv))
+        assert report.details == want
+        assert max(drawn) == lanes
+    with pytest.raises(CapacityError, match="an assignment of 2 variables passes 17 bits"):
+        monkeypatch.setattr(cli, "MAX_SPACE_BITS", 17)
+        cli._cmd_check_identity(cli.build_parser().parse_args(argv))
+
+
+# -- one layout per term, equal subformulas shared ----------------------------
+
+
+def tree_compile_to_term(f, kind, n):
+    """compile_to_term as it was: a new node for every occurrence of a
+    subformula, so the term is a tree apart from the two sides of a
+    biconditional."""
+    symbols = sorted(_relation_symbols(f))
+    slot = {s: i for i, s in enumerate(symbols)}
+
+    def atom_term(g, bound):
+        base = Var(slot[g.rel])
+        if g.args == tuple(range(len(g.args))) and bound is None:
+            return base
+        target = tuple(STAR if bound is not None and a == bound else a for a in g.args)
+        star_slot, steps = _plan_rewrite(target, n, star_ok=bound is not None)
+        out = base
+        if star_slot is not None:
+            out = App(("cyl", (star_slot,)), (out,))
+        for i, j in steps:
+            if kind == "SC":
+                out = App(("subst", (i, j)), (out,))
+            else:
+                diagonal = Const(("diag", (min(i, j), max(i, j))))
+                out = App(("cyl", (i,)), (App(("and", ()), (diagonal, out)),))
+        return out
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return atom_term(g, None)
+        if isinstance(g, Eq):
+            if g.left == g.right:
+                return Const(("one", ()))
+            return Const(("diag", (min(g.left, g.right), max(g.left, g.right))))
+        if isinstance(g, Not):
+            return App(("not", ()), (walk(g.body),))
+        if isinstance(g, (And, Or, Implies)):
+            name = {And: "and", Or: "or", Implies: "impl"}[type(g)]
+            return App((name, ()), (walk(g.left), walk(g.right)))
+        if isinstance(g, Iff):
+            a, b = walk(g.left), walk(g.right)
+            return App(("and", ()), (App(("impl", ()), (a, b)), App(("impl", ()), (b, a))))
+        if isinstance(g, Exists):
+            if isinstance(g.body, Atom) and g.var in g.body.args:
+                return atom_term(g.body, g.var)
+            return App(("cyl", (g.var,)), (walk(g.body),))
+        inner = App(("not", ()), (walk(g.body),))
+        return App(("not", ()), (App(("cyl", (g.var,)), (inner,)),))
+
+    return CompiledTerm(Term(walk(f), Signature(kind, n)), tuple(symbols))
+
+
+def per_table_compile(term, operators):
+    """The term laid out anew for each operator table, as it was: nodes
+    told apart by identity, children before parents; returns the run of
+    the program on raw variable values, by index."""
+    order, seen = [], set()
+    stack = [(term.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, App):
+                stack.append((node, True))
+                stack.extend((a, False) for a in reversed(node.args))
+            else:
+                order.append(node)
+    constants = list(dict.fromkeys(n.op for n in order if isinstance(n, Const)))
+    variables = list(dict.fromkeys(n.index for n in order if isinstance(n, Var)))
+    number = {}
+    apps = []
+    for node in order:
+        if isinstance(node, Const):
+            number[id(node)] = constants.index(node.op)
+        elif isinstance(node, Var):
+            number[id(node)] = len(constants) + variables.index(node.index)
+        else:
+            number[id(node)] = len(constants) + len(variables) + len(apps)
+            apps.append(node)
+    program = StraightLine(
+        len(constants) + len(variables),
+        [tuple(number[id(a)] for a in node.args) for node in apps],
+        number[id(term.root)],
+    )
+    values = [operators.constant(op) for op in constants]
+    functions = [operators.function(node.op) for node in apps]
+    return lambda bits: program.execute(functions, values + [bits[i] for i in variables])
+
+
+def _corpus_cases():
+    models = [hf_universe(rank).model() for rank in (1, 2)] + [
+        ModelFinite([0, 1, 2], {"E": rows}) for rows in ([(0, 1), (1, 2)], [(0, 1), (1, 0), (2, 2)])
+    ]
+    for name, formula in load_corpus():
+        for kind in ("CA", "SC"):
+            f = restrict_formula(formula, 3) if kind == "CA" else tr(formula)
+            for model in models:
+                yield name, f, kind, model
+
+
+def test_shared_compile_matches_tree_compile_on_the_corpus():
+    rng = random.Random(13)
+    checked = 0
+    for name, f, kind, model in _corpus_cases():
+        shared = compile_to_term(f, kind, 3)
+        tree = tree_compile_to_term(f, kind, 3)
+        assert shared.symbols == tree.symbols
+        assert format_term(shared.term) == format_term(tree.term), name
+        ambient = SetAlgebra(kind, model.carrier_size, 3)
+        run = per_table_compile(tree.term, ambient.operators)
+        gens = natural_atom_sets(model, shared.symbols, 3)
+        bits = {i: gens[s].bits for i, s in enumerate(shared.symbols)}
+        want = run(bits)
+        assert shared.evaluate(ambient, gens).bits == want, (name, kind)
+        assert want == satisfaction_set(model, f, 3).bits, (name, kind)
+        # lanes: the generators, then random values for each symbol
+        width = ambient.space.size
+        columns = {i: [b] + [rng.getrandbits(width) for _ in range(4)] for i, b in bits.items()}
+        count = 5 if columns else 1  # no symbols: one lane, the empty assignment
+        lanes = eval_term_lanes(shared.term, columns, ambient)
+        assert lanes == [run({i: c[lane] for i, c in columns.items()}) for lane in range(count)]
+        checked += 1
+    assert checked == 30 * 2 * 4
+
+
+def test_shared_compile_lays_out_fewer_steps():
+    steps = {"shared": 0, "tree": 0}
+    for name, f, kind, model in _corpus_cases():
+        if model.carrier_size == 2:  # each formula and kind once, on rank 1
+            steps["shared"] += len(compile_to_term(f, kind, 3).term._layout.kinds)
+            steps["tree"] += len(tree_compile_to_term(f, kind, 3).term._layout.kinds)
+    assert steps == {"shared": 1386, "tree": 3763}
+
+
+def recursive_validate(node, signature) -> int:
+    """Term validation as it was: a recursive walk of the whole tree,
+    checking each node before its arguments; the max variable index."""
+    if isinstance(node, Var):
+        if node.index < 0:
+            raise SignatureError("variable indices must be nonnegative")
+        return node.index
+    if isinstance(node, Const):
+        if signature.op_arity(node.op) != 0 or not signature.allows(node.op):
+            raise SignatureError(f"{opref_str(node.op)} is not a constant of {signature.label}")
+        return -1
+    if isinstance(node, App):
+        if not signature.allows(node.op):
+            raise SignatureError(f"{opref_str(node.op)} is not in {signature.label}")
+        if signature.op_arity(node.op) != len(node.args):
+            raise SignatureError(f"{opref_str(node.op)} applied to {len(node.args)} arguments")
+        return max([recursive_validate(a, signature) for a in node.args], default=-1)
+    raise TypeError(f"not a term node: {node!r}")
+
+
+@st.composite
+def flawed_nodes(draw, pool):
+    """A node that fails validation in one of several ways, each named
+    apart by a drawn parameter."""
+    k = draw(st.integers(0, 9))
+    return draw(st.sampled_from([
+        Var(-1 - k),
+        Const(("cyl", (k,))),  # not a constant
+        Const(("nope", (k,))),
+        App(("nope", (k,)), (pool[-1],)),
+        App(("and", ()), (pool[-1],) * (k % 2 * 2 + 1)),  # one or three arguments
+        App(("cyl", (k + 5,)), (pool[-1],)),  # past every dimension drawn
+        f"junk {k}",
+    ]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_first_signature_error_matches_recursive_validation(data):
+    ambient = data.draw(ambients(kinds=("BA", "SC", "CA", "RA")))
+    signature = ambient.signature
+    term = data.draw(dag_terms(signature, max_ops=8))
+    pool = [term.root]
+    flaws = 0
+    for _ in range(data.draw(st.integers(6, 12))):
+        if flaws < 2 and data.draw(st.booleans()):
+            pool.append(data.draw(flawed_nodes(pool)))
+            flaws += 1
+        else:
+            arity = data.draw(st.integers(1, 2))
+            op = ("and", ()) if arity == 2 else ("not", ())
+            pool.append(App(op, tuple(data.draw(st.sampled_from(pool)) for _ in range(arity))))
+    root = App(("or", ()), (pool[-1], App(("and", ()), tuple(pool[-2:]))))
+    want = _raised(lambda: recursive_validate(root, signature))
+    assert _raised(lambda: Term(root, signature)) == want
+    if want is None:
+        assert Term(root, signature).var_count == recursive_validate(root, signature) + 1
+
+
+def test_validation_of_two_flawed_nodes_reports_the_first():
+    signature = Signature("CA", 2)
+    inner = Const(("diag", (0, 9)))  # flawed, and shared under another flawed node
+    outer = App(("cyl", (7,)), (App(("not", ()), (inner,)),))
+    for root, want in [(App(("or", ()), (outer, inner)), "cyl:7 is not in CA_2"),
+                       (App(("or", ()), (inner, outer)), "diag:0,9 is not a constant of CA_2")]:
+        assert _raised(lambda: recursive_validate(root, signature)) == (SignatureError, want)
+        assert _raised(lambda: Term(root, signature)) == (SignatureError, want)
