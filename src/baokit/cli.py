@@ -265,7 +265,7 @@ def _cmd_tau_sigma_delta(args) -> ExperimentReport:
 def _cmd_window(args) -> ExperimentReport:
     lib = formula_library()
     if args.formula not in lib:
-        raise FormulaSyntaxError(f"unknown library formula {args.formula!r}", 0)
+        raise ValueError(f"unknown library formula {args.formula!r}")
     model = WindowModel(args.w, args.margin, tuple(args.fixed))
     report = eval_window(model, lib[args.formula].formula)
     verdict = "surrogate-pass" if report.stable else "fail"

@@ -70,13 +70,15 @@ def is_restricted(f: Formula, n: int) -> bool:
     return unrestricted_atom(f, n) is None
 
 
+@lru_cache(maxsize=None)
 def _plan_rewrite(target: tuple[int, ...], n: int, *, star_ok: bool):
     """Shortest sequence of renamings from a natural pattern to `target`.
 
     Patterns are tuples over variable indices plus STAR for a projected
     slot.  A step (i, j) renames every concrete occurrence of i to j.
-    Returns (star_slot, steps) where star_slot is the slot the natural
-    pattern starts with projected (None when the target has no STAR).
+    Returns (star_slot, steps), a tuple of steps, where star_slot is the
+    slot the natural pattern starts with projected (None when the target
+    has no STAR); each target is searched once.
     """
     k = len(target)
     stars = [t for t, v in enumerate(target) if v == STAR]
@@ -104,7 +106,7 @@ def _plan_rewrite(target: tuple[int, ...], n: int, *, star_ok: bool):
             if start.index(STAR) != stars[0]:
                 continue
         if start == target:
-            return star_slot, []
+            return star_slot, ()
         seen = {start: None}
         queue = deque([start])
         while queue:
@@ -122,10 +124,19 @@ def _plan_rewrite(target: tuple[int, ...], n: int, *, star_ok: bool):
                     while seen[cur] is not None:
                         cur, move = seen[cur]
                         steps.append(move)
-                    steps.reverse()
-                    return star_slot, steps
+                    return star_slot, tuple(reversed(steps))
                 queue.append(nxt)
     return None
+
+
+def _renamings(g: Atom, bound: int | None, n: int):
+    """`_plan_rewrite` for atom g, the slot of `bound` (an enclosing
+    existential's variable) projected; CompileError when there is none."""
+    target = tuple(STAR if bound is not None and a == bound else a for a in g.args)
+    plan = _plan_rewrite(target, n, star_ok=bound is not None)
+    if plan is None:
+        raise CompileError(f"atom {g} is not expressible with {n} variables")
+    return plan
 
 
 @lru_cache(maxsize=None)
@@ -141,15 +152,11 @@ def restrict_formula(f: Formula, n: int) -> Formula:
         raise CompileError(f"formula uses v{max_var_index(f)}, but n = {n}")
 
     def rewrite_atom(g: Atom, bound: int | None) -> Formula:
-        target = tuple(STAR if bound is not None and a == bound else a for a in g.args)
-        if bound is not None and target.count(STAR) != 1:
+        if bound is not None and g.args.count(bound) != 1:
             raise CompileError(
                 f"projected variable v{bound} must occur exactly once in {g}"
             )
-        plan = _plan_rewrite(target, n, star_ok=bound is not None)
-        if plan is None:
-            raise CompileError(f"atom {g} is not expressible with {n} variables")
-        star_slot, steps = plan
+        star_slot, steps = _renamings(g, bound, n)
         out: Formula = Atom(g.rel, tuple(range(len(g.args))))
         if star_slot is not None:
             out = Exists(star_slot, out)
@@ -221,11 +228,7 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
             raise CompileError(
                 f"atom {g} is not in natural order; restrict the formula first"
             )
-        target = tuple(STAR if bound is not None and a == bound else a for a in g.args)
-        plan = _plan_rewrite(target, n, star_ok=bound is not None)
-        if plan is None:
-            raise CompileError(f"atom {g} is not expressible with {n} variables")
-        star_slot, steps = plan
+        star_slot, steps = _renamings(g, bound, n)
         out = base
         if star_slot is not None:
             out = App(("cyl", (star_slot,)), (out,))

@@ -113,8 +113,8 @@ def is_independent(algebra, ys, probe_family=None) -> bool:
 def check_free_budget(k: int) -> None:
     """F(k) has 2**k atoms of 2**k bits: k is allowed while their 4**k bits
     fit the space budget."""
-    if k < 0 or 4**k > MAX_SPACE_BITS:
-        top = (MAX_SPACE_BITS.bit_length() - 1) // 2
+    top = (MAX_SPACE_BITS.bit_length() - 1) // 2  # 4**top bits fit, and no 4**k is made
+    if not 0 <= k <= top:
         raise CapacityError(f"free Boolean algebras are built for 0 <= k <= {top}, not {k}")
 
 

@@ -26,6 +26,7 @@ from .models import ModelFinite
 from .spaces import RaElement, RelationAlgebra
 
 MAX_MEMBER_CODE_BITS = 1 << 20
+MAX_ORDINAL = 5  # the largest finite ordinal whose code fits in memory
 
 
 @lru_cache(maxsize=None)
@@ -280,8 +281,8 @@ def ordinal_oracles(x: HFSet) -> OrdinalReport:
 
 
 def ordinal_hf(value: int) -> HFSet:
-    """The finite ordinal as a set; codes past 5 do not fit in memory."""
-    if value > 5:
+    """The finite ordinal as a set; codes past MAX_ORDINAL do not fit."""
+    if value > MAX_ORDINAL:
         raise CapacityError("ordinal codes past 5 exceed the bitset budget")
     code = 0
     for _ in range(value):
@@ -315,14 +316,14 @@ class ArithReport:
     exp: HFSet | None
 
 
-def arith_oracles(x: HFSet, y: HFSet, budget: int = 5) -> ArithReport:
-    """Set-level ordinal arithmetic; None marks results past the budget."""
+def arith_oracles(x: HFSet, y: HFSet) -> ArithReport:
+    """Set-level ordinal arithmetic; None marks results past MAX_ORDINAL."""
     rx, ry = ordinal_oracles(x), ordinal_oracles(y)
     if not (rx.is_ford and ry.is_ford):
         raise PreconditionError("arguments must be finite ordinals")
 
     def settle(value: int) -> HFSet | None:
-        return ordinal_hf(value) if value <= budget else None
+        return ordinal_hf(value) if value <= MAX_ORDINAL else None
 
     return ArithReport(
         sum=settle(sum_value(rx.value, ry.value)),

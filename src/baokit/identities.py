@@ -42,18 +42,16 @@ def order_terms(n: int = 3) -> dict[str, CompiledTerm]:
     return out
 
 
-def identity_sweep(
-    u: int, *, samples: int = 1000, seed: int = 0, exhaustive_limit: int = 4096
-) -> IdentitySweepResult:
+def identity_sweep(u: int, *, samples: int = 1000, seed: int = 0) -> IdentitySweepResult:
     """Check sigma(tau(x)) = x and delta(tau(x)) = top over the base.
 
-    All 2**(u**3) generator values are tried when that count stays under
-    `exhaustive_limit`; otherwise `samples` seeded random values.
+    All 2**(u**3) generator values are tried when there are at most 4096
+    of them; otherwise `samples` seeded random values.
     """
     terms = order_terms(3)
     ambient = SetAlgebra("CA", u, 3)
     size = ambient.space.size
-    exhaustive = (1 << size) <= exhaustive_limit
+    exhaustive = (1 << size) <= 4096
     if exhaustive:
         total = 1 << size
         values = iter(range(total))

@@ -2,10 +2,10 @@
 
 satisfaction_set computes {s in carrier^n : the formula holds under s} as a
 bitset Element.  Its evaluator, satisfaction_bits, is the one
-formula-to-bitset evaluator: each formula is compiled once into a
-straight-line program over raw ints, its plan, in which a repeated
+formula-to-bitset evaluator: each formula is laid out once, as a term is,
+into a straight-line program over raw ints, its plan, in which a repeated
 subformula, atom or diagonal is computed once; each call binds the plan to
-its space.  The window module runs it too, with its own atoms and a run of
+its space.  The window module runs it too, with its own leaves and a run of
 values for each quantifier depth.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
@@ -34,7 +34,7 @@ from .formulas import (
     max_var_index,
 )
 from .spaces import Element, Operators, TupleSpace, cylinder, diag, relation_bits
-from .terms import StraightLine
+from .terms import Layout
 
 
 class ModelFinite:
@@ -103,85 +103,45 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
     space = TupleSpace(model.carrier_size, n)
 
-    def atom(g: Atom) -> int:
-        return relation_bits(space, g.args, model.relations[g.rel])
+    def leaf(g) -> int:
+        if isinstance(g, Atom):
+            return relation_bits(space, g.args, model.relations[g.rel])
+        return diag(space, g.left, g.right).bits
 
-    return Element(space, satisfaction_bits(space, f, atom))
-
-
-class Diagonals:
-    """The diagonals of one space, each built once: calling it with (i, j)
-    gives the bits of diag(i, j).  Made per call, so no full-width mask
-    outlives it."""
-
-    __slots__ = ("space", "_bits")
-
-    def __init__(self, space: TupleSpace):
-        self.space = space
-        self._bits: dict[tuple[int, int], int] = {}
-
-    def __call__(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        bits = self._bits.get(key)
-        if bits is None:
-            bits = self._bits[key] = diag(self.space, i, j).bits
-        return bits
+    return Element(space, satisfaction_bits(space, f, leaf))
 
 
-def satisfaction_bits(space: TupleSpace, f: Formula, atom, quantifier_range=None,
-                      diagonals: Diagonals | None = None) -> int:
+def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None) -> int:
     """The bits of the satisfaction set of `f` over `space`.
 
-    `f` runs as its plan (see `_plan`), compiled once per formula and bound
-    here to the space.  `atom(g)` gives the bits of each distinct atom g,
-    and each distinct diagonal is taken from `diagonals`, a fresh
-    `Diagonals(space)` unless the caller shares its own.  A quantifier on v
-    ranges over the whole base, or, when `quantifier_range(depth, v)` is
-    given, over the run of base values it returns, where depth counts the
-    quantifier's nesting from the root (outermost 1): the relativized
-    ex v phi is c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the
-    tuples whose v lies in the run.
+    `f` runs as its plan (see `_plan`), laid out once per formula and bound
+    here to the space.  `leaf(g)` gives the bits of each of the plan's
+    inputs: each distinct atom g, and each distinct diagonal, an Eq g with
+    g.left <= g.right.  A quantifier on v ranges over the whole base, or,
+    when `quantifier_range(depth, v)` is given, over the run of base values
+    it returns, where depth counts the quantifier's nesting from the root
+    (outermost 1): the relativized ex v phi is c_v(D . phi) and all v phi
+    is -c_v(D . -phi), D holding the tuples whose v lies in the run.
     """
     plan = _plan(f, quantifier_range is not None)
-    if diagonals is None:
-        diagonals = Diagonals(space)
-    inputs = [
-        atom(g) if isinstance(g, Atom) else diagonals(g.left, g.right)
-        for g in plan.leaves
-    ]
-    operators = _Operators(space, quantifier_range)
-    bound = [operators.function(op) for op in plan.ops]
-    return plan.execute([bound[k] for k in plan.kinds], inputs)
-
-
-class _Plan(StraightLine):
-    """A formula laid out once, for every space, as a straight-line program.
-
-    Its inputs are its distinct atoms and diagonals, `leaves` (an Eq with
-    left <= right stands for a diagonal).  `ops` are its distinct
-    operators, each a connective ("not", ()), ("and", ()), ... or a
-    quantifier ("ex" | "all", (var, depth)); step k applies ops[kinds[k]].
-    """
-
-    __slots__ = ("leaves", "ops", "kinds")
-
-    def __init__(self, leaves, ops, kinds, operands, root):
-        super().__init__(len(leaves), operands, root)
-        self.leaves = leaves
-        self.ops = ops
-        self.kinds = kinds
+    binding = plan.bind(_Operators(space, quantifier_range))
+    return plan.run(binding, [leaf(g) for g in plan.variables])
 
 
 _CONNECTIVES = {Not: "not", And: "and", Or: "or", Implies: "impl", Iff: "iff"}
 
 
 @lru_cache(maxsize=None)
-def _plan(f: Formula, ranged: bool) -> _Plan:
-    """Lay out the DAG of f: a repeated subformula, atom or diagonal is
-    computed once.  With `ranged`, a quantifier's range depends on its
-    depth, so a subformula is told apart by its depth as well; without,
-    every depth counts as 0.  The walk keeps its own stack, so deep
-    formulas need no recursion."""
+def _plan(f: Formula, ranged: bool) -> Layout:
+    """Lay out the DAG of f, its plan: a layout with no constants, whose
+    `variables` are its distinct atoms and diagonals (an Eq with left <=
+    right stands for a diagonal) and whose `ops` are connectives
+    ("not", ()), ("and", ()), ... and quantifiers ("ex" | "all",
+    (var, depth)).  A repeated subformula, atom or diagonal is computed
+    once.  With `ranged`, a quantifier's range depends on its depth, so a
+    subformula is told apart by its depth as well; without, every depth
+    counts as 0.  The walk keeps its own stack, so deep formulas need no
+    recursion."""
     leaves: dict = {}  # atom or diagonal -> its input number
     steps: dict = {}  # (subformula, depth) -> its step number
     ops: dict = {}  # operator -> its number
@@ -225,15 +185,7 @@ def _plan(f: Formula, ranged: bool) -> _Plan:
         steps[(g, depth)] = len(operands)
         kinds.append(ops.setdefault(op, len(ops)))
         operands.append(nodes)
-    fixed = len(leaves)
-    root = laid_out(f, 0)
-    return _Plan(
-        tuple(leaves),
-        tuple(ops),
-        kinds,
-        [[~a if a < 0 else fixed + a for a in nodes] for nodes in operands],
-        ~root if root < 0 else fixed + root,
-    )
+    return Layout(tuple(leaves), (), tuple(ops), kinds, operands, laid_out(f, 0))
 
 
 class _Operators(Operators):

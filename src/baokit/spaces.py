@@ -54,8 +54,10 @@ class TupleSpace:
     def __init__(self, base_size: int, dimension: int):
         if base_size < 1 or dimension < 1:
             raise ValueError("base size and dimension must both be at least 1")
-        size = base_size**dimension
-        if size > MAX_SPACE_BITS:
+        # a huge n fails before u**n (or, for u = 1, a list of n entries) is built
+        too_big = dimension > (MAX_SPACE_BITS.bit_length() if base_size > 1 else MAX_SPACE_BITS)
+        size = None if too_big else base_size**dimension
+        if too_big or size > MAX_SPACE_BITS:
             raise CapacityError(
                 f"space of {base_size}**{dimension} tuples exceeds the "
                 f"2**24-bit desk-scale budget"

@@ -123,23 +123,34 @@ class StraightLine:
         return r[self.root]
 
 
-class _Layout(StraightLine):
-    """A term laid out once, for every value domain, as a straight-line
-    program.
+class Layout(StraightLine):
+    """A term or a formula laid out once, for every value domain, as a
+    straight-line program.
 
-    Its inputs are the distinct constants, then one value per variable (in
-    `variables` order); both in order of first occurrence.  `ops` are its
-    distinct operators, and step k applies ops[kinds[k]].
+    Its inputs are the values of the distinct `constants`, then one value
+    per key in `variables`: a term's variable indices, or a formula's
+    distinct atoms and diagonals (see `models._plan`); both in order of
+    first occurrence.  `ops` are its distinct operators, and step k applies
+    ops[kinds[k]] to the nodes operands[k]; the root is a node too.  Node
+    ~i is input i and node j >= 0 the result of step j.
     """
 
     __slots__ = ("variables", "constants", "ops", "kinds")
 
     def __init__(self, variables, constants, ops, kinds, operands, root):
-        super().__init__(len(constants) + len(variables), operands, root)
+        fixed = len(constants) + len(variables)
+        operands = [[fixed + a if a >= 0 else ~a for a in args] for args in operands]
+        super().__init__(fixed, operands, fixed + root if root >= 0 else ~root)
         self.variables = variables
         self.constants = constants
         self.ops = ops
         self.kinds = kinds
+
+    def bind(self, operators) -> tuple[list, list]:
+        """The constants' values and each step's function in the operator
+        table `operators`."""
+        bound = [operators.function(op) for op in self.ops]
+        return [operators.constant(op) for op in self.constants], [bound[k] for k in self.kinds]
 
     def run(self, binding, inputs: list) -> int:
         constants, functions = binding
@@ -162,7 +173,7 @@ def _check_node(node, signature: Signature) -> None:
         raise TypeError(f"not a term node: {node!r}")
 
 
-def _lay_out(root: TermNode, signature: Signature) -> _Layout:
+def _lay_out(root: TermNode, signature: Signature) -> Layout:
     """Check the DAG under root against the signature and lay it out.
 
     Nodes are told apart by identity, so a shared subterm is one step.
@@ -193,29 +204,19 @@ def _lay_out(root: TermNode, signature: Signature) -> _Layout:
     constants = tuple(leaf for leaf in leaves if not isinstance(leaf, int))
     variables = tuple(leaf for leaf in leaves if isinstance(leaf, int))
     place = {leaf: k for k, leaf in enumerate(constants + variables)}
-    inputs = [place[leaf] for leaf in leaves]  # leaf number -> input number
-    fixed = len(inputs)
+    node = [~place[leaf] for leaf in leaves]  # ~leaf number -> ~input number
+    operands = [[a if a >= 0 else node[~a] for a in args] for args in operands]
     root = number[id(root)]
-    return _Layout(
-        variables,
-        constants,
-        tuple(ops),
-        kinds,
-        [[fixed + a if a >= 0 else inputs[~a] for a in args] for args in operands],
-        fixed + root if root >= 0 else inputs[~root],
-    )
+    return Layout(variables, constants, tuple(ops), kinds, operands,
+                  root if root >= 0 else node[~root])
 
 
 def _program(term: Term, operators) -> tuple[list, list]:
-    """The term's layout bound to the table `operators`: the constants'
-    values and each step's function, bound on first use and kept on the
-    term for every table with the same key."""
+    """The term's layout bound to the table `operators`, bound on first use
+    and kept on the term for every table with the same key."""
     binding = term._programs.get(operators.key)
     if binding is None:
-        layout = term._layout
-        constants = [operators.constant(op) for op in layout.constants]
-        bound = [operators.function(op) for op in layout.ops]
-        binding = term._programs[operators.key] = (constants, [bound[k] for k in layout.kinds])
+        binding = term._programs[operators.key] = term._layout.bind(operators)
     return binding
 
 

@@ -27,15 +27,17 @@ from .formulas import (
 )
 from .models import ModelFinite, satisfaction_set
 
+MEMBER = "E"  # the membership symbol
+
 
 @lru_cache(maxsize=None)
-def tr(f: Formula, member: str = "E") -> Formula:
+def tr(f: Formula) -> Formula:
     """Replace v_i = v_j by `all v_k (E(v_k,v_i) <-> E(v_k,v_j))`.
 
     The quantified variable is the smallest index distinct from i and j, so
     a trivial equality v_i = v_i turns into a tautology of the same shape.
     Equality-free formulas come back unchanged (the same object).  Built
-    once per formula and member symbol, like free_vars.
+    once per formula, like free_vars.
     """
 
     def spare(i: int, j: int) -> int:
@@ -49,7 +51,7 @@ def tr(f: Formula, member: str = "E") -> Formula:
             return g
         if isinstance(g, Eq):
             k = spare(g.left, g.right)
-            return Forall(k, Iff(Atom(member, (k, g.left)), Atom(member, (k, g.right))))
+            return Forall(k, Iff(Atom(MEMBER, (k, g.left)), Atom(MEMBER, (k, g.right))))
         if isinstance(g, Not):
             body = walk(g.body)
             return g if body is g.body else Not(body)
@@ -82,9 +84,9 @@ class StrongCongruenceError(PreconditionError):
         )
 
 
-def leibniz_classes(model: ModelFinite, member: str = "E") -> list[list[int]]:
+def leibniz_classes(model: ModelFinite) -> list[list[int]]:
     """Carrier indices grouped by extension (same incoming member sets)."""
-    table = model.relation_table(member)
+    table = model.relation_table(MEMBER)
     extents: dict[frozenset, list[int]] = {}
     for b in range(model.carrier_size):
         ext = frozenset(a for a in range(model.carrier_size) if (a, b) in table)
@@ -92,11 +94,12 @@ def leibniz_classes(model: ModelFinite, member: str = "E") -> list[list[int]]:
     return sorted(extents.values())
 
 
-def strong_congruence_witness(model: ModelFinite, member: str = "E"):
+def strong_congruence_witness(model: ModelFinite):
     """None when the Leibniz relation is a strong congruence, else a witness."""
-    table = model.relation_table(member)
-    for cls_a in leibniz_classes(model, member):
-        for cls_b in leibniz_classes(model, member):
+    table = model.relation_table(MEMBER)
+    classes = leibniz_classes(model)
+    for cls_a in classes:
+        for cls_b in classes:
             values = {((a, b) in table) for a in cls_a for b in cls_b}
             if len(values) > 1:
                 inside = [(a, b) for a in cls_a for b in cls_b if (a, b) in table]
@@ -110,59 +113,59 @@ def strong_congruence_witness(model: ModelFinite, member: str = "E"):
     return None
 
 
-def leibniz_quotient(model: ModelFinite, member: str = "E"):
+def leibniz_quotient(model: ModelFinite):
     """The quotient by the Leibniz relation plus the index projection.
 
     Raises StrongCongruenceError (with a witness quadruple) when the
     relation fails to be a strong congruence, since membership between
     classes would then be ill-defined.
     """
-    witness = strong_congruence_witness(model, member)
+    witness = strong_congruence_witness(model)
     if witness is not None:
         raise StrongCongruenceError(witness)
-    classes = leibniz_classes(model, member)
+    classes = leibniz_classes(model)
     projection = [0] * model.carrier_size
     for ci, members in enumerate(classes):
         for b in members:
             projection[b] = ci
-    table = model.relation_table(member)
+    table = model.relation_table(MEMBER)
     quotient_rows = {
         (projection[a], projection[b]) for a, b in table
     }
     quotient = ModelFinite(
         list(range(len(classes))),
-        {member: quotient_rows},
+        {MEMBER: quotient_rows},
         model.vocabulary,
     )
     return quotient, projection
 
 
-def duplicated_model(model: ModelFinite, copies: int = 2, member: str = "E") -> ModelFinite:
-    """Each point split into `copies` Leibniz-equivalent points."""
-    table = model.relation_table(member)
-    carrier = [(label, c) for label in model.carrier for c in range(copies)]
+def duplicated_model(model: ModelFinite) -> ModelFinite:
+    """Each point split into two Leibniz-equivalent points."""
+    table = model.relation_table(MEMBER)
+    carrier = [(label, c) for label in model.carrier for c in (0, 1)]
     rows = [
         ((model.carrier[a], i), (model.carrier[b], j))
         for a, b in table
-        for i in range(copies)
-        for j in range(copies)
+        for i in (0, 1)
+        for j in (0, 1)
     ]
-    return ModelFinite(carrier, {member: rows}, model.vocabulary)
+    return ModelFinite(carrier, {MEMBER: rows}, model.vocabulary)
 
 
-def tr_equivalent_on(model: ModelFinite, f: Formula, n: int, member: str = "E") -> bool:
+def tr_equivalent_on(model: ModelFinite, f: Formula, n: int) -> bool:
     """Pointwise agreement of f and tr(f) on one model."""
-    return satisfaction_set(model, f, n) == satisfaction_set(model, tr(f, member), n)
+    return satisfaction_set(model, f, n) == satisfaction_set(model, tr(f), n)
 
 
-def quotient_transfers(model: ModelFinite, f: Formula, n: int, member: str = "E") -> bool:
+def quotient_transfers(model: ModelFinite, f: Formula, n: int) -> bool:
     """Does M satisfy tr(f) exactly where M/~ satisfies f, pointwise?
 
     Checked through the projection: an assignment satisfies tr(f) in M
     exactly when its image satisfies f in the quotient.
     """
-    quotient, projection = leibniz_quotient(model, member)
-    sat_m = satisfaction_set(model, tr(f, member), n)
+    quotient, projection = leibniz_quotient(model)
+    sat_m = satisfaction_set(model, tr(f), n)
     sat_q = satisfaction_set(quotient, f, n)
     for s in sat_m.space.tuples():
         image = tuple(projection[c] for c in s)

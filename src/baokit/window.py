@@ -11,20 +11,21 @@ and are surrogates, not proofs; they are labeled as such everywhere.
 Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
-on its last coordinate.  Evaluation runs models' compiled satisfaction
-plan with these atoms and, for each quantifier depth, the run of values
-its variable may take.  Each unordered pair of coordinates costs one
-doubled strict-order atom (spaces.strictly_below): the other order is what
-is neither below nor equal.
+on its last coordinate.  Evaluation runs models' satisfaction plan with
+one leaf hook, which gives these atoms and the diagonals, and, for each
+quantifier depth, the run of values its variable may take.  Each
+unordered pair of coordinates costs one doubled strict-order atom
+(spaces.strictly_below) and at most one diagonal, both kept for the call:
+the other order is what is neither below nor equal.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .formulas import Formula, format_formula, max_var_index, quantifier_depth
+from .formulas import Eq, Formula, format_formula, max_var_index, quantifier_depth
 from .library import close_universally
-from .models import Diagonals, satisfaction_bits
-from .spaces import Element, TupleSpace, strictly_below
+from .models import satisfaction_bits
+from .spaces import Element, TupleSpace, diag, strictly_below
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class WindowModel:
         if self.radius < 1 or self.margin < 1:
             raise ValueError("radius and margin must be positive")
         lo, hi = -self.radius + self.margin, self.radius - self.margin
+        if self.fixed and lo > hi:
+            raise ValueError(f"margin {self.margin} leaves no room inside radius {self.radius}")
         bad = [c for c in self.fixed if not lo <= c <= hi]
         if bad:
             raise ValueError(
@@ -64,32 +67,38 @@ class WindowReport:
 
 
 def _relation_element(space: TupleSpace, model: WindowModel, radius: int, a: int,
-                      b: int, below: dict, diagonals: Diagonals | None = None) -> Element:
-    """The assignments s with s_a related to s_b.  `below` keeps the strict
-    order atoms (see `_below`); `diagonals`, made here unless given, are
-    the diagonals of the space."""
+                      b: int, known: dict) -> Element:
+    """The assignments s with s_a related to s_b.  `known` keeps the strict
+    order atoms and the diagonals of the space (see `_below`)."""
     if a == b:
         bits = 0
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius)
         return Element(space, bits)
-    if diagonals is None:
-        diagonals = Diagonals(space)
-    bits = _below(space, a, b, below, diagonals)
+    bits = _below(space, a, b, known)
     for c in model.fixed:
         bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
     return Element(space, bits)
 
 
-def _below(space: TupleSpace, a: int, b: int, below: dict, diagonals: Diagonals) -> int:
+def _below(space: TupleSpace, a: int, b: int, known: dict) -> int:
     """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair
-    and kept in `below` under (a, b) with a < b: for a > b they are the
-    tuples neither below nor on the diagonal."""
+    and kept in `known` under ("<", a, b) with a < b: for a > b they are
+    the tuples neither below nor on the diagonal."""
     if a > b:
-        return space.full_mask ^ _below(space, b, a, below, diagonals) ^ diagonals(a, b)
-    bits = below.get((a, b))
+        return space.full_mask ^ _below(space, b, a, known) ^ _diagonal(space, a, b, known)
+    bits = known.get(("<", a, b))
     if bits is None:
-        bits = below[(a, b)] = strictly_below(space, a, b)
+        bits = known[("<", a, b)] = strictly_below(space, a, b)
+    return bits
+
+
+def _diagonal(space: TupleSpace, i: int, j: int, known: dict) -> int:
+    """Bits of diag(i, j), kept in `known` under ("=", min, max) of i, j."""
+    key = ("=", i, j) if i <= j else ("=", j, i)
+    bits = known.get(key)
+    if bits is None:
+        bits = known[key] = diag(space, i, j).bits
     return bits
 
 
@@ -106,18 +115,18 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     space = _window_space(f, radius)
-    below: dict[tuple[int, int], int] = {}
-    diagonals = Diagonals(space)  # shared with the Eq leaves
+    known: dict[tuple, int] = {}  # order atoms and diagonals, shared by every leaf
 
-    def atom(g) -> int:
-        return _relation_element(space, model, radius, g.args[0], g.args[1],
-                                 below, diagonals).bits
+    def leaf(g) -> int:
+        if isinstance(g, Eq):
+            return _diagonal(space, g.left, g.right, known)
+        return _relation_element(space, model, radius, g.args[0], g.args[1], known).bits
 
     def allowed(depth_now: int, var: int) -> range:
         reach = radius - depth_now * model.margin
         return range(radius - reach, radius + reach + 1)  # as indices
 
-    return Element(space, satisfaction_bits(space, f, atom, allowed, diagonals))
+    return Element(space, satisfaction_bits(space, f, leaf, allowed))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:

@@ -123,6 +123,13 @@ def test_window_capacity_exit_code(capsys):
 def test_unknown_formula_usage_error(capsys):
     code = main(["window", "--formula", "nonsense"])
     assert code == 2
+    assert capsys.readouterr().err == "usage error: unknown library formula 'nonsense'\n"
+
+
+def test_margin_past_the_radius_names_its_cause(capsys):
+    for argv, margin, radius in ((["--w", "1"], 2, 1), (["--margin", "100"], 100, 16)):
+        err = run_usage_error(capsys, "window", *argv)
+        assert err == f"usage error: margin {margin} leaves no room inside radius {radius}\n"
 
 
 def test_translate_and_pairing_and_arith(capsys):
@@ -414,3 +421,56 @@ def test_fuzzed_terms_and_formulas_keep_the_exit_code_contract(tmp_path, capsys,
     assert "Traceback" not in err
     if code == 2:
         assert len(err.strip().splitlines()) == 1, err
+
+
+_BIG = "9" * 20
+_CLI_FLAGS = {  # subcommand -> flag -> values in and out of range, and malformed
+    "atoms": {"u": ["1", "2", "3", "0", "-1", "x", _BIG], "n": ["1", "2", "3", "0", "x", _BIG],
+              "cap": ["1", "8", "4096", "0", "x", _BIG], "kind": ["BA", "SC", "CA", "RA"],
+              "gens": ["diag:0,1", "less:0,1", "less:1,0", "diag:0,7", "less:-1,0", "hex:f",
+                       "hex:zz", "hex:-1", "hex:" + "f" * 40, "less:a", "diag:0", "", "junk:1"]},
+    "window": {"w": ["1", "2", "3", "4", "8", "0", "-2", "x", _BIG],
+               "margin": ["1", "2", "3", "100", "0", "x", _BIG],
+               "fixed": ["0", "0,1", "-1,1", "7", "-99", "x", "", "0,,1", _BIG],
+               "formula": ["ax", "eta", "phi", "psi", "suc", "ord", "nope", ""]},
+    "free-ba": {"k": ["0", "1", "2", "5", "13", "-1", "x", _BIG]},
+    "example": {"u": ["2", "3", "4", "1", "0", "x", _BIG]},
+    "hereditary": {"u": ["1", "2", "3", "0", "x", _BIG], "n": ["1", "2", "3", "0", _BIG],
+                   "kind": ["DF", "SC", "CA", "BA"], "trials": ["1", "3", "0", "x"],
+                   "seed": ["0", "5", "-1", "x", _BIG], "cap": ["1", "64", "0", "x", _BIG]},
+    "pairing": {"rank": ["1", "2", "3", "4", "0", "x", _BIG]},
+    "tau-sigma-delta": {"u": ["1", "2", "3", "0", "x", _BIG], "samples": ["1", "10", "0", "x"],
+                        "seed": ["0", "7", "-1", "x", _BIG]},
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_flags_and_paths_keep_the_exit_code_contract(tmp_path, capsys, data):
+    """Random values of the numeric, choice and path flags; huge --trials
+    and --samples are left out, since they ask for that many runs."""
+    (tmp_path / "file.txt").write_text("")
+    paths = [tmp_path / "missing" / "out.txt", tmp_path, tmp_path / "file.txt" / "out.txt"]
+    command = data.draw(st.sampled_from([*_CLI_FLAGS, "translate", "corpus-check"]))
+    argv = [command]
+    for flag, values in _CLI_FLAGS.get(command, {}).items():
+        if data.draw(st.booleans()):
+            argv.append(f"--{flag}={data.draw(st.sampled_from(values))}")
+    if command == "translate":
+        argv += ["--rank=1", f"--corpus={data.draw(st.sampled_from(paths))}"]
+    elif command == "corpus-check":
+        argv.append(str(data.draw(st.sampled_from(paths))))
+    elif command == "atoms" and data.draw(st.booleans()):
+        argv.append(f"--dump={data.draw(st.sampled_from(paths + [tmp_path / 'out.txt']))}")
+    try:
+        code = main(["--json", *argv])
+    except SystemExit as exc:  # argparse: usage lines, then one error line
+        code = exc.code
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"baokit {command}: error:")
+    else:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+    assert code in (0, 1, 2), argv

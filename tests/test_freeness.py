@@ -212,6 +212,12 @@ def test_free_ba_sizes_and_atoms():
         free_boolean_algebra(13)
 
 
+def test_huge_free_ba_rank_fails_before_any_power():
+    for k in (-1, 10**20):  # 4**k is never built
+        with pytest.raises(CapacityError):
+            free_boolean_algebra(k)
+
+
 def test_free_ba_generators_generate():
     algebra, gens = free_boolean_algebra(2)
     sub = generate_subalgebra(algebra.domain, gens, cap=16)

@@ -469,9 +469,11 @@ def check_against_walker(f, model, n, ranges):
         ),
     )
     atom = row_atoms(model, space)
-    bits = satisfaction_bits(
-        space, f, lambda g: atom(g).bits, lambda depth, var: ranges[depth, var]
-    )
+
+    def leaf(g) -> int:  # atoms and diagonals alike
+        return (atom(g) if isinstance(g, Atom) else diag(space, g.left, g.right)).bits
+
+    bits = satisfaction_bits(space, f, leaf, lambda depth, var: ranges[depth, var])
     assert bits == want.bits, (f, ranges)
 
 
@@ -508,9 +510,26 @@ def test_satisfaction_plan_is_built_once_and_shares_subformulas():
     assert _plan.cache_info().misses == 1
     plan = _plan(f, False)
     # two atoms, and ex v2 R(v0,v1,v2) computed once
-    assert len(plan.leaves) == 2 and len(plan.kinds) == 4
+    assert len(plan.variables) == 2 and len(plan.kinds) == 4 and plan.constants == ()
     long_conj = _plan(conj([Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]), False)
     assert len(long_conj.kinds) == 249 and len(long_conj.blank) == 1  # one register reused
+
+
+def test_diagonals_reach_the_leaf_hook_normalised():
+    f = parse_formula("(v2 = v0 & v1 = v1) | (v0 = v2 & R(v1,v0)) | ex v1 v1 = v0")
+    model = order_model()
+    space = TupleSpace(3, 3)
+    asked = []
+
+    def leaf(g) -> int:
+        asked.append(g)
+        if isinstance(g, Atom):
+            return row_atoms(model, space)(g).bits
+        return diag(space, g.left, g.right).bits
+
+    bits = satisfaction_bits(space, f, leaf)
+    assert asked == [Eq(0, 2), Eq(1, 1), Atom("R", (1, 0)), Eq(0, 1)]
+    assert bits == satisfaction_set(model, f, 3).bits
 
 
 def test_atoms_pair_arguments_with_rows_as_zip_does():

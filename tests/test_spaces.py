@@ -34,6 +34,14 @@ def test_space_capacity_cap():
         TupleSpace(2, 25)
 
 
+def test_huge_dimensions_fail_before_any_power():
+    # u**n and the per-coordinate list are never built for such n
+    for u in (1, 2, 10**20):
+        with pytest.raises(CapacityError):
+            TupleSpace(u, 10**20)
+    assert TupleSpace(1, 30).size == 1 and TupleSpace(2, 24).size == 2**24
+
+
 def test_cyl_examples():
     amb = SetAlgebra("CA", 2, 2)
     x = amb.element([(0, 1)])

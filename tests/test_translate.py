@@ -33,7 +33,6 @@ def test_tr_is_built_once_per_formula():
     f = parse_formula("ex v2 (v0 = v2 & E(v2,v1))")
     assert tr(f) is tr(f)
     assert tr(f) is tr(parse_formula("ex v2 (v0 = v2 & E(v2,v1))"))
-    assert tr(f, "M") is not tr(f) and tr(f, "M") == tr(f, member="M")
 
 
 def test_tr_reflexive_equality_becomes_tautology():
@@ -94,6 +93,22 @@ def test_duplicated_model_quotient_restores_original():
         if doubled.rel_holds("E", (a, b))
     }
     assert table == set(quotient.relation_table("E"))
+
+
+def test_strong_congruence_witness_groups_the_carrier_once(monkeypatch):
+    import baokit.translate
+
+    calls = []
+    original = baokit.translate.leibniz_classes
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(baokit.translate, "leibniz_classes", counting)
+    doubled = duplicated_model(hf_universe(3).model())
+    assert strong_congruence_witness(doubled) is None
+    assert len(calls) == 1
 
 
 def test_strong_congruence_witness_quadruple():

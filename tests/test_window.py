@@ -18,7 +18,7 @@ from baokit import (
     quantifier_depth,
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
-from baokit.library import formula_library
+from baokit.library import close_universally, formula_library
 from baokit.spaces import strictly_below
 from baokit.window import _relation_element, window_satisfaction
 
@@ -258,3 +258,21 @@ def test_order_atoms_match_value_loop_at_radius_16():
         for b in range(3):
             got = _relation_element(space, model, 16, a, b, {})
             assert got.bits == relation_by_value_loop(space, model, 16, a, b), (a, b)
+
+
+def test_one_call_builds_each_diagonal_once(monkeypatch):
+    """The derived order s_b < s_a and the Eq leaves on one pair share its
+    diagonal: `ax` asks for each of its three pairs both ways."""
+    import baokit.window
+
+    built = []
+    original = baokit.window.diag
+
+    def counting(space, i, j):
+        built.append((min(i, j), max(i, j)))
+        return original(space, i, j)
+
+    monkeypatch.setattr(baokit.window, "diag", counting)
+    closed = close_universally(formula_library()["ax"].formula)
+    assert window_satisfaction(WindowModel(16, 2, (0,)), closed, 16).is_full()
+    assert sorted(built) == [(0, 1), (0, 2), (1, 2)]
