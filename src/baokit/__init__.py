@@ -10,7 +10,6 @@ finite set models, and a CLI that replays the library's experiments.
 from .algebras import (
     FiniteAlgebra,
     Ideal,
-    SetDomain,
     atom_below,
     atoms,
     decompose_by_zero_dimensional,

@@ -5,9 +5,11 @@ value domain that knows how to compute the Boolean and signature operations
 on values.  Every operator a domain carries is normal and additive in each
 argument, so an algebra is fixed by its atoms (Jonsson and Tarski, Boolean
 algebras with operators): the carrier is the set of joins of atoms, and an
-operator is known once it is known on atoms.  Domains exist for full set
-algebras, relation algebras, relativizations, binary products, and explicit
-operation tables.
+operator is known once it is known on atoms.  A full set or relation
+algebra (`spaces.SetAlgebra`, `spaces.RelationAlgebra`) is a domain itself;
+the domains here cover relativizations, binary products and explicit
+operation tables.  A domain has `signature`, `zero`, `one`, `meet`, `join`,
+`compl`, `apply`, `key` (a hashable key of a value) and `describe`.
 """
 
 import itertools
@@ -16,42 +18,7 @@ from functools import cached_property, partial
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
 from .signatures import OpRef, Signature, opref_str
-from .spaces import Element, RaElement, RelationAlgebra, TupleSpace
-
-
-class SetDomain:
-    """Values are Elements (or RaElements) of one ambient full algebra."""
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.signature = ambient.signature
-
-    def zero(self):
-        return self.ambient.zero
-
-    def one(self):
-        return self.ambient.one
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def compl(self, a):
-        return ~a
-
-    def apply(self, op: OpRef, *args):
-        return self.ambient.apply(op, *args)
-
-    def key(self, v):
-        return v.bits
-
-    def describe(self) -> str:
-        amb = self.ambient
-        if isinstance(amb, RelationAlgebra):
-            return f"rel {amb.base_size}"
-        return f"space {amb.space.base_size} {amb.space.dimension}"
+from .spaces import Element, RaElement, TupleSpace
 
 
 class RelativizedDomain:
@@ -61,12 +28,8 @@ class RelativizedDomain:
         self.base = base
         self.b = b
         self.signature = base.signature
-
-    def zero(self):
-        return self.base.zero()
-
-    def one(self):
-        return self.b
+        self.zero = base.zero
+        self.one = b
 
     def meet(self, a, c):
         return self.base.meet(a, c)
@@ -96,12 +59,8 @@ class ProductDomain:
         self.left = left
         self.right = right
         self.signature = left.signature
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-    def one(self):
-        return (self.left.one(), self.right.one())
+        self.zero = (left.zero, right.zero)
+        self.one = (left.one, right.one)
 
     def meet(self, a, b):
         return (self.left.meet(a[0], b[0]), self.right.meet(a[1], b[1]))
@@ -135,9 +94,11 @@ class TableDomain:
         self.values = list(values)
         self.tables = tables
 
+    @property
     def zero(self):
         return self.tables["zero"][()]
 
+    @property
     def one(self):
         return self.tables["one"][()]
 
@@ -181,7 +142,7 @@ MAX_CARRIER_ATOMS = 16  # carriers are enumerated up to 2**16 elements
 def _split(domain, cells, splitters) -> list:
     """Refine the cells until every splitter is a union of cells."""
     key = domain.key
-    zero = key(domain.zero())
+    zero = key(domain.zero)
     for s in splitters:
         out = []
         for c in cells:
@@ -196,8 +157,8 @@ def _split(domain, cells, splitters) -> list:
 
 
 def _top_cells(domain) -> list:
-    one = domain.one()
-    return [] if domain.key(one) == domain.key(domain.zero()) else [one]
+    one = domain.one
+    return [] if domain.key(one) == domain.key(domain.zero) else [one]
 
 
 def _put(items: tuple, i: int, value) -> tuple:
@@ -212,7 +173,7 @@ def _joins(domain, atoms) -> tuple:
             f"2**{len(atoms)} elements are past the "
             f"2**{MAX_CARRIER_ATOMS}-element carrier budget"
         )
-    out = [domain.zero()]
+    out = [domain.zero]
     for a in atoms:
         out += [domain.join(x, a) for x in out]
     return tuple(sorted(out, key=domain.key))
@@ -250,8 +211,8 @@ class FiniteAlgebra:
         self.domain = domain
         self.signature = domain.signature
         self._atoms = tuple(sorted(atoms, key=domain.key))
-        self.zero = domain.zero()
-        self.one = domain.one()
+        self.zero = domain.zero
+        self.one = domain.one
         self.is_degenerate = not self._atoms
         self._carrier = None
 
@@ -443,19 +404,19 @@ def _read_values(desc: str, hexes) -> list:
     raise ValueError(f"cannot deserialize domain {desc!r}")
 
 
-def generate_subalgebra(ambient, gens, cap: int = 4096) -> FiniteAlgebra:
-    """Least subuniverse containing `gens`, 0, 1 and the signature constants;
-    with no gens, the subalgebra of the constants.
+def generate_subalgebra(domain, gens, cap: int = 4096) -> FiniteAlgebra:
+    """Least subuniverse of a value domain containing `gens`, 0, 1 and the
+    signature constants; with no gens, the subalgebra of the constants.
 
-    `ambient` is a SetAlgebra or RelationAlgebra (or any value domain).  The
-    atoms are found by partition refinement: start from the cells cut out
-    by the constants and the generators, split every cell by each operator
-    image of a cell (of a pair of cells, for a binary operator), and stop
-    when no cell splits.  Each operator is additive in each argument, so the
+    `domain` is a full SetAlgebra or RelationAlgebra, or any other value
+    domain, such as a product or a relativization; it becomes the domain of
+    the result.  The atoms are found by partition refinement: start from
+    the cells cut out by the constants and the generators, split every cell
+    by each operator image of a cell (of a pair of cells, for a binary
+    operator), and stop when no cell splits.  Each operator is additive in each argument, so the
     joins of the final cells are closed under it.  Fails with
     ClosureCapError as soon as a round leaves more than log2(cap) cells.
     """
-    domain = ambient if hasattr(ambient, "meet") else SetDomain(ambient)
     if cap < 1:
         raise ValueError("cap must be at least 1")
     key = domain.key

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .algebras import atoms, generate_subalgebra, is_hereditary_closed, product
+from .algebras import MAX_CARRIER_ATOMS, atoms, generate_subalgebra, is_hereditary_closed, product
 from .compiler import compiler_agrees, is_restricted, unrestricted_atom
 from .errors import BaokitError, CapacityError, FormulaSyntaxError
 from .example import example_algebra
@@ -426,6 +426,7 @@ def _ordinal_agreement(universe, lib) -> list:
 def _cmd_hereditary(args) -> ExperimentReport:
     rng = random.Random(args.seed)
     ambient = SetAlgebra(args.kind, args.u, args.n)
+    cap = min(args.cap, 1 << MAX_CARRIER_ATOMS)  # past either, a trial is skipped
     failures = []
     checked = 0
     for trial in range(args.trials):
@@ -433,7 +434,7 @@ def _cmd_hereditary(args) -> ExperimentReport:
         if gen.is_zero():
             continue
         try:
-            algebra = generate_subalgebra(ambient, [gen], cap=args.cap)
+            algebra = generate_subalgebra(ambient, [gen], cap=cap)
         except CapacityError:
             continue
         ats = atoms(algebra)

@@ -76,9 +76,10 @@ def _plan_rewrite(target: tuple[int, ...], n: int, *, star_ok: bool):
 
     Patterns are tuples over variable indices plus STAR for a projected
     slot.  A step (i, j) renames every concrete occurrence of i to j.
-    Returns (star_slot, steps), a tuple of steps, where star_slot is the
-    slot the natural pattern starts with projected (None when the target
-    has no STAR); each target is searched once.
+    Renamings never move a STAR, so the search starts from the natural
+    pattern with the target's STAR slot projected.  Returns (star_slot,
+    steps), a tuple of steps, where star_slot is that slot (None when the
+    target has no STAR); each target is searched once.
     """
     k = len(target)
     stars = [t for t, v in enumerate(target) if v == STAR]
@@ -89,43 +90,30 @@ def _plan_rewrite(target: tuple[int, ...], n: int, *, star_ok: bool):
     if stars and not star_ok:
         return None
 
-    starts = []
-    if stars:
-        for slot in range(k):
-            pattern = tuple(STAR if t == slot else t for t in range(k))
-            starts.append((slot, pattern))
-    else:
-        starts.append((None, tuple(range(k))))
-
+    star_slot = stars[0] if stars else None
+    start = tuple(STAR if t == star_slot else t for t in range(k))
+    if start == target:
+        return star_slot, ()
     moves = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for star_slot, start in starts:
-        if stars and start.count(STAR) != 1:
-            continue
-        if stars:
-            # The star must end up on the projected slot of the target.
-            if start.index(STAR) != stars[0]:
+    seen = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for i, j in moves:
+            if i not in state:
                 continue
-        if start == target:
-            return star_slot, ()
-        seen = {start: None}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            for i, j in moves:
-                if i not in state:
-                    continue
-                nxt = tuple(j if v == i else v for v in state)
-                if nxt in seen:
-                    continue
-                seen[nxt] = (state, (i, j))
-                if nxt == target:
-                    steps = []
-                    cur = nxt
-                    while seen[cur] is not None:
-                        cur, move = seen[cur]
-                        steps.append(move)
-                    return star_slot, tuple(reversed(steps))
-                queue.append(nxt)
+            nxt = tuple(j if v == i else v for v in state)
+            if nxt in seen:
+                continue
+            seen[nxt] = (state, (i, j))
+            if nxt == target:
+                steps = []
+                cur = nxt
+                while seen[cur] is not None:
+                    cur, move = seen[cur]
+                    steps.append(move)
+                return star_slot, tuple(reversed(steps))
+            queue.append(nxt)
     return None
 
 

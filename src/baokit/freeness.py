@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import permutations, product
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
-from .algebras import FiniteAlgebra, ProductDomain, SetDomain, atoms, generate_subalgebra
+from .algebras import FiniteAlgebra, ProductDomain, atoms, generate_subalgebra
 from .spaces import MAX_SPACE_BITS, SetAlgebra
 
 
@@ -129,7 +129,7 @@ def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
         for i in range(k)
     ]
     valuations = [ambient.from_bits(1 << f) for f in range(2**k)]
-    return FiniteAlgebra.from_atoms(SetDomain(ambient), valuations), gens
+    return FiniteAlgebra.from_atoms(ambient, valuations), gens
 
 
 def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):

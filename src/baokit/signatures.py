@@ -85,8 +85,8 @@ class Signature:
     def allows(self, op: OpRef) -> bool:
         name, params = op
         if name in _BOOLEAN_SHAPES:
-            return True
-        if name not in _OP_SHAPES:
+            return not params
+        if name not in _OP_SHAPES or len(params) != _OP_SHAPES[name][1]:
             return False
         n = self.dimension
         if name == "cyl":

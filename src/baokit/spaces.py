@@ -11,7 +11,9 @@ gives the raw-int kernel of cylindrification, relativized to a run of
 values of its coordinate, and `strictly_below` the order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
-with composition, converse and the identity relation.
+with composition, converse and the identity relation.  Both are
+FullAlgebras, which share zero, one, apply and the Boolean operations, and
+each is the value domain of its own finite subalgebras.
 
 An operator table (`SetOperators`, `RelationOperators`) is the one map from
 operator names to raw-int kernels; each algebra owns one for `apply`, and
@@ -409,7 +411,43 @@ class SetOperators(Operators):
         raise SignatureError(f"unsupported operator {name!r}")
 
 
-class SetAlgebra:
+class FullAlgebra:
+    """The algebra of all subsets of one finite set under a signature, and
+    the value domain of its finite subalgebras.  A subclass fixes the value
+    type (`from_bits`, `contains`) and owns the operator table."""
+
+    @property
+    def zero(self):
+        return self.from_bits(0)
+
+    @property
+    def one(self):
+        return self.from_bits(self.operators.full)
+
+    def meet(self, a, b):
+        return a & b
+
+    def join(self, a, b):
+        return a | b
+
+    def compl(self, a):
+        return ~a
+
+    def key(self, v) -> int:
+        return v.bits
+
+    def apply(self, op: OpRef, *args):
+        if not self.signature.allows(op):
+            raise SignatureError(f"{op} is not in the {self.signature.label} signature")
+        for a in args:
+            if not self.contains(a):
+                raise SpaceMismatchError("operand from a different space")
+        table = self.operators
+        bits = table.function(op)(args[0].bits, args[-1].bits) if args else table.constant(op)
+        return self.from_bits(bits)
+
+
+class SetAlgebra(FullAlgebra):
     """The full algebra of all subsets of a tuple space under one signature."""
 
     def __init__(self, kind: str, base_size: int, dimension: int):
@@ -418,14 +456,6 @@ class SetAlgebra:
         self.signature = Signature(kind, None if kind == "BA" else dimension)
         self.space = TupleSpace(base_size, dimension)
         self.operators = SetOperators(self.space, dimension)
-
-    @property
-    def zero(self) -> Element:
-        return Element(self.space, 0)
-
-    @property
-    def one(self) -> Element:
-        return Element(self.space, self.space.full_mask)
 
     def element(self, tuples: Iterable) -> Element:
         bits = 0
@@ -439,23 +469,12 @@ class SetAlgebra:
     def random_element(self, rng) -> Element:
         return Element(self.space, rng.getrandbits(self.space.size))
 
-    def elements(self) -> Iterator[Element]:
-        """All 2**size subsets; only sensible for very small spaces."""
-        for bits in range(1 << self.space.size):
-            yield Element(self.space, bits)
-
     def contains(self, x) -> bool:
         return isinstance(x, Element) and x.space == self.space
 
-    def apply(self, op: OpRef, *args: Element) -> Element:
-        if not self.signature.allows(op):
-            raise SignatureError(f"{op} is not in the {self.signature.label} signature")
-        for a in args:
-            if not self.contains(a):
-                raise SpaceMismatchError("operand from a different space")
-        table = self.operators
-        bits = table.function(op)(args[0].bits, args[-1].bits) if args else table.constant(op)
-        return Element(self.space, bits)
+    def describe(self) -> str:
+        """The domain line `FiniteAlgebra.serialize` writes."""
+        return f"space {self.space.base_size} {self.space.dimension}"
 
     def __repr__(self):
         return (
@@ -610,7 +629,7 @@ class RelationOperators(Operators):
         raise SignatureError(f"unsupported operator {op[0]!r}")
 
 
-class RelationAlgebra:
+class RelationAlgebra(FullAlgebra):
     """All binary relations on a finite base, with ;, converse and Id."""
 
     def __init__(self, base_size: int):
@@ -621,14 +640,6 @@ class RelationAlgebra:
         self.signature = Signature("RA")
         self.base_size = base_size
         self.operators = RelationOperators(base_size)
-
-    @property
-    def zero(self) -> RaElement:
-        return RaElement(self.base_size, 0)
-
-    @property
-    def one(self) -> RaElement:
-        return RaElement(self.base_size, (1 << (self.base_size**2)) - 1)
 
     @property
     def identity(self) -> RaElement:
@@ -652,6 +663,10 @@ class RelationAlgebra:
     def contains(self, x) -> bool:
         return isinstance(x, RaElement) and x.base_size == self.base_size
 
+    def describe(self) -> str:
+        """The domain line `FiniteAlgebra.serialize` writes."""
+        return f"rel {self.base_size}"
+
     def compose(self, r: RaElement, s: RaElement) -> RaElement:
         r._peer(s)
         return RaElement(self.base_size, compose_bits(self.base_size, r.bits, s.bits))
@@ -662,16 +677,6 @@ class RelationAlgebra:
     def residual(self, r: RaElement, s: RaElement) -> RaElement:
         """Boolean residual r -> s, that is -r + s."""
         return ~r | s
-
-    def apply(self, op: OpRef, *args: RaElement) -> RaElement:
-        if not self.signature.allows(op):
-            raise SignatureError(f"{op} is not in the RA signature")
-        for a in args:
-            if not self.contains(a):
-                raise SpaceMismatchError("operand on a different base")
-        table = self.operators
-        bits = table.function(op)(args[0].bits, args[-1].bits) if args else table.constant(op)
-        return RaElement(self.base_size, bits)
 
     def __repr__(self):
         return f"RelationAlgebra(base={self.base_size})"

@@ -22,7 +22,7 @@ from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
 from .formulas import MAX_NESTING
-from .signatures import OpRef, Signature, opref_str
+from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
 from .spaces import MAX_SPACE_BITS, RelationAlgebra, SetAlgebra, SetOperators, TupleSpace
 
 
@@ -362,7 +362,6 @@ def eval_term_lanes(term: Term, columns, ambient) -> list[int]:
 
 
 _CONST_WORDS = {"zero": ("zero", ()), "one": ("one", ()), "id": ("id", ())}
-_PARAM_COUNT = {"cyl": 1, "subst": 2, "diag": 2}
 
 
 def format_term(term: Term) -> str:
@@ -427,7 +426,8 @@ def parse_term(text: str, signature: Signature) -> Term:
         elif head == "diag":
             node = Const(("diag", (number(), number())))
         else:
-            params = tuple(number() for _ in range(_PARAM_COUNT.get(head, 0)))
+            count = _OP_SHAPES[head][1] if head in _OP_SHAPES else 0
+            params = tuple(number() for _ in range(count))
             args = []
             while pos < len(tokens) and tokens[pos] != ")":
                 args.append(parse_node())

@@ -334,32 +334,39 @@ def test_serialize_roundtrip():
     assert back.serialize().splitlines()[3:] == text.splitlines()[3:]
 
 
-def _builders():
+def _builders():  # label, algebra, the domain line `serialize` writes
     rng = random.Random(23)
     for kind, u, n in (("CA", 2, 2), ("DF", 2, 2), ("SC", 2, 2)):
         amb = SetAlgebra(kind, u, n)
-        yield f"generated {kind}", generate_subalgebra(amb, [amb.random_element(rng)])
+        yield f"generated {kind}", generate_subalgebra(amb, [amb.random_element(rng)]), "space 2 2"
     ra = RelationAlgebra(2)
-    yield "generated RA", generate_subalgebra(ra, [ra.random_element(rng)])
+    yield "generated RA", generate_subalgebra(ra, [ra.random_element(rng)]), "rel 2"
     amb, alg = diag_algebra()
-    yield "relativized", relativize(alg, diag(amb.space, 0, 1))
-    yield "relativized to 0", relativize(alg, amb.zero)
+    yield "relativized", relativize(alg, diag(amb.space, 0, 1)), "relativized(space 2 2)"
+    yield "relativized to 0", relativize(alg, amb.zero), "relativized(space 2 2)"
     for k in range(4):
-        yield f"free k={k}", free_boolean_algebra(k)[0]
+        yield f"free k={k}", free_boolean_algebra(k)[0], f"space {2**k} 1"
 
 
 BUILDERS = list(_builders())
 
 
-@pytest.mark.parametrize("label,algebra", BUILDERS, ids=[b[0] for b in BUILDERS])
-def test_serialize_roundtrip_every_builder(label, algebra):
+@pytest.mark.parametrize("label,algebra,domain_line", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_serialize_roundtrip_every_builder(label, algebra, domain_line):
     text = algebra.serialize()
+    assert text.splitlines()[2] == domain_line
     back = FiniteAlgebra.deserialize(text)
     key = algebra.domain.key
     assert [x.bits for x in back.carrier] == [key(x) for x in algebra.carrier], label
     assert [a.bits for a in atoms(back)] == [key(a) for a in atoms(algebra)], label
     assert back.serialize().splitlines()[3:] == text.splitlines()[3:], label
     assert FiniteAlgebra.deserialize(back.serialize()).serialize() == back.serialize()
+
+
+def test_a_full_algebra_is_the_domain_of_its_subalgebras():
+    rng = random.Random(5)
+    for amb in (SetAlgebra("CA", 2, 2), RelationAlgebra(2)):
+        assert generate_subalgebra(amb, [amb.random_element(rng)]).domain is amb
 
 
 def test_serialize_product_refused():

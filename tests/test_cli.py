@@ -146,6 +146,14 @@ def test_translate_and_pairing_and_arith(capsys):
         assert "verdict: pass" in out
 
 
+def test_hereditary_cap_past_the_carrier_budget_skips_the_trial(capsys):
+    # a trial whose subalgebra passes 2**16 elements is skipped, as one past --cap is
+    argv = ["--json", "hereditary", "--u", "3", "--n", "3", "--kind", "SC"]
+    code, out = run_cli(capsys, *argv, "--cap", "9" * 20)
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv, "--cap", "65536")
+
+
 def test_corpus_check_shipped(capsys):
     code, out = run_cli(capsys, "corpus-check")
     assert code == 0

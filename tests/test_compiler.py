@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import product as iproduct
 
 import pytest
@@ -17,7 +18,7 @@ from baokit import (
     satisfaction_set,
     tr,
 )
-from baokit.compiler import natural_atom_sets
+from baokit.compiler import STAR, _plan_rewrite, natural_atom_sets
 from baokit.library import formula_library
 
 
@@ -130,3 +131,66 @@ def test_pure_equality_formula_compiles_to_constant():
     from baokit import diag
 
     assert eval_term(compiled.term, {}, amb) == diag(amb.space, 0, 1)
+
+
+def reference_plan_rewrite(target, n, *, star_ok):
+    """The search that tried every projected start pattern in turn."""
+    k = len(target)
+    stars = [t for t, v in enumerate(target) if v == STAR]
+    if any(v >= n for v in target if v != STAR):
+        return None
+    if len(stars) > 1:
+        return None
+    if stars and not star_ok:
+        return None
+
+    starts = []
+    if stars:
+        for slot in range(k):
+            pattern = tuple(STAR if t == slot else t for t in range(k))
+            starts.append((slot, pattern))
+    else:
+        starts.append((None, tuple(range(k))))
+
+    moves = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for star_slot, start in starts:
+        if stars and start.count(STAR) != 1:
+            continue
+        if stars:
+            # The star must end up on the projected slot of the target.
+            if start.index(STAR) != stars[0]:
+                continue
+        if start == target:
+            return star_slot, ()
+        seen = {start: None}
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            for i, j in moves:
+                if i not in state:
+                    continue
+                nxt = tuple(j if v == i else v for v in state)
+                if nxt in seen:
+                    continue
+                seen[nxt] = (state, (i, j))
+                if nxt == target:
+                    steps = []
+                    cur = nxt
+                    while seen[cur] is not None:
+                        cur, move = seen[cur]
+                        steps.append(move)
+                    return star_slot, tuple(reversed(steps))
+                queue.append(nxt)
+    return None
+
+
+def test_plan_rewrite_matches_the_search_over_every_start():
+    checked = 0
+    for n in range(1, 5):
+        for k in range(1, 5):
+            for target in iproduct(range(STAR, n + 1), repeat=k):
+                for star_ok in (False, True):
+                    want = reference_plan_rewrite(target, n, star_ok=star_ok)
+                    assert _plan_rewrite(target, n, star_ok=star_ok) == want, target
+                    checked += 1
+    assert checked == 5588

@@ -22,7 +22,6 @@ from baokit import (
     relativize,
     splitting_check,
 )
-from baokit.algebras import SetDomain
 from baokit.example import example_algebra
 from baokit.freeness import ExtensionConflict, Homomorphism
 
@@ -261,7 +260,7 @@ def test_extend_homomorphism_nongenerating_reported():
     with pytest.raises(PreconditionError, match=r"span only 2\*\*2 of 2\*\*4 elements"):
         extend_homomorphism(free2, [gens[0]], two, [two.one])
     # a generator outside the source spans more than the source
-    outside = two.domain.ambient.from_bits(1)
+    outside = two.domain.from_bits(1)
     with pytest.raises(PreconditionError, match=r"span only 2\*\*2 of 2\*\*1"):
         extend_homomorphism(two, [outside], two, [two.one])
 
@@ -354,9 +353,7 @@ def test_algebras_past_sys_maxsize_reach_the_budgets():
         ambient.from_bits(sum(1 << f for f in range(64) if (f >> i) & 1))
         for i in range(6)
     ]
-    free6 = FiniteAlgebra.from_atoms(
-        SetDomain(ambient), [ambient.from_bits(1 << f) for f in range(64)]
-    )
+    free6 = FiniteAlgebra.from_atoms(ambient, [ambient.from_bits(1 << f) for f in range(64)])
     assert splitting_check(free6, gens, gens[0], gens[5])
 
 
@@ -516,7 +513,7 @@ def test_ideal_membership_matches_members():
     for family in catalogue().values():
         for algebra in family.values():
             dom = algebra.domain
-            ambient = getattr(dom, "ambient", None) or dom.base.ambient
+            ambient = getattr(dom, "base", dom)
             values = [ambient.from_bits(bits)
                       for bits in range(1 << ambient.one.bits.bit_length())]
             for b in algebra.carrier:

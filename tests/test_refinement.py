@@ -14,7 +14,6 @@ from baokit import (
     RaElement,
     RelationAlgebra,
     SetAlgebra,
-    SetDomain,
     atoms,
     example_algebra,
     generate_subalgebra,
@@ -27,7 +26,7 @@ def brute_closure(domain, gens) -> dict:
     key = domain.key
     ops = domain.signature.operator_descriptors()
     seen = {}
-    frontier = [domain.zero(), domain.one()]
+    frontier = [domain.zero, domain.one]
     frontier += [domain.apply(op) for op, arity in ops if arity == 0] + list(gens)
     while frontier:
         fresh = {key(v): v for v in frontier if key(v) not in seen}
@@ -48,7 +47,7 @@ def brute_closure(domain, gens) -> dict:
 
 def scan_atoms(domain, carrier: dict) -> list:
     key = domain.key
-    zero = key(domain.zero())
+    zero = key(domain.zero)
 
     def below(y, x):
         return key(domain.meet(y, x)) == key(y)
@@ -102,20 +101,20 @@ def cases():
                     gens = [
                         amb.from_bits(mirrored(rng, space.size, image)) for _ in range(s)
                     ]
-                yield f"{kind} u={u} n={n} #{s}", SetDomain(amb), gens
+                yield f"{kind} u={u} n={n} #{s}", amb, gens
     ra = RelationAlgebra(2)
-    yield "RA u=2 #0", SetDomain(ra), [ra.random_element(rng)]
-    yield "RA u=2 #1", SetDomain(ra), [RaElement(2, mirrored(rng, 4, lambda p: 3 - p))]
+    yield "RA u=2 #0", ra, [ra.random_element(rng)]
+    yield "RA u=2 #1", ra, [RaElement(2, mirrored(rng, 4, lambda p: 3 - p))]
     # Only composition splits the identity here: (0,1);(1,0) = {(0,0)}.
-    yield "RA u=2 #2", SetDomain(ra), [ra.element([(0, 1)])]
+    yield "RA u=2 #2", ra, [ra.element([(0, 1)])]
     ca = SetAlgebra("CA", 2, 3)
     b = ca.random_element(rng)
-    yield "relativized CA u=2 n=3", RelativizedDomain(SetDomain(ca), b), [
+    yield "relativized CA u=2 n=3", RelativizedDomain(ca, b), [
         ca.random_element(rng) & b
     ]
     sc = SetAlgebra("SC", 2, 2)
     pair = (sc.random_element(rng), sc.random_element(rng))
-    yield "product SC u=2 n=2", ProductDomain(SetDomain(sc), SetDomain(sc)), [pair]
+    yield "product SC u=2 n=2", ProductDomain(sc, sc), [pair]
 
 
 CASES = list(cases())

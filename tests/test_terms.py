@@ -52,6 +52,20 @@ def test_signature_validation():
         Term(App(("cyl", (3,)), (Var(0),)), Signature("CA", 2))
 
 
+def test_wrong_parameter_counts_are_refused():
+    # kind, operator with one parameter too few or too many
+    for kind, op in (("CA", ("cyl", ())), ("SC", ("subst", (0,))),
+                     ("CA", ("diag", (0,))), ("CA", ("cyl", (0, 1))), ("CA", ("not", (0,)))):
+        sig = Signature(kind, 2)
+        assert not sig.allows(op)
+        amb = SetAlgebra(kind, 2, 2)
+        node, args = (Const(op), ()) if op[0] == "diag" else (App(op, (Var(0),)), (amb.one,))
+        with pytest.raises(SignatureError):
+            Term(node, sig)
+        with pytest.raises(SignatureError):
+            amb.apply(op, *args)
+
+
 def test_eval_cyl_on_order_generator():
     amb = SetAlgebra("CA", 3, 3)
     x = amb.element([s for s in amb.space.tuples() if s[0] < s[1]])
