@@ -363,9 +363,16 @@ def _cmd_pairing(args) -> ExperimentReport:
     )
 
 
+# The instance checks take about 1 s end to end at this --max and grow
+# about as its cube.
+MAX_ARITH = 200
+
+
 def _cmd_arith(args) -> ExperimentReport:
-    failures = []
     top = args.max
+    if top > MAX_ARITH:
+        raise CapacityError(f"arith checks instances up to --max {MAX_ARITH}, not {top}")
+    failures = []
     for a in range(top + 1):
         if a + 1 <= top and sum_value(a, 1) == 0:
             failures.append(f"s{a} = 0")

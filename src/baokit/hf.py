@@ -124,6 +124,7 @@ class HFUniverse:
             raise CapacityError("universes are built up to rank 4 (65536 sets)")
         self.rank = rank
         self.size = tower(rank)
+        self._columns: dict = {}  # (a, width) -> codes below width with bit a set
 
     @property
     def carrier_size(self) -> int:
@@ -137,6 +138,36 @@ class HFUniverse:
             raise KeyError(name)
         a, b = row
         return (b >> a) & 1 == 1
+
+    def section(self, name: str, position: int, others: tuple, mask: int) -> int:
+        """The codes t with rel_holds(name, row), row being `others` with t
+        put at `position`, as bits, exact below the bit length of `mask`.
+
+        At position 0 they are the members of b, whose code is those bits.
+        At position 1 they are the codes with bit a set: runs of 2**a codes
+        without it and 2**a with it, built by doubling up to the width of
+        the mask and kept.
+        """
+        if name != "E":
+            raise KeyError(name)
+        (other,) = others
+        if position == 0:
+            return other
+        if not isinstance(other, int) or other < 0:
+            raise ValueError(f"{other!r} is not a code")  # rel_holds fails on it too
+        width = mask.bit_length()
+        if other >= width.bit_length():
+            return 0  # 2**a is past every value below the width
+        key = (other, width)
+        column = self._columns.get(key)
+        if column is None:
+            run = 1 << other
+            column, period = ((1 << run) - 1) << run, 2 * run
+            while period < width:
+                column |= column << period
+                period *= 2
+            column = self._columns[key] = column & ((1 << width) - 1)
+        return column
 
     def model(self) -> ModelFinite:
         """Explicit membership model; only materialized through rank 3."""

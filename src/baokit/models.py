@@ -10,12 +10,19 @@ values for each quantifier depth.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
-any value).
+any value).  It works on any model-like object: one with `carrier_size`
+and `rel_holds(name, row) -> truth value`, and optionally
+`section(name, position, others, mask) -> int`, whose bit t, for each t
+set in the int `mask`, tells whether rel_holds holds of the row that puts
+t at `position` among the tuple `others` (other bits do not matter).  An
+innermost quantifier, one whose body has no quantifier and no atom naming
+its variable twice, runs as one bitset over its domain, built from these
+sections; a model without `section` has them derived from rel_holds.
 """
 
 import json
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import UnboundVariableError
 from .formulas import (
@@ -62,6 +69,7 @@ class ModelFinite:
             k = vocabulary.arity(name)
             if any(len(r) != k for r in rows):
                 raise ValueError(f"relation {name} has rows of the wrong arity")
+        self._sections: dict = {}  # (relation, position) -> {others: bits}
 
     @property
     def carrier_size(self) -> int:
@@ -72,6 +80,22 @@ class ModelFinite:
 
     def rel_holds(self, name: str, idx_tuple: tuple) -> bool:
         return idx_tuple in self.relations[name]
+
+    def section(self, name: str, position: int, others: tuple, mask: int) -> int:
+        """The values t with rel_holds(name, row), row being `others` with t
+        put at `position`, as bits, exact at every t (`mask` is not read);
+        each (relation, position) is mapped from its tuple table on first
+        use and kept."""
+        key = (name, position)
+        table = self._sections.get(key)
+        if table is None:
+            table = {}
+            for row in self.relations[name]:
+                if position < len(row):
+                    rest = row[:position] + row[position + 1:]
+                    table[rest] = table.get(rest, 0) | 1 << row[position]
+            self._sections[key] = table
+        return table.get(others, 0)
 
     def relation_table(self, name: str) -> frozenset:
         return self.relations[name]
@@ -209,10 +233,21 @@ class _Operators(Operators):
 
 
 def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool:
-    """Evaluate one assignment; quantifiers range over `quantifier_domain`
-    when given (any model-like object with carrier_size and rel_holds works).
-    Every free variable of `f` must be assigned, even one that
-    short-circuiting would skip.  The assignment is read, never written.
+    """Evaluate one assignment on a model-like object (see the module
+    docstring); quantifiers range over `quantifier_domain` when given, else
+    over the carrier.  Every free variable of `f` must be assigned, even
+    one that short-circuiting would skip.  The assignment is read, never
+    written.
+
+    A quantifier loops over its domain, except an innermost one, which is
+    one bitset test: with D the domain as a mask (bit t for each value t,
+    made once per call, a range by arithmetic) and S the values at which
+    its body holds, built from the sections of its atoms, `all` holds when
+    D & ~S is 0 and `ex` when D & S is not.  A domain that is not a range,
+    list, tuple or set of ints in [0, 2**20) is always looped over.  The
+    bitset asks for every atom of the body where the loop asks for some,
+    so when it raises, the quantifier reruns as the loop: results and
+    errors are the loop's.
     """
     free, program = _compile(f)
     env = assignment if isinstance(assignment, dict) else dict(assignment or {})
@@ -222,13 +257,46 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
     )
-    return program(env, model.rel_holds, domain)
+    rel_holds = model.rel_holds
+    section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
+    return program(env, rel_holds, domain, section, _domain_mask(domain))
+
+
+_MAX_DOMAIN_BITS = 1 << 20
+
+
+def _domain_mask(domain) -> int | None:
+    """The bits of the values of `domain`, or None when it is not a range,
+    list, tuple or set of ints in [0, _MAX_DOMAIN_BITS)."""
+    if type(domain) is range:
+        if domain.step == 1 and 0 <= domain.start <= domain.stop <= _MAX_DOMAIN_BITS:
+            return (1 << domain.stop) - (1 << domain.start)
+        return None
+    if type(domain) not in (list, tuple, set, frozenset):
+        return None
+    mask = 0
+    for t in domain:
+        if type(t) is not int or not 0 <= t < _MAX_DOMAIN_BITS:
+            return None
+        mask |= 1 << t
+    return mask
+
+
+def _derived_section(rel_holds, name: str, position: int, others: tuple, mask: int) -> int:
+    """`section` for a model that has none: rel_holds at each value in mask."""
+    bits = 0
+    while mask:
+        low = mask & -mask
+        if rel_holds(name, others[:position] + (low.bit_length() - 1,) + others[position:]):
+            bits |= low
+        mask ^= low
+    return bits
 
 
 @lru_cache(maxsize=None)
 def _compile(f: Formula):
     """The sorted free variables of `f` and its program, a Python function
-    `(env, rh, dom) -> bool` compiled from generated source, once."""
+    `(env, rh, dom, sec, D) -> bool` compiled from generated source, once."""
     free = tuple(sorted(free_vars(f)))
     return free, _Source().program(f, free)
 
@@ -238,10 +306,22 @@ def _compile(f: Formula):
 # into a function of its own.
 _MAX_NESTING = 40
 
+# The arguments every generated function takes: rel_holds, the quantifier
+# domain, the section function and the domain's mask (None: loop only).
+_ARGS = "rh, dom, sec, D"
+
+# Each connective on the bits of its operands' truth values.
+_BITWISE = {Not: "~{}", And: "({} & {})", Or: "({} | {})", Implies: "(~{} | {})", Iff: "~({} ^ {})"}
+
 
 def _var(i: int) -> str:
     """The local name of variable i."""
     return "v%d" % i if i >= 0 else "w%d" % -i
+
+
+def _row(args) -> str:
+    """Source of the tuple of the variables `args`."""
+    return "(" + ", ".join(_var(a) for a in args) + ("," if len(args) == 1 else "") + ")"
 
 
 class _Source:
@@ -249,8 +329,8 @@ class _Source:
 
     Each variable is a local `v<i>`; the entry function reads the free ones
     from `env` once.  Every quantifier, and every subformula nested past
-    _MAX_NESTING, is a module-level function of the variables free in it,
-    `rh` and `dom`, so Python's scoping restores a shadowed variable.
+    _MAX_NESTING, is a module-level function of the variables free in it
+    and of _ARGS, so Python's scoping restores a shadowed variable.
     Relation names are constants of the exec namespace, never source text.
     """
 
@@ -261,21 +341,24 @@ class _Source:
         self.relations: dict = {}  # relation name -> name of its constant
 
     def program(self, f: Formula, free: tuple):
-        """The entry function `(env, rh, dom)` for f, whose free variables are `free`."""
+        """The entry function `(env, rh, dom, sec, D)` for f, whose free variables are `free`."""
         reads = "".join(f"    {_var(v)} = env[{v:d}]\n" for v in free)
-        self.defs.append(f"def program(env, rh, dom):\n{reads}    return {self.expr(f, 0)}\n")
+        self.defs.append(f"def program(env, {_ARGS}):\n{reads}    return {self.expr(f, 0)}\n")
         exec(compile("\n".join(self.defs), "<baokit.models.holds>", "exec"), self.namespace)
         return self.namespace["program"]
+
+    def relation(self, name: str) -> str:
+        """The name of the constant that holds relation name `name`."""
+        rel = self.relations.get(name)
+        if rel is None:
+            rel = self.relations[name] = f"r{len(self.relations)}"
+            self.namespace[rel] = name
+        return rel
 
     def expr(self, g, depth: int) -> str:
         """An expression for g; connectives short-circuit left to right."""
         if isinstance(g, Atom):
-            rel = self.relations.get(g.rel)
-            if rel is None:
-                rel = self.relations[g.rel] = f"r{len(self.relations)}"
-                self.namespace[rel] = g.rel
-            row = ", ".join(_var(a) for a in g.args) + ("," if len(g.args) == 1 else "")
-            return f"rh({rel}, ({row}))"
+            return f"rh({self.relation(g.rel)}, {_row(g.args)})"
         if isinstance(g, Eq):
             return f"({_var(g.left)} == {_var(g.right)})"
         if isinstance(g, (Exists, Forall)) or depth >= _MAX_NESTING:
@@ -294,6 +377,31 @@ class _Source:
             return f"(not {left} or {right})"
         return f"((not {left}) == (not {right}))"  # truth values, not objects
 
+    def bits(self, g, x: int, depth: int) -> str | None:
+        """An int expression whose bit t, for each t in the domain, is the
+        truth of g at v<x> = t; None when g has a quantifier or an atom
+        naming v<x> twice, or nests past _MAX_NESTING."""
+        if isinstance(g, Atom):
+            if x not in g.args:
+                return f"(-1 if {self.expr(g, 0)} else 0)"
+            i = g.args.index(x)
+            others = g.args[:i] + g.args[i + 1:]
+            if x in others:
+                return None
+            return f"sec({self.relation(g.rel)}, {i}, {_row(others)}, D)"
+        if isinstance(g, Eq):
+            if x not in (g.left, g.right):
+                return f"(-1 if {self.expr(g, 0)} else 0)"
+            if g.left == g.right:
+                return "-1"
+            w = _var(g.right if g.left == x else g.left)
+            return f"(1 << {w} if 0 <= {w} < D.bit_length() else 0)"
+        if type(g) not in _BITWISE or depth >= _MAX_NESTING:
+            return None
+        parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
+        parts = [self.bits(part, x, depth + 1) for part in parts]
+        return None if None in parts else _BITWISE[type(g)].format(*parts)
+
     def call(self, g) -> str:
         """A call of the function that evaluates g, emitted on first use."""
         params = "".join(f"{_var(v)}, " for v in sorted(free_vars(g)))
@@ -301,16 +409,30 @@ class _Source:
         if name is None:
             name = self.functions[g] = f"f{len(self.functions)}"
             if isinstance(g, (Exists, Forall)):
-                test = self.expr(g.body, 0)
-                found = isinstance(g, Exists)
-                body = (
-                    f"    for {_var(g.var)} in dom:\n"
-                    f"        if {'' if found else 'not '}{test}:\n"
-                    f"            return {found}\n"
-                    f"    return {not found}\n"
-                )
+                body = self.quantifier(g)
             else:
                 body = f"    return {self.expr(g, 0)}\n"
-            self.defs.append(f"def {name}({params}rh, dom):\n{body}")
-        return f"{name}({params}rh, dom)"
+            self.defs.append(f"def {name}({params}{_ARGS}):\n{body}")
+        return f"{name}({params}{_ARGS})"
 
+    def quantifier(self, g) -> str:
+        """The body of the function of quantifier g: a loop over `dom`,
+        after, for an innermost quantifier, its bitset test."""
+        found = isinstance(g, Exists)
+        loop = (
+            f"    for {_var(g.var)} in dom:\n"
+            f"        if {'' if found else 'not '}{self.expr(g.body, 0)}:\n"
+            f"            return {found}\n"
+            f"    return {not found}\n"
+        )
+        bits = self.bits(g.body, g.var, 0)
+        if bits is None:
+            return loop
+        test = f"D & {bits} != 0" if found else f"not D & ~{bits}"
+        return (
+            "    if D is not None:\n"
+            "        try:\n"
+            f"            return {test}\n"
+            "        except Exception:  # the loop gives the same result, or the error it met\n"
+            "            pass\n"
+        ) + loop

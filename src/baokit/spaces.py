@@ -314,9 +314,10 @@ def relation_bits(space: TupleSpace, coords, rows) -> int:
     return bits
 
 
-def strictly_below(space: TupleSpace, a: int, b: int) -> int:
+def strictly_below(space: TupleSpace, a: int, b: int, diagonal: int | None = None) -> int:
     """Bits of {s : s_a < s_b}, by doubling along coordinate b (none when
-    a == b).
+    a == b).  `diagonal`, when given, is diag(space, a, b).bits, which a
+    caller that keeps it passes so it is not built again.
 
     The diagonal s_a = s_b, without its tuples at the top value of b and
     shifted up one step of b, is s_b = s_a + 1.  Each round ORs in a copy
@@ -326,10 +327,12 @@ def strictly_below(space: TupleSpace, a: int, b: int) -> int:
     if a == b:
         space.check_coord(a)
         return 0
+    if diagonal is None:
+        diagonal = diag(space, a, b).bits
     u = space.base_size
     stride = space.stride(b)
     top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
-    bits = (diag(space, a, b).bits & ~top) << stride
+    bits = (diagonal & ~top) << stride
     gap = 1
     while gap < u - 1:
         bits |= (bits & ~top) << gap * stride

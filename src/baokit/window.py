@@ -83,13 +83,15 @@ def _relation_element(space: TupleSpace, model: WindowModel, radius: int, a: int
 
 def _below(space: TupleSpace, a: int, b: int, known: dict) -> int:
     """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair
-    and kept in `known` under ("<", a, b) with a < b: for a > b they are
-    the tuples neither below nor on the diagonal."""
+    from the diagonal kept in `known`, and kept there under ("<", a, b)
+    with a < b: for a > b they are the tuples neither below nor on the
+    diagonal."""
     if a > b:
         return space.full_mask ^ _below(space, b, a, known) ^ _diagonal(space, a, b, known)
     bits = known.get(("<", a, b))
     if bits is None:
-        bits = known[("<", a, b)] = strictly_below(space, a, b)
+        same = _diagonal(space, a, b, known)
+        bits = known[("<", a, b)] = strictly_below(space, a, b, same)
     return bits
 
 

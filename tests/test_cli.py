@@ -286,6 +286,23 @@ def test_out_of_range_integers_rejected(capsys):
         assert "below the minimum" in capsys.readouterr().err
 
 
+def test_arith_max_is_checked_before_any_work(capsys, monkeypatch):
+    import baokit.cli
+
+    calls = []
+    monkeypatch.setattr(baokit.cli, "sum_value", lambda *args: calls.append(args))
+    monkeypatch.setattr(baokit.cli, "hf_universe", lambda *args: calls.append(args))
+    err = run_usage_error(capsys, "arith", "--max", "9" * 20)
+    top = baokit.cli.MAX_ARITH
+    assert err == f"capacity error: arith checks instances up to --max {top}, not {'9' * 20}\n"
+    assert calls == []
+    for value in ("-1", "x"):
+        with pytest.raises(SystemExit) as info:
+            main(["arith", "--max", value])
+        assert info.value.code == 2
+        assert "--max" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_window_capacity_checked_before_any_radius(capsys, monkeypatch):
     import baokit.window
 

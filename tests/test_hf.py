@@ -48,6 +48,33 @@ def test_extensionality_by_scan():
         assert hf_universe(r).extensional()
 
 
+def test_membership_sections_match_rel_holds():
+    for rank in (1, 2, 3):
+        universe = hf_universe(rank)
+        codes = range(universe.size)
+        mask = (1 << universe.size) - 1
+        for position in (0, 1):
+            for other in codes:
+                bits = universe.section("E", position, (other,), mask)
+                for t in codes:
+                    row = (t, other) if position == 0 else (other, t)
+                    assert (bits >> t) & 1 == universe.rel_holds("E", row), (rank, row)
+    rank4, rng = hf_universe(4), random.Random(4)
+    for width in (rank4.size, rank4.size + 1000):  # the second past the carrier
+        mask = (1 << width) - 1
+        sample = [rng.randrange(width) for _ in range(300)] + [0, width - 1]
+        for other in range(16):  # the rank-3 members
+            for position in (0, 1):
+                bits = rank4.section("E", position, (other,), mask)
+                for t in sample:
+                    row = (t, other) if position == 0 else (other, t)
+                    assert (bits >> t) & 1 == rank4.rel_holds("E", row), (width, row)
+        assert rank4.section("E", 1, (3,), mask) is rank4.section("E", 1, (3,), mask)
+    for name, other, error in (("R", 1, KeyError), ("E", -1, ValueError), ("E", 2.0, ValueError)):
+        with pytest.raises(error):
+            rank4.section(name, 1, (other,), 0xFFFF)
+
+
 def test_braces_rendering():
     assert HFSet(0).braces() == "{}"
     assert HFSet(1).braces() == "{{}}"

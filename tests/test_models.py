@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from baokit import (
     satisfaction_set,
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
+from baokit.hf import HFUniverse
 from baokit.library import formula_library
 from baokit.models import _plan, satisfaction_bits
 
@@ -172,18 +174,39 @@ FORMULAS = st.recursive(
 )
 
 
+def on_sets(f):
+    """f over membership, for a set universe: R(a,b) is E(a,b) and P(a) is
+    E(a,a), which no set satisfies."""
+    if isinstance(f, Atom):
+        return Atom("E", f.args if f.rel == "R" else f.args * 2)
+    if isinstance(f, Eq):
+        return f
+    if isinstance(f, Not):
+        return Not(on_sets(f.body))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, on_sets(f.body))
+    return type(f)(on_sets(f.left), on_sets(f.right))
+
+
 @st.composite
 def worlds(draw):
-    """A model and a quantifier domain: None or any subset of the carrier."""
-    u = draw(st.sampled_from([1, 2, 3, HF3.carrier_size]))
-    if u == HF3.carrier_size:
-        model = HF3()
-    else:
+    """A model and a quantifier domain.  The models: tuple tables on 1 to
+    3 points and the rank-2 and rank-3 set universes, which have sections,
+    and HF3, which has none.  The domain: None, a run of values, or a list
+    of values in any order, repeated or empty."""
+    model = draw(st.sampled_from([1, 2, 3, HF3(), hf_universe(2), hf_universe(3)]))
+    if isinstance(model, int):
+        u = model
         pairs = draw(st.sets(st.tuples(st.integers(0, u - 1), st.integers(0, u - 1))))
         points = draw(st.sets(st.integers(0, u - 1)))
         relations = {"R": pairs, "P": [(a,) for a in points]}
         model = ModelFinite(list(range(u)), relations, Vocabulary.of(R=2, P=1))
-    domain = draw(st.none() | st.sets(st.integers(0, u - 1)).map(sorted))
+    ends = st.integers(0, model.carrier_size)
+    domain = draw(
+        st.none()
+        | st.lists(st.integers(0, model.carrier_size - 1), max_size=5)
+        | st.builds(lambda a, b: range(min(a, b), max(a, b)), ends, ends)
+    )
     return model, domain
 
 
@@ -197,6 +220,8 @@ ORDER3 = (ModelFinite([0, 1, 2], {"R": [(0, 1), (1, 2)], "P": [(0,)]}), None)
 @example(f=Exists(1, And(Forall(1, Atom("R", (0, 1))), Atom("R", (1, 0)))), world=ORDER3)
 def test_compiled_holds_matches_recursive_walker(f, world):
     model, domain = world
+    if isinstance(model, HFUniverse):
+        f = on_sets(f)
     free = sorted(free_vars(f))
     width = model.carrier_size if domain is None else len(domain)
     assume(model.carrier_size ** len(free) * max(width, 1) ** quantifier_depth(f) <= 20_000)
@@ -232,6 +257,10 @@ def deep_formulas():
         op = (Implies, Iff, And, Or)[i % 4]
         mixed = op(mixed, Not(atoms[i])) if i % 3 else op(atoms[i], mixed)
     yield "200-deep mixed", mixed
+    body = Atom("R", (0, 1))
+    for i in range(45):  # the bitset form of ex gives up past 40 levels, the loop does not
+        body = (Iff, Or)[i % 2](Atom("R", (1 + i % 2, 0)), Not(body))
+    yield "45-deep body of ex", Exists(0, body)
 
 
 @pytest.mark.parametrize("name, f", list(deep_formulas()))
@@ -318,6 +347,69 @@ def test_unknown_relation_raises_the_models_key_error_in_evaluation_order():
     assert holds(model, And(p, s), {0: 1, 1: 1}) is False
     with pytest.raises(KeyError):
         holds(model, And(s, p), {0: 1, 1: 1})
+
+
+def outcome(evaluate):
+    """What evaluate() returns, or the type and args of what it raises."""
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("text", [
+    "ex v0 (P(v0) | S(v0,v1))",
+    "all v0 (P(v0) & S(v0,v0))",
+    "ex v0 (E(v0,v1) | S(v0,v1))",
+    "all v0 (E(v0,v1) -> S(v1,v0) & P(v0))",
+])
+def test_unknown_relation_in_an_innermost_quantifier_raises_as_the_walker_does(text):
+    """An innermost quantifier's bitset asks for every atom of its body, so
+    it meets the unknown S where the loop may short-circuit past it: the
+    quantifier then reruns as the loop, for the walker's result or error."""
+    f = parse_formula(text)
+    tables = ORDER3[0]
+    bare = SimpleNamespace(carrier_size=3, rel_holds=tables.rel_holds)  # no section
+    for model in (tables, bare, hf_universe(2)):
+        for domain in (None, [], [2, 0, 0], range(1, 3)):
+            for v1 in range(model.carrier_size):
+                got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
+                want = outcome(lambda: walk(model, f, {1: v1}, domain))
+                assert got == want, (text, model, domain, v1)
+
+
+def test_values_past_the_bitsets_give_the_walkers_result_or_error():
+    """Values that are not ints in [0, 2**20) in the domain or in a free
+    variable: the quantifier runs as the loop, or reruns as it."""
+    texts = ["ex v0 v0 = v1", "ex v0 E(v1,v0)", "all v0 (E(v0,v1) -> v0 = v1)",
+             "ex v0 R(v1,v0)", "all v0 (R(v0,v1) | v1 = v0)"]
+    domains = [None, [0, 2, 2, 1], range(1, 3), range(40), range(0, 4, 2), (1, 0),
+               frozenset({0, 2}), [-1, 0], [0.0, 1], [True], [2**21]]
+    bare = SimpleNamespace(carrier_size=3, rel_holds=ORDER3[0].rel_holds)  # no section
+    for model in (ORDER3[0], bare, hf_universe(2)):
+        for text in texts:
+            f = parse_formula(text)
+            for v1 in (1, 3, -1, 2**40, 2.0, True):
+                for domain in domains:
+                    got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
+                    want = outcome(lambda: walk(model, f, {1: v1}, domain))
+                    assert got == want, (model, text, v1, domain)
+
+
+def test_model_sections_match_the_tuple_table():
+    rng = random.Random(3)
+    for arity in (1, 2, 3):
+        rows = {r for r in iproduct(range(3), repeat=arity) if rng.random() < 0.5}
+        assert 0 < len(rows) < 3**arity
+        model = ModelFinite(range(3), {"T": rows}, Vocabulary.of(T=arity))
+        for position in range(arity):
+            for others in iproduct(range(3), repeat=arity - 1):
+                bits = model.section("T", position, others, 0b111)
+                want = [others[:position] + (t,) + others[position:] in rows for t in range(3)]
+                assert [bits >> t & 1 == 1 for t in range(3)] == want, (arity, position, others)
+        assert model.section("T", 0, (0,) * arity, 0b111) == 0  # one place too many
+    with pytest.raises(KeyError):
+        model.section("S", 0, (0, 0), 0b111)
 
 
 def test_holds_reads_the_assignment_without_changing_it():

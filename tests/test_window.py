@@ -250,6 +250,8 @@ def test_strictly_below_matches_tuple_scan(u):
                     continue
                 want = sum(1 << space.encode(s) for s in space.tuples() if s[a] < s[b])
                 assert strictly_below(space, a, b) == want, (u, n, a, b)
+                same = diag(space, a, b).bits
+                assert strictly_below(space, a, b, same) == want, (u, n, a, b)
 
 
 def test_order_atoms_match_value_loop_at_radius_16():
@@ -261,18 +263,22 @@ def test_order_atoms_match_value_loop_at_radius_16():
 
 
 def test_one_call_builds_each_diagonal_once(monkeypatch):
-    """The derived order s_b < s_a and the Eq leaves on one pair share its
-    diagonal: `ax` asks for each of its three pairs both ways."""
+    """Each radius builds each diagonal once: the strict order s_a < s_b
+    doubles from it, and the derived order s_b < s_a and the Eq leaves on
+    one pair share it.  `ax` asks for each of its three pairs both ways."""
+    import baokit.spaces
     import baokit.window
 
     built = []
-    original = baokit.window.diag
+    original = baokit.spaces.diag
 
     def counting(space, i, j):
-        built.append((min(i, j), max(i, j)))
+        built.append((space.base_size, min(i, j), max(i, j)))
         return original(space, i, j)
 
     monkeypatch.setattr(baokit.window, "diag", counting)
-    closed = close_universally(formula_library()["ax"].formula)
-    assert window_satisfaction(WindowModel(16, 2, (0,)), closed, 16).is_full()
-    assert sorted(built) == [(0, 1), (0, 2), (1, 2)]
+    monkeypatch.setattr(baokit.spaces, "diag", counting)  # strictly_below's
+    report = eval_window(WindowModel(8, 1, (0,)), formula_library()["ax"].formula)
+    assert report.value and report.stable
+    assert sorted(built) == [(2 * r + 1, i, j) for r in (8, 16, 32)
+                             for i, j in ((0, 1), (0, 2), (1, 2))]
