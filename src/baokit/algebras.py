@@ -1,130 +1,172 @@
 """Finite Boolean algebras with operators: generation, atoms, ideals, products.
 
-A FiniteAlgebra is stored as its atoms, in canonical (key) order, over a
-value domain that knows how to compute the Boolean and signature operations
-on values.  Every operator a domain carries is normal and additive in each
-argument, so an algebra is fixed by its atoms (Jonsson and Tarski, Boolean
-algebras with operators): the carrier is the set of joins of atoms, and an
-operator is known once it is known on atoms.  A full set or relation
-algebra (`spaces.SetAlgebra`, `spaces.RelationAlgebra`) is a domain itself;
-the domains here cover relativizations, binary products and explicit
-operation tables.  A domain has `signature`, `zero`, `one`, `meet`, `join`,
-`compl`, `apply`, `key` (a hashable key of a value) and `describe`.
+A FiniteAlgebra is stored as its atoms over a value domain.  Every
+operator a domain carries is normal and additive in each argument, so an
+algebra is fixed by its atoms (Jonsson and Tarski, Boolean algebras with
+operators): the carrier is the set of joins of atoms, and an operator is
+known once it is known on atoms.
+
+Domains compute on raw ints: a domain has `signature`, `full` (its top),
+`operators` (raw-int kernels, as in `spaces`), `describe()`, and at the
+boundary `key(value)`, the int of a value (None for any other object),
+and `from_bits(int)`, the value back.  Meet, join and complement are `&`,
+`|` and `full ^`, and an int is its own key.  A full set or relation
+algebra (`spaces.SetAlgebra`, `spaces.RelationAlgebra`) is a domain
+itself; the domains here cover relativizations (each result ANDed with
+b), binary products (a pair packed as `left << shift | right`, whose
+numeric order is the order of the pairs) and explicit operation tables (a
+value is the mask of the atoms below it).  An algebra keeps its atoms as
+ints and wraps values only in `atoms`, `carrier`, `zero`, `one`,
+`serialize` and the maps it hands out.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
+from .errors import SpaceMismatchError
 from .signatures import OpRef, Signature, opref_str
-from .spaces import Element, RaElement, TupleSpace
+from .spaces import Element, Operators, RaElement, TupleSpace
+
+
+class KernelTable(Operators):
+    """The operators of a signature below the top `full`, from the kernels
+    `kernel(op)` and the constants `constant(op)`, each taken once."""
+
+    def __init__(self, signature: Signature, full: int, kernel, constant):
+        super().__init__(full)
+        ops = signature.operator_descriptors()
+        self.functions.update((op, kernel(op)) for op, arity in ops if arity)
+        self.constants = {op: constant(op) for op, arity in ops if not arity}
+
+    def constant(self, op: OpRef) -> int:
+        return self.constants[op] if op in self.constants else super().constant(op)
+
+    def make(self, op: OpRef):
+        raise SignatureError(f"unsupported operator {op[0]!r}")
 
 
 class RelativizedDomain:
-    """The base domain cut down below a fixed element b."""
+    """The base domain cut down below a fixed element b, an int of the base."""
 
-    def __init__(self, base, b):
+    def __init__(self, base, b: int):
         self.base = base
-        self.b = b
+        self.b = self.full = b
         self.signature = base.signature
-        self.zero = base.zero
-        self.one = b
+        self.key = base.key
+        self.from_bits = base.from_bits
+        table = base.operators
 
-    def meet(self, a, c):
-        return self.base.meet(a, c)
+        def kernel(op):
+            f = table.function(op)
+            return lambda x, y: f(x, y) & b
 
-    def join(self, a, c):
-        return self.base.join(a, c)
-
-    def compl(self, a):
-        return self.base.meet(self.b, self.base.compl(a))
-
-    def apply(self, op: OpRef, *args):
-        return self.base.meet(self.b, self.base.apply(op, *args))
-
-    def key(self, v):
-        return self.base.key(v)
+        self.operators = KernelTable(self.signature, b, kernel, lambda op: table.constant(op) & b)
 
     def describe(self) -> str:
         return f"relativized({self.base.describe()})"
 
 
 class ProductDomain:
-    """Coordinatewise operations on pairs of values."""
+    """Coordinatewise operations on pairs of values; the pair of ints
+    (x, y) is the int x << shift | y, shift being the width of the right
+    top, so pairs compare as ints in the order of (x, y)."""
 
     def __init__(self, left, right):
         if left.signature != right.signature:
             raise SignatureError("product factors must share a signature")
-        self.left = left
-        self.right = right
+        self.left, self.right = left, right
         self.signature = left.signature
-        self.zero = (left.zero, right.zero)
-        self.one = (left.one, right.one)
+        self.shift = s = right.full.bit_length()
+        self.mask = m = (1 << s) - 1
+        self.full = left.full << s | right.full
+        lt, rt = left.operators, right.operators
 
-    def meet(self, a, b):
-        return (self.left.meet(a[0], b[0]), self.right.meet(a[1], b[1]))
+        def kernel(op):
+            f, g = lt.function(op), rt.function(op)
+            return lambda x, y: f(x >> s, y >> s) << s | g(x & m, y & m)
 
-    def join(self, a, b):
-        return (self.left.join(a[0], b[0]), self.right.join(a[1], b[1]))
-
-    def compl(self, a):
-        return (self.left.compl(a[0]), self.right.compl(a[1]))
-
-    def apply(self, op: OpRef, *args):
-        return (
-            self.left.apply(op, *(a[0] for a in args)),
-            self.right.apply(op, *(a[1] for a in args)),
+        self.operators = KernelTable(
+            self.signature, self.full, kernel, lambda op: lt.constant(op) << s | rt.constant(op)
         )
 
     def key(self, v):
-        return (self.left.key(v[0]), self.right.key(v[1]))
+        if not (isinstance(v, tuple) and len(v) == 2):
+            return None
+        x, y = self.left.key(v[0]), self.right.key(v[1])
+        if x is None or y is None or y >> self.shift:
+            return None
+        return x << self.shift | y
+
+    def from_bits(self, bits: int) -> tuple:
+        return (self.left.from_bits(bits >> self.shift), self.right.from_bits(bits & self.mask))
 
     def describe(self) -> str:
         return f"product({self.left.describe()}; {self.right.describe()})"
 
 
+def _name(v):
+    """The key of a value in the tables of a TableDomain."""
+    return getattr(v, "bits", v)
+
+
 class TableDomain:
-    """Explicit finite operation tables over hashable values."""
+    """Explicit finite operation tables over hashable values.
+
+    `tables` maps an opref string to a dict from tuples of argument names
+    (a value's `bits` if it has them, else the value) to values, as do
+    "and", "or" and "not"; "zero" and "one" map () to the constant.  A value
+    computes as the mask of the atoms below it, atom i being the i-th
+    minimal nonzero value by name.  Raises ValueError unless the Boolean
+    tables act on those masks as &, | and complement, so that they agree
+    with the int operations.
+    """
 
     def __init__(self, signature: Signature, values, tables: dict):
-        # tables: opref-string -> dict mapping tuples of argument keys to
-        # values, plus "and"/"or"/"not"; "zero"/"one" map () to the constant.
         self.signature = signature
         self.values = list(values)
         self.tables = tables
+        names = [_name(v) for v in self.values]
+        meet = {args: _name(v) for args, v in tables["and"].items()}
+        nonzero = [k for k in names if k != _name(tables["zero"][()])]
+        atoms = sorted(k for k in nonzero if not any(j != k and meet[j, k] == j for j in nonzero))
+        mask = {k: sum(1 << i for i, a in enumerate(atoms) if meet[a, k] == a) for k in names}
+        self._mask, self._value = mask, {mask[k]: v for k, v in zip(names, self.values)}
+        self.full = full = (1 << len(atoms)) - 1
+        ends = [mask.get(_name(tables[c][()])) for c in ("zero", "one")]
+        if len(self._value) != len(names) or len(names) != full + 1 or ends != [0, full]:
+            raise ValueError("carrier is not the set of joins of its atoms")
+        for label, name, arity, want in (
+            ("complement", "not", 1, lambda m: full ^ m),
+            ("meet", "and", 2, lambda m, n: m & n),
+            ("join", "or", 2, lambda m, n: m | n),
+        ):
+            for args in itertools.product(names, repeat=arity):
+                if mask.get(_name(tables[name][args])) != want(*map(mask.get, args)):
+                    raise ValueError(f"{label} does not act on the atoms below each element")
 
-    @property
-    def zero(self):
-        return self.tables["zero"][()]
+        def rows(op) -> dict:
+            return {
+                tuple(map(mask.get, args)): mask.get(_name(v))
+                for args, v in tables[opref_str(op)].items()
+            }
 
-    @property
-    def one(self):
-        return self.tables["one"][()]
+        def kernel(op):
+            row, arity = rows(op), signature.op_arity(op)
+            return lambda x, y: row[(x, y)[:arity]]
 
-    def meet(self, a, b):
-        return self.tables["and"][(self.key(a), self.key(b))]
-
-    def join(self, a, b):
-        return self.tables["or"][(self.key(a), self.key(b))]
-
-    def compl(self, a):
-        return self.tables["not"][(self.key(a),)]
-
-    def apply(self, op: OpRef, *args):
-        name = opref_str(op)
-        if name == "and":
-            return self.meet(*args)
-        if name == "or":
-            return self.join(*args)
-        if name == "not":
-            return self.compl(*args)
-        if name == "impl":
-            return self.join(self.compl(args[0]), args[1])
-        return self.tables[name][tuple(map(self.key, args))]
+        self.operators = KernelTable(signature, full, kernel, lambda op: rows(op)[()])
 
     def key(self, v):
-        return getattr(v, "bits", v)
+        try:
+            m = self._mask.get(_name(v))
+        except TypeError:  # unhashable, so not a value
+            return None
+        return m if m is not None and self._value[m] == v else None
+
+    def from_bits(self, bits: int):
+        return self._value[bits]
 
     def describe(self) -> str:
         """The domain line `serialize` writes, which fixes how values read back."""
@@ -139,50 +181,53 @@ class TableDomain:
 MAX_CARRIER_ATOMS = 16  # carriers are enumerated up to 2**16 elements
 
 
-def _split(domain, cells, splitters) -> list:
-    """Refine the cells until every splitter is a union of cells."""
-    key = domain.key
-    zero = key(domain.zero)
+def _bits(domain, v) -> int:
+    """The int of a value of the domain; SpaceMismatchError for any other object."""
+    x = domain.key(v)
+    if x is None:
+        raise SpaceMismatchError(f"{v!r} is not a value of the {domain.describe()} domain")
+    return x
+
+
+def _split(cells, splitters) -> list:
+    """Refine the cells, disjoint ints, until every splitter is a union of cells."""
     for s in splitters:
         out = []
         for c in cells:
-            inside = domain.meet(c, s)
-            k = key(inside)
-            if k == zero or k == key(c):
+            inside = c & s
+            if inside == 0 or inside == c:
                 out.append(c)
             else:
-                out += (inside, domain.meet(c, domain.compl(s)))
+                out += (inside, c ^ inside)
         cells = out
     return cells
 
 
-def _top_cells(domain) -> list:
-    one = domain.one
-    return [] if domain.key(one) == domain.key(domain.zero) else [one]
+def _joins(atoms) -> list:
+    """Every join of the given disjoint atoms, the join of the atoms i in a
+    mask m at index m, which is numeric order: of two joins, the one with
+    the highest atom that only one of them holds is the larger.  Refuses
+    more than 2**MAX_CARRIER_ATOMS joins before building any."""
+    if len(atoms) > MAX_CARRIER_ATOMS:
+        raise CapacityError(
+            f"2**{len(atoms)} elements are past the "
+            f"2**{MAX_CARRIER_ATOMS}-element carrier budget"
+        )
+    out = [0]
+    for a in sorted(atoms):
+        out += [x | a for x in out]
+    return out
 
 
 def _put(items: tuple, i: int, value) -> tuple:
     return items[:i] + (value,) + items[i + 1 :]
 
 
-def _joins(domain, atoms) -> tuple:
-    """Every join of the given atoms, sorted by key; refuses more than
-    2**MAX_CARRIER_ATOMS joins before building any."""
-    if len(atoms) > MAX_CARRIER_ATOMS:
-        raise CapacityError(
-            f"2**{len(atoms)} elements are past the "
-            f"2**{MAX_CARRIER_ATOMS}-element carrier budget"
-        )
-    out = [domain.zero]
-    for a in atoms:
-        out += [domain.join(x, a) for x in out]
-    return tuple(sorted(out, key=domain.key))
-
-
 class FiniteAlgebra:
-    """A finite subalgebra of a value domain, stored as its atoms.
+    """A finite subalgebra of a value domain, stored as its atoms: the ints
+    `atom_bits`, in numeric order.
 
-    The carrier, the key-sorted joins of the atoms, is built on first
+    The carrier, the joins of the atoms in numeric order, is built on first
     access and only up to 2**16 elements.  The library builds algebras from
     their atoms (`from_atoms`); the constructor is for carriers that come
     from outside the program, such as tables read from a file.
@@ -192,17 +237,19 @@ class FiniteAlgebra:
         """Find the atoms of an outside carrier by refining against it.
 
         Checks, exactly and on every element, that the carrier is the set
-        of joins of its atoms (with the Boolean tables acting as on sets of
-        atoms) and that every operator table is normal and additive in each
-        argument, the condition that generation by refinement relies on.
-        Raises ValueError when either check fails.
+        of joins of its atoms and that every operator table is normal and
+        additive in each argument, the condition that generation by
+        refinement relies on.  Raises ValueError when either check fails.
         """
-        values = {domain.key(v): v for v in carrier}
-        self._setup(domain, _split(domain, _top_cells(domain), values.values()))
-        self._check_carrier(values)
+        keys = {domain.key(v) for v in carrier}
+        if None in keys:
+            raise ValueError("carrier holds a value outside its domain")
+        self._setup(domain, _split([domain.full] if domain.full else [], keys))
+        self._check_carrier(keys)
 
     @classmethod
     def from_atoms(cls, domain, atoms) -> "FiniteAlgebra":
+        """The algebra whose atoms are the given disjoint nonzero ints."""
         algebra = cls.__new__(cls)
         algebra._setup(domain, atoms)
         return algebra
@@ -210,92 +257,74 @@ class FiniteAlgebra:
     def _setup(self, domain, atoms):
         self.domain = domain
         self.signature = domain.signature
-        self._atoms = tuple(sorted(atoms, key=domain.key))
-        self.zero = domain.zero
-        self.one = domain.one
-        self.is_degenerate = not self._atoms
-        self._carrier = None
+        self.atom_bits = tuple(sorted(atoms))
+        self.is_degenerate = not self.atom_bits
+
+    @property
+    def zero(self):
+        return self.domain.from_bits(0)
+
+    @property
+    def one(self):
+        return self.domain.from_bits(self.domain.full)
 
     # -- carrier access ----------------------------------------------------
 
     @property
+    def carrier_bits(self) -> list:
+        """The carrier as ints, in numeric order."""
+        return _joins(self.atom_bits)
+
+    @cached_property
     def carrier(self) -> tuple:
-        if self._carrier is None:
-            self._carrier = _joins(self.domain, self._atoms)
-        return self._carrier
+        out = self.carrier_bits
+        for i, x in enumerate(out):  # in place, so that each int goes as it is wrapped
+            out[i] = self.domain.from_bits(x)
+        return tuple(out)
 
     @property
     def size(self) -> int:
         """2**atoms; unlike len(), not capped at sys.maxsize."""
-        return 1 << len(self._atoms)
+        return 1 << len(self.atom_bits)
 
     def __len__(self):
         return self.size
 
     def __contains__(self, v):
-        dom = self.domain
-        below = self.zero
-        try:
-            for a in self._atoms:
-                if self.le(a, v):
-                    below = dom.join(below, a)
-        except KeyError:  # a TableDomain has no entries for outside values
+        x = self.domain.key(v)
+        if x is None:
             return False
-        return dom.key(below) == dom.key(v)
+        below = 0
+        for a in self.atom_bits:
+            if a & x == a:
+                below |= a
+        return below == x
 
-    def meet(self, a, b):
-        return self.domain.meet(a, b)
-
-    def join(self, a, b):
-        return self.domain.join(a, b)
-
-    def compl(self, a):
-        return self.domain.compl(a)
-
-    def apply(self, op: OpRef, *args):
-        return self.domain.apply(op, *args)
-
-    def le(self, a, b) -> bool:
-        return self.domain.key(self.domain.meet(a, b)) == self.domain.key(a)
+    @cached_property
+    def moved(self) -> int:
+        """The join of the atoms some unary operator moves, kept: atoms never change."""
+        table = self.domain.operators
+        unary = [table.function(op) for op, arity in self.operator_descriptors() if arity == 1]
+        return sum(a for a in self.atom_bits if any(f(a, a) != a for f in unary))
 
     def operator_descriptors(self):
         return self.signature.operator_descriptors()
 
     # -- validation of outside carriers -------------------------------------
 
-    def _check_carrier(self, values: dict):
-        dom, key = self.domain, self.domain.key
-        size = 1 << len(self._atoms)
-        full = size - 1
-        # Each element as the set of atoms below it, one bit per atom.
-        masks = {
-            k: sum(1 << i for i, a in enumerate(self._atoms) if self.le(a, v))
-            for k, v in values.items()
-        }
-        by_mask = {m: values[k] for k, m in masks.items()}
-        if (
-            len(values) != size
-            or len(by_mask) != len(values)
-            or masks.get(key(self.zero)) != 0
-            or masks.get(key(self.one)) != full
-        ):
+    def _check_carrier(self, keys: set):
+        table = self.domain.operators
+        # the joins by mask, if the size fits: no carrier past 2**16 is built
+        by_mask = self.carrier_bits if len(keys) == self.size else []
+        if keys != set(by_mask):
             raise ValueError("carrier is not the set of joins of its atoms")
-
-        def table(fn, arity) -> dict:
-            out = {}
-            for ms in itertools.product(by_mask, repeat=arity):
-                out[ms] = masks.get(key(fn(*(by_mask[m] for m in ms))))
-            return out
-
-        for name, fn, arity, want in (
-            ("complement", dom.compl, 1, lambda m: full & ~m),
-            ("meet", dom.meet, 2, lambda m, n: m & n),
-            ("join", dom.join, 2, lambda m, n: m | n),
-        ):
-            if any(got != want(*ms) for ms, got in table(fn, arity).items()):
-                raise ValueError(f"{name} does not act on the atoms below each element")
-        for op, arity in self.signature.operator_descriptors():
-            images = table(partial(dom.apply, op), arity)
+        masks = {x: m for m, x in enumerate(by_mask)}
+        for op, arity in self.operator_descriptors():
+            f = table.function(op) if arity else lambda *_: table.constant(op)
+            images = {}
+            for ms in itertools.product(range(self.size), repeat=arity):
+                args = [by_mask[m] for m in ms] or [None]
+                images[ms] = masks.get(f(args[0], args[-1]))
             if None in images.values():
                 raise ValueError(f"carrier not closed under {opref_str(op)}")
             # Normal and additive in argument i: f(.., 0, ..) = 0, and
@@ -304,51 +333,46 @@ class FiniteAlgebra:
             for ms, got in images.items():
                 for i, m in enumerate(ms):
                     low = m & -m
-                    if m == 0:
-                        want = 0
-                    elif m == low:
+                    if m == low and m:  # one atom: nothing to join
                         continue
-                    else:
-                        want = images[_put(ms, i, low)] | images[_put(ms, i, m ^ low)]
+                    want = m and images[_put(ms, i, low)] | images[_put(ms, i, m ^ low)]
                     if got != want:
                         raise ValueError(
-                            f"{opref_str(op)} is not normal and additive "
-                            f"in argument {i}"
+                            f"{opref_str(op)} is not normal and additive in argument {i}"
                         )
 
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> str:
-        if len(self._atoms) > 8:
+        if len(self.atom_bits) > 8:
             raise PreconditionError("serialization supported up to 256 elements")
         carrier = self.carrier
         if not all(isinstance(v, (Element, RaElement)) for v in carrier):
             raise PreconditionError("only bitset-backed carriers serialize")
-        dom, key = self.domain, self.domain.key
-        index = {key(v): i for i, v in enumerate(carrier)}
+        table = self.domain.operators
+        bits = self.carrier_bits
+        index = {x: i for i, x in enumerate(bits)}
 
-        def table(fn, arity) -> str:
-            return " ".join(
-                str(index[key(fn(*args))])
-                for args in itertools.product(carrier, repeat=arity)
-            )
+        def row(op, arity) -> str:
+            if not arity:
+                return str(index[table.constant(op)])
+            f = table.function(op)
+            args = itertools.product(bits, repeat=arity)
+            return " ".join(str(index[f(a[0], a[-1])]) for a in args)
 
         dim = self.signature.dimension
         lines = [
             "baokit-algebra 1",
             f"signature {self.signature.kind} {dim if dim else 0}",
-            dom.describe(),
+            self.domain.describe(),
             f"carrier {len(carrier)}",
         ]
         lines += [f"elem {v.bits:x}" for v in carrier]
-        lines.append(f"zero {index[key(self.zero)]}")
-        lines.append(f"one {index[key(self.one)]}")
-        lines.append("table not " + table(dom.compl, 1))
-        lines.append("table and " + table(dom.meet, 2))
-        lines.append("table or " + table(dom.join, 2))
-        for op, arity in self.signature.operator_descriptors():
-            text = table(partial(dom.apply, op), arity)
-            lines.append(f"table {opref_str(op)} {text}")
+        lines.append(f"zero {index[0]}")
+        lines.append(f"one {index[self.domain.full]}")
+        shapes = [(("not", ()), 1), (("and", ()), 2), (("or", ()), 2)]
+        for op, arity in shapes + list(self.operator_descriptors()):
+            lines.append(f"table {opref_str(op)} {row(op, arity)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -374,17 +398,16 @@ class FiniteAlgebra:
         shapes = [("zero", 0), ("one", 0), ("not", 1), ("and", 2), ("or", 2)]
         shapes += [(opref_str(op), a) for op, a in signature.operator_descriptors()]
         tables = {}
-        domain = TableDomain(signature, values, tables)
-        keys = [domain.key(v) for v in values]
+        names = [_name(v) for v in values]
         for name, arity in shapes:
             row = rows.get(name)
             if row is None or len(row) != count**arity:
                 raise ValueError(f"truncated algebra text: table {name!r} incomplete")
             if not all(0 <= e < count for e in row):
                 raise ValueError(f"table {name!r} refers past the carrier")
-            args = itertools.product(keys, repeat=arity)
+            args = itertools.product(names, repeat=arity)
             tables[name] = {a: values[e] for a, e in zip(args, row)}
-        return cls(domain, values)
+        return cls(TableDomain(signature, values, tables), values)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.signature.label}, size={self.size})"
@@ -413,39 +436,41 @@ def generate_subalgebra(domain, gens, cap: int = 4096) -> FiniteAlgebra:
     the result.  The atoms are found by partition refinement: start from
     the cells cut out by the constants and the generators, split every cell
     by each operator image of a cell (of a pair of cells, for a binary
-    operator), and stop when no cell splits.  Each operator is additive in each argument, so the
-    joins of the final cells are closed under it.  Fails with
+    operator), and stop when no cell splits.  Each operator is additive in
+    each argument, so the joins of the final cells are closed under it.  Fails with
     ClosureCapError as soon as a round leaves more than log2(cap) cells.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    key = domain.key
+    table = domain.operators
     ops = domain.signature.operator_descriptors()
-    seeds = [domain.apply(op) for op, arity in ops if arity == 0] + list(gens)
-    cells = _split(domain, _top_cells(domain), seeds)
-    used = {key(s) for s in seeds}  # splitters every later partition refines
+    seeds = [table.constant(op) for op, arity in ops if arity == 0]
+    seeds += [_bits(domain, g) for g in gens]
+    kernels = [(table.function(op), arity) for op, arity in ops if arity]
+    cells = _split([domain.full] if domain.full else [], seeds)
+    used = set(seeds)  # splitters every later partition refines
     done: set = set()  # cells whose images have been taken
     while True:
         if 1 << len(cells) > cap:
             raise ClosureCapError(cap, 1 << len(cells))
-        fresh = {key(c) for c in cells} - done
+        fresh = set(cells) - done
         if not fresh:
             return FiniteAlgebra.from_atoms(domain, cells)
         done |= fresh
-        images = {}
-        for op, arity in ops:
+        images = {}  # a dict, so that the splitters keep their order
+        for f, arity in kernels:
             for args in itertools.product(cells, repeat=arity):
-                if any(key(a) in fresh for a in args):
-                    image = domain.apply(op, *args)
-                    if key(image) not in used:
-                        images[key(image)] = image
+                if not fresh.isdisjoint(args):
+                    image = f(args[0], args[-1])
+                    if image not in used:
+                        images[image] = None
         used |= images.keys()
-        cells = _split(domain, cells, images.values())
+        cells = _split(cells, images)
 
 
 def atoms(algebra: FiniteAlgebra) -> list:
     """All minimal nonzero carrier elements, in canonical order."""
-    return list(algebra._atoms)
+    return list(map(algebra.domain.from_bits, algebra.atom_bits))
 
 
 def atom_below(algebra: FiniteAlgebra, a, b):
@@ -455,23 +480,29 @@ def atom_below(algebra: FiniteAlgebra, a, b):
     The returned element is an atom of the whole algebra as well.
     """
     dom = algebra.domain
-    if dom.key(a) == dom.key(algebra.zero):
+    x = _bits(dom, a)
+    if x == 0:
         raise PreconditionError("a must be nonzero")
-    target = dom.meet(a, dom.compl(b))
-    if dom.key(target) == dom.key(algebra.zero):
+    target = x & dom.full & ~_bits(dom, b)
+    if target == 0:
         raise PreconditionError("a . -b is zero; no atom exists below it", witness=a)
-    for atom in atoms(algebra):
-        if algebra.le(atom, target):
-            return atom
+    for atom in algebra.atom_bits:
+        if atom & target == atom:
+            return dom.from_bits(atom)
     raise PreconditionError("no atom found below a . -b (carrier not atomic?)")
+
+
+def _member(algebra: FiniteAlgebra, b) -> int:
+    if b not in algebra:
+        raise PreconditionError("b must belong to the carrier")
+    return algebra.domain.key(b)
 
 
 def relativize(algebra: FiniteAlgebra, b) -> FiniteAlgebra:
     """The algebra induced on {x . b}, with operations cut down to b."""
-    if b not in algebra:
-        raise PreconditionError("b must belong to the carrier")
-    below = [a for a in algebra._atoms if algebra.le(a, b)]
-    return FiniteAlgebra.from_atoms(RelativizedDomain(algebra.domain, b), below)
+    x = _member(algebra, b)
+    below = [a for a in algebra.atom_bits if a & x]
+    return FiniteAlgebra.from_atoms(RelativizedDomain(algebra.domain, x), below)
 
 
 @dataclass
@@ -484,41 +515,40 @@ class Ideal:
 
     @cached_property
     def members(self) -> tuple:
-        below = [a for a in atoms(self.parent) if self.parent.le(a, self.closure)]
-        return _joins(self.parent.domain, below)
+        dom = self.parent.domain
+        c = dom.key(self.closure)
+        below = [a for a in self.parent.atom_bits if a & ~c == 0]
+        return tuple(map(dom.from_bits, _joins(below)))
 
     def __contains__(self, v):
-        return v in self.parent and self.parent.le(v, self.closure)
+        dom = self.parent.domain
+        return v in self.parent and dom.key(v) & ~dom.key(self.closure) == 0
+
+
+def _ideal_closure(algebra: FiniteAlgebra, x: int) -> int:
+    """The least fixed point above x of joins and every operator."""
+    table, full = algebra.domain.operators, algebra.domain.full
+    ops = [(table.function(op), arity) for op, arity in algebra.operator_descriptors() if arity]
+    while True:
+        acc = x
+        for f, arity in ops:
+            acc |= f(x, x) if arity == 1 else f(x, full) | f(full, x)
+        if acc == x:
+            return x
+        x = acc
 
 
 def principal_ideal(algebra: FiniteAlgebra, b) -> Ideal:
     """Ideal generated by b: close b under joins and all operators, then
     take everything below the least fixed point."""
     dom = algebra.domain
-    key = dom.key
-    current = b
-    while True:
-        acc = current
-        for op, arity in algebra.operator_descriptors():
-            if arity == 1:
-                acc = dom.join(acc, dom.apply(op, current))
-            elif arity == 2:
-                acc = dom.join(acc, dom.apply(op, current, algebra.one))
-                acc = dom.join(acc, dom.apply(op, algebra.one, current))
-        if key(acc) == key(current):
-            break
-        current = acc
-    return Ideal(algebra, b, current)
+    return Ideal(algebra, b, dom.from_bits(_ideal_closure(algebra, _bits(dom, b))))
 
 
 def product(left: FiniteAlgebra, right: FiniteAlgebra) -> FiniteAlgebra:
-    if left.signature != right.signature:
-        raise SignatureError("product factors must share a signature")
     dom = ProductDomain(left.domain, right.domain)
-    return FiniteAlgebra.from_atoms(
-        dom,
-        [(a, right.zero) for a in left._atoms] + [(left.zero, a) for a in right._atoms],
-    )
+    lefts = [a << dom.shift for a in left.atom_bits]
+    return FiniteAlgebra.from_atoms(dom, lefts + list(right.atom_bits))
 
 
 @dataclass
@@ -530,13 +560,11 @@ class Decomposition:
     algebra: FiniteAlgebra
     b: object
 
-    def split(self, x) -> tuple:
-        dom = self.algebra.domain
-        return (dom.meet(x, self.b), dom.meet(x, dom.compl(self.b)))
-
     @cached_property
-    def mapping(self) -> dict:  # key of x -> split(x)
-        return {self.algebra.domain.key(x): self.split(x) for x in self.algebra.carrier}
+    def mapping(self) -> dict:  # key of x -> (x.b, x.-b)
+        wrap = self.algebra.domain.from_bits
+        b, not_b = self.below.domain.full, self.above.domain.full
+        return {x: (wrap(x & b), wrap(x & not_b)) for x in self.algebra.carrier_bits}
 
 
 def decompose_by_zero_dimensional(algebra: FiniteAlgebra, b) -> Decomposition:
@@ -548,48 +576,41 @@ def decompose_by_zero_dimensional(algebra: FiniteAlgebra, b) -> Decomposition:
     atoms, which suffices because the operators are additive.
     """
     dom = algebra.domain
-    key = dom.key
-    not_b = dom.compl(b)
-    if not all(algebra.le(atom, b) for atom in atoms(algebra)):
-        closures = [principal_ideal(algebra, c).closure for c in (b, not_b)]
-        if key(dom.meet(*closures)) != key(algebra.zero):
-            witness = next(a for a in atoms(algebra) if not algebra.le(a, b))
-            raise PreconditionError(
-                "ideals generated by b and -b overlap; decomposition unavailable",
-                witness=witness,
-            )
-    out = Decomposition(relativize(algebra, b), relativize(algebra, not_b), algebra, b)
-    pd = ProductDomain(out.below.domain, out.above.domain)
+    x = _bits(dom, b)
+    not_x = dom.full & ~x
+    outside = [a for a in algebra.atom_bits if a & ~x]
+    if outside and _ideal_closure(algebra, x) & _ideal_closure(algebra, not_x):
+        raise PreconditionError(
+            "ideals generated by b and -b overlap; decomposition unavailable",
+            witness=dom.from_bits(outside[0]),
+        )
+    above = relativize(algebra, dom.from_bits(not_x))
+    out = Decomposition(relativize(algebra, b), above, algebra, b)
     for op, arity in algebra.operator_descriptors():
-        for args in itertools.product(atoms(algebra), repeat=arity):
-            got = pd.apply(op, *map(out.split, args))
-            if pd.key(got) != pd.key(out.split(dom.apply(op, *args))):
-                raise PreconditionError(f"decomposition map breaks {op}")
+        if not arity:
+            continue
+        f = dom.operators.function(op)
+        for args in itertools.product(algebra.atom_bits, repeat=arity):
+            whole = f(args[0], args[-1])
+            for part in (x, not_x):
+                if (f(args[0] & part, args[-1] & part) ^ whole) & part:
+                    raise PreconditionError(f"decomposition map breaks {op}")
     return out
 
 
 def is_hereditary_closed(algebra: FiniteAlgebra, b) -> bool:
     """True when every carrier x below b is fixed by all unary operators.
 
-    The operators are additive, so the atoms below b decide it.
+    The operators are additive, so the atoms below b decide it: b must miss
+    every atom that some unary operator moves.
     """
-    if b not in algebra:
-        raise PreconditionError("b must belong to the carrier")
-    key = algebra.domain.key
-    return all(
-        key(algebra.apply(op, a)) == key(a)
-        for a in algebra._atoms
-        if algebra.le(a, b)
-        for op, arity in algebra.operator_descriptors()
-        if arity == 1
-    )
+    return _member(algebra, b) & algebra.moved == 0
 
 
 def discriminator_value(algebra: FiniteAlgebra, x):
     """c_0 ... c_{n-1} x computed inside the algebra's domain."""
-    dim = algebra.signature.dimension
-    out = x
-    if dim:
-        for i in range(dim):
-            out = algebra.apply(("cyl", (i,)), out)
-    return out
+    dom = algebra.domain
+    out = _bits(dom, x)
+    for i in range(algebra.signature.dimension or 0):
+        out = dom.operators.function(("cyl", (i,)))(out, out)
+    return dom.from_bits(out)

@@ -24,16 +24,16 @@ class Homomorphism:
 
     @cached_property
     def mapping(self) -> dict:  # source value key -> target value
-        return {self.source.domain.key(x): y for x, y in self.graph.carrier}
+        dom, wrap = self.graph.domain, self.target.domain.from_bits
+        return {xy >> dom.shift: wrap(xy & dom.mask) for xy in self.graph.carrier_bits}
 
     def __call__(self, v):
         return self.mapping[self.source.domain.key(v)]
 
     def is_injective(self) -> bool:
         """No atom of the graph is a pair (x, 0), so no atom maps to 0."""
-        key = self.target.domain.key
-        zero = key(self.target.zero)
-        return all(key(y) != zero for _, y in atoms(self.graph))
+        mask = self.graph.domain.mask
+        return all(xy & mask for xy in self.graph.atom_bits)
 
 
 @dataclass
@@ -42,17 +42,6 @@ class ExtensionConflict:
 
     element: object
     images: tuple
-
-
-def _graph(source, target, pairs, most: int) -> FiniteAlgebra:
-    """The subalgebra of source x target generated by `pairs`.
-
-    Raises ClosureCapError as soon as it has more than `most` atoms.  Its
-    atoms are disjoint nonzero pairs of the product, so there are never more
-    than len(atoms(source)) + len(atoms(target)) of them.
-    """
-    domain = ProductDomain(source.domain, target.domain)
-    return generate_subalgebra(domain, list(pairs), cap=1 << most)
 
 
 def extend_homomorphism(source, gens, target, images):
@@ -72,13 +61,14 @@ def extend_homomorphism(source, gens, target, images):
         raise ValueError("need exactly one image per generator")
     if source.signature != target.signature:
         raise SignatureError("homomorphisms require a shared signature")
+    # The atoms of the graph are disjoint nonzero pairs, so there are no
+    # more of them than the atoms of source and target.
     most = len(atoms(source)) + len(atoms(target))
-    graph = _graph(source, target, zip(gens, images), most)
-    pairs = atoms(graph)
-    skey, zero = source.domain.key, source.domain.key(source.zero)
-    for x, y in pairs:
-        if skey(x) == zero:
-            return ExtensionConflict(source.zero, (target.zero, y))
+    domain = ProductDomain(source.domain, target.domain)
+    graph = generate_subalgebra(domain, list(zip(gens, images)), cap=1 << most)
+    pairs = graph.atom_bits
+    if pairs and pairs[0] >> domain.shift == 0:  # the least pair is (0, y)
+        return ExtensionConflict(source.zero, (target.zero, target.domain.from_bits(pairs[0])))
     span, total = len(pairs), len(atoms(source))
     if span != total:  # more, when some gen lies outside the source
         raise PreconditionError(
@@ -128,8 +118,7 @@ def free_boolean_algebra(k: int) -> tuple[FiniteAlgebra, list]:
         ambient.from_bits(sum(1 << f for f in range(2**k) if (f >> i) & 1))
         for i in range(k)
     ]
-    valuations = [ambient.from_bits(1 << f) for f in range(2**k)]
-    return FiniteAlgebra.from_atoms(ambient, valuations), gens
+    return FiniteAlgebra.from_atoms(ambient, [1 << f for f in range(2**k)]), gens
 
 
 def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
@@ -147,9 +136,10 @@ def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
     latoms, ratoms = atoms(left), atoms(right)
     if len(latoms) > 10:
         raise CapacityError("isomorphism search is budgeted to 10 atoms")
+    domain = ProductDomain(left.domain, right.domain)
     for perm in permutations(ratoms):
         try:
-            graph = _graph(left, right, zip(latoms, perm), len(latoms))
+            graph = generate_subalgebra(domain, list(zip(latoms, perm)), cap=1 << len(latoms))
         except ClosureCapError:
             continue
         return Homomorphism(left, right, graph)
@@ -159,16 +149,13 @@ def find_isomorphism(left: FiniteAlgebra, right: FiniteAlgebra):
 def splitting_check(algebra, freegens, a, y) -> bool:
     """The splitting step behind atomlessness over large generator sets:
     with a generated away from y, both a.y and a.-y must be nonzero."""
-    dom = algebra.domain
-    key = dom.key
-    if key(a) == key(algebra.zero):
+    key = algebra.domain.key
+    x, z = key(a), key(y)
+    if x == 0:
         raise PreconditionError("a must be nonzero")
-    if not any(key(y) == key(g) for g in freegens):
+    if not any(z == key(g) for g in freegens):
         raise PreconditionError("y must be one of the free generators")
-    rest = [g for g in freegens if key(g) != key(y)]
+    rest = [g for g in freegens if key(g) != z]
     if a not in generate_subalgebra(algebra.domain, rest, cap=algebra.size):
         raise PreconditionError("a is not generated by the remaining generators")
-    return (
-        key(dom.meet(a, y)) != key(algebra.zero)
-        and key(dom.meet(a, dom.compl(y))) != key(algebra.zero)
-    )
+    return x & z != 0 and x & ~z != 0

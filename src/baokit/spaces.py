@@ -12,8 +12,8 @@ values of its coordinate, and `strictly_below` the order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.  Both are
-FullAlgebras, which share zero, one, apply and the Boolean operations, and
-each is the value domain of its own finite subalgebras.
+FullAlgebras, which share zero, one and apply, and each is the value
+domain of its own finite subalgebras, which compute on its raw ints.
 
 An operator table (`SetOperators`, `RelationOperators`) is the one map from
 operator names to raw-int kernels; each algebra owns one for `apply`, and
@@ -352,7 +352,7 @@ def subst(i: int, j: int, x: Element) -> Element:
 class Operators:
     """The raw-int operators of one value domain, each built on first use
     and kept; all are binary, a unary one ignoring its second argument.
-    A subclass builds the others in make."""
+    A subclass builds the others in make, and its constants past 0 and 1."""
 
     def __init__(self, full: int):
         self.full = full
@@ -370,6 +370,13 @@ class Operators:
             f = self.functions[op] = self.make(op)
         return f
 
+    def constant(self, op: OpRef) -> int:
+        if op[0] == "zero":
+            return 0
+        if op[0] == "one":
+            return self.full
+        raise SignatureError(f"unsupported constant {op[0]!r}")
+
 
 class SetOperators(Operators):
     """The operators of a set algebra on coordinates 0 .. n-1 of `space`:
@@ -384,14 +391,9 @@ class SetOperators(Operators):
         self.key = (space.base_size, space.dimension, n)  # same key, same kernels
 
     def constant(self, op: OpRef) -> int:
-        name, params = op
-        if name == "zero":
-            return 0
-        if name == "one":
-            return self.full
-        if name == "diag":
-            return diag(self.space, *params).bits
-        raise SignatureError(f"unsupported constant {name!r}")
+        if op[0] == "diag":
+            return diag(self.space, *op[1]).bits
+        return super().constant(op)
 
     def make(self, op: OpRef):
         name, params = op
@@ -416,8 +418,14 @@ class SetOperators(Operators):
 
 class FullAlgebra:
     """The algebra of all subsets of one finite set under a signature, and
-    the value domain of its finite subalgebras.  A subclass fixes the value
-    type (`from_bits`, `contains`) and owns the operator table."""
+    the value domain of its finite subalgebras, which compute on the raw
+    ints of its operator table (`full`, `operators`, `key`, `from_bits`).
+    A subclass fixes the value type (`from_bits`, `contains`) and owns the
+    operator table."""
+
+    @property
+    def full(self) -> int:
+        return self.operators.full
 
     @property
     def zero(self):
@@ -427,17 +435,9 @@ class FullAlgebra:
     def one(self):
         return self.from_bits(self.operators.full)
 
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def compl(self, a):
-        return ~a
-
-    def key(self, v) -> int:
-        return v.bits
+    def key(self, v) -> int | None:
+        """The bits of a value of this algebra; None for any other object."""
+        return v.bits if self.contains(v) else None
 
     def apply(self, op: OpRef, *args):
         if not self.signature.allows(op):
@@ -614,14 +614,9 @@ class RelationOperators(Operators):
         self.key = (u,)
 
     def constant(self, op: OpRef) -> int:
-        name = op[0]
-        if name == "zero":
-            return 0
-        if name == "one":
-            return self.full
-        if name == "id":  # the pairs (a, a), at bits a*u + a
+        if op[0] == "id":  # the pairs (a, a), at bits a*u + a
             return _replicate(1, self.u + 1, self.u)
-        raise SignatureError(f"unsupported constant {name!r}")
+        return super().constant(op)
 
     def make(self, op: OpRef):
         u = self.u

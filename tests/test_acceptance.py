@@ -156,13 +156,13 @@ def test_criterion_06_discriminator_lemma():
         for x in algebra.carrier:
             d_x = discriminator_value(algebra, x)
             dd_x = discriminator_value(algebra, d_x)
-            if not algebra.le(x, d_x):
+            if not x <= d_x:
                 violations += 1
-            if not algebra.le(dd_x, d_x):
+            if not dd_x <= d_x:
                 violations += 1
             for op, arity in algebra.operator_descriptors():
                 if arity == 1:
-                    if not algebra.le(algebra.apply(op, x), d_x):
+                    if not algebra.domain.apply(op, x) <= d_x:
                         violations += 1
                     checked += 1
             checked += 2
@@ -190,7 +190,7 @@ def test_criterion_07_hereditary_bound_and_decomposition():
             if not is_hereditary_closed(algebra, b):
                 continue
             hereditary_cases += 1
-            inside = [a for a in ats if algebra.le(a, b)]
+            inside = [a for a in ats if a <= b]
             assert len(inside) <= 2  # 2**m for m = 1 generator
             try:
                 decomposition = decompose_by_zero_dimensional(algebra, b)

@@ -149,7 +149,7 @@ def test_relativize_atom_split():
     for _ in range(8):
         b = carrier[rng.randrange(len(carrier))]
         below = relativize(free3, b)
-        above = relativize(free3, free3.compl(b))
+        above = relativize(free3, ~b)
         assert len(atoms(below)) + len(atoms(above)) == len(atoms(free3))
 
 
@@ -197,7 +197,7 @@ def test_product_of_relativizations_isomorphic():
     for _ in range(4):
         b = free3.carrier[rng.randrange(len(free3.carrier))]
         left = relativize(free3, b)
-        right = relativize(free3, free3.compl(b))
+        right = relativize(free3, ~b)
         assert find_isomorphism(product(left, right), free3) is not None
 
 
@@ -284,7 +284,7 @@ def test_atom_bound_under_hereditarily_closed_two_generators():
         ats = atoms(alg)
         for b in alg.carrier:
             if is_hereditary_closed(alg, b):
-                inside = [a for a in ats if alg.le(a, b)]
+                inside = [a for a in ats if a <= b]
                 assert len(inside) <= 4
 
 

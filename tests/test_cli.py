@@ -1,5 +1,7 @@
 import json
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,8 +15,11 @@ from baokit import (
     parse_formula,
     restrict_formula,
 )
+import baokit.cli
+import element_path
+from baokit import CapacityError
 from baokit.algebras import product as direct_product
-from baokit.cli import _parse_gen, main
+from baokit.cli import ExperimentReport, _parse_gen, main
 
 
 def run_cli(capsys, *argv):
@@ -146,12 +151,83 @@ def test_translate_and_pairing_and_arith(capsys):
         assert "verdict: pass" in out
 
 
-def test_hereditary_cap_past_the_carrier_budget_skips_the_trial(capsys):
-    # a trial whose subalgebra passes 2**16 elements is skipped, as one past --cap is
-    argv = ["--json", "hereditary", "--u", "3", "--n", "3", "--kind", "SC"]
+def test_hereditary_past_the_carrier_budget_checks_every_trial(capsys):
+    # each trial generates 27 atoms: it counts its closed elements from the
+    # fixed atoms, without a carrier, unless it passes --cap
+    argv = ["--json", "hereditary", "--u", "3", "--n", "3", "--kind", "SC", "--trials", "20"]
     code, out = run_cli(capsys, *argv, "--cap", "9" * 20)
     assert code == 0
-    assert (code, out) == run_cli(capsys, *argv, "--cap", "65536")
+    assert json.loads(out)["details"] == {"failures": [], "hereditarily_closed_cases": 20}
+    code, out = run_cli(capsys, *argv, "--cap", "65536")
+    assert code == 0
+    assert json.loads(out)["details"]["hereditarily_closed_cases"] == 0
+
+
+def hereditary_by_carrier_scan(kind, seed, closed=None, u=2, n=2, trials=12, cap=512) -> str:
+    """The carrier scan that `hereditary` replaced, on the value-level path,
+    kept as its oracle: `--json` of `hereditary` with these flags.  `closed`
+    stands in for `is_hereditary_closed` when given."""
+    rng = random.Random(seed)
+    ambient = SetAlgebra(kind, u, n)
+    values = element_path.FullDomain(ambient)
+    closed = closed or element_path.is_hereditary_closed
+    failures = []
+    checked = 0
+    for trial in range(trials):
+        gen = ambient.random_element(rng)
+        if gen.is_zero():
+            continue
+        try:
+            algebra = element_path.generate_subalgebra(values, [gen], cap=min(cap, 1 << 16))
+        except CapacityError:
+            continue
+        for b in algebra.carrier:
+            if not closed(algebra, b):
+                continue
+            checked += 1
+            inside = [a for a in algebra.atoms if algebra.le(a, b)]
+            if len(inside) > 2:
+                failures.append(f"trial {trial}: {len(inside)} atoms under {b.serialize()}")
+    report = ExperimentReport(
+        "hereditary",
+        {"u": u, "n": n, "kind": kind, "trials": trials, "seed": seed},
+        "pass" if not failures else "fail",
+        {"hereditarily_closed_cases": checked, "failures": failures[:5]},
+    )
+    return report.to_json() + "\n"
+
+
+@pytest.mark.parametrize("kind", ["DF", "SC", "CA"])
+def test_hereditary_matches_the_carrier_scan(kind, capsys, monkeypatch):
+    for seed in range(10):
+        argv = ["--json", "hereditary", "--kind", kind, "--seed", str(seed)]
+        assert run_cli(capsys, *argv) == (0, hereditary_by_carrier_scan(kind, seed))
+    # A set algebra fixes no nonzero atom below its top, so no trial above
+    # fails.  Calling every element closed makes every join of three or
+    # more atoms a failure, which checks their order and the count.
+    monkeypatch.setattr(baokit.cli, "is_hereditary_closed", lambda algebra, b: True)
+    for seed in range(10):
+        argv = ["--json", "hereditary", "--kind", kind, "--seed", str(seed)]
+        want = hereditary_by_carrier_scan(kind, seed, closed=lambda algebra, b: True)
+        assert run_cli(capsys, *argv) == (1 if "fail" in want else 0, want)
+
+
+GOLDEN = {  # output of the value-level path, before algebras computed on ints
+    "atoms_u3_n3_ca_less01.json": ["atoms", "--u", "3", "--n", "3", "--kind", "CA",
+                                   "--gens", "less:0,1", "--cap", "134217728"],
+    "example_u5.json": ["example", "--u", "5"],
+    "example_u10.json": ["example", "--u", "10"],
+    "free_ba_k12.json": ["free-ba", "--k", "12"],
+    "hereditary_DF.json": ["hereditary", "--kind", "DF"],
+    "hereditary_SC.json": ["hereditary", "--kind", "SC"],
+    "hereditary_CA.json": ["hereditary", "--kind", "CA"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_matches_the_golden_output(name, capsys):
+    want = (Path(__file__).parent / "golden" / name).read_text()
+    assert run_cli(capsys, "--json", *GOLDEN[name]) == (0, want)
 
 
 def test_corpus_check_shipped(capsys):

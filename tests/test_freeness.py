@@ -24,6 +24,7 @@ from baokit import (
 )
 from baokit.example import example_algebra
 from baokit.freeness import ExtensionConflict, Homomorphism
+from element_path import element_domain
 
 
 def closure_extend(source, gens, target, images):
@@ -31,8 +32,8 @@ def closure_extend(source, gens, target, images):
     the pair relation under every operation until it stabilizes; the first
     element given two images is the conflict.  A homomorphism comes back as
     its mapping, source key -> target value."""
-    sdom, tdom = source.domain, target.domain
-    skey = sdom.key
+    sdom, tdom = element_domain(source.domain), element_domain(target.domain)
+    skey = source.domain.key
 
     mapping: dict = {}
     frontier: list = []
@@ -105,12 +106,12 @@ def permutation_isomorphism(left, right):
     if left.signature != right.signature or left.size != right.size:
         return None
     latoms, ratoms = atoms(left), atoms(right)
-    ldom, rdom = left.domain, right.domain
+    ldom, rdom = element_domain(left.domain), element_domain(right.domain)
 
     def image(x, perm):
         out = right.zero
         for a, b in zip(latoms, perm):
-            if left.le(a, x):
+            if ldom.key(ldom.meet(a, x)) == ldom.key(a):
                 out = rdom.join(out, b)
         return out
 
@@ -125,14 +126,14 @@ def permutation_isomorphism(left, right):
 
     for perm in permutations(ratoms):
         if respects_ops(perm):
-            return {ldom.key(x): image(x, perm) for x in left.carrier}
+            return {left.domain.key(x): image(x, perm) for x in left.carrier}
     return None
 
 
 def meet_loop_independent(algebra, ys) -> bool:
     """The Boolean branch is_independent replaced: every meet of the ys and
     their complements is nonzero."""
-    dom = algebra.domain
+    dom = element_domain(algebra.domain)
     for mask in range(1 << len(ys)):
         acc = algebra.one
         for i, y in enumerate(ys):
@@ -232,7 +233,7 @@ def test_extend_homomorphism_always_works_into_two():
         # verify on a sample of the carrier
         for x in free2.carrier[:8]:
             for y in free2.carrier[:8]:
-                assert result(free2.meet(x, y)) == two.meet(result(x), result(y))
+                assert result(x & y) == result(x) & result(y)
 
 
 def test_extend_homomorphism_identity():
@@ -245,8 +246,8 @@ def test_extend_homomorphism_identity():
 def test_extend_homomorphism_conflict_witness():
     # two disjoint atoms cannot map to overlapping values
     free2, gens = free_boolean_algebra(2)
-    a1 = free2.meet(gens[0], free2.compl(gens[1]))
-    a2 = free2.meet(gens[1], free2.compl(gens[0]))
+    a1 = gens[0] & ~gens[1]
+    a2 = gens[1] & ~gens[0]
     sub = generate_subalgebra(free2.domain, [a1, a2], cap=16)
     free1, (g,) = free_boolean_algebra(1)
     conflict = extend_homomorphism(sub, [a1, a2], free1, [g, g])
@@ -268,11 +269,11 @@ def test_extend_homomorphism_nongenerating_reported():
 def test_independence_examples():
     free2, gens = free_boolean_algebra(2)
     assert is_independent(free2, gens)
-    assert not is_independent(free2, [gens[0], free2.meet(gens[0], gens[1])])
+    assert not is_independent(free2, [gens[0], gens[0] & gens[1]])
     assert not is_independent(free2, [free2.zero])
     # a two-element redundant set cannot generate the sixteen-element algebra
     sub = generate_subalgebra(
-        free2.domain, [gens[0], free2.meet(gens[0], gens[1])], cap=16
+        free2.domain, [gens[0], gens[0] & gens[1]], cap=16
     )
     assert len(sub.carrier) == 8
 
@@ -301,9 +302,8 @@ def test_find_isomorphism_free_ba_products():
         assert len(images) == len(bigger.carrier)
         for x in bigger.carrier[:10]:
             for y in bigger.carrier[:10]:
-                assert squared.domain.key(iso(bigger.meet(x, y))) == squared.domain.key(
-                    squared.meet(iso(x), iso(y))
-                )
+                left, right = iso(x), iso(y)
+                assert iso(x & y) == (left[0] & right[0], left[1] & right[1])
 
 
 def test_find_isomorphism_identity_and_mismatch():
@@ -322,7 +322,7 @@ def test_find_isomorphism_identity_and_mismatch():
 def test_splitting_examples():
     free3, gens = free_boolean_algebra(3)
     assert splitting_check(free3, gens, gens[0], gens[2])
-    assert splitting_check(free3, gens, free3.meet(gens[0], gens[1]), gens[2])
+    assert splitting_check(free3, gens, gens[0] & gens[1], gens[2])
     atom = atoms(free3)[0]
     with pytest.raises(PreconditionError):
         splitting_check(free3, gens, atom, gens[2])
@@ -353,7 +353,7 @@ def test_algebras_past_sys_maxsize_reach_the_budgets():
         ambient.from_bits(sum(1 << f for f in range(64) if (f >> i) & 1))
         for i in range(6)
     ]
-    free6 = FiniteAlgebra.from_atoms(ambient, [ambient.from_bits(1 << f) for f in range(64)])
+    free6 = FiniteAlgebra.from_atoms(ambient, [1 << f for f in range(64)])
     assert splitting_check(free6, gens, gens[0], gens[5])
 
 
@@ -503,7 +503,7 @@ def test_mappings_are_built_once():
     assert decomposition.mapping is decomposition.mapping
     key = free2.domain.key
     assert decomposition.mapping == {
-        key(x): (free2.meet(x, gens[0]), free2.meet(x, free2.compl(gens[0])))
+        key(x): (x & gens[0], x & ~gens[0])
         for x in free2.carrier
     }
 

@@ -130,13 +130,13 @@ def walk(model, f, assignment, domain=None) -> bool:
         if isinstance(g, Implies):
             return not ev(g.left) or ev(g.right)
         if isinstance(g, Iff):
-            return ev(g.left) == ev(g.right)
+            return bool(ev(g.left)) == bool(ev(g.right))
         want = isinstance(g, Exists)
         old = env.get(g.var)
         result = not want
         for value in domain:
             env[g.var] = value
-            if ev(g.body) == want:
+            if bool(ev(g.body)) == want:
                 result = want
                 break
         if old is None:
@@ -370,7 +370,7 @@ def test_unknown_relation_in_an_innermost_quantifier_raises_as_the_walker_does(t
     f = parse_formula(text)
     tables = ORDER3[0]
     bare = SimpleNamespace(carrier_size=3, rel_holds=tables.rel_holds)  # no section
-    for model in (tables, bare, hf_universe(2)):
+    for model in (tables, bare, hf_universe(2), TruthModel()):
         for domain in (None, [], [2, 0, 0], range(1, 3)):
             for v1 in range(model.carrier_size):
                 got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
