@@ -5,8 +5,12 @@ bitset Element.  Its evaluator, satisfaction_bits, is the one
 formula-to-bitset evaluator: each formula is laid out once, as a term is,
 into a straight-line program over raw ints, its plan, in which a repeated
 subformula, atom or diagonal is computed once; each call binds the plan to
-its space.  The window module runs it too, with its own leaves and a run of
-values for each quantifier depth.
+its base size.  Every step runs at its level, 1 + the highest variable free
+in it: a value at level k is a bitset over the first k coordinates, and
+the root is lifted to the whole space at the end.  The leaf hook is asked
+for each atom and diagonal over the TupleSpace of its level.  The window
+module runs the evaluator too, with its own leaves and a run of values for
+each quantifier depth.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
@@ -40,7 +44,16 @@ from .formulas import (
     free_vars,
     max_var_index,
 )
-from .spaces import Element, Operators, TupleSpace, cylinder, diag, relation_bits
+from .spaces import (
+    Element,
+    TupleSpace,
+    boolean,
+    cylinder,
+    diag,
+    doubling_shifts,
+    fold_top,
+    relation_bits,
+)
 from .terms import Layout
 
 
@@ -127,10 +140,10 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
     space = TupleSpace(model.carrier_size, n)
 
-    def leaf(g) -> int:
+    def leaf(g, level: TupleSpace) -> int:
         if isinstance(g, Atom):
-            return relation_bits(space, g.args, model.relations[g.rel])
-        return diag(space, g.left, g.right).bits
+            return relation_bits(level, g.args, model.relations[g.rel])
+        return diag(level, g.left, g.right).bits
 
     return Element(space, satisfaction_bits(space, f, leaf))
 
@@ -139,46 +152,86 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
     """The bits of the satisfaction set of `f` over `space`.
 
     `f` runs as its plan (see `_plan`), laid out once per formula and bound
-    here to the space.  `leaf(g)` gives the bits of each of the plan's
-    inputs: each distinct atom g, and each distinct diagonal, an Eq g with
-    g.left <= g.right.  A quantifier on v ranges over the whole base, or,
-    when `quantifier_range(depth, v)` is given, over the run of base values
-    it returns, where depth counts the quantifier's nesting from the root
+    here to the base size.  Each step runs at its level k, on the tuples
+    of TupleSpace(u, k), and the root is lifted to the whole space at the
+    end.  `leaf(g, level)` gives the bits of each of the plan's inputs over
+    `level`, the TupleSpace of its level: each distinct atom g, and each
+    distinct diagonal, an Eq g with g.left <= g.right.  A quantifier on v
+    ranges over the whole base, or, when `quantifier_range(depth, v)` is
+    given, over the run of base values it returns, which must not be
+    empty, where depth counts the quantifier's nesting from the root
     (outermost 1): the relativized ex v phi is c_v(D . phi) and all v phi
     is -c_v(D . -phi), D holding the tuples whose v lies in the run.
     """
     plan = _plan(f, quantifier_range is not None)
-    binding = plan.bind(_Operators(space, quantifier_range))
-    return plan.run(binding, [leaf(g) for g in plan.variables])
+    space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
+    if quantifier_range is None:
+        operators = _whole_base(space.base_size)
+    else:
+        operators = _Operators(space.base_size, quantifier_range)
+    inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
+    bits = plan.run(plan.bind(operators), inputs)
+    root = operators.space(plan.level).size
+    for shift in doubling_shifts(root, space.size // root):  # lift to the whole space
+        bits |= bits << shift
+    return bits
 
 
 _CONNECTIVES = {Not: "not", And: "and", Or: "or", Implies: "impl", Iff: "iff"}
 
 
+class _Plan(Layout):
+    """A formula's layout, with the level of each of its inputs, `levels`,
+    and of its root, `level`."""
+
+    __slots__ = ("levels", "level")
+
+
+def _level(free: int) -> int:
+    """The level of a node whose free variables are the bits of `free`:
+    1 + the highest of them, and at least 1."""
+    return max(free.bit_length(), 1)
+
+
 @lru_cache(maxsize=None)
-def _plan(f: Formula, ranged: bool) -> Layout:
+def _plan(f: Formula, ranged: bool) -> _Plan:
     """Lay out the DAG of f, its plan: a layout with no constants, whose
     `variables` are its distinct atoms and diagonals (an Eq with left <=
     right stands for a diagonal) and whose `ops` are connectives
-    ("not", ()), ("and", ()), ... and quantifiers ("ex" | "all",
-    (var, depth)).  A repeated subformula, atom or diagonal is computed
-    once.  With `ranged`, a quantifier's range depends on its depth, so a
+    (name, (level of the left operand, level of the right)) and quantifiers
+    ("ex" | "all", (var, depth, level of the body, level of the result)).
+
+    A node's level is 1 + the highest variable free in it, and at least 1:
+    its value does not depend on the coordinates from there up (Henkin,
+    Monk and Tarski, Cylindric Algebras I, 1.6), so it is kept as a bitset
+    over the tuples of those first coordinates.  A quantifier whose
+    variable is not free in its body is that body, as every range is
+    nonempty.  A repeated subformula, atom or diagonal is computed once.
+    With `ranged`, a quantifier's range depends on its depth, so a
     subformula is told apart by its depth as well; without, every depth
     counts as 0.  The walk keeps its own stack, so deep formulas need no
     recursion."""
     leaves: dict = {}  # atom or diagonal -> its input number
-    steps: dict = {}  # (subformula, depth) -> its step number
+    steps: dict = {}  # (subformula, depth) -> its node
+    free: dict = {}  # node -> the bits of its free variables
     ops: dict = {}  # operator -> its number
     kinds, operands = array("l"), []
 
+    def input_node(g, args) -> int:
+        number = leaves.get(g)
+        if number is None:
+            number = leaves[g] = len(leaves)
+            free[~number] = sum(1 << a for a in set(args))
+        return ~number
+
     def laid_out(g, depth):
-        """The node of g if known: ~input for a leaf, the step number for
-        a subformula laid out already, else None."""
+        """The node of g if known: ~input for a leaf, the node of a
+        subformula laid out already, else None."""
         if isinstance(g, Atom):
-            return ~leaves.setdefault(g, len(leaves))
+            return input_node(g, g.args)
         if isinstance(g, Eq):
             diagonal = g if g.left <= g.right else Eq(g.right, g.left)
-            return ~leaves.setdefault(diagonal, len(leaves))
+            return input_node(diagonal, (g.left, g.right))
         return steps.get((g, depth))
 
     stack = [(f, 0)]
@@ -189,11 +242,9 @@ def _plan(f: Formula, ranged: bool) -> Layout:
             continue
         if isinstance(g, (Exists, Forall)):
             children = [(g.body, depth + ranged)]
-            op = ("ex" if isinstance(g, Exists) else "all", (g.var, depth + ranged))
         elif type(g) in _CONNECTIVES:
             parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
             children = [(part, depth) for part in parts]
-            op = (_CONNECTIVES[type(g)], ())
         else:
             raise TypeError(f"not a formula: {g!r}")
         nodes = []
@@ -206,30 +257,96 @@ def _plan(f: Formula, ranged: bool) -> Layout:
             stack.append(child)  # lay out that child first, then look again
             continue
         stack.pop()
+        masks = [free[node] for node in nodes]
+        if isinstance(g, (Exists, Forall)):
+            if not masks[0] >> g.var & 1:  # vacuous
+                steps[(g, depth)] = nodes[0]
+                continue
+            mask = masks[0] & ~(1 << g.var)
+            name = "ex" if isinstance(g, Exists) else "all"
+            op = (name, (g.var, depth + ranged, _level(masks[0]), _level(mask)))
+        else:
+            mask = masks[0] | masks[-1]
+            op = (_CONNECTIVES[type(g)], (_level(masks[0]), _level(masks[-1])))
+        free[len(operands)] = mask
         steps[(g, depth)] = len(operands)
         kinds.append(ops.setdefault(op, len(ops)))
         operands.append(nodes)
-    return Layout(tuple(leaves), (), tuple(ops), kinds, operands, laid_out(f, 0))
+    root = laid_out(f, 0)
+    plan = _Plan(tuple(leaves), (), tuple(ops), kinds, operands, root)
+    plan.levels = tuple(_level(free[~number]) for number in range(len(leaves)))
+    plan.level = _level(free[root])
+    return plan
 
 
-class _Operators(Operators):
-    """The raw-int functions of a plan's steps over one space: the
-    connectives, and each quantifier as the cylindrification of its
-    variable, relativized to `quantifier_range(depth, var)` when given."""
+@lru_cache(maxsize=16)
+def _whole_base(base_size: int) -> "_Operators":
+    """The operators of plans whose quantifiers range over the whole base,
+    shared by every call on that base size; the tables of the 16 sizes used
+    last are kept, with the spaces their kernels read."""
+    return _Operators(base_size, None)
 
-    def __init__(self, space: TupleSpace, quantifier_range):
-        super().__init__(space.full_mask)
-        self.space = space
+
+class _Operators:
+    """The raw-int functions of a plan's steps over base size u, each on
+    values at the levels its op names: a connective lifts its lower operand
+    to the higher level, and a quantifier on v is the cylindrification of
+    v, relativized to `quantifier_range(depth, v)` when given, or, when v
+    is the top coordinate of its body, the fold of v onto the result's
+    level.  Each function is made on first use and kept."""
+
+    def __init__(self, base_size: int, quantifier_range):
+        self.base_size = base_size
+        self.spaces: dict = {}  # level -> TupleSpace(u, level)
+        self.functions: dict = {}  # op -> its function
         self.quantifier_range = quantifier_range
 
+    def space(self, level: int) -> TupleSpace:
+        """TupleSpace(u, level), made on first use."""
+        space = self.spaces.get(level)
+        if space is None:
+            space = self.spaces[level] = TupleSpace(self.base_size, level)
+        return space
+
+    def function(self, op):
+        f = self.functions.get(op)
+        if f is None:
+            f = self.functions[op] = self.make(op)
+        return f
+
     def make(self, op):
-        name, (var, depth) = op
+        name, params = op
+        if name in ("ex", "all"):
+            return self.quantifier(name, *params)
+        left, right = params
+        level = max(left, right)
+        f = boolean(name, self.space(level).full_mask)
+        if left == right:
+            return f
+        size = self.space(min(left, right)).size
+        shifts = doubling_shifts(size, self.space(level).size // size)
+
+        def lift(x):
+            for shift in shifts:
+                x |= x << shift
+            return x
+
+        if left < right:
+            return lambda x, y: f(lift(x), y)
+        return lambda x, y: f(x, lift(y))
+
+    def quantifier(self, name: str, var: int, depth: int, level: int, out: int):
         ranged = self.quantifier_range
-        exists = cylinder(self.space, var, None if ranged is None else ranged(depth, var))
+        values = None if ranged is None else ranged(depth, var)
+        space = self.space(level)
+        if var < level - 1 or level == 1:  # the body's level, filled again at level 1
+            exists = cylinder(space, var, values)
+        else:
+            exists = fold_top(space, values, out)
         if name == "ex":
             return exists
-        full = self.full
-        return lambda x, _: full ^ exists(full ^ x)
+        full, out_full = space.full_mask, self.space(out).full_mask
+        return lambda x, _: out_full ^ exists(full ^ x)
 
 
 def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool:

@@ -8,7 +8,9 @@ substitutions are computed with per-coordinate digit masks by doubling, so
 each costs O(log u) big-integer shifts instead of a full tuple scan;
 substitution is c_i(d_ij . x) and reuses cylindrification.  `cylinder`
 gives the raw-int kernel of cylindrification, relativized to a run of
-values of its coordinate, and `strictly_below` the order atom s_a < s_b.
+values of its coordinate, `fold_top` the same fold of the last coordinate
+onto a space of lower dimension, with nothing spread back, and
+`strictly_below` the order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.  Both are
@@ -161,13 +163,13 @@ class Element:
         return Element(self.space, self.bits ^ self._peer(other).bits)
 
     def __sub__(self, other):
-        return Element(self.space, self.bits & ~self._peer(other).bits)
+        return Element(self.space, self.bits ^ (self.bits & self._peer(other).bits))
 
     def __invert__(self):
-        return Element(self.space, self.space.full_mask & ~self.bits)
+        return Element(self.space, self.space.full_mask ^ self.bits)
 
     def __le__(self, other):
-        return self.bits & ~self._peer(other).bits == 0
+        return self.bits & self._peer(other).bits == self.bits
 
     def __lt__(self, other):
         return self <= other and self.bits != other.bits
@@ -231,6 +233,18 @@ def _check_run(values: range, base_size: int) -> None:
         raise ValueError(f"{values!r} is not a nonempty run of base values")
 
 
+def _folding(space: TupleSpace, coord: int, values: range | None) -> tuple[int, tuple]:
+    """The shift that brings the run `values` of `coord` (the whole base
+    when None) down to digit 0, and the shifts that fold its copies there."""
+    space.check_coord(coord)
+    u = space.base_size
+    stride = space.stride(coord)
+    if values is None:
+        return 0, doubling_shifts(stride, u)
+    _check_run(values, u)
+    return values.start * stride, doubling_shifts(stride, len(values))
+
+
 def cylinder(space: TupleSpace, coord: int, values: range | None = None):
     """The kernel x -> c_coord(D . x) on raw bitsets over `space`, where D
     holds the tuples whose coordinate `coord` lies in `values`, a nonempty
@@ -242,15 +256,8 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
     a second argument, so a straight-line program applies it like any
     binary operator.
     """
-    space.check_coord(coord)
-    u = space.base_size
-    stride = space.stride(coord)
-    spread = doubling_shifts(stride, u)
-    if values is None:
-        start, fold = 0, spread
-    else:
-        _check_run(values, u)
-        start, fold = values.start * stride, doubling_shifts(stride, len(values))
+    start, fold = _folding(space, coord, values)
+    spread = doubling_shifts(space.stride(coord), space.base_size)
     zero = space.digit_zero_mask(coord)
 
     def kernel(x: int, _=None) -> int:
@@ -262,6 +269,31 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
         for shift in spread:
             x |= x << shift
         return x
+
+    return kernel
+
+
+def fold_top(space: TupleSpace, values: range | None, dimension: int):
+    """The kernel of c_top(D . x), top the last coordinate of `space` and D
+    as for `cylinder`, on the tuples whose coordinates from `dimension` up
+    are 0, as a bitset over TupleSpace(u, dimension), for 0 < dimension <
+    space.dimension.  That is all of it when x does not depend on the
+    coordinates dimension .. top - 1.
+
+    The run of the top coordinate is folded onto digit 0 as `cylinder`
+    folds it, and the low u**dimension bits are kept: nothing is spread.
+    """
+    if not 0 < dimension < space.dimension:
+        raise ValueError(f"cannot fold {space!r} onto dimension {dimension}")
+    start, fold = _folding(space, space.dimension - 1, values)
+    low = (1 << space.base_size**dimension) - 1
+
+    def kernel(x: int, _=None) -> int:
+        if start:
+            x >>= start
+        for shift in fold:
+            x |= x >> shift
+        return x & low
 
     return kernel
 
@@ -332,10 +364,10 @@ def strictly_below(space: TupleSpace, a: int, b: int, diagonal: int | None = Non
     u = space.base_size
     stride = space.stride(b)
     top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
-    bits = (diagonal & ~top) << stride
+    bits = (diagonal ^ (diagonal & top)) << stride
     gap = 1
     while gap < u - 1:
-        bits |= (bits & ~top) << gap * stride
+        bits |= (bits ^ (bits & top)) << gap * stride
         top |= top >> gap * stride  # past the last round, no longer used
         gap *= 2
     return bits
@@ -349,25 +381,37 @@ def subst(i: int, j: int, x: Element) -> Element:
     return cyl(i, same & x)
 
 
+def boolean(name: str, full: int):
+    """The Boolean operator `name` ("and", "or", "not", "impl" or "iff") on
+    raw bitsets below `full`, as a binary function ("not" ignores its
+    second argument); None for any other name."""
+    if name == "and":
+        return operator.and_
+    if name == "or":
+        return operator.or_
+    if name == "not":
+        return lambda x, _: full ^ x
+    if name == "impl":
+        return lambda x, y: (full ^ x) | y
+    if name == "iff":
+        return lambda x, y: full ^ x ^ y
+    return None
+
+
 class Operators:
     """The raw-int operators of one value domain, each built on first use
     and kept; all are binary, a unary one ignoring its second argument.
-    A subclass builds the others in make, and its constants past 0 and 1."""
+    A subclass builds those past the Boolean ones in make, and its
+    constants past 0 and 1."""
 
     def __init__(self, full: int):
         self.full = full
-        self.functions = {
-            ("and", ()): operator.and_,
-            ("or", ()): operator.or_,
-            ("not", ()): lambda x, _: full ^ x,
-            ("impl", ()): lambda x, y: (full ^ x) | y,
-            ("iff", ()): lambda x, y: full ^ x ^ y,
-        }
+        self.functions = {}
 
     def function(self, op: OpRef):
         f = self.functions.get(op)
         if f is None:
-            f = self.functions[op] = self.make(op)
+            f = self.functions[op] = boolean(op[0], self.full) or self.make(op)
         return f
 
     def constant(self, op: OpRef) -> int:
@@ -521,13 +565,13 @@ class RaElement:
         return RaElement(self.base_size, self.bits ^ self._peer(other).bits)
 
     def __sub__(self, other):
-        return RaElement(self.base_size, self.bits & ~self._peer(other).bits)
+        return RaElement(self.base_size, self.bits ^ (self.bits & self._peer(other).bits))
 
     def __invert__(self):
-        return RaElement(self.base_size, self.full_mask & ~self.bits)
+        return RaElement(self.base_size, self.full_mask ^ self.bits)
 
     def __le__(self, other):
-        return self.bits & ~self._peer(other).bits == 0
+        return self.bits & self._peer(other).bits == self.bits
 
     def __lt__(self, other):
         return self <= other and self.bits != other.bits

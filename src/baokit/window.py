@@ -11,18 +11,32 @@ and are surrogates, not proofs; they are labeled as such everywhere.
 Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
-on its last coordinate.  Evaluation runs models' satisfaction plan with
-one leaf hook, which gives these atoms and the diagonals, and, for each
-quantifier depth, the run of values its variable may take.  Each
-unordered pair of coordinates costs one doubled strict-order atom
-(spaces.strictly_below) and at most one diagonal, both kept for the call:
-the other order is what is neither below nor equal.
+on its last coordinate.  Each atom is cut to those two places once per
+formula, so a step of models' satisfaction plan that reads a third
+variable only there runs a level lower (see models).  Evaluation runs
+that plan with one leaf hook, which gives these atoms and the diagonals
+over the space of their level, and, for each quantifier depth, the run of
+values its variable may take.  Each unordered pair of coordinates costs
+one doubled strict-order atom (spaces.strictly_below) and at most one
+diagonal, both kept for the call: the other order is what is neither
+below nor equal.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import PreconditionError
-from .formulas import Eq, Formula, format_formula, max_var_index, quantifier_depth
+from .formulas import (
+    Atom,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Not,
+    format_formula,
+    max_var_index,
+    quantifier_depth,
+)
 from .library import close_universally
 from .models import satisfaction_bits
 from .spaces import Element, TupleSpace, diag, strictly_below
@@ -66,19 +80,19 @@ class WindowReport:
     )
 
 
-def _relation_element(space: TupleSpace, model: WindowModel, radius: int, a: int,
-                      b: int, known: dict) -> Element:
-    """The assignments s with s_a related to s_b.  `known` keeps the strict
-    order atoms and the diagonals of the space (see `_below`)."""
+def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int,
+              known: dict) -> int:
+    """Bits of the assignments s with s_a related to s_b.  `known` keeps the
+    strict order atoms and the diagonals of the space (see `_below`)."""
     if a == b:
         bits = 0
         for c in model.fixed:
             bits |= space.digit_mask(a, c + radius)
-        return Element(space, bits)
+        return bits
     bits = _below(space, a, b, known)
     for c in model.fixed:
         bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
-    return Element(space, bits)
+    return bits
 
 
 def _below(space: TupleSpace, a: int, b: int, known: dict) -> int:
@@ -109,6 +123,31 @@ def _window_space(f: Formula, radius: int) -> TupleSpace:
     return TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
 
 
+@lru_cache(maxsize=None)
+def _pairs_read(f: Formula) -> Formula:
+    """f with each atom cut to its first two places, the ones the order
+    reads, so that a place past them is not a free variable of the atom."""
+    cut: dict = {}
+
+    def walk(g):
+        done = cut.get(g)
+        if done is None:
+            if isinstance(g, Atom):
+                done = Atom(g.rel, g.args[:2])
+            elif isinstance(g, Eq):
+                done = g
+            elif isinstance(g, Not):
+                done = Not(walk(g.body))
+            elif isinstance(g, (Exists, Forall)):
+                done = type(g)(g.var, walk(g.body))
+            else:
+                done = type(g)(walk(g.left), walk(g.right))
+            cut[g] = done
+        return done
+
+    return walk(f)
+
+
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     """Satisfaction bitset at one radius, margin ranges applied per depth."""
     depth = quantifier_depth(f)
@@ -117,18 +156,19 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     space = _window_space(f, radius)
-    known: dict[tuple, int] = {}  # order atoms and diagonals, shared by every leaf
+    known: dict[int, dict] = {}  # by level: its order atoms and diagonals
 
-    def leaf(g) -> int:
+    def leaf(g, level: TupleSpace) -> int:
+        kept = known.setdefault(level.dimension, {})
         if isinstance(g, Eq):
-            return _diagonal(space, g.left, g.right, known)
-        return _relation_element(space, model, radius, g.args[0], g.args[1], known).bits
+            return _diagonal(level, g.left, g.right, kept)
+        return _relation(level, model, radius, g.args[0], g.args[1], kept)
 
     def allowed(depth_now: int, var: int) -> range:
         reach = radius - depth_now * model.margin
         return range(radius - reach, radius + reach + 1)  # as indices
 
-    return Element(space, satisfaction_bits(space, f, leaf, allowed))
+    return Element(space, satisfaction_bits(space, _pairs_read(f), leaf, allowed))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from baokit import (
     SetAlgebra,
+    atoms,
     compile_to_term,
     find_isomorphism,
     free_boolean_algebra,
+    generate_subalgebra,
+    is_hereditary_closed,
     parse_formula,
     restrict_formula,
 )
@@ -212,6 +215,32 @@ def test_hereditary_matches_the_carrier_scan(kind, capsys, monkeypatch):
         assert run_cli(capsys, *argv) == (1 if "fail" in want else 0, want)
 
 
+@pytest.mark.parametrize("kind", ["DF", "SC", "CA"])
+def test_hereditary_passes_by_construction(kind, capsys):
+    """An atom that every c_i fixes is cylindrical in every coordinate, so
+    it is the top: on the set algebras `hereditary` builds, each trial has
+    f <= 1 fixed atoms, counts 1 or 2 closed elements and cannot fail."""
+    for u, n in ((2, 2), (3, 2), (2, 3)):
+        for seed in range(10):
+            rng = random.Random(seed)
+            ambient = SetAlgebra(kind, u, n)
+            trials = 0
+            for _ in range(12):
+                gen = ambient.random_element(rng)
+                if gen.is_zero():
+                    continue
+                algebra = generate_subalgebra(ambient, [gen], cap=1 << 16)
+                fixed = [a for a in atoms(algebra) if is_hereditary_closed(algebra, a)]
+                assert all(a == ambient.one for a in fixed) and len(fixed) <= 1, (u, n, seed)
+                trials += 1
+            argv = ["--json", "hereditary", "--kind", kind, "--u", str(u), "--n", str(n),
+                    "--seed", str(seed), "--cap", str(1 << 16)]
+            code, out = run_cli(capsys, *argv)
+            details = json.loads(out)["details"]
+            assert code == 0 and details["failures"] == []
+            assert trials <= details["hereditarily_closed_cases"] <= 2 * trials
+
+
 GOLDEN = {  # output of the value-level path, before algebras computed on ints
     "atoms_u3_n3_ca_less01.json": ["atoms", "--u", "3", "--n", "3", "--kind", "CA",
                                    "--gens", "less:0,1", "--cap", "134217728"],
@@ -221,13 +250,26 @@ GOLDEN = {  # output of the value-level path, before algebras computed on ints
     "hereditary_DF.json": ["hereditary", "--kind", "DF"],
     "hereditary_SC.json": ["hereditary", "--kind", "SC"],
     "hereditary_CA.json": ["hereditary", "--kind", "CA"],
+    # output of the full-width formula plan, before each step ran at its level
+    "window.json": ["window"],
+    "window_eta_fixed_0_5.json": ["window", "--formula", "eta", "--fixed", "0,5"],
+    "window_w20.json": ["window", "--w", "20"],
+    "window_phi_w30_margin1.json": ["window", "--formula", "phi", "--w", "30",
+                                    "--margin", "1"],
+    "window_psi_fixed_0_1_w30_margin1.json": ["window", "--formula", "psi", "--fixed", "0,1",
+                                              "--w", "30", "--margin", "1"],
+    "window_suc_w8.json": ["window", "--formula", "suc", "--w", "8"],
+    "arith.json": ["arith"],
+    "translate.json": ["translate"],
+    "corpus_check.json": ["corpus-check"],
 }
+GOLDEN_EXIT = {"window_suc_w8.json": 2}  # the margin budget: no output
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_json_matches_the_golden_output(name, capsys):
     want = (Path(__file__).parent / "golden" / name).read_text()
-    assert run_cli(capsys, "--json", *GOLDEN[name]) == (0, want)
+    assert run_cli(capsys, "--json", *GOLDEN[name]) == (GOLDEN_EXIT.get(name, 0), want)
 
 
 def test_corpus_check_shipped(capsys):

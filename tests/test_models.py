@@ -560,10 +560,10 @@ def check_against_walker(f, model, n, ranges):
             space, sum(space.digit_mask(var, value) for value in ranges[depth, var])
         ),
     )
-    atom = row_atoms(model, space)
-
-    def leaf(g) -> int:  # atoms and diagonals alike
-        return (atom(g) if isinstance(g, Atom) else diag(space, g.left, g.right)).bits
+    def leaf(g, level) -> int:  # atoms and diagonals alike, over the level's space
+        if isinstance(g, Atom):
+            return row_atoms(model, level)(g).bits
+        return diag(level, g.left, g.right).bits
 
     bits = satisfaction_bits(space, f, leaf, lambda depth, var: ranges[depth, var])
     assert bits == want.bits, (f, ranges)
@@ -613,14 +613,14 @@ def test_diagonals_reach_the_leaf_hook_normalised():
     space = TupleSpace(3, 3)
     asked = []
 
-    def leaf(g) -> int:
-        asked.append(g)
+    def leaf(g, level) -> int:
+        asked.append((g, level.dimension))
         if isinstance(g, Atom):
-            return row_atoms(model, space)(g).bits
-        return diag(space, g.left, g.right).bits
+            return row_atoms(model, level)(g).bits
+        return diag(level, g.left, g.right).bits
 
     bits = satisfaction_bits(space, f, leaf)
-    assert asked == [Eq(0, 2), Eq(1, 1), Atom("R", (1, 0)), Eq(0, 1)]
+    assert asked == [(Eq(0, 2), 3), (Eq(1, 1), 2), (Atom("R", (1, 0)), 2), (Eq(0, 1), 2)]
     assert bits == satisfaction_set(model, f, 3).bits
 
 
