@@ -18,10 +18,17 @@ any value).  It works on any model-like object: one with `carrier_size`
 and `rel_holds(name, row) -> truth value`, and optionally
 `section(name, position, others, mask) -> int`, whose bit t, for each t
 set in the int `mask`, tells whether rel_holds holds of the row that puts
-t at `position` among the tuple `others` (other bits do not matter).  An
+t at `position` among the tuple `others` (other bits do not matter); a
+model without `section` has them derived from rel_holds.  Each quantifier
+first computes, from the sections of the atoms its body reads at its
+variable, the values where the body is known true and known false.  An
 innermost quantifier, one whose body has no quantifier and no atom naming
-its variable twice, runs as one bitset over its domain, built from these
-sections; a model without `section` has them derived from rel_holds.
+its variable twice, is then one bitset test; any other walks only the
+undecided values, the guard's section bounding the walk of a guarded
+quantifier all x (A -> phi) or ex x (A & phi), reads the atoms it knows
+from their sections and inlines a nested innermost quantifier's bitset
+test.  A section is computed once per call of the generated function in
+which its variables are bound (see holds).
 """
 
 import json
@@ -356,27 +363,45 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     one that short-circuiting would skip.  The assignment is read, never
     written.
 
-    A quantifier loops over its domain, except an innermost one, which is
-    one bitset test: with D the domain as a mask (bit t for each value t,
-    made once per call, a range by arithmetic) and S the values at which
-    its body holds, built from the sections of its atoms, `all` holds when
-    D & ~S is 0 and `ex` when D & S is not.  A domain that is not a range,
-    list, tuple or set of ints in [0, 2**20) is always looped over.  The
-    bitset asks for every atom of the body where the loop asks for some,
-    so when it raises, the quantifier reruns as the loop: results and
-    errors are the loop's.
+    With D the domain as a mask (bit t for each value t, made once per
+    call, a range by arithmetic), a quantifier `Q x phi` first computes,
+    from the sections of the atoms phi reads at x outside any nested
+    quantifier, T and F: the values where the loop's own left-to-right
+    evaluation of phi reads those atoms only and finds phi true, or false
+    (Kleene's connectives; a nested quantifier, or an atom naming x twice,
+    is unknown).  When nothing is unknown (an innermost quantifier), `all`
+    holds when D & ~T is 0 and `ex` when D & T is not.  Otherwise, over a
+    range domain, `all` walks the values of D outside T in ascending order,
+    the loop's order: it fails at the first value in F, and evaluates phi
+    at each undecided one, reading the known atoms from their sections and
+    a nested innermost quantifier as its bitset test; `ex` is the dual.
+    A section, or an atom, whose variables are all bound outside the
+    quantifier is computed once per call of its function, before the walk,
+    and read by every atom and nested bitset that needs it.  A domain that
+    is not a range, list, tuple or set of ints in [0, 2**20), and any
+    domain but a range for a quantifier with an unknown part, is looped
+    over.  The bitset forms ask for atoms the loop may skip, so when they
+    raise, the quantifier reruns as the loop: results and errors are the
+    loop's.
     """
-    free, program = _compile(f)
-    env = assignment if isinstance(assignment, dict) else dict(assignment or {})
-    for var in free:
-        if var not in env:
-            raise UnboundVariableError(f"v{var} is unassigned")
+    global _last
+    last = _last
+    if last[0] is not f:
+        last = _last = (f, _compile(f))
+    env = assignment if type(assignment) is dict else dict(assignment or {})
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
     )
     rel_holds = model.rel_holds
     section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
-    return program(env, rel_holds, domain, section, _domain_mask(domain))
+    return last[1](env, rel_holds, domain, section, _domain_mask(domain))
+
+
+# The formula of the last call of holds, and its program: a scan that asks
+# for one formula over and over finds it by identity, without hashing the
+# formula (a third of the set-up of a call).  The reference it holds keeps
+# that formula's id from being reused.
+_last = (None, None)
 
 
 _MAX_DOMAIN_BITS = 1 << 20
@@ -410,12 +435,17 @@ def _derived_section(rel_holds, name: str, position: int, others: tuple, mask: i
     return bits
 
 
+def _unassigned(env: dict, free: tuple):
+    """Raise for the first variable of `free` that `env` does not assign."""
+    var = next(var for var in free if var not in env)
+    raise UnboundVariableError(f"v{var} is unassigned") from None
+
+
 @lru_cache(maxsize=None)
 def _compile(f: Formula):
-    """The sorted free variables of `f` and its program, a Python function
-    `(env, rh, dom, sec, D) -> bool` compiled from generated source, once."""
-    free = tuple(sorted(free_vars(f)))
-    return free, _Source().program(f, free)
+    """The program of `f`, a Python function `(env, rh, dom, sec, D) ->
+    bool` compiled from generated source, once."""
+    return _Source().program(f, tuple(sorted(free_vars(f))))
 
 
 # CPython's parser refuses more than 200 nested parentheses, and each level
@@ -441,25 +471,78 @@ def _row(args) -> str:
     return "(" + ", ".join(_var(a) for a in args) + ("," if len(args) == 1 else "") + ")"
 
 
+def _and(a, b):
+    """Source of a & b, where None stands for 0."""
+    return None if a is None or b is None else f"({a} & {b})"
+
+
+def _or(a, b):
+    """Source of a | b, where None stands for 0."""
+    return b if a is None else a if b is None else f"({a} | {b})"
+
+
+def _invert(a: str) -> str:
+    """Source of ~a."""
+    return a[1:] if a[0] == "~" and a[1:].isalnum() else "~" + a
+
+
+class _Scope:
+    """The function of one quantifier `Q x phi` while its source is made:
+    x (`var`), the variables free in the quantifier (`params`, fixed for
+    the whole call) and the statements of its pre-pass, each setting a
+    local `k<i>` once per call from the parameters and earlier locals."""
+
+    def __init__(self, var: int, params: frozenset):
+        self.var, self.params = var, params
+        self.lines: list = []  # (key, statement)
+        self.names: dict = {}  # key -> its local
+
+    def local(self, key, source: str) -> str:
+        """The local set to `source`, shared by every use of `key`."""
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = "k%d" % len(self.lines)
+            self.lines.append((key, f"{name} = {source}"))
+        return name
+
+    def value(self, source):
+        """`source`, or a local set to it when it is more than a name or a
+        literal, so that it is computed once."""
+        if source is None or source.lstrip("~-").isalnum():
+            return source
+        return self.local(source, source)
+
+    def undo(self, mark: int):
+        """Forget the locals made since there were `mark`."""
+        for key, _ in self.lines[mark:]:
+            del self.names[key]
+        del self.lines[mark:]
+
+
 class _Source:
     """Python source for one formula.
 
     Each variable is a local `v<i>`; the entry function reads the free ones
     from `env` once.  Every quantifier, and every subformula nested past
     _MAX_NESTING, is a module-level function of the variables free in it
-    and of _ARGS, so Python's scoping restores a shadowed variable.
-    Relation names are constants of the exec namespace, never source text.
+    and of _ARGS, so Python's scoping restores a shadowed variable.  A
+    quantifier's function starts with its pre-pass and bitset form (see
+    holds), made with a _Scope.  Relation names are constants of the exec
+    namespace, never source text.
     """
 
     def __init__(self):
         self.defs: list[str] = []
         self.functions: dict = {}  # subformula -> name of its function
-        self.namespace: dict = {}
+        self.namespace: dict = {"_unassigned": _unassigned}
         self.relations: dict = {}  # relation name -> name of its constant
 
     def program(self, f: Formula, free: tuple):
         """The entry function `(env, rh, dom, sec, D)` for f, whose free variables are `free`."""
-        reads = "".join(f"    {_var(v)} = env[{v:d}]\n" for v in free)
+        reads = ""
+        if free:
+            reads = "".join(f"        {_var(v)} = env[{v:d}]\n" for v in free)
+            reads = f"    try:\n{reads}    except KeyError:\n        _unassigned(env, {free!r})\n"
         self.defs.append(f"def program(env, {_ARGS}):\n{reads}    return {self.expr(f, 0)}\n")
         exec(compile("\n".join(self.defs), "<baokit.models.holds>", "exec"), self.namespace)
         return self.namespace["program"]
@@ -472,20 +555,34 @@ class _Source:
             self.namespace[rel] = name
         return rel
 
-    def expr(self, g, depth: int) -> str:
-        """An expression for g; connectives short-circuit left to right."""
+    def expr(self, g, depth: int, scope: _Scope | None = None) -> str:
+        """An expression for g; connectives short-circuit left to right.
+        With `scope`, g is read inside the walk of its quantifier: an atom
+        naming the walk variable at most once is read from the pre-pass,
+        and an innermost quantifier is its bitset test."""
         if isinstance(g, Atom):
-            return f"rh({self.relation(g.rel)}, {_row(g.args)})"
+            x = None if scope is None else scope.var
+            if scope is None or g.args.count(x) > 1:
+                return f"rh({self.relation(g.rel)}, {_row(g.args)})"
+            if x in g.args:
+                return f"({self.section(g, g.args.index(x), scope)} >> {_var(x)} & 1)"
+            return self.constant(g, scope)
         if isinstance(g, Eq):
             return f"({_var(g.left)} == {_var(g.right)})"
+        if isinstance(g, (Exists, Forall)) and scope is not None and depth < _MAX_NESTING:
+            mark = len(scope.lines)
+            bits = self.bits(g.body, g.var, depth + 1, scope)
+            if bits is not None:
+                return f"(D & {bits} != 0)" if isinstance(g, Exists) else f"(not D & ~{bits})"
+            scope.undo(mark)
         if isinstance(g, (Exists, Forall)) or depth >= _MAX_NESTING:
             return self.call(g)
         depth += 1
         if isinstance(g, Not):
-            return f"(not {self.expr(g.body, depth)})"
+            return f"(not {self.expr(g.body, depth, scope)})"
         if not isinstance(g, (And, Or, Implies, Iff)):
             raise TypeError(f"not a formula: {g!r}")
-        left, right = self.expr(g.left, depth), self.expr(g.right, depth)
+        left, right = self.expr(g.left, depth, scope), self.expr(g.right, depth, scope)
         if isinstance(g, And):
             return f"({left} and {right})"
         if isinstance(g, Or):
@@ -494,30 +591,92 @@ class _Source:
             return f"(not {left} or {right})"
         return f"((not {left}) == (not {right}))"  # truth values, not objects
 
-    def bits(self, g, x: int, depth: int) -> str | None:
+    def section(self, g: Atom, i: int, scope: _Scope) -> str:
+        """Source of the section of atom g at place i: a pre-pass local
+        when the variables at its other places are all parameters."""
+        others = g.args[:i] + g.args[i + 1:]
+        source = f"sec({self.relation(g.rel)}, {i}, {_row(others)}, D)"
+        if set(others) <= scope.params:
+            return scope.local((g.rel, i, others), source)
+        return source
+
+    def constant(self, g: Atom, scope: _Scope) -> str:
+        """Source of -1 or 0, the truth of atom g, which names neither the
+        walk variable nor the bitset's: a pre-pass local when its variables
+        are all parameters."""
+        source = f"-1 if {self.expr(g, 0)} else 0"
+        if set(g.args) <= scope.params:
+            return scope.local(g, source)
+        return f"({source})"
+
+    def bits(self, g, z: int, depth: int, scope: _Scope) -> str | None:
         """An int expression whose bit t, for each t in the domain, is the
-        truth of g at v<x> = t; None when g has a quantifier or an atom
-        naming v<x> twice, or nests past _MAX_NESTING."""
+        truth of g at v<z> = t; None when g has a quantifier or an atom
+        naming v<z> twice, or nests past _MAX_NESTING.  Within the walk on
+        another variable x, an atom naming x once, but not v<z>, is read
+        from its section at x."""
         if isinstance(g, Atom):
-            if x not in g.args:
-                return f"(-1 if {self.expr(g, 0)} else 0)"
-            i = g.args.index(x)
-            others = g.args[:i] + g.args[i + 1:]
-            if x in others:
-                return None
-            return f"sec({self.relation(g.rel)}, {i}, {_row(others)}, D)"
+            x = scope.var
+            if z in g.args:
+                i = g.args.index(z)
+                return None if z in g.args[i + 1:] else self.section(g, i, scope)
+            if x != z and g.args.count(x) == 1:
+                return f"-({self.section(g, g.args.index(x), scope)} >> {_var(x)} & 1)"
+            return self.constant(g, scope)
         if isinstance(g, Eq):
-            if x not in (g.left, g.right):
+            if z not in (g.left, g.right):
                 return f"(-1 if {self.expr(g, 0)} else 0)"
             if g.left == g.right:
                 return "-1"
-            w = _var(g.right if g.left == x else g.left)
+            w = _var(g.right if g.left == z else g.left)
             return f"(1 << {w} if 0 <= {w} < D.bit_length() else 0)"
         if type(g) not in _BITWISE or depth >= _MAX_NESTING:
             return None
         parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
-        parts = [self.bits(part, x, depth + 1) for part in parts]
+        parts = [self.bits(part, z, depth + 1, scope) for part in parts]
         return None if None in parts else _BITWISE[type(g)].format(*parts)
+
+    def decided(self, g, scope: _Scope) -> tuple:
+        """Sources of (T, F) for g at the walk variable x, None standing
+        for 0: the values where the loop's evaluation of g reads known
+        atoms only, and finds g true (T) or false (F).  A quantifier, or an
+        atom naming x twice, is unknown; the connectives are Kleene's, in
+        left-to-right short-circuit order."""
+        mark = len(scope.lines)
+        bits = self.bits(g, scope.var, 0, scope)
+        if bits is not None:
+            known = scope.value(bits)
+            return known, _invert(known)
+        scope.undo(mark)
+        if isinstance(g, Not):
+            t, f = self.decided(g.body, scope)
+            return f, t
+        if not isinstance(g, (And, Or, Implies, Iff)):
+            return None, None
+        (t1, f1), (t2, f2) = self.decided(g.left, scope), self.decided(g.right, scope)
+        if isinstance(g, And):
+            t, f = _and(t1, t2), _or(f1, _and(t1, f2))
+        elif isinstance(g, Or):
+            t, f = _or(t1, _and(f1, t2)), _and(f1, f2)
+        elif isinstance(g, Implies):
+            t, f = _or(f1, _and(t1, t2)), _and(t1, f2)
+        else:  # both operands are read
+            t, f = _or(_and(t1, t2), _and(f1, f2)), _or(_and(t1, f2), _and(f1, t2))
+        return scope.value(t), scope.value(f)
+
+    def undecided(self, g, depth: int, scope: _Scope) -> str:
+        """An expression for g inside the walk, where the loop's evaluation
+        of g is left open by (T, F): there a known left operand of `and`,
+        `or` or `->` has the value that makes the loop read the right one,
+        so only the right one is read."""
+        if isinstance(g, Not) and depth < _MAX_NESTING:
+            return f"(not {self.undecided(g.body, depth + 1, scope)})"
+        if isinstance(g, (And, Or, Implies)) and depth < _MAX_NESTING:
+            mark = len(scope.lines)
+            if self.bits(g.left, scope.var, 0, scope) is not None:
+                return self.undecided(g.right, depth, scope)
+            scope.undo(mark)
+        return self.expr(g, depth, scope)
 
     def call(self, g) -> str:
         """A call of the function that evaluates g, emitted on first use."""
@@ -533,23 +692,46 @@ class _Source:
         return f"{name}({params}{_ARGS})"
 
     def quantifier(self, g) -> str:
-        """The body of the function of quantifier g: a loop over `dom`,
-        after, for an innermost quantifier, its bitset test."""
-        found = isinstance(g, Exists)
-        loop = (
-            f"    for {_var(g.var)} in dom:\n"
+        """The body of the function of quantifier g: its bitset form (see
+        holds), then the loop over `dom`, which the bitset form reruns as
+        when it raises."""
+        x, found = g.var, isinstance(g, Exists)
+        scope = _Scope(x, free_vars(g))
+        bits = self.bits(g.body, x, 0, scope)
+        if bits is not None:
+            guard = "D is not None"
+            test = f"D & {bits} != 0" if found else f"not D & ~{bits}"
+            form = [f"return {test}"]
+        else:
+            scope.undo(0)
+            guard = "D is not None and type(dom) is range"
+            t, f = self.decided(g.body, scope)
+            hit, miss = (t, f) if found else (f, t)  # the values that end the loop, and the rest
+            undecided = "D" + "".join(f" & {_invert(m)}" for m in (hit, miss) if m is not None)
+            form = []
+            if hit is not None:  # the loop ends at the first of them
+                form += [f"stop = D & {hit}", "stop &= -stop"]
+                undecided += " & (stop - 1)"
+            body = self.undecided(g.body, 0, scope)
+            form += [
+                f"todo = {undecided}",
+                "while todo:",
+                f"    {_var(x)} = (todo & -todo).bit_length() - 1",
+                f"    if {'' if found else 'not '}{body}:",
+                f"        return {found}",
+                "    todo &= todo - 1",
+                f"return {'stop != 0' if found else 'not stop'}" if hit else f"return {not found}",
+            ]
+        statements = "".join(f"            {line}\n" for _, line in scope.lines)
+        statements += "".join(f"            {line}\n" for line in form)
+        return (
+            f"    if {guard}:\n"
+            "        try:\n"
+            f"{statements}"
+            "        except Exception:  # the loop gives the same result, or the error it met\n"
+            "            pass\n"
+            f"    for {_var(x)} in dom:\n"
             f"        if {'' if found else 'not '}{self.expr(g.body, 0)}:\n"
             f"            return {found}\n"
             f"    return {not found}\n"
         )
-        bits = self.bits(g.body, g.var, 0)
-        if bits is None:
-            return loop
-        test = f"D & {bits} != 0" if found else f"not D & ~{bits}"
-        return (
-            "    if D is not None:\n"
-            "        try:\n"
-            f"            return {test}\n"
-            "        except Exception:  # the loop gives the same result, or the error it met\n"
-            "            pass\n"
-        ) + loop

@@ -11,12 +11,13 @@ and are surrogates, not proofs; they are labeled as such everywhere.
 Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
-on its last coordinate.  Each atom is cut to those two places once per
-formula, so a step of models' satisfaction plan that reads a third
-variable only there runs a level lower (see models).  Evaluation runs
-that plan with one leaf hook, which gives these atoms and the diagonals
-over the space of their level, and, for each quantifier depth, the run of
-values its variable may take.  Each unordered pair of coordinates costs
+on its last coordinate; an atom with fewer than two places is refused
+before any work (PreconditionError).  Each atom is cut to those two
+places once per formula, so a step of models' satisfaction plan that
+reads a third variable only there runs a level lower (see models).
+Evaluation runs that plan with one leaf hook, which gives these atoms and
+the diagonals over the space of their level, and, for each quantifier
+depth, the run of values its variable may take.  Each unordered pair of coordinates costs
 one doubled strict-order atom (spaces.strictly_below) and at most one
 diagonal, both kept for the call: the other order is what is neither
 below nor equal.
@@ -126,13 +127,19 @@ def _window_space(f: Formula, radius: int) -> TupleSpace:
 @lru_cache(maxsize=None)
 def _pairs_read(f: Formula) -> Formula:
     """f with each atom cut to its first two places, the ones the order
-    reads, so that a place past them is not a free variable of the atom."""
+    reads, so that a place past them is not a free variable of the atom.
+    Raises PreconditionError for an atom with fewer places."""
     cut: dict = {}
 
     def walk(g):
         done = cut.get(g)
         if done is None:
             if isinstance(g, Atom):
+                if len(g.args) < 2:
+                    raise PreconditionError(
+                        f"window reads the first two places of every atom, and "
+                        f"{format_formula(g)} has {len(g.args)}"
+                    )
                 done = Atom(g.rel, g.args[:2])
             elif isinstance(g, Eq):
                 done = g
@@ -150,6 +157,7 @@ def _pairs_read(f: Formula) -> Formula:
 
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     """Satisfaction bitset at one radius, margin ranges applied per depth."""
+    pairs = _pairs_read(f)
     depth = quantifier_depth(f)
     if depth * model.margin >= radius:
         raise PreconditionError(
@@ -168,7 +176,7 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
         reach = radius - depth_now * model.margin
         return range(radius - reach, radius + reach + 1)  # as indices
 
-    return Element(space, satisfaction_bits(space, _pairs_read(f), leaf, allowed))
+    return Element(space, satisfaction_bits(space, pairs, leaf, allowed))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
@@ -180,7 +188,8 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     closed = close_universally(f)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
-    _window_space(closed, max(radii))  # fail on capacity before any work
+    _pairs_read(closed)  # fail on an atom the order cannot read,
+    _window_space(closed, max(radii))  # and on capacity, before any work
     by_radius = {}
     for r in radii:
         sat = window_satisfaction(model, closed, r)

@@ -260,6 +260,7 @@ GOLDEN = {  # output of the value-level path, before algebras computed on ints
                                               "--w", "30", "--margin", "1"],
     "window_suc_w8.json": ["window", "--formula", "suc", "--w", "8"],
     "arith.json": ["arith"],
+    "pairing.json": ["pairing"],
     "translate.json": ["translate"],
     "corpus_check.json": ["corpus-check"],
 }

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import full_width_plan as fw
-from baokit import ModelFinite, TupleSpace, Vocabulary, WindowModel, diag, parse_formula
+from baokit import (
+    ModelFinite,
+    PreconditionError,
+    TupleSpace,
+    Vocabulary,
+    WindowModel,
+    diag,
+    parse_formula,
+)
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.formulas import free_vars, quantifier_depth
 from baokit.library import close_universally, formula_library
@@ -176,7 +184,7 @@ LIBRARY = formula_library()
 def test_window_matches_the_full_width_plan_on_the_library(name):
     f = LIBRARY[name].formula
     if name == "lambda":  # unary atoms: no second place for the order
-        with pytest.raises(IndexError):
+        with pytest.raises(PreconditionError, match=r"zero\(v2\) has 1"):
             window_satisfaction(WindowModel(8, 1, ()), f, 8)
         with pytest.raises(IndexError):
             full_width_window(WindowModel(8, 1, ()), f, 8)

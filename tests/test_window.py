@@ -282,3 +282,19 @@ def test_one_call_builds_each_diagonal_once(monkeypatch):
     assert report.value and report.stable
     assert sorted(built) == [(2 * r + 1, i, j) for r in (8, 16, 32)
                              for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def test_atoms_with_fewer_than_two_places_are_refused_before_any_work():
+    """The order reads places 0 and 1; lambda's zero(v2) has one.  Both
+    entry points refuse it first, ahead of the capacity check that the
+    radius-100 windows would fail."""
+    lam = formula_library()["lambda"].formula
+    calls = [
+        lambda: window_satisfaction(WindowModel(6, 1, ()), lam, 6),
+        lambda: window_satisfaction(WindowModel(100, 1, ()), lam, 100),
+        lambda: eval_window(WindowModel(6, 1, ()), lam),
+        lambda: eval_window(WindowModel(100, 1, ()), Exists(0, Atom("R", (0,)))),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=r"\((v\d)?\) has [01]$"):
+            call()
