@@ -5,91 +5,136 @@ grammar uses ASCII connectives: & | ! -> <-> = != and the quantifier words
 `all` and `ex`.  A quantifier body is a unary item (atom, negation,
 another quantifier, or a parenthesized formula).  Nesting of (, ! and
 quantifiers, or a formula tree, past MAX_NESTING levels is a syntax error.
+Formula nodes, and the term nodes of `terms`, are interned (see Node).
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import attrgetter
-from typing import Union
+from functools import partial
 
 from .errors import FormulaSyntaxError
 
-
-def _node(cls):
-    """Freeze `cls` as a dataclass whose hash is computed on first use and
-    stored.  The generated hash would walk the whole tree on every call,
-    and every cache keyed by a formula hashes it."""
-    fields = attrgetter(*cls.__annotations__)
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((cls, fields(self)))
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return dataclass(frozen=True)(cls)
+# Every node alive, by its key (its class, then its fields).
+_interned = weakref.WeakValueDictionary()
+_interning = threading.Lock()
 
 
-@_node
-class Atom:
-    rel: str
-    args: tuple[int, ...]
+class Node:
+    """A node of a formula or a term, interned: a class builds it from its
+    fields, named in `_fields`, and building one again from equal fields
+    gives the same object for as long as that object is alive.  Equal nodes
+    are therefore one object, compared and hashed by identity in O(1) at
+    any depth; the fields hash and compare their child nodes by identity
+    too, so building a node looks at its own fields only.  Nodes are
+    immutable, and pickling or copying one builds it again."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _interned.get(key)
+        if node is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+            with _interning:
+                node = _interned.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls._fields, fields):
+                        object.__setattr__(node, name, value)
+                    node._derive()
+                    _interned[key] = node
+        return node
+
+    def _derive(self):
+        """Fill in what the node stores besides its fields."""
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@_node
-class Eq:
-    left: int
-    right: int
+class Formula(Node):
+    """A formula node.  Each stores, computed from its children's when it is
+    built, its free variables `free`, the largest variable index in it,
+    bound or free, `top` (-1 if none), and its quantifier depth `depth`."""
+
+    __slots__ = ("free", "top", "depth")
+
+    def _derive(self):
+        for name, value in zip(Formula.__slots__, self._measures()):
+            object.__setattr__(self, name, value)
 
 
-@_node
-class Not:
-    body: "Formula"
+class Atom(Formula):
+    __slots__ = _fields = ("rel", "args")
+
+    def _measures(self):
+        return frozenset(self.args), max(self.args, default=-1), 0
 
 
-@_node
-class And:
-    left: "Formula"
-    right: "Formula"
+class Eq(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def _measures(self):
+        return frozenset((self.left, self.right)), max(self.left, self.right), 0
 
 
-@_node
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Not(Formula):
+    __slots__ = _fields = ("body",)
+
+    def _measures(self):
+        return self.body.free, self.body.top, self.body.depth
 
 
-@_node
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def _measures(self):
+        left, right = self.left, self.right
+        return left.free | right.free, max(left.top, right.top), max(left.depth, right.depth)
 
 
-@_node
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Exists:
-    var: int
-    body: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Forall:
-    var: int
-    body: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
 
 
-Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Exists, Forall]
+class Iff(_Binary):
+    __slots__ = ()
 
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (Exists, Forall)
+
+class _Quantifier(Formula):
+    __slots__ = _fields = ("var", "body")
+
+    def _measures(self):
+        body = self.body
+        return body.free - {self.var}, max(self.var, body.top), 1 + body.depth
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
 
 
 def conj(parts) -> Formula:
@@ -116,48 +161,23 @@ def neq(i: int, j: int) -> Formula:
     return Not(Eq(i, j))
 
 
-@lru_cache(maxsize=None)
+def _formula(f) -> Formula:
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f
+
+
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, _BINARY):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, _QUANT):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return _formula(f).free
 
 
-@lru_cache(maxsize=None)
 def max_var_index(f: Formula) -> int:
     """Largest variable index anywhere in the tree, bound or free; -1 if none."""
-    if isinstance(f, Atom):
-        return max(f.args, default=-1)
-    if isinstance(f, Eq):
-        return max(f.left, f.right)
-    if isinstance(f, Not):
-        return max_var_index(f.body)
-    if isinstance(f, _BINARY):
-        return max(max_var_index(f.left), max_var_index(f.right))
-    if isinstance(f, _QUANT):
-        return max(f.var, max_var_index(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    return _formula(f).top
 
 
-@lru_cache(maxsize=None)
 def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Eq)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, _BINARY):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, _QUANT):
-        return 1 + quantifier_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return _formula(f).depth
 
 
 @dataclass(frozen=True)
@@ -188,10 +208,10 @@ def check_vocabulary(f: Formula, vocab: Vocabulary) -> None:
             raise ValueError(f"{f.rel} expects {vocab.arity(f.rel)} arguments")
     elif isinstance(f, Not):
         check_vocabulary(f.body, vocab)
-    elif isinstance(f, _BINARY):
+    elif isinstance(f, _Binary):
         check_vocabulary(f.left, vocab)
         check_vocabulary(f.right, vocab)
-    elif isinstance(f, _QUANT):
+    elif isinstance(f, _Quantifier):
         check_vocabulary(f.body, vocab)
 
 
@@ -211,7 +231,7 @@ def format_formula(f: Formula) -> str:
             if isinstance(g.body, Eq):
                 return f"v{g.body.left} != v{g.body.right}"
             return "!" + fmt(g.body, 5)
-        if isinstance(g, _QUANT):
+        if isinstance(g, _Quantifier):
             word = "ex" if isinstance(g, Exists) else "all"
             if isinstance(g.body, (Atom, Eq)):
                 return f"{word} v{g.var} {fmt(g.body, 0)}"

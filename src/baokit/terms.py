@@ -1,8 +1,8 @@
 """Terms over an operator signature, with evaluation and a text form.
 
 A term is laid out once, when it is made, as a straight-line program over
-raw ints: its constants and diagonals hoisted, a shared subterm (one node
-reached along several paths) computed once.  The layout is bound once per
+raw ints: its constants and diagonals hoisted, a repeated subterm (equal
+nodes are one object) computed once.  The layout is bound once per
 value domain (the tuple space of a set algebra, or the base of a relation
 algebra) to the kernels of the domain's operator table in `spaces`, and
 the binding is kept on the term.  `eval_term` runs it on
@@ -17,29 +17,24 @@ and ``id`` are bare words.
 
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
-from .formulas import MAX_NESTING
+from .formulas import MAX_NESTING, Node
 from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
 from .spaces import MAX_SPACE_BITS, RelationAlgebra, SetAlgebra, SetOperators, TupleSpace
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Node):
+    __slots__ = _fields = ("index",)
 
 
-@dataclass(frozen=True)
-class Const:
-    op: OpRef
+class Const(Node):
+    __slots__ = _fields = ("op",)
 
 
-@dataclass(frozen=True)
-class App:
-    op: OpRef
-    args: tuple["TermNode", ...]
+class App(Node):
+    __slots__ = _fields = ("op", "args")
 
 
 TermNode = Union[Var, Const, App]
@@ -59,17 +54,14 @@ class Term:
         self._programs: dict = {}  # bindings of the layout, by value domain
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Term)
-            and self.signature == other.signature
-            and self.root == other.root
-        )
+        return isinstance(other, Term) and (self.signature, self.root) == (other.signature, other.root)
 
     def __hash__(self):
         return hash((self.signature, self.root))
 
-    def __repr__(self):
-        return f"Term({format_term(self)}, {self.signature.label})"
+    def __repr__(self):  # the layout's size; format_term's text is as long as the tree
+        layout = self._layout
+        return f"Term({self.signature.label}, steps={len(layout.kinds)}, variables={len(layout.variables)})"
 
 
 def _check_signature(term: Term, ambient) -> None:
@@ -176,37 +168,37 @@ def _check_node(node, signature: Signature) -> None:
 def _lay_out(root: TermNode, signature: Signature) -> Layout:
     """Check the DAG under root against the signature and lay it out.
 
-    Nodes are told apart by identity, so a shared subterm is one step.
-    Each distinct node is checked once, in pre-order from left to right
-    (the first error is the one a walk of the whole tree meets first),
-    and laid out after its arguments.  The walk keeps its own stack, so
+    Equal nodes are one object (see `formulas.Node`), so a repeated
+    subterm is one step.  Each distinct node is checked once, in pre-order
+    from left to right (the first error is the one a walk of the whole
+    tree meets first), and laid out after its arguments.  The walk keeps its own stack, so
     deep terms need no recursion.
     """
     leaves: dict = {}  # constant op or variable index -> leaf number
     ops: dict = {}  # operator -> its number
-    number: dict = {}  # id(node) -> its step number, or ~its leaf number
+    number: dict = {}  # node -> its step number, or ~its leaf number
     kinds, operands = array("l"), []
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            number[id(node)] = len(operands)
+            number[node] = len(operands)
             kinds.append(ops.setdefault(node.op, len(ops)))
-            operands.append([number[id(a)] for a in node.args])
-        elif id(node) not in number:
+            operands.append([number[a] for a in node.args])
+        elif node not in number:
             _check_node(node, signature)
             if isinstance(node, App):
                 stack.append((node, True))
                 stack.extend((a, False) for a in reversed(node.args))
             else:
                 leaf = node.index if isinstance(node, Var) else node.op
-                number[id(node)] = ~leaves.setdefault(leaf, len(leaves))
+                number[node] = ~leaves.setdefault(leaf, len(leaves))
     constants = tuple(leaf for leaf in leaves if not isinstance(leaf, int))
     variables = tuple(leaf for leaf in leaves if isinstance(leaf, int))
     place = {leaf: k for k, leaf in enumerate(constants + variables)}
     node = [~place[leaf] for leaf in leaves]  # ~leaf number -> ~input number
     operands = [[a if a >= 0 else node[~a] for a in args] for args in operands]
-    root = number[id(root)]
+    root = number[root]
     return Layout(variables, constants, tuple(ops), kinds, operands,
                   root if root >= 0 else node[~root])
 

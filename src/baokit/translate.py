@@ -36,8 +36,8 @@ def tr(f: Formula) -> Formula:
 
     The quantified variable is the smallest index distinct from i and j, so
     a trivial equality v_i = v_i turns into a tautology of the same shape.
-    Equality-free formulas come back unchanged (the same object).  Built
-    once per formula, like free_vars.
+    Equality-free formulas come back unchanged (the same object, as nodes
+    are interned).  Built once per formula.
     """
 
     def spare(i: int, j: int) -> int:
@@ -53,14 +53,11 @@ def tr(f: Formula) -> Formula:
             k = spare(g.left, g.right)
             return Forall(k, Iff(Atom(MEMBER, (k, g.left)), Atom(MEMBER, (k, g.right))))
         if isinstance(g, Not):
-            body = walk(g.body)
-            return g if body is g.body else Not(body)
+            return Not(walk(g.body))
         if isinstance(g, (And, Or, Implies, Iff)):
-            left, right = walk(g.left), walk(g.right)
-            return g if left is g.left and right is g.right else type(g)(left, right)
+            return type(g)(walk(g.left), walk(g.right))
         if isinstance(g, (Exists, Forall)):
-            body = walk(g.body)
-            return g if body is g.body else type(g)(g.var, body)
+            return type(g)(g.var, walk(g.body))
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f)

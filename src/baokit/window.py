@@ -129,28 +129,21 @@ def _pairs_read(f: Formula) -> Formula:
     """f with each atom cut to its first two places, the ones the order
     reads, so that a place past them is not a free variable of the atom.
     Raises PreconditionError for an atom with fewer places."""
-    cut: dict = {}
-
     def walk(g):
-        done = cut.get(g)
-        if done is None:
-            if isinstance(g, Atom):
-                if len(g.args) < 2:
-                    raise PreconditionError(
-                        f"window reads the first two places of every atom, and "
-                        f"{format_formula(g)} has {len(g.args)}"
-                    )
-                done = Atom(g.rel, g.args[:2])
-            elif isinstance(g, Eq):
-                done = g
-            elif isinstance(g, Not):
-                done = Not(walk(g.body))
-            elif isinstance(g, (Exists, Forall)):
-                done = type(g)(g.var, walk(g.body))
-            else:
-                done = type(g)(walk(g.left), walk(g.right))
-            cut[g] = done
-        return done
+        if isinstance(g, Atom):
+            if len(g.args) < 2:
+                raise PreconditionError(
+                    f"window reads the first two places of every atom, and "
+                    f"{format_formula(g)} has {len(g.args)}"
+                )
+            return Atom(g.rel, g.args[:2])
+        if isinstance(g, Eq):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.body))
+        if isinstance(g, (Exists, Forall)):
+            return type(g)(g.var, walk(g.body))
+        return type(g)(walk(g.left), walk(g.right))
 
     return walk(f)
 

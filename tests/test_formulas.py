@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,38 +119,55 @@ def test_vocabulary_checks():
         check_vocabulary(parse_formula("Q(v0)"), vocab)
 
 
-def _occurrences(f) -> int:
-    if isinstance(f, (Atom, Eq)):
-        return 1
-    if isinstance(f, (Not, Exists, Forall)):
-        return 1 + _occurrences(f.body)
-    return 1 + _occurrences(f.left) + _occurrences(f.right)
-
-
-def test_formula_hash_is_computed_once_per_node(monkeypatch):
+def test_equal_formulas_are_one_interned_object():
     from baokit.library import ord_formula
 
-    first, second = ord_formula(), ord_formula()
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert hash(Not(Atom("E", (0, 1)))) == hash(Not(Atom("E", (0, 1))))
-    assert Not(Atom("E", (0, 1))) != Not(Atom("E", (1, 0)))
+    first = ord_formula()
+    assert ord_formula() is first
+    text = format_formula(first)
+    assert parse_formula(text) is parse_formula(text) is first
+    assert pickle.loads(pickle.dumps(first)) is first
+    assert copy.deepcopy(first) is first and copy.copy(first) is first
+    assert Not(Atom("E", (0, 1))) is not Not(Atom("E", (1, 0)))
+    with pytest.raises(AttributeError):
+        first.left = first.right
+    from baokit.terms import App, Var
 
-    calls = []
-    for cls in (Atom, Eq, Not, And, Or, Implies, Iff, Exists, Forall):
-        original = cls.__hash__
+    term = App(("not", ()), (Var(0),))
+    assert App(("not", ()), (Var(0),)) is term is pickle.loads(pickle.dumps(term))
 
-        def counted(self, original=original):
-            calls.append(self)
-            return original(self)
 
-        monkeypatch.setattr(cls, "__hash__", counted)
-    fresh = ord_formula()
-    value = hash(fresh)
-    assert len(calls) == _occurrences(fresh)  # one walk, each node once
-    assert hash(fresh) == value
-    assert len(calls) == _occurrences(fresh) + 1  # the second hash stops at the root
-    assert value == hash(first)
+def test_an_unreferenced_node_is_freed():
+    node = Exists(7, Not(Atom("freed_only_here", (7, 8))))
+    refs = [weakref.ref(node), weakref.ref(node.body), weakref.ref(node.body.body)]
+    del node
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_threads_building_one_formula_at_once_get_one_object():
+    start = threading.Barrier(4)
+    built = [None] * 4
+
+    def build(k):
+        start.wait(timeout=60)
+        f = Atom("built_by_threads", (0, 1))
+        for i in range(300):
+            f = (And, Or, Implies, Iff)[i % 4](Exists(i % 3, f), Atom("built_by_threads", (i % 3, 0)))
+        built[k] = f
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the builds interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert built[0] is not None and all(f is built[0] for f in built)
 
 
 VARS = st.integers(0, 12)

@@ -19,6 +19,7 @@ from baokit import (
     free_vars,
     hf_universe,
     holds,
+    max_var_index,
     ordinal_hf,
     parse_formula,
     quantifier_depth,
@@ -232,10 +233,31 @@ def test_compiled_holds_matches_recursive_walker(f, world):
 
 
 def test_json_roundtrip():
-    m = order_model()
-    back = ModelFinite.from_json(m.to_json())
-    assert back.carrier == m.carrier
-    assert back.relations == m.relations
+    empty = ModelFinite([0, 1], {"P": [], "E": [(0, 1)]}, Vocabulary.of(P=1, E=2))
+    for m in (order_model(), empty):
+        back = ModelFinite.from_json(m.to_json())
+        assert back.carrier == m.carrier
+        assert back.relations == m.relations
+        assert back.vocabulary == m.vocabulary
+    assert ModelFinite.from_json('{"carrier": [0], "relations": {"P": [[0]]}}').vocabulary == Vocabulary.of(P=1)
+
+
+def test_a_formula_built_600_levels_deep_needs_no_recursion():
+    def build():
+        f = Atom("R", (0, 1))
+        for i in range(300):
+            f = Not(Exists(i % 2, f))
+        return f
+
+    f = build()
+    assert hash(f) == hash(build()) and f == build()
+    assert free_vars(f) == frozenset()
+    assert max_var_index(f) == 1 and quantifier_depth(f) == 300
+    shallow = Not(Exists(1, Not(Exists(0, Atom("R", (0, 1))))))  # the other 298 Nots cancel
+    cycle = ModelFinite([0, 1, 2], {"R": [(0, 1), (1, 2), (2, 0)]})
+    for model in (order_model(), cycle):
+        assert satisfaction_set(model, f, 2) == satisfaction_set(model, shallow, 2)
+    assert satisfaction_set(cycle, f, 2).is_full()
 
 
 def test_carrier_labels_must_be_unique():

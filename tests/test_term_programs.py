@@ -5,6 +5,7 @@ and the recursive validation they replaced (all kept here as oracles)."""
 
 import gc
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -28,7 +29,7 @@ from baokit import (
     parse_term,
     subst,
 )
-from baokit import ModelFinite, cli, identities, satisfaction_set, tr
+from baokit import ModelFinite, cli, identities, parse_formula, satisfaction_set, tr
 from baokit.compiler import (
     STAR,
     CompiledTerm,
@@ -693,13 +694,49 @@ def test_shared_compile_matches_tree_compile_on_the_corpus():
     assert checked == 30 * 2 * 4
 
 
-def test_shared_compile_lays_out_fewer_steps():
+def test_shared_compile_lays_out_fewer_steps(monkeypatch):
+    """Counts as "tree" the operator nodes that the tree-building compile
+    makes: the steps it laid out when nodes were told apart by identity.
+    Its own layout now shares equal nodes too, as they are one object."""
+    built = []
+    app = App
+    monkeypatch.setitem(globals(), "App", lambda op, args: built.append(op) or app(op, args))
     steps = {"shared": 0, "tree": 0}
     for name, f, kind, model in _corpus_cases():
         if model.carrier_size == 2:  # each formula and kind once, on rank 1
             steps["shared"] += len(compile_to_term(f, kind, 3).term._layout.kinds)
-            steps["tree"] += len(tree_compile_to_term(f, kind, 3).term._layout.kinds)
-    assert steps == {"shared": 1386, "tree": 3763}
+            tree_compile_to_term(f, kind, 3)
+    steps["tree"] = len(built)
+    assert steps == {"shared": 1325, "tree": 3763}
+
+
+def _chain(atoms: int):
+    return parse_formula(" <-> ".join(["E(v0,v1)"] * atoms))
+
+
+def test_hash_and_eq_on_a_chain_term_take_constant_time():
+    """The 18-atom chain term is a DAG of 50 steps whose tree has 786,427
+    nodes: two builds of it are equal, and comparing and hashing them must
+    not walk that tree."""
+    first, second = (compile_to_term.__wrapped__(_chain(18), "CA", 2).term for _ in range(2))
+    assert first is not second
+    start = time.perf_counter()
+    assert first == second and hash(first) == hash(second)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_repr_of_a_chain_term_is_its_layout_size(monkeypatch):
+    term = compile_to_term(restrict_formula(_chain(101), 3), "CA", 3).term
+
+    def tree_text(_):
+        raise AssertionError("repr must not print the term's tree")
+
+    monkeypatch.setattr("baokit.terms.format_term", tree_text)
+    start = time.perf_counter()
+    text = repr(term)
+    assert time.perf_counter() - start < 0.1
+    layout = term._layout
+    assert text == f"Term(CA_3, steps={len(layout.kinds)}, variables={len(layout.variables)})"
 
 
 def recursive_validate(node, signature) -> int:
