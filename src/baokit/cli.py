@@ -113,6 +113,18 @@ def _parse_gen(spec: str, ambient: SetAlgebra) -> Element:
     raise ValueError(f"unknown generator spec {spec!r}; use diag:i,j less:i,j hex:...")
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of a natural number of any length.  CPython's
+    str() refuses an int past sys.get_int_max_str_digits() digits, at
+    least 640, so a number past 2,000 bits (603 digits) is split at a power
+    of ten into two halves, each converted the same way."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _cmd_example(args) -> ExperimentReport:
     result = example_algebra(args.u)
     ok = (
@@ -128,7 +140,7 @@ def _cmd_example(args) -> ExperimentReport:
         {
             "chain_distinct": result.chain_distinct,
             "closed_form": result.closed_form_verified,
-            "carrier_size": str(result.carrier_size),
+            "carrier_size": _decimal(result.carrier_size),
             "atom_count": result.atom_count,
             "simple": result.is_simple,
             "full_powerset": result.is_full_powerset,

@@ -31,6 +31,7 @@ from .formulas import (
 )
 from .models import ModelFinite, satisfaction_set
 from .signatures import Signature
+from .spaces import SetAlgebra
 from .terms import App, Const, Term, TermNode, Var
 from .terms import eval_term as _eval_term
 
@@ -288,13 +289,18 @@ def natural_atom_sets(model: ModelFinite, symbols, n: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=16)
+def _ambient(kind: str, base_size: int, n: int) -> SetAlgebra:
+    """The full set algebra, with its operator table, shared by every
+    `compiler_agrees` call on it; the 16 used last are kept."""
+    return SetAlgebra(kind, base_size, n)
+
+
 def compiler_agrees(f: Formula, model: ModelFinite, n: int, kind: str) -> bool:
     """Does eval_term after compilation equal direct satisfaction?"""
-    from .spaces import SetAlgebra
-
     compiled = compile_to_term(
         restrict_formula(f, n) if kind == "CA" else f, kind, n
     )
-    ambient = SetAlgebra(kind, model.carrier_size, n)
+    ambient = _ambient(kind, model.carrier_size, n)
     gens = natural_atom_sets(model, compiled.symbols, n)
     return compiled.evaluate(ambient, gens) == satisfaction_set(model, f, n)

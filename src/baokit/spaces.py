@@ -3,14 +3,19 @@
 A TupleSpace identifies the u**n tuples over a base of size u with the bit
 positions 0 .. u**n - 1 through a mixed-radix code, coordinate 0 least
 significant.  Element wraps one such bitset immutably; all operations are
-hard errors across distinct spaces.  Cylindrification, diagonals and
-substitutions are computed with per-coordinate digit masks by doubling, so
-each costs O(log u) big-integer shifts instead of a full tuple scan;
-substitution is c_i(d_ij . x) and reuses cylindrification.  `cylinder`
-gives the raw-int kernel of cylindrification, relativized to a run of
-values of its coordinate, `fold_top` the same fold of the last coordinate
-onto a space of lower dimension, with nothing spread back, and
-`strictly_below` the order atom s_a < s_b.
+hard errors across distinct spaces.  No kernel scans tuples; each costs
+O(log u) big-integer shifts.  Cylindrification folds its coordinate onto
+digit 0 and spreads the result back by doubling; the top coordinate,
+whose values are contiguous blocks, is folded by halving, each step on
+half the bits of the one before.  The diagonal d_ij and the strict order
+s_a < s_b grow by doubling from a seed over their own coordinates, the
+ones up to the higher of the two, and are replicated along the
+coordinates above it last, so only their last steps work at full width.
+Substitution is c_i(d_ij . x) and reuses both.  `cylinder` gives the
+raw-int kernel of cylindrification, relativized to a run of values of its
+coordinate, `fold_top` the same fold of the last coordinate onto a space
+of lower dimension, with nothing spread back, and `strictly_below` the
+order atom s_a < s_b.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.  Both are
@@ -48,6 +53,13 @@ def _replicate(pattern: int, period: int, count: int) -> int:
     for shift in doubling_shifts(period, count):
         pattern |= pattern << shift
     return pattern
+
+
+def _above(space: "TupleSpace", bits: int, coord: int) -> int:
+    """`bits`, a pattern over coordinates 0 .. coord, replicated along every
+    coordinate above `coord`."""
+    block = space.stride(coord) * space.base_size
+    return _replicate(bits, block, space.size // block)
 
 
 class TupleSpace:
@@ -109,9 +121,7 @@ class TupleSpace:
         cached = self._digit_zero[coord]
         if cached is not None:
             return cached
-        stride = self.stride(coord)
-        block = stride * self.base_size
-        mask = _replicate((1 << stride) - 1, block, self.size // block)
+        mask = _above(self, (1 << self.stride(coord)) - 1, coord)
         self._digit_zero[coord] = mask
         return mask
 
@@ -233,16 +243,55 @@ def _check_run(values: range, base_size: int) -> None:
         raise ValueError(f"{values!r} is not a nonempty run of base values")
 
 
-def _folding(space: TupleSpace, coord: int, values: range | None) -> tuple[int, tuple]:
-    """The shift that brings the run `values` of `coord` (the whole base
-    when None) down to digit 0, and the shifts that fold its copies there."""
+def _folding(space: TupleSpace, coord: int, values: range | None):
+    """The fold of the run `values` of `coord` (the whole base when None)
+    onto digit 0: a function of x, below the space's full mask, whose
+    result holds the tuples with coordinate `coord` 0 of c_coord(D . x).
+
+    x is shifted right by values.start steps of `coord`.  Below the top,
+    shifted copies of x are ORed in, O(log u) full-width shifts, and digit
+    0 is masked.  The top coordinate's values are contiguous blocks of
+    its stride, so it is folded by halving: each step ORs the upper half
+    of the blocks left onto the lower half, on half the bits of the step
+    before, and the last leaves digit 0 alone.
+    """
     space.check_coord(coord)
     u = space.base_size
     stride = space.stride(coord)
     if values is None:
-        return 0, doubling_shifts(stride, u)
-    _check_run(values, u)
-    return values.start * stride, doubling_shifts(stride, len(values))
+        start, count = 0, u
+    else:
+        _check_run(values, u)
+        start, count = values.start * stride, len(values)
+    if coord < space.dimension - 1:
+        shifts = doubling_shifts(stride, count)
+        zero = space.digit_zero_mask(coord)
+
+        def fold(x: int) -> int:
+            if start:
+                x >>= start
+            for shift in shifts:
+                x |= x >> shift
+            return x & zero
+
+        return fold
+    # the blocks of the run; those past it are cut off first
+    trim = (1 << count * stride) - 1 if values is not None and values.stop < u else None
+    halves = []
+    while count > 1:
+        count -= count // 2
+        halves.append(((1 << count * stride) - 1, count * stride))
+
+    def fold(x: int) -> int:
+        if start:
+            x >>= start
+        if trim is not None:
+            x &= trim
+        for low, shift in halves:
+            x = (x & low) | (x >> shift)
+        return x
+
+    return fold
 
 
 def cylinder(space: TupleSpace, coord: int, values: range | None = None):
@@ -250,22 +299,16 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
     holds the tuples whose coordinate `coord` lies in `values`, a nonempty
     run of base values (the whole base by default).
 
-    x is shifted right by values.start steps of `coord`, its len(values)
-    copies are folded onto digit 0 and the result is replicated u times,
-    O(log u) shifts each way; D itself is never built.  The kernel ignores
-    a second argument, so a straight-line program applies it like any
-    binary operator.
+    The run of x is folded onto digit 0 (see `_folding`) and the result is
+    replicated u times by doubling; D itself is never built.  The kernel
+    ignores a second argument, so a straight-line program applies it like
+    any binary operator.
     """
-    start, fold = _folding(space, coord, values)
+    fold = _folding(space, coord, values)
     spread = doubling_shifts(space.stride(coord), space.base_size)
-    zero = space.digit_zero_mask(coord)
 
     def kernel(x: int, _=None) -> int:
-        if start:
-            x >>= start
-        for shift in fold:
-            x |= x >> shift
-        x &= zero
+        x = fold(x)
         for shift in spread:
             x |= x << shift
         return x
@@ -280,22 +323,15 @@ def fold_top(space: TupleSpace, values: range | None, dimension: int):
     space.dimension.  That is all of it when x does not depend on the
     coordinates dimension .. top - 1.
 
-    The run of the top coordinate is folded onto digit 0 as `cylinder`
-    folds it, and the low u**dimension bits are kept: nothing is spread.
+    The run of the top coordinate is folded onto digit 0 by halving, as
+    `cylinder` folds it, and the low u**dimension bits are kept: nothing
+    is spread.
     """
     if not 0 < dimension < space.dimension:
         raise ValueError(f"cannot fold {space!r} onto dimension {dimension}")
-    start, fold = _folding(space, space.dimension - 1, values)
+    fold = _folding(space, space.dimension - 1, values)
     low = (1 << space.base_size**dimension) - 1
-
-    def kernel(x: int, _=None) -> int:
-        if start:
-            x >>= start
-        for shift in fold:
-            x |= x >> shift
-        return x & low
-
-    return kernel
+    return lambda x, _=None: fold(x) & low
 
 
 def cyl(coord: int, x: Element) -> Element:
@@ -304,14 +340,23 @@ def cyl(coord: int, x: Element) -> Element:
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
-    """The set of tuples whose coordinates i and j agree."""
+    """The set of tuples whose coordinates i and j agree.
+
+    For i < j, the seed holds the tuples below coordinate j with coordinate
+    i at 0; u copies of it, one step of both coordinates apart, make the
+    diagonal up to coordinate j, which is replicated along those above.
+    """
     space.check_coord(i)
     space.check_coord(j)
     if i == j:
         return Element(space, space.full_mask)
-    both_zero = space.digit_zero_mask(i) & space.digit_zero_mask(j)
-    step = space.stride(i) + space.stride(j)
-    return Element(space, _replicate(both_zero, step, space.base_size))
+    if i > j:
+        i, j = j, i
+    u = space.base_size
+    stride_i, stride_j = space.stride(i), space.stride(j)
+    block = stride_i * u
+    seed = _replicate((1 << stride_i) - 1, block, stride_j // block)
+    return Element(space, _above(space, _replicate(seed, stride_i + stride_j, u), j))
 
 
 def relation_bits(space: TupleSpace, coords, rows) -> int:
@@ -346,31 +391,32 @@ def relation_bits(space: TupleSpace, coords, rows) -> int:
     return bits
 
 
-def strictly_below(space: TupleSpace, a: int, b: int, diagonal: int | None = None) -> int:
-    """Bits of {s : s_a < s_b}, by doubling along coordinate b (none when
-    a == b).  `diagonal`, when given, is diag(space, a, b).bits, which a
-    caller that keeps it passes so it is not built again.
+def strictly_below(space: TupleSpace, a: int, b: int) -> int:
+    """Bits of {s : s_a < s_b} (none when a == b).
 
-    The diagonal s_a = s_b, without its tuples at the top value of b and
-    shifted up one step of b, is s_b = s_a + 1.  Each round ORs in a copy
-    shifted up by the largest gap found so far, leaving out the tuples that
-    would pass the top value, so the gaps found double.
+    For a < b, the seed y holds the tuples below coordinate b with every
+    coordinate up to a at 0.  At value v of b, the tuples with s_a < v are
+    2**(v * stride_b) * y * (2**(v * stride_a) - 1): y's runs of the
+    coordinates below a, cut short of value v of a.  Summed over v, that
+    is u copies of y one step of both coordinates apart, less u copies one
+    step of b apart; the terms hold distinct positions, so the subtraction
+    borrows across none.  The result is replicated along the coordinates
+    above b.  For a > b they are the tuples neither below nor on the
+    diagonal.
     """
     if a == b:
         space.check_coord(a)
         return 0
-    if diagonal is None:
-        diagonal = diag(space, a, b).bits
+    if a > b:
+        return space.full_mask ^ strictly_below(space, b, a) ^ diag(space, a, b).bits
+    space.check_coord(a)
+    space.check_coord(b)
     u = space.base_size
-    stride = space.stride(b)
-    top = space.digit_mask(b, u - 1)  # s_b above u - 1 - gap
-    bits = (diagonal ^ (diagonal & top)) << stride
-    gap = 1
-    while gap < u - 1:
-        bits |= (bits ^ (bits & top)) << gap * stride
-        top |= top >> gap * stride  # past the last round, no longer used
-        gap *= 2
-    return bits
+    stride_a, stride_b = space.stride(a), space.stride(b)
+    block = stride_a * u
+    y = _replicate(1, block, stride_b // block)
+    bits = _replicate(y, stride_a + stride_b, u) - _replicate(y, stride_b, u)
+    return _above(space, bits, b)
 
 
 def subst(i: int, j: int, x: Element) -> Element:

@@ -17,10 +17,11 @@ places once per formula, so a step of models' satisfaction plan that
 reads a third variable only there runs a level lower (see models).
 Evaluation runs that plan with one leaf hook, which gives these atoms and
 the diagonals over the space of their level, and, for each quantifier
-depth, the run of values its variable may take.  Each unordered pair of coordinates costs
-one doubled strict-order atom (spaces.strictly_below) and at most one
-diagonal, both kept for the call: the other order is what is neither
-below nor equal.
+depth, the run of values its variable may take.  Each unordered pair of
+coordinates costs one strict-order atom (spaces.strictly_below, which
+builds no diagonal) and, when the other order or an `Eq` leaf asks for
+it, one diagonal, both kept for the call: the other order is what is
+neither below nor equal.
 """
 
 from dataclasses import dataclass, field
@@ -97,16 +98,14 @@ def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int
 
 
 def _below(space: TupleSpace, a: int, b: int, known: dict) -> int:
-    """Bits of {s : s_a < s_b} for a != b, doubled once per unordered pair
-    from the diagonal kept in `known`, and kept there under ("<", a, b)
-    with a < b: for a > b they are the tuples neither below nor on the
-    diagonal."""
+    """Bits of {s : s_a < s_b} for a != b, built once per unordered pair
+    and kept in `known` under ("<", a, b) with a < b: for a > b they are
+    the tuples neither below nor on the diagonal."""
     if a > b:
         return space.full_mask ^ _below(space, b, a, known) ^ _diagonal(space, a, b, known)
     bits = known.get(("<", a, b))
     if bits is None:
-        same = _diagonal(space, a, b, known)
-        bits = known[("<", a, b)] = strictly_below(space, a, b, same)
+        bits = known[("<", a, b)] = strictly_below(space, a, b)
     return bits
 
 

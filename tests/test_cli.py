@@ -22,7 +22,7 @@ import baokit.cli
 import element_path
 from baokit import CapacityError
 from baokit.algebras import product as direct_product
-from baokit.cli import ExperimentReport, _parse_gen, main
+from baokit.cli import ExperimentReport, _decimal, _parse_gen, main
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +45,24 @@ def test_example_json_deterministic(capsys):
     payload = json.loads(first)
     assert payload["verdict"] == "pass"
     assert "elapsed" not in payload and "timing" not in payload
+
+
+@pytest.mark.parametrize("u, digits", [(25, 4704), (30, 8128)])
+def test_carrier_sizes_past_the_int_string_limit_convert_exactly(u, digits):
+    """example's carrier size 2**(u**3) passes CPython's 4,300-digit limit
+    on str() from u = 25; the conversion is checked chunk by chunk, each
+    chunk far below that limit, without building the algebra."""
+    n = 2 ** (u**3)
+    text = _decimal(n)
+    assert len(text) == digits and text.isdigit() and text[0] != "0"
+    back = 0
+    for k in range(0, len(text), 500):
+        chunk = text[k:k + 500]
+        back = back * 10 ** len(chunk) + int(chunk)
+    assert back == n
+    # within the limit, as for u <= 24, the text is str()'s
+    for small in (0, 1, 10**602, 2**2000 - 1, 2**2000, 10**1500, 2 ** (24**3)):
+        assert _decimal(small) == str(small)
 
 
 def test_seeded_sweep_json_deterministic(capsys):

@@ -250,8 +250,6 @@ def test_strictly_below_matches_tuple_scan(u):
                     continue
                 want = sum(1 << space.encode(s) for s in space.tuples() if s[a] < s[b])
                 assert strictly_below(space, a, b) == want, (u, n, a, b)
-                same = diag(space, a, b).bits
-                assert strictly_below(space, a, b, same) == want, (u, n, a, b)
 
 
 def test_order_atoms_match_value_loop_at_radius_16():
@@ -263,9 +261,9 @@ def test_order_atoms_match_value_loop_at_radius_16():
 
 
 def test_one_call_builds_each_diagonal_once(monkeypatch):
-    """Each radius builds each diagonal once: the strict order s_a < s_b
-    doubles from it, and the derived order s_b < s_a and the Eq leaves on
-    one pair share it.  `ax` asks for each of its three pairs both ways."""
+    """Each radius builds each diagonal once: the derived order s_b < s_a
+    and the Eq leaves on one pair share it, and the strict order s_a < s_b
+    builds none.  `ax` asks for each of its three pairs both ways."""
     import baokit.spaces
     import baokit.window
 
@@ -277,7 +275,7 @@ def test_one_call_builds_each_diagonal_once(monkeypatch):
         return original(space, i, j)
 
     monkeypatch.setattr(baokit.window, "diag", counting)
-    monkeypatch.setattr(baokit.spaces, "diag", counting)  # strictly_below's
+    monkeypatch.setattr(baokit.spaces, "diag", counting)  # strictly_below's, if any
     report = eval_window(WindowModel(8, 1, (0,)), formula_library()["ax"].formula)
     assert report.value and report.stable
     assert sorted(built) == [(2 * r + 1, i, j) for r in (8, 16, 32)

@@ -1,0 +1,165 @@
+"""Measure a change against its parent and write a BENCH_<n>.json.
+
+    python3 tools/trajectory.py --parent ../parent-checkout --out BENCH_21.json
+
+Run from the repository root.  The parent is a second checkout of the
+parent commit (made with `git clone` or `git archive`).  For each tree the
+script records:
+
+- the median and IQR, over --seeds, of the four end-to-end metrics of
+  every workload in BENCHMARK.json, each from one run of
+  `python3 perfbench/run.py --workload W --seed S --seconds T` in that
+  tree (perfbench is used as it is; the two trees alternate, and so does
+  which of them runs first for a seed);
+- the median wall time, over --repeats process runs, of each command in
+  WINDOW_COMMANDS, the two window runs of CI's "CLI exit codes" step;
+- src_lines, the line count of src/baokit/*.py.
+
+It then prints before and after medians, and marks as noise a difference
+smaller than the IQR of either side.
+"""
+
+import argparse
+import glob
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+METRICS = ("work_ref", "warmup_ref", "setup_s", "peak_rss_mb")
+WINDOW_COMMANDS = (
+    ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
+    ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
+)
+
+
+def summary(values: list[float]) -> dict:
+    """Median and interquartile range (statistics.quantiles, exclusive)."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "iqr": q3 - q1, "values": values}
+
+
+def commit_of(tree: str) -> str | None:
+    """The tree's commit, marked -dirty when it has uncommitted changes;
+    None outside git."""
+    run = subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return run.stdout.strip() if run.returncode == 0 else None
+
+
+def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The metrics of one perfbench run in `tree`; exits on a failed run."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if run.returncode != 0:
+        sys.exit(f"perfbench {workload} seed {seed} failed in {tree}:\n{run.stderr}")
+    report = json.loads(run.stdout.strip().splitlines()[-1])
+    return {name: report["metrics"][name]["value"] for name in METRICS}
+
+
+def wall_time(tree: str, args: tuple) -> float:
+    """Seconds for one `python -m baokit.cli` process run from `tree`/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    started = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "baokit.cli", *args],
+                         env=env, capture_output=True)
+    took = time.perf_counter() - started
+    if run.returncode != 0:
+        sys.exit(f"baokit {' '.join(args)} exited {run.returncode} in {tree}")
+    return took
+
+
+def src_lines(tree: str) -> int:
+    total = 0
+    for path in sorted(glob.glob(os.path.join(tree, "src", "baokit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict:
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    runs = {label: {w: {m: [] for m in METRICS} for w in workloads} for label in trees}
+    for workload in workloads:
+        for k, seed in enumerate(seeds):
+            for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
+                got = perfbench(tree, workload, seed, seconds)
+                for name in METRICS:
+                    runs[label][workload][name].append(got[name])
+                print(f"{label} {workload} seed {seed}: {got}", file=sys.stderr)
+    walls = {label: {" ".join(args): [] for args in WINDOW_COMMANDS} for label in trees}
+    for _ in range(repeats):
+        for args in WINDOW_COMMANDS:
+            for label, tree in trees.items():
+                walls[label][" ".join(args)].append(wall_time(tree, args))
+    return {
+        label: {
+            "commit": commit_of(tree),
+            "perfbench": {w: {m: summary(v) for m, v in by.items()}
+                          for w, by in runs[label].items()},
+            "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
+            "src_lines": src_lines(tree),
+        }
+        for label, tree in trees.items()
+    }
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    """Before and after medians, with the change in percent; `noise` when
+    the difference is smaller than the IQR of either side."""
+    lines = []
+
+    def row(name: str, a: dict, b: dict) -> None:
+        diff = b["median"] - a["median"]
+        noise = abs(diff) < max(a["iqr"], b["iqr"])
+        pct = 100 * diff / a["median"] if a["median"] else float("nan")
+        lines.append(f"{name:45s} {a['median']:10.3f} {b['median']:10.3f} "
+                     f"{pct:+7.1f}%{'  noise' if noise else ''}")
+
+    for workload, by in before["perfbench"].items():
+        for metric, a in by.items():
+            row(f"{workload} {metric}", a, after["perfbench"][workload][metric])
+    for cmd, a in before["wall_s"].items():
+        row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
+    lines.append(f"{'src_lines':45s} {before['src_lines']:10d} {after['src_lines']:10d}")
+    return lines
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="a checkout of the parent commit")
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--parent-commit", default=None,
+                        help="the parent's commit, when its checkout has no .git")
+    args = parser.parse_args()
+    trees = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
+    results = measure(trees, args.seeds, args.seconds, args.repeats)
+    if args.parent_commit:
+        results["parent"]["commit"] = args.parent_commit
+    out = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "repeats": args.repeats,
+        **results,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("\n".join(compare(results["parent"], results["change"])))
+
+
+if __name__ == "__main__":
+    main()
