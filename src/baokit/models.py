@@ -4,13 +4,14 @@ satisfaction_set computes {s in carrier^n : the formula holds under s} as a
 bitset Element.  Its evaluator, satisfaction_bits, is the one
 formula-to-bitset evaluator: each formula is laid out once, as a term is,
 into a straight-line program over raw ints, its plan, in which a repeated
-subformula, atom or diagonal is computed once; each call binds the plan to
-its base size.  Every step runs at its level, 1 + the highest variable free
-in it: a value at level k is a bitset over the first k coordinates, and
-the root is lifted to the whole space at the end.  The leaf hook is asked
-for each atom and diagonal over the TupleSpace of its level.  The window
-module runs the evaluator too, with its own leaves and a run of values for
-each quantifier depth.
+subformula, atom or diagonal is computed once; the plan is bound once per
+base size and keeps the binding.  Every step runs at its level, 1 + the
+highest variable free in it: a value at level k is a bitset over the first
+k coordinates, and the root is lifted to the whole space at the end.  The
+leaf hook is asked for each atom and diagonal over the TupleSpace of its
+level; a ModelFinite, read as immutable, keeps them and its sections.
+The window module runs the evaluator too, with its own leaves and a run of
+values for each quantifier depth, bound on each call.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
@@ -65,7 +66,9 @@ from .terms import Layout
 
 
 class ModelFinite:
-    """A finite model: carrier labels plus one tuple table per relation."""
+    """A finite model: carrier labels plus one tuple table per relation.
+    It is read as immutable, and keeps the sections `holds` reads and the
+    bits of each atom and diagonal per level, each made on first use."""
 
     def __init__(self, carrier, relations, vocabulary: Vocabulary | None = None):
         self.carrier = list(carrier)
@@ -90,6 +93,7 @@ class ModelFinite:
             if any(len(r) != k for r in rows):
                 raise ValueError(f"relation {name} has rows of the wrong arity")
         self._sections: dict = {}  # (relation, position) -> {others: bits}
+        self._leaves: dict = {}  # (relation, args, level) or ("=", i, j, level) -> bits
 
     @property
     def carrier_size(self) -> int:
@@ -151,11 +155,16 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
     space = TupleSpace(model.carrier_size, n)
+    leaves = model._leaves
 
-    def leaf(g, level: TupleSpace) -> int:
-        if isinstance(g, Atom):
-            return relation_bits(level, g.args, model.relations[g.rel])
-        return diag(level, g.left, g.right).bits
+    def leaf(g, level: TupleSpace) -> int:  # kept on the model, made on first use
+        atom = isinstance(g, Atom)
+        key = (g.rel, g.args, level.dimension) if atom else ("=", g.left, g.right, level.dimension)
+        bits = leaves.get(key)
+        if bits is None:
+            bits = leaves[key] = (relation_bits(level, g.args, model.relations[g.rel]) if atom
+                                  else diag(level, g.left, g.right).bits)
+        return bits
 
     return Element(space, satisfaction_bits(space, f, leaf))
 
@@ -164,16 +173,17 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
     """The bits of the satisfaction set of `f` over `space`.
 
     `f` runs as its plan (see `_plan`), laid out once per formula and bound
-    here to the base size.  Each step runs at its level k, on the tuples
-    of TupleSpace(u, k), and the root is lifted to the whole space at the
-    end.  `leaf(g, level)` gives the bits of each of the plan's inputs over
-    `level`, the TupleSpace of its level: each distinct atom g, and each
-    distinct diagonal, an Eq g with g.left <= g.right.  A quantifier on v
-    ranges over the whole base, or, when `quantifier_range(depth, v)` is
-    given, over the run of base values it returns, which must not be
-    empty, where depth counts the quantifier's nesting from the root
-    (outermost 1): the relativized ex v phi is c_v(D . phi) and all v phi
-    is -c_v(D . -phi), D holding the tuples whose v lies in the run.
+    once per base size, or on each call when ranged.  Each step runs at its
+    level k, on the tuples of TupleSpace(u, k), and the root is lifted to
+    the whole space at the end.  `leaf(g, level)` gives the bits of each of
+    the plan's inputs over `level`, the TupleSpace of its level: each
+    distinct atom g, and each distinct diagonal, an Eq g with g.left <=
+    g.right.  A quantifier on v ranges over the whole base, or, when
+    `quantifier_range(depth, v)` is given, over the run of base values it
+    returns, which must not be empty, where depth counts the quantifier's
+    nesting from the root (outermost 1): the relativized ex v phi is
+    c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the tuples
+    whose v lies in the run.
     """
     plan = _plan(f, quantifier_range is not None)
     space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
@@ -182,7 +192,7 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
     else:
         operators = _Operators(space.base_size, quantifier_range)
     inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
-    bits = plan.run(plan.bind(operators), inputs)
+    bits = plan.run(plan.binding(operators), inputs)
     root = operators.space(plan.level).size
     for shift in doubling_shifts(root, space.size // root):  # lift to the whole space
         bits |= bits << shift
@@ -290,10 +300,12 @@ class _Operators:
     to the higher level, and a quantifier on v is the cylindrification of
     v, relativized to `quantifier_range(depth, v)` when given, or, when v
     is the top coordinate of its body, the fold of v onto the result's
-    level.  Each function is made on first use and kept."""
+    level.  Each function is made on first use and kept.  A plan keeps its
+    binding under the key (u,) of a whole-base table; a ranged one has none."""
 
     def __init__(self, base_size: int, quantifier_range):
         self.base_size = base_size
+        self.key = None if quantifier_range is not None else (base_size,)
         self.spaces: dict = {}  # level -> TupleSpace(u, level)
         self.functions: dict = {}  # op -> its function
         self.quantifier_range = quantifier_range

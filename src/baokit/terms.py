@@ -5,7 +5,7 @@ raw ints: its constants and diagonals hoisted, a repeated subterm (equal
 nodes are one object) computed once.  The layout is bound once per
 value domain (the tuple space of a set algebra, or the base of a relation
 algebra) to the kernels of the domain's operator table in `spaces`, and
-the binding is kept on the term.  `eval_term` runs it on
+the binding is kept on the layout.  `eval_term` runs it on
 one assignment; `eval_term_lanes` runs it on many at once, side by side as
 the lanes of a wider space (see `Lanes`), since the operators on
 coordinates below n never touch the coordinates n and up.
@@ -44,14 +44,13 @@ class Term:
     """A validated term: every operator belongs to the declared signature.
     It is laid out as its straight-line program (see `_lay_out`) at once."""
 
-    __slots__ = ("root", "signature", "var_count", "_layout", "_programs")
+    __slots__ = ("root", "signature", "var_count", "_layout")
 
     def __init__(self, root: TermNode, signature: Signature):
         self.root = root
         self.signature = signature
         self._layout = _lay_out(root, signature)
         self.var_count = max(self._layout.variables, default=-1) + 1
-        self._programs: dict = {}  # bindings of the layout, by value domain
 
     def __eq__(self, other):
         return isinstance(other, Term) and (self.signature, self.root) == (other.signature, other.root)
@@ -127,7 +126,7 @@ class Layout(StraightLine):
     ~i is input i and node j >= 0 the result of step j.
     """
 
-    __slots__ = ("variables", "constants", "ops", "kinds")
+    __slots__ = ("variables", "constants", "ops", "kinds", "bindings")
 
     def __init__(self, variables, constants, ops, kinds, operands, root):
         fixed = len(constants) + len(variables)
@@ -137,12 +136,24 @@ class Layout(StraightLine):
         self.constants = constants
         self.ops = ops
         self.kinds = kinds
+        self.bindings: dict = {}  # table key -> bind(table)
 
     def bind(self, operators) -> tuple[list, list]:
         """The constants' values and each step's function in the operator
         table `operators`."""
         bound = [operators.function(op) for op in self.ops]
         return [operators.constant(op) for op in self.constants], [bound[k] for k in self.kinds]
+
+    def binding(self, operators) -> tuple[list, list]:
+        """bind(operators), made on first use and kept for every table with
+        the same key; a table whose key is None is bound on each call."""
+        key = operators.key
+        binding = self.bindings.get(key)
+        if binding is None:
+            binding = self.bind(operators)
+            if key is not None:
+                self.bindings[key] = binding
+        return binding
 
     def run(self, binding, inputs: list) -> int:
         constants, functions = binding
@@ -203,26 +214,17 @@ def _lay_out(root: TermNode, signature: Signature) -> Layout:
                   root if root >= 0 else node[~root])
 
 
-def _program(term: Term, operators) -> tuple[list, list]:
-    """The term's layout bound to the table `operators`, bound on first use
-    and kept on the term for every table with the same key."""
-    binding = term._programs.get(operators.key)
-    if binding is None:
-        binding = term._programs[operators.key] = term._layout.bind(operators)
-    return binding
-
-
 def eval_term(term: Term, assignment, ambient):
     """Evaluate in `ambient` (a SetAlgebra or RelationAlgebra).
 
     `assignment` maps variable indices to elements of the ambient algebra.
-    The term's layout is bound once per space and kept on the term; a
+    The term's layout is bound once per space and kept on the layout; a
     shared subterm is evaluated once.
     """
     _check_signature(term, ambient)
     if not isinstance(ambient, (SetAlgebra, RelationAlgebra)):
         raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
-    binding = _program(term, ambient.operators)
+    binding = term._layout.binding(ambient.operators)
     inputs = []
     for index in term._layout.variables:
         try:
@@ -308,7 +310,7 @@ class Lanes:
         """Evaluate `term` on every lane at once; `packed` maps variable
         indices to packed integers."""
         _check_signature(term, self.ambient)
-        binding = _program(term, self.operators)
+        binding = term._layout.binding(self.operators)
         try:
             inputs = [packed[index] for index in term._layout.variables]
         except KeyError as exc:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import reduce
 from itertools import product as iproduct
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import full_width_plan as fw
 from baokit import (
     Element,
     ModelFinite,
@@ -25,10 +28,14 @@ from baokit import (
     quantifier_depth,
     satisfaction_set,
 )
+from baokit.compiler import compiler_agrees
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
 from baokit.hf import HFUniverse
 from baokit.library import formula_library
 from baokit.models import _plan, satisfaction_bits
+from baokit.terms import Layout
+from baokit.translate import tr, tr_equivalent_on
+from baokit.window import WindowModel, window_satisfaction
 
 
 def order_model(u=3):
@@ -760,3 +767,117 @@ def test_atoms_pair_arguments_with_rows_as_zip_does():
         check_against_walker(parse_formula(text), model, 3, None)
     empty = ModelFinite([0, 1], {"E": []}, Vocabulary.of(E=2))
     check_against_walker(parse_formula("E(v0,v1,v1) | E(v1)"), empty, 2, None)
+
+
+# -- the atoms and diagonals a model keeps, and the bindings a plan keeps ----------------
+
+
+@st.composite
+def leaf_cases(draw):
+    """Relations of a model with a carrier of 1 to 4 points (R/2, P/1 and
+    T/3, one of them empty, and Z/0), a formula over them whose atoms may
+    repeat an argument, n from its top variable + 1 to + 2, and a few other
+    formulas to warm a model's leaves with."""
+    u = draw(st.integers(1, 4))
+    points = st.integers(0, u - 1)
+    relations = {
+        "R": draw(st.lists(st.tuples(points, points), max_size=8)),
+        "P": [(a,) for a in draw(st.lists(points, max_size=3))],
+        "T": draw(st.lists(st.tuples(points, points, points), max_size=10)),
+        "Z": draw(st.sampled_from([[], [()]])),
+    }
+    relations[draw(st.sampled_from(["R", "P", "T"]))] = []
+    formulas = st.integers(1, 3).flatmap(lambda k: SAT_FORMULAS[k])
+    f = draw(formulas)
+    n = max(max_var_index(f), 0) + draw(st.integers(1, 2))
+    return u, relations, f, n, draw(st.lists(formulas, max_size=3))
+
+
+def leaf_model(u, relations) -> ModelFinite:
+    return ModelFinite(list(range(u)), relations, Vocabulary.of(R=2, P=1, T=3, Z=0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=leaf_cases())
+@example(case=(3, {"R": [(0, 1), (2, 2)], "P": [], "T": [(1, 1, 0)], "Z": []},
+               And(Atom("R", (1, 1)), Exists(0, Atom("T", (0, 0, 1)))), 3,
+               [Atom("R", (1, 1)), Or(Eq(1, 0), Atom("R", (0, 1)))]))
+def test_warm_leaves_match_a_fresh_model_and_the_full_width_plan(case):
+    u, relations, f, n, others = case
+    warm = leaf_model(u, relations)
+    for g in others:  # warm the model's leaves, at two sizes of space
+        top = max(max_var_index(g), 0)
+        satisfaction_set(warm, g, top + 1)
+        satisfaction_set(warm, g, top + 2)
+    got = satisfaction_set(warm, f, n)
+    assert got == satisfaction_set(leaf_model(u, relations), f, n)
+    assert got.bits == fw.satisfaction_set_bits(warm, f, n)
+    assert satisfaction_set(warm, f, n) == got
+
+
+def test_leaves_are_kept_per_model_not_per_carrier_size():
+    rng = random.Random(22)
+    formulas = [parse_formula(text) for text in (
+        "E(v0,v1)", "E(v1,v1) & ex v2 E(v0,v2)", "all v1 (E(v0,v1) -> v0 = v1)", "v0 = v2",
+    )]
+    for u in (1, 2, 3, 4):
+        pairs = list(iproduct(range(u), repeat=2))
+        rows = rng.sample(pairs, rng.randint(0, len(pairs)))
+        one = ModelFinite(range(u), {"E": rows}, Vocabulary.of(E=2))
+        other = ModelFinite(range(u), {"E": [p for p in pairs if p not in rows]},
+                            Vocabulary.of(E=2))
+        for f in formulas:
+            for model in (one, other, one, other):
+                assert satisfaction_set(model, f, 3).bits == fw.satisfaction_set_bits(model, f, 3)
+
+
+def test_a_plan_keeps_one_binding_per_base_size():
+    f = parse_formula("ex v2 (E(v0,v2) & all v1 (E(v2,v1) | v1 = v0))")
+    _plan.cache_clear()
+    plan = _plan(f, False)
+    kept = {}
+    for u in (2, 3, 2):
+        model = ModelFinite(range(u), {"E": [(a, (a + 1) % u) for a in range(u)]})
+        assert satisfaction_set(model, f, 3).bits == fw.satisfaction_set_bits(model, f, 3)
+        binding = kept.setdefault(u, plan.bindings[(u,)])
+        assert plan.bindings[(u,)] is binding  # bound once, at the first call on u
+    assert list(plan.bindings) == [(2,), (3,)]
+
+
+def test_a_ranged_plan_is_bound_on_each_call(monkeypatch):
+    g = parse_formula("ex v1 (Bound(v0,v1) & v1 = v0)")  # seen by no other test
+    model = ModelFinite(range(3), {"Bound": [(0, 0), (1, 2)]})
+    want = fw.satisfaction_set_bits(model, g, 2)
+    keys = []
+    bind = Layout.bind
+    monkeypatch.setattr(Layout, "bind", lambda self, ops: keys.append(ops.key) or bind(self, ops))
+    f = parse_formula("all v0 ex v1 (R(v0,v1) | v1 = v0)")
+    window = WindowModel(4, 1, ())
+    first = window_satisfaction(window, f, 4)
+    assert window_satisfaction(window, f, 4) == first
+    assert keys == [None, None]
+    for _ in range(3):
+        assert satisfaction_set(model, g, 2).bits == want
+    assert keys == [None, None, (3,)]
+
+
+def test_no_cache_keeps_a_model_or_pins_a_formula_in_a_model():
+    model = hf_universe(2).model()
+    alive = weakref.ref(model)
+    f = parse_formula("ex v2 (E(v0,v2) & E(v2,v1)) | v0 = v1")
+    assert satisfaction_set(model, f, 3) == satisfaction_set(model, f, 3)
+    assert compiler_agrees(f, model, 3, "CA") and compiler_agrees(tr(f), model, 3, "SC")
+    assert tr_equivalent_on(model, f, 3)
+    del model
+    gc.collect()
+    assert alive() is None
+
+    atom = Atom("Pinned", (0, 2))  # a relation no other test names
+    g = Exists(2, And(atom, Eq(2, 1)))
+    model = ModelFinite(range(2), {"Pinned": [(0, 1), (1, 1)]})
+    satisfaction_set(model, g, 3)
+    nodes = weakref.ref(g), weakref.ref(atom)
+    del g, atom
+    _plan.cache_clear()  # the plan cache keeps every formula it sees
+    gc.collect()
+    assert model._leaves and [node() for node in nodes] == [None, None]

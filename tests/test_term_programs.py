@@ -296,9 +296,9 @@ def test_program_is_compiled_once_per_space():
     term = parse_term("(cyl 0 (and (var 0) (diag 0 1)))", amb.signature)
     eval_term(term, {0: amb.one}, amb)
     eval_term(term, {0: amb.zero}, amb)
-    assert list(term._programs) == [(3, 2, 2)]
+    assert list(term._layout.bindings) == [(3, 2, 2)]
     eval_term_lanes(term, {0: [0, 1, 2, 3, 4]}, amb)  # five lanes: TupleSpace(3, 2 + 2)
-    assert list(term._programs) == [(3, 2, 2), (3, 4, 2)]
+    assert list(term._layout.bindings) == [(3, 2, 2), (3, 4, 2)]
 
 
 def test_result_registers_are_reused():
@@ -316,7 +316,7 @@ def test_compiling_a_term_leaves_no_reference_cycles():
     gc.disable()
     try:
         eval_term(fresh, {0: amb.one}, amb)
-        assert (2, 3, 3) in fresh._programs
+        assert (2, 3, 3) in fresh._layout.bindings
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,6 +1,6 @@
 """Measure a change against its parent and write a BENCH_<n>.json.
 
-    python3 tools/trajectory.py --parent ../parent-checkout --out BENCH_21.json
+    python3 tools/trajectory.py --parent ../parent-checkout --out BENCH_22.json
 
 Run from the repository root.  The parent is a second checkout of the
 parent commit (made with `git clone` or `git archive`).  For each tree the
@@ -12,7 +12,8 @@ script records:
   tree (perfbench is used as it is; the two trees alternate, and so does
   which of them runs first for a seed);
 - the median wall time, over --repeats process runs, of each command in
-  WINDOW_COMMANDS, the two window runs of CI's "CLI exit codes" step;
+  COMMANDS: `corpus-check` and `translate` at their default flags, and the
+  two window runs of CI's "CLI exit codes" step;
 - src_lines, the line count of src/baokit/*.py.
 
 It then prints before and after medians, and marks as noise a difference
@@ -30,7 +31,9 @@ import sys
 import time
 
 METRICS = ("work_ref", "warmup_ref", "setup_s", "peak_rss_mb")
-WINDOW_COMMANDS = (
+COMMANDS = (
+    ("--json", "corpus-check"),
+    ("--json", "translate"),
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
 )
@@ -94,9 +97,9 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
                 for name in METRICS:
                     runs[label][workload][name].append(got[name])
                 print(f"{label} {workload} seed {seed}: {got}", file=sys.stderr)
-    walls = {label: {" ".join(args): [] for args in WINDOW_COMMANDS} for label in trees}
+    walls = {label: {" ".join(args): [] for args in COMMANDS} for label in trees}
     for _ in range(repeats):
-        for args in WINDOW_COMMANDS:
+        for args in COMMANDS:
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
     return {
