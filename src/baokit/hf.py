@@ -266,11 +266,17 @@ def quasiprojection_relations(universe: HFUniverse) -> tuple[RaElement, RaElemen
     return RaElement(universe.size, p0_bits), RaElement(universe.size, p1_bits)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class OrdinalReport:
+    """What the oracles decide of one set.  Reports are immutable, and every
+    set that is not an ordinal shares one report, `_NOT_ORDINAL`."""
+
     is_ord: bool
     is_ford: bool
     value: int | None
+
+
+_NOT_ORDINAL = OrdinalReport(False, False, None)
 
 
 def is_ordinal(x: HFSet) -> bool:
@@ -300,15 +306,10 @@ def _is_zero_or_successor(code: int) -> bool:
 
 
 def ordinal_oracles(x: HFSet) -> OrdinalReport:
-    ord_ok = is_ordinal(x)
-    ford_ok = ord_ok and all(
-        _is_zero_or_successor(m) for m in x.member_codes()
-    )
-    return OrdinalReport(
-        is_ord=ord_ok,
-        is_ford=ford_ok,
-        value=len(x) if ord_ok else None,
-    )
+    if not is_ordinal(x):
+        return _NOT_ORDINAL
+    ford_ok = all(_is_zero_or_successor(m) for m in x.member_codes())
+    return OrdinalReport(True, ford_ok, len(x))
 
 
 def ordinal_hf(value: int) -> HFSet:

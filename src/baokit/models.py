@@ -154,7 +154,7 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     top = max_var_index(f)
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
-    space = TupleSpace(model.carrier_size, n)
+    space = _whole_base(model.carrier_size).space(n)
     leaves = model._leaves
 
     def leaf(g, level: TupleSpace) -> int:  # kept on the model, made on first use
@@ -193,8 +193,7 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
         operators = _Operators(space.base_size, quantifier_range)
     inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
     bits = plan.run(plan.binding(operators), inputs)
-    root = operators.space(plan.level).size
-    for shift in doubling_shifts(root, space.size // root):  # lift to the whole space
+    for shift in operators.lift(plan.level, space.dimension):  # to the whole space
         bits |= bits << shift
     return bits
 
@@ -290,7 +289,7 @@ def _plan(f: Formula, ranged: bool) -> _Plan:
 def _whole_base(base_size: int) -> "_Operators":
     """The operators of plans whose quantifiers range over the whole base,
     shared by every call on that base size; the tables of the 16 sizes used
-    last are kept, with the spaces their kernels read."""
+    last are kept, with their spaces and lifts, which results use too."""
     return _Operators(base_size, None)
 
 
@@ -300,13 +299,15 @@ class _Operators:
     to the higher level, and a quantifier on v is the cylindrification of
     v, relativized to `quantifier_range(depth, v)` when given, or, when v
     is the top coordinate of its body, the fold of v onto the result's
-    level.  Each function is made on first use and kept.  A plan keeps its
-    binding under the key (u,) of a whole-base table; a ranged one has none."""
+    level.  Each function, space and lift is made on first use and kept.
+    A plan keeps its binding under the key (u,) of a whole-base table; a
+    ranged one, made on each call, has none."""
 
     def __init__(self, base_size: int, quantifier_range):
         self.base_size = base_size
         self.key = None if quantifier_range is not None else (base_size,)
         self.spaces: dict = {}  # level -> TupleSpace(u, level)
+        self.lifts: dict = {}  # (level, higher level) -> doubling shifts
         self.functions: dict = {}  # op -> its function
         self.quantifier_range = quantifier_range
 
@@ -316,6 +317,15 @@ class _Operators:
         if space is None:
             space = self.spaces[level] = TupleSpace(self.base_size, level)
         return space
+
+    def lift(self, low: int, high: int) -> tuple:
+        """The doubling shifts that lift a value at level `low` to level
+        `high`, made on first use."""
+        shifts = self.lifts.get((low, high))
+        if shifts is None:
+            u = self.base_size
+            shifts = self.lifts[low, high] = doubling_shifts(u**low, u ** (high - low))
+        return shifts
 
     def function(self, op):
         f = self.functions.get(op)
@@ -332,8 +342,7 @@ class _Operators:
         f = boolean(name, self.space(level).full_mask)
         if left == right:
             return f
-        size = self.space(min(left, right)).size
-        shifts = doubling_shifts(size, self.space(level).size // size)
+        shifts = self.lift(min(left, right), level)
 
         def lift(x):
             for shift in shifts:
@@ -396,7 +405,12 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     )
     rel_holds = model.rel_holds
     section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
-    return last[1](env, rel_holds, domain, section, _domain_mask(domain))
+    if (type(domain) is range and domain.step == 1
+            and 0 <= domain.start <= domain.stop <= _MAX_DOMAIN_BITS):
+        mask = (1 << domain.stop) - (1 << domain.start)
+    else:
+        mask = _domain_mask(domain)
+    return last[1](env, rel_holds, domain, section, mask)
 
 
 # The formula of the last call of holds, and its program: a scan that asks
@@ -412,12 +426,10 @@ _MAX_DOMAIN_BITS = 1 << 20
 
 
 def _domain_mask(domain) -> int | None:
-    """The bits of the values of `domain`, or None when it is not a range,
-    list, tuple or set of ints in [0, _MAX_DOMAIN_BITS)."""
-    if type(domain) is range:
-        if domain.step == 1 and 0 <= domain.start <= domain.stop <= _MAX_DOMAIN_BITS:
-            return (1 << domain.stop) - (1 << domain.start)
-        return None
+    """The bits of the values of `domain`, or None when it is not a list,
+    tuple or set of ints in [0, _MAX_DOMAIN_BITS).  holds makes the mask of
+    a range with step 1 in [0, _MAX_DOMAIN_BITS] itself; any other range
+    is looped over."""
     if type(domain) not in (list, tuple, set, frozenset):
         return None
     mask = 0

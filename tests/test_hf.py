@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import permutations
 
@@ -19,7 +20,17 @@ from baokit import (
     quasiprojection_relations,
     satisfaction_set,
 )
-from baokit.hf import code_rank, exp_value, is_ordinal, prod_value, sum_value, tower
+from baokit.hf import (
+    MAX_ORDINAL,
+    OrdinalReport,
+    _is_zero_or_successor,
+    code_rank,
+    exp_value,
+    is_ordinal,
+    prod_value,
+    sum_value,
+    tower,
+)
 from baokit.library import formula_library
 
 
@@ -195,6 +206,62 @@ def test_ordinal_oracles_examples():
     not_transitive = HFSet.from_members([HFSet.from_members([HFSet(0)])])
     assert not ordinal_oracles(not_transitive).is_ord
     assert ordinal_oracles(HFSet(0)).value == 0
+
+
+def ordinal_report_by_keywords(x: HFSet) -> OrdinalReport:
+    """The construction ordinal_oracles had before it shared the report of
+    every non-ordinal, kept as its oracle: a new report for each set."""
+    ord_ok = is_ordinal(x)
+    ford_ok = ord_ok and all(
+        _is_zero_or_successor(m) for m in x.member_codes()
+    )
+    return OrdinalReport(
+        is_ord=ord_ok,
+        is_ford=ford_ok,
+        value=len(x) if ord_ok else None,
+    )
+
+
+def fields(report: OrdinalReport) -> tuple:
+    """The fields of a report with their types, so that 1 is not True."""
+    values = (report.is_ord, report.is_ford, report.value)
+    return values, tuple(type(value) for value in values)
+
+
+def test_ordinal_oracles_match_the_keyword_reports_on_every_rank_4_code():
+    shared = OrdinalReport(False, False, None)
+    not_ordinal = set()  # the ids of the non-ordinal reports
+    for code in range(2**16):
+        got = ordinal_oracles(HFSet(code))
+        assert fields(got) == fields(ordinal_report_by_keywords(HFSet(code))), code
+        if not got.is_ord:
+            assert got == shared, code
+            not_ordinal.add(id(got))
+    assert len(not_ordinal) == 1  # one report, shared
+    for k in range(MAX_ORDINAL + 1):  # past rank 4 too
+        x = ordinal_hf(k)
+        assert fields(ordinal_oracles(x)) == fields(ordinal_report_by_keywords(x)), k
+
+
+def test_ordinal_reports_are_immutable():
+    for report in (ordinal_oracles(HFSet(2)), ordinal_oracles(ordinal_hf(3))):
+        for name, value in (("is_ord", True), ("is_ford", False), ("value", 7)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, value)
+    assert ordinal_oracles(HFSet(2)) == OrdinalReport(False, False, None)
+    assert ordinal_oracles(ordinal_hf(3)) == OrdinalReport(True, True, 3)
+
+
+def test_arith_oracles_on_ordinals_0_to_5():
+    def settle(value):
+        return ordinal_hf(value) if value <= MAX_ORDINAL else None
+
+    for a in range(MAX_ORDINAL + 1):
+        for b in range(MAX_ORDINAL + 1):
+            report = arith_oracles(ordinal_hf(a), ordinal_hf(b))
+            assert (report.sum, report.prod, report.exp) == (
+                settle(a + b), settle(a * b), settle(a**b)
+            ), (a, b)
 
 
 def is_ordinal_by_member_pairs(x: HFSet) -> bool:

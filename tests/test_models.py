@@ -32,7 +32,8 @@ from baokit.compiler import compiler_agrees
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
 from baokit.hf import HFUniverse
 from baokit.library import formula_library
-from baokit.models import _plan, satisfaction_bits
+import baokit.models
+from baokit.models import _domain_mask, _plan, satisfaction_bits
 from baokit.terms import Layout
 from baokit.translate import tr, tr_equivalent_on
 from baokit.window import WindowModel, window_satisfaction
@@ -501,6 +502,45 @@ def test_walk_matches_the_walker_on_guarded_nested_quantifiers():
     assert len(walked) == len(models)
 
 
+def test_a_range_domain_gives_what_the_list_of_its_values_gives(monkeypatch):
+    """holds makes the mask of a range with step 1 in [0, 2**20] itself,
+    and asks _domain_mask for the mask of a list or of any other range,
+    which it finds none for, so that range is looped over.  Each range
+    gives the results and errors of the list of its values, on the models
+    and formulas of the walk test above."""
+    asked = []
+
+    def spy(domain):
+        mask = _domain_mask(domain)
+        if type(domain) is range:
+            asked.append((domain, mask))
+        return mask
+
+    monkeypatch.setattr("baokit.models._domain_mask", spy)
+    tables = list(table_models())
+    bare = SimpleNamespace(carrier_size=3, rel_holds=tables[-1].rel_holds)  # no section
+    formulas = list(guarded_formulas())
+    for model in tables + [bare, TruthModel()]:
+        u = model.carrier_size
+        ranges = [range(0, k) for k in range(u + 1)]
+        for domain in ranges + [range(1, 3), range(2, 2), range(0, 4, 2), range(-1, 2)]:
+            for f in formulas:
+                for v1 in range(u):
+                    got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
+                    values = list(domain)
+                    want = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=values))
+                    assert got == want, (f, model, domain, v1)
+    assert {domain for domain, _ in asked} == {range(0, 4, 2), range(-1, 2)}
+    # past 2**20 values: the loop, which stops at the first value
+    asked.clear()
+    first_value = parse_formula("ex v0 R(v0,v1)")
+    model = ModelFinite(range(3), {"R": [(0, 0), (0, 1), (0, 2)]})
+    for v1 in range(3):
+        assert holds(model, first_value, {1: v1}, quantifier_domain=range(2**20 + 1)) is True
+    assert [domain for domain, _ in asked] == [range(2**20 + 1)] * 3
+    assert {mask for _, mask in asked} == {None}
+
+
 class CountingUniverse(HFUniverse):
     """A set universe that counts its rel_holds and section calls."""
 
@@ -859,6 +899,23 @@ def test_a_ranged_plan_is_bound_on_each_call(monkeypatch):
     for _ in range(3):
         assert satisfaction_set(model, g, 2).bits == want
     assert keys == [None, None, (3,)]
+
+
+def test_a_warm_satisfaction_set_makes_no_space_and_no_shifts(monkeypatch):
+    """The result's space and the root's lift come from the whole-base
+    table, made at the first call on (u, n, plan level)."""
+    f = parse_formula("ex v1 (R(v0,v1) & v2 = v0)")
+    model = order_model(3)
+    first = satisfaction_set(model, f, 4)
+    made = []
+    for name in ("TupleSpace", "doubling_shifts"):
+        real = getattr(baokit.models, name)
+        counted = lambda *args, real=real: made.append(args) or real(*args)  # noqa: E731
+        monkeypatch.setattr(baokit.models, name, counted)
+    again = satisfaction_set(model, f, 4)
+    assert again == first and again.space is first.space
+    assert again.bits == fw.satisfaction_set_bits(model, f, 4)
+    assert made == []
 
 
 def test_no_cache_keeps_a_model_or_pins_a_formula_in_a_model():

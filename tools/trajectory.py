@@ -1,6 +1,6 @@
 """Measure a change against its parent and write a BENCH_<n>.json.
 
-    python3 tools/trajectory.py --parent ../parent-checkout --out BENCH_22.json
+    python3 tools/trajectory.py --parent ../parent-checkout --out BENCH_23.json
 
 Run from the repository root.  The parent is a second checkout of the
 parent commit (made with `git clone` or `git archive`).  For each tree the
@@ -12,8 +12,8 @@ script records:
   tree (perfbench is used as it is; the two trees alternate, and so does
   which of them runs first for a seed);
 - the median wall time, over --repeats process runs, of each command in
-  COMMANDS: `corpus-check` and `translate` at their default flags, and the
-  two window runs of CI's "CLI exit codes" step;
+  COMMANDS: `corpus-check`, `translate` and `arith` at their default
+  flags, and the two window runs of CI's "CLI exit codes" step;
 - src_lines, the line count of src/baokit/*.py.
 
 It then prints before and after medians, and marks as noise a difference
@@ -34,6 +34,7 @@ METRICS = ("work_ref", "warmup_ref", "setup_s", "peak_rss_mb")
 COMMANDS = (
     ("--json", "corpus-check"),
     ("--json", "translate"),
+    ("--json", "arith"),
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
 )
