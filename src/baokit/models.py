@@ -11,7 +11,7 @@ k coordinates, and the root is lifted to the whole space at the end.  The
 leaf hook is asked for each atom and diagonal over the TupleSpace of its
 level; a ModelFinite, read as immutable, keeps them and its sections.
 The window module runs the evaluator too, with its own leaves and a run of
-values for each quantifier depth, bound on each call.
+values for each quantifier depth, bound on each call to a kept table.
 holds evaluates one assignment (compiled once per formula to a Python
 function) and accepts an optional quantifier domain, which relativizes
 every quantifier to a subset of the carrier (free variables may still take
@@ -154,7 +154,7 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     top = max_var_index(f)
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
-    space = _whole_base(model.carrier_size).space(n)
+    space = operator_table(model.carrier_size, None).space(n)
     leaves = model._leaves
 
     def leaf(g, level: TupleSpace) -> int:  # kept on the model, made on first use
@@ -173,24 +173,21 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
     """The bits of the satisfaction set of `f` over `space`.
 
     `f` runs as its plan (see `_plan`), laid out once per formula and bound
-    once per base size, or on each call when ranged.  Each step runs at its
-    level k, on the tuples of TupleSpace(u, k), and the root is lifted to
-    the whole space at the end.  `leaf(g, level)` gives the bits of each of
-    the plan's inputs over `level`, the TupleSpace of its level: each
-    distinct atom g, and each distinct diagonal, an Eq g with g.left <=
-    g.right.  A quantifier on v ranges over the whole base, or, when
-    `quantifier_range(depth, v)` is given, over the run of base values it
-    returns, which must not be empty, where depth counts the quantifier's
-    nesting from the root (outermost 1): the relativized ex v phi is
-    c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the tuples
-    whose v lies in the run.
+    once per base size, or on each call when ranged (see `operator_table`).
+    Each step runs at its level k, on the tuples of TupleSpace(u, k), and
+    the root is lifted to the whole space at the end.  `leaf(g, level)`
+    gives the bits of each of the plan's inputs over `level`, the TupleSpace
+    of its level: each distinct atom g, and each distinct diagonal, an Eq g
+    with g.left <= g.right.  A quantifier on v ranges over the whole base,
+    or, when `quantifier_range(depth, v)` is given, over the run of base
+    values it returns, which must not be empty, where depth counts the
+    quantifier's nesting from the root (outermost 1): the relativized ex v
+    phi is c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the
+    tuples whose v lies in the run.
     """
     plan = _plan(f, quantifier_range is not None)
     space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
-    if quantifier_range is None:
-        operators = _whole_base(space.base_size)
-    else:
-        operators = _Operators(space.base_size, quantifier_range)
+    operators = operator_table(space.base_size, quantifier_range)
     inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
     bits = plan.run(plan.binding(operators), inputs)
     for shift in operators.lift(plan.level, space.dimension):  # to the whole space
@@ -286,11 +283,12 @@ def _plan(f: Formula, ranged: bool) -> _Plan:
 
 
 @lru_cache(maxsize=16)
-def _whole_base(base_size: int) -> "_Operators":
-    """The operators of plans whose quantifiers range over the whole base,
-    shared by every call on that base size; the tables of the 16 sizes used
-    last are kept, with their spaces and lifts, which results use too."""
-    return _Operators(base_size, None)
+def operator_table(base_size: int, quantifier_range) -> "_Operators":
+    """The operators of plans over base size u whose quantifiers range over
+    the whole base (None) or over the runs `quantifier_range` gives, shared
+    by every call with an equal (u, range); the 16 tables used last are
+    kept, with their spaces, lifts and kernels, which results use too."""
+    return _Operators(base_size, quantifier_range)
 
 
 class _Operators:
@@ -301,7 +299,7 @@ class _Operators:
     is the top coordinate of its body, the fold of v onto the result's
     level.  Each function, space and lift is made on first use and kept.
     A plan keeps its binding under the key (u,) of a whole-base table; a
-    ranged one, made on each call, has none."""
+    ranged one has none, so a plan is bound to it on each call."""
 
     def __init__(self, base_size: int, quantifier_range):
         self.base_size = base_size

@@ -8,14 +8,15 @@ O(log u) big-integer shifts.  Cylindrification folds its coordinate onto
 digit 0 and spreads the result back by doubling; the top coordinate,
 whose values are contiguous blocks, is folded by halving, each step on
 half the bits of the one before.  The diagonal d_ij and the strict order
-s_a < s_b grow by doubling from a seed over their own coordinates, the
-ones up to the higher of the two, and are replicated along the
-coordinates above it last, so only their last steps work at full width.
+s_a < s_b, for a below b and for a above it alike, grow by doubling from
+a seed over their own coordinates, the ones up to the higher of the two,
+and are replicated along the coordinates above it last, so only their
+last steps work at full width; neither order is built from the other.
 Substitution is c_i(d_ij . x) and reuses both.  `cylinder` gives the
 raw-int kernel of cylindrification, relativized to a run of values of its
 coordinate, `fold_top` the same fold of the last coordinate onto a space
-of lower dimension, with nothing spread back, and `strictly_below` the
-order atom s_a < s_b.
+of lower dimension, with nothing spread back, `strictly_below` the
+order atom s_a < s_b, and `diagonal_at` the diagonal at chosen values.
 
 RelationAlgebra plays the same role for binary relations on a base set,
 with composition, converse and the identity relation.  Both are
@@ -62,22 +63,29 @@ def _above(space: "TupleSpace", bits: int, coord: int) -> int:
     return _replicate(bits, block, space.size // block)
 
 
+def space_size(base_size: int, dimension: int) -> int:
+    """u**n, the size of TupleSpace(u, n), which is built only if this
+    raises neither ValueError nor, past the budget, CapacityError."""
+    if base_size < 1 or dimension < 1:
+        raise ValueError("base size and dimension must both be at least 1")
+    # a huge n fails before u**n (or, for u = 1, a list of n entries) is built
+    too_big = dimension > (MAX_SPACE_BITS.bit_length() if base_size > 1 else MAX_SPACE_BITS)
+    size = None if too_big else base_size**dimension
+    if too_big or size > MAX_SPACE_BITS:
+        raise CapacityError(
+            f"space of {base_size}**{dimension} tuples exceeds the "
+            f"2**24-bit desk-scale budget"
+        )
+    return size
+
+
 class TupleSpace:
     """The set of all dimension-n tuples over a base {0, ..., u-1}."""
 
     __slots__ = ("base_size", "dimension", "size", "full_mask", "_digit_zero")
 
     def __init__(self, base_size: int, dimension: int):
-        if base_size < 1 or dimension < 1:
-            raise ValueError("base size and dimension must both be at least 1")
-        # a huge n fails before u**n (or, for u = 1, a list of n entries) is built
-        too_big = dimension > (MAX_SPACE_BITS.bit_length() if base_size > 1 else MAX_SPACE_BITS)
-        size = None if too_big else base_size**dimension
-        if too_big or size > MAX_SPACE_BITS:
-            raise CapacityError(
-                f"space of {base_size}**{dimension} tuples exceeds the "
-                f"2**24-bit desk-scale budget"
-            )
+        size = space_size(base_size, dimension)
         self.base_size = base_size
         self.dimension = dimension
         self.size = size
@@ -340,23 +348,39 @@ def cyl(coord: int, x: Element) -> Element:
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
-    """The set of tuples whose coordinates i and j agree.
+    """The set of tuples whose coordinates i and j agree (see `diagonal_at`)."""
+    if i == j:
+        space.check_coord(i)
+        return Element(space, space.full_mask)
+    return Element(space, diagonal_at(space, i, j))
 
-    For i < j, the seed holds the tuples below coordinate j with coordinate
-    i at 0; u copies of it, one step of both coordinates apart, make the
-    diagonal up to coordinate j, which is replicated along those above.
+
+def diagonal_at(space: TupleSpace, i: int, j: int, values=None) -> int:
+    """Bits of {s : s_i = s_j = v for some v in `values`, or any v}.
+
+    With lo and hi the lower and higher of i, j, the seed holds the tuples
+    below coordinate hi with coordinate lo at 0 (for i == j, those below
+    it).  Copies of it one step of both coordinates apart, at each value or
+    u of them by doubling, make the pattern up to coordinate hi, which is
+    replicated along those above.
     """
     space.check_coord(i)
     space.check_coord(j)
-    if i == j:
-        return Element(space, space.full_mask)
-    if i > j:
-        i, j = j, i
-    u = space.base_size
-    stride_i, stride_j = space.stride(i), space.stride(j)
-    block = stride_i * u
-    seed = _replicate((1 << stride_i) - 1, block, stride_j // block)
-    return Element(space, _above(space, _replicate(seed, stride_i + stride_j, u), j))
+    lo, hi = min(i, j), max(i, j)
+    u, stride_lo, stride_hi = space.base_size, space.stride(lo), space.stride(hi)
+    if lo == hi:
+        seed, step = (1 << stride_lo) - 1, stride_lo
+    else:
+        block = stride_lo * u
+        seed, step = _replicate((1 << stride_lo) - 1, block, stride_hi // block), stride_lo + stride_hi
+    if values is None:
+        return _above(space, _replicate(seed, step, u), hi)
+    bits = 0
+    for v in values:
+        if not 0 <= v < u:
+            raise ValueError(f"coordinate value {v} outside base {u}")
+        bits |= seed << v * step
+    return _above(space, bits, hi)
 
 
 def relation_bits(space: TupleSpace, coords, rows) -> int:
@@ -394,29 +418,30 @@ def relation_bits(space: TupleSpace, coords, rows) -> int:
 def strictly_below(space: TupleSpace, a: int, b: int) -> int:
     """Bits of {s : s_a < s_b} (none when a == b).
 
-    For a < b, the seed y holds the tuples below coordinate b with every
-    coordinate up to a at 0.  At value v of b, the tuples with s_a < v are
-    2**(v * stride_b) * y * (2**(v * stride_a) - 1): y's runs of the
-    coordinates below a, cut short of value v of a.  Summed over v, that
-    is u copies of y one step of both coordinates apart, less u copies one
-    step of b apart; the terms hold distinct positions, so the subtraction
-    borrows across none.  The result is replicated along the coordinates
-    above b.  For a > b they are the tuples neither below nor on the
-    diagonal.
+    The seed y holds the tuples below coordinate hi = max(a, b) with every
+    coordinate up to lo = min(a, b) at 0.  At value v of hi, the order is
+    2**(v * stride_hi) * y * t_v: y's runs below lo, cut to the values of
+    lo under v for a < b, t_v = 2**(v * stride_lo) - 1, or above v for
+    a > b, t_v = 2**(u * stride_lo) - 2**((v + 1) * stride_lo).  Summed over
+    v, each is u copies of y less u others; the terms hold distinct
+    positions, so the subtraction borrows across none.  The result is
+    replicated along the coordinates above hi.
     """
+    lo, hi = min(a, b), max(a, b)
+    space.check_coord(lo)
+    space.check_coord(hi)
     if a == b:
-        space.check_coord(a)
         return 0
-    if a > b:
-        return space.full_mask ^ strictly_below(space, b, a) ^ diag(space, a, b).bits
-    space.check_coord(a)
-    space.check_coord(b)
     u = space.base_size
-    stride_a, stride_b = space.stride(a), space.stride(b)
-    block = stride_a * u
-    y = _replicate(1, block, stride_b // block)
-    bits = _replicate(y, stride_a + stride_b, u) - _replicate(y, stride_b, u)
-    return _above(space, bits, b)
+    stride_lo, stride_hi = space.stride(lo), space.stride(hi)
+    block = stride_lo * u
+    y = _replicate(1, block, stride_hi // block)
+    both = _replicate(y, stride_lo + stride_hi, u)
+    if a < b:
+        bits = both - _replicate(y, stride_hi, u)
+    else:
+        bits = _replicate(y << block, stride_hi, u) - (both << stride_lo)
+    return _above(space, bits, hi)
 
 
 def subst(i: int, j: int, x: Element) -> Element:

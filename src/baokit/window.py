@@ -17,11 +17,12 @@ places once per formula, so a step of models' satisfaction plan that
 reads a third variable only there runs a level lower (see models).
 Evaluation runs that plan with one leaf hook, which gives these atoms and
 the diagonals over the space of their level, and, for each quantifier
-depth, the run of values its variable may take.  Each unordered pair of
-coordinates costs one strict-order atom (spaces.strictly_below, which
-builds no diagonal) and, when the other order or an `Eq` leaf asks for
-it, one diagonal, both kept for the call: the other order is what is
-neither below nor equal.
+depth, the run of values its variable may take.  Each leaf grows from
+seeds over its own coordinates: an order atom is the strict order
+(spaces.strictly_below, either way round) ORed with the diagonal at the
+fixed points (spaces.diagonal_at), and an `Eq` leaf is the diagonal.  The
+runs are one value per radius and margin, so the operator table of each
+radius, kernels and all, is kept between calls (see models).
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +41,8 @@ from .formulas import (
     quantifier_depth,
 )
 from .library import close_universally
-from .models import satisfaction_bits
-from .spaces import Element, TupleSpace, diag, strictly_below
+from .models import operator_table, satisfaction_bits
+from .spaces import Element, TupleSpace, diag, diagonal_at, space_size, strictly_below
 
 
 @dataclass(frozen=True)
@@ -82,45 +83,25 @@ class WindowReport:
     )
 
 
-def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int,
-              known: dict) -> int:
-    """Bits of the assignments s with s_a related to s_b.  `known` keeps the
-    strict order atoms and the diagonals of the space (see `_below`)."""
-    if a == b:
-        bits = 0
-        for c in model.fixed:
-            bits |= space.digit_mask(a, c + radius)
-        return bits
-    bits = _below(space, a, b, known)
-    for c in model.fixed:
-        bits |= space.digit_mask(a, c + radius) & space.digit_mask(b, c + radius)
-    return bits
+def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int) -> int:
+    """Bits of the assignments s with s_a related to s_b: the strict order
+    and, at the fixed points, s_a = s_b."""
+    points = [c + radius for c in model.fixed]
+    return strictly_below(space, a, b) | diagonal_at(space, a, b, points)
 
 
-def _below(space: TupleSpace, a: int, b: int, known: dict) -> int:
-    """Bits of {s : s_a < s_b} for a != b, built once per unordered pair
-    and kept in `known` under ("<", a, b) with a < b: for a > b they are
-    the tuples neither below nor on the diagonal."""
-    if a > b:
-        return space.full_mask ^ _below(space, b, a, known) ^ _diagonal(space, a, b, known)
-    bits = known.get(("<", a, b))
-    if bits is None:
-        bits = known[("<", a, b)] = strictly_below(space, a, b)
-    return bits
+@dataclass(frozen=True)
+class _Reach:
+    """The run of values, as indices, of a quantifier at depth k in the
+    window of this radius: the points within radius - k*margin of 0.  It
+    is a value, so models keeps an operator table per radius and margin."""
 
+    radius: int
+    margin: int
 
-def _diagonal(space: TupleSpace, i: int, j: int, known: dict) -> int:
-    """Bits of diag(i, j), kept in `known` under ("=", min, max) of i, j."""
-    key = ("=", i, j) if i <= j else ("=", j, i)
-    bits = known.get(key)
-    if bits is None:
-        bits = known[key] = diag(space, i, j).bits
-    return bits
-
-
-def _window_space(f: Formula, radius: int) -> TupleSpace:
-    """The assignment space at one radius; raises CapacityError past the budget."""
-    return TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
+    def __call__(self, depth: int, var: int) -> range:
+        reach = self.radius - depth * self.margin
+        return range(self.radius - reach, self.radius + reach + 1)
 
 
 @lru_cache(maxsize=None)
@@ -155,20 +136,15 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
         raise PreconditionError(
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
-    space = _window_space(f, radius)
-    known: dict[int, dict] = {}  # by level: its order atoms and diagonals
+    reach = _Reach(radius, model.margin)
+    space = operator_table(2 * radius + 1, reach).space(max(max_var_index(f) + 1, 1))
 
     def leaf(g, level: TupleSpace) -> int:
-        kept = known.setdefault(level.dimension, {})
         if isinstance(g, Eq):
-            return _diagonal(level, g.left, g.right, kept)
-        return _relation(level, model, radius, g.args[0], g.args[1], kept)
+            return diag(level, g.left, g.right).bits
+        return _relation(level, model, radius, g.args[0], g.args[1])
 
-    def allowed(depth_now: int, var: int) -> range:
-        reach = radius - depth_now * model.margin
-        return range(radius - reach, radius + reach + 1)  # as indices
-
-    return Element(space, satisfaction_bits(space, pairs, leaf, allowed))
+    return Element(space, satisfaction_bits(space, pairs, leaf, reach))
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
@@ -180,8 +156,8 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     closed = close_universally(f)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
-    _pairs_read(closed)  # fail on an atom the order cannot read,
-    _window_space(closed, max(radii))  # and on capacity, before any work
+    _pairs_read(closed)  # fail on an atom the order cannot read, and on capacity,
+    space_size(2 * max(radii) + 1, max(max_var_index(closed) + 1, 1))  # before any work
     by_radius = {}
     for r in radii:
         sat = window_satisfaction(model, closed, r)

@@ -5,9 +5,12 @@ coordinates.
 Here the diagonal ANDs two full-width digit-zero masks and replicates the
 result u times, the strict order doubles along coordinate b from that
 diagonal, and every fold, of the top coordinate too, ORs in right-shifted
-copies of the whole bitset.
+copies of the whole bitset.  `derived_order` is the strict order s_a < s_b
+for a > b as it was derived from the other order and the diagonal, before
+it grew from its own seed.
 """
 
+from baokit import spaces
 from baokit.spaces import Element, TupleSpace, _check_run, _replicate, doubling_shifts
 
 
@@ -45,6 +48,15 @@ def strictly_below(space: TupleSpace, a: int, b: int) -> int:
         top |= top >> gap * stride  # past the last round, no longer used
         gap *= 2
     return bits
+
+
+def derived_order(space: TupleSpace, a: int, b: int) -> int:
+    """Bits of {s : s_a < s_b} for a > b: the tuples neither below the
+    other way round nor on the diagonal, from the seed-grown builders of
+    `baokit.spaces`."""
+    if a <= b:
+        raise ValueError("derived_order is the order for a > b")
+    return space.full_mask ^ spaces.strictly_below(space, b, a) ^ spaces.diag(space, a, b).bits
 
 
 def _folding(space: TupleSpace, coord: int, values: range | None) -> tuple[int, tuple]:

@@ -281,6 +281,10 @@ GOLDEN = {  # output of the value-level path, before algebras computed on ints
     "pairing.json": ["pairing"],
     "translate.json": ["translate"],
     "corpus_check.json": ["corpus-check"],
+    # output before the order s_a < s_b with a > b grew from its own seed
+    "atoms_u3_n3_ca_less10.json": ["atoms", "--u", "3", "--n", "3", "--kind", "CA",
+                                   "--gens", "less:1,0", "--cap", "134217728"],
+    "window_ax.json": ["window", "--formula", "ax"],
 }
 GOLDEN_EXIT = {"window_suc_w8.json": 2}  # the margin budget: no output
 

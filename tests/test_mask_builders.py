@@ -1,14 +1,16 @@
 """Differential tests of the `spaces` mask builders against the full-width
 doubling loops they replaced (tests/doubling_kernels.py): the diagonal and
-the strict order grown from a seed over their own coordinates, and the top
-coordinate folded by halving."""
+the strict order, either way round, grown from a seed over their own
+coordinates, and the top coordinate folded by halving.  The order for
+a > b is also checked against its derivation from the other order and the
+diagonal, and the diagonal at chosen values against the diagonal."""
 
 import random
 
 import pytest
 
 import doubling_kernels as full_width
-from baokit.spaces import TupleSpace, cylinder, diag, fold_top, strictly_below
+from baokit.spaces import TupleSpace, cylinder, diag, diagonal_at, fold_top, strictly_below
 
 SMALL = [(u, n) for u in range(1, 10) for n in range(1, 5)]
 WIDE = [(16, 5), (65, 3), (129, 3)]
@@ -17,6 +19,14 @@ WIDE = [(16, 5), (65, 3), (129, 3)]
 def _runs(u: int):
     """The whole base (None) and every nonempty run of base values."""
     return [None] + [range(a, b) for a in range(u) for b in range(a + 1, u + 1)]
+
+
+def cut(space: TupleSpace, coord: int, values) -> int:
+    """The tuples whose coordinate `coord` is one of `values`."""
+    bits = 0
+    for v in values:
+        bits |= space.digit_mask(coord, v)
+    return bits
 
 
 def _values(space: TupleSpace, rng: random.Random, count: int = 3) -> list[int]:
@@ -30,6 +40,12 @@ def test_diagonals_and_orders_match_the_doubling_loops(u, n):
         for j in range(n):
             assert diag(space, i, j) == full_width.diag(space, i, j), (i, j)
             assert strictly_below(space, i, j) == full_width.strictly_below(space, i, j), (i, j)
+            if i > j:
+                assert strictly_below(space, i, j) == full_width.derived_order(space, i, j)
+            values = range(u)
+            assert diagonal_at(space, i, j, values) == diag(space, i, j).bits & cut(space, i, values)
+            values = range(0, u, 2)
+            assert diagonal_at(space, i, j, values) == diag(space, i, j).bits & cut(space, i, values)
 
 
 @pytest.mark.parametrize("u, n", SMALL)
@@ -58,6 +74,8 @@ def test_wide_masks_match_the_doubling_loops(u, n):
             if i != j:
                 assert diag(space, i, j) == full_width.diag(space, i, j), (i, j)
                 assert strictly_below(space, i, j) == full_width.strictly_below(space, i, j)
+            if i > j:
+                assert strictly_below(space, i, j) == full_width.derived_order(space, i, j)
     for coord in range(n):
         for values in (None, range(0, 1), range(u // 3, u - 2), range(u - 1, u)):
             got, want = cylinder(space, coord, values), full_width.cylinder(space, coord, values)

@@ -19,11 +19,11 @@ from baokit import (
     parse_formula,
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
-from baokit.formulas import free_vars, quantifier_depth
+from baokit.formulas import free_vars, max_var_index, quantifier_depth
 from baokit.library import close_universally, formula_library
 from baokit.models import _plan, satisfaction_bits, satisfaction_set
 from baokit.spaces import relation_bits
-from baokit.window import _diagonal, _pairs_read, _relation, _window_space, window_satisfaction
+from baokit.window import _pairs_read, _relation, window_satisfaction
 
 VOCABULARY = Vocabulary.of(R=2, P=1, T=3, Z=0)
 
@@ -162,13 +162,12 @@ def test_the_window_reads_two_places_of_each_atom():
 
 def full_width_window(model: WindowModel, f, radius: int) -> int:
     """window_satisfaction on the full-width plan, atoms R(a, b, c) kept."""
-    space = _window_space(f, radius)
-    known: dict = {}
+    space = TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
 
     def leaf(g) -> int:
         if isinstance(g, Eq):
-            return _diagonal(space, g.left, g.right, known)
-        return _relation(space, model, radius, g.args[0], g.args[1], known)
+            return diag(space, g.left, g.right).bits
+        return _relation(space, model, radius, g.args[0], g.args[1])
 
     def allowed(depth_now, var):
         reach = radius - depth_now * model.margin

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import baokit.models
+import full_width_plan as fw
 from baokit import (
+    CapacityError,
     Element,
     ModelFinite,
     PreconditionError,
@@ -227,7 +230,7 @@ def relation_by_value_loop(space, model, radius, a, b):
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order_atoms_match_value_loop(radius, n):
     space = TupleSpace(2 * radius + 1, n)
     inner = range(-radius + 1, radius)  # the margin-1 interval
@@ -235,7 +238,7 @@ def test_order_atoms_match_value_loop(radius, n):
         model = WindowModel(radius, 1, fixed)
         for a in range(n):
             for b in range(n):
-                got = _relation(space, model, radius, a, b, {})
+                got = _relation(space, model, radius, a, b)
                 want = relation_by_value_loop(space, model, radius, a, b)
                 assert got == want, (fixed, a, b)
 
@@ -256,14 +259,32 @@ def test_order_atoms_match_value_loop_at_radius_16():
     space, model = TupleSpace(33, 3), WindowModel(16, 2, (0, 5))
     for a in range(3):
         for b in range(3):
-            got = _relation(space, model, 16, a, b, {})
+            got = _relation(space, model, 16, a, b)
             assert got == relation_by_value_loop(space, model, 16, a, b), (a, b)
 
 
+def test_order_atoms_match_value_loop_at_radius_64():
+    space, model = TupleSpace(129, 3), WindowModel(64, 2, (0, 5))
+    for a in range(3):
+        for b in range(3):
+            got = _relation(space, model, 64, a, b)
+            assert got == relation_by_value_loop(space, model, 64, a, b), (a, b)
+
+
+def test_a_fixed_point_outside_a_narrower_radius_is_refused():
+    """The fixed point 7 is the value 11 of a radius-4 window's base of 9,
+    refused with the error `TupleSpace.digit_mask` gives for it."""
+    model = WindowModel(8, 1, (7,))
+    for text in ("R(v0,v1)", "R(v1,v1)"):
+        with pytest.raises(ValueError, match=r"^coordinate value 11 outside base 9$"):
+            window_satisfaction(model, parse_formula(text), 4)
+
+
 def test_one_call_builds_each_diagonal_once(monkeypatch):
-    """Each radius builds each diagonal once: the derived order s_b < s_a
-    and the Eq leaves on one pair share it, and the strict order s_a < s_b
-    builds none.  `ax` asks for each of its three pairs both ways."""
+    """Each radius builds each diagonal once, for the Eq leaves only: each
+    order atom, either way round, grows from its own seed, and the pattern
+    of its fixed points is no diagonal.  `ax` asks for each of its three
+    pairs both ways."""
     import baokit.spaces
     import baokit.window
 
@@ -275,11 +296,66 @@ def test_one_call_builds_each_diagonal_once(monkeypatch):
         return original(space, i, j)
 
     monkeypatch.setattr(baokit.window, "diag", counting)
-    monkeypatch.setattr(baokit.spaces, "diag", counting)  # strictly_below's, if any
+    monkeypatch.setattr(baokit.spaces, "diag", counting)  # the builders', if any
     report = eval_window(WindowModel(8, 1, (0,)), formula_library()["ax"].formula)
     assert report.value and report.stable
     assert sorted(built) == [(2 * r + 1, i, j) for r in (8, 16, 32)
                              for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def full_width_window(model: WindowModel, f, radius: int) -> int:
+    """window_satisfaction of a closed f on the full-width plan, with the
+    order atoms of the value loop."""
+    space = TupleSpace(2 * radius + 1, max(max_var_index(f) + 1, 1))
+
+    def leaf(g) -> int:
+        if isinstance(g, Eq):
+            return diag(space, g.left, g.right).bits
+        return relation_by_value_loop(space, model, radius, g.args[0], g.args[1])
+
+    def allowed(depth, var):
+        reach = radius - depth * model.margin
+        return range(radius - reach, radius + reach + 1)
+
+    return fw.satisfaction_bits(space, f, leaf, allowed)
+
+
+def test_a_window_keeps_its_operator_tables_per_radius_and_margin(monkeypatch):
+    """The ranged table of each radius is made at the first call on its
+    radius and margin and kept: a second eval_window on the same radii and
+    margin, with other fixed points, makes none, and another margin gets
+    its own."""
+    made = []
+    real = baokit.models._Operators
+    monkeypatch.setattr(baokit.models, "_Operators",
+                        lambda u, reach: made.append((u, reach.radius, reach.margin)) or real(u, reach))
+    baokit.models.operator_table.cache_clear()
+    eta = close_universally(formula_library()["eta"].formula)  # depth 7
+    radii = (15, 18)
+    for margin, fixed, new in ((2, (0, 5), radii), (2, (0,), ()), (1, (0, 5), radii)):
+        model = WindowModel(15, margin, fixed)
+        before = len(made)
+        report = eval_window(model, eta, radii)
+        assert made[before:] == [(2 * r + 1, r, margin) for r in new]
+        for radius in radii:
+            sat = window_satisfaction(model, eta, radius)
+            assert sat.bits == full_width_window(model, eta, radius), (margin, radius)
+            assert report.by_radius[radius] == sat.is_full()
+    assert len(made) == 4
+
+
+def test_the_capacity_check_builds_no_space(monkeypatch):
+    """eval_window checks the largest radius's space by its size, with the
+    text TupleSpace raises, after the atoms are checked."""
+    with pytest.raises(CapacityError) as want:
+        TupleSpace(2 * 2000 + 1, 3)
+    monkeypatch.setattr(TupleSpace, "__init__", lambda *args: pytest.fail("a space was built"))
+    eta = formula_library()["eta"].formula
+    with pytest.raises(CapacityError) as got:
+        eval_window(WindowModel(500, 2, (0,)), eta)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(PreconditionError):
+        eval_window(WindowModel(500, 2, (0,)), Exists(0, Atom("R", (0,))))
 
 
 def test_atoms_with_fewer_than_two_places_are_refused_before_any_work():

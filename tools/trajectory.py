@@ -12,9 +12,14 @@ script records:
   tree (perfbench is used as it is; the two trees alternate, and so does
   which of them runs first for a seed);
 - the median wall time, over --repeats process runs, of each command in
-  COMMANDS: `corpus-check`, `translate` and `arith` at their default
-  flags, and the two window runs of CI's "CLI exit codes" step;
-- src_lines, the line count of src/baokit/*.py.
+  COMMANDS: `corpus-check`, `translate`, `arith` and `window` at their
+  default flags, `window --fixed 0,5`, and the two window runs of CI's
+  "CLI exit codes" step;
+- src_lines, the line count of src/baokit/*.py;
+- the tree's identity: `commit`, its HEAD commit (the parent's commit for
+  a change measured before it is committed), `dirty`, whether the tree
+  differs from that commit, and `src_sha256`, a sha256 over the names and
+  bytes of its src/baokit/*.py, which tells the measured code apart.
 
 It then prints before and after medians, and marks as noise a difference
 smaller than the IQR of either side.
@@ -22,6 +27,7 @@ smaller than the IQR of either side.
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import platform
@@ -35,6 +41,8 @@ COMMANDS = (
     ("--json", "corpus-check"),
     ("--json", "translate"),
     ("--json", "arith"),
+    ("--json", "window"),
+    ("--json", "window", "--fixed", "0,5"),
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
 )
@@ -46,12 +54,25 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "iqr": q3 - q1, "values": values}
 
 
-def commit_of(tree: str) -> str | None:
-    """The tree's commit, marked -dirty when it has uncommitted changes;
-    None outside git."""
-    run = subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
+def _git(tree: str, *args: str) -> str | None:
+    """The output of a git command in `tree`; None outside git."""
+    run = subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
     return run.stdout.strip() if run.returncode == 0 else None
+
+
+def identity(tree: str) -> dict:
+    """The tree's HEAD commit, whether it has changes against it (any path
+    that `git status` lists, untracked ones too), and src_sha256; commit
+    and dirty are None outside git."""
+    status = _git(tree, "status", "--porcelain")
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(tree, "src", "baokit", "*.py"))):
+        digest.update(os.path.basename(path).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read() + b"\0")
+    return {"commit": _git(tree, "rev-parse", "HEAD"),
+            "dirty": None if status is None else status != "",
+            "src_sha256": digest.hexdigest()}
 
 
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -105,7 +126,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
                 walls[label][" ".join(args)].append(wall_time(tree, args))
     return {
         label: {
-            "commit": commit_of(tree),
+            **identity(tree),
             "perfbench": {w: {m: summary(v) for m, v in by.items()}
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
