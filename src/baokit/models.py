@@ -299,7 +299,10 @@ class _Operators:
     is the top coordinate of its body, the fold of v onto the result's
     level.  Each function, space and lift is made on first use and kept.
     A plan keeps its binding under the key (u,) of a whole-base table; a
-    ranged one has none, so a plan is bound to it on each call."""
+    ranged one has none, so a plan is bound to it on each call.  `leaves`
+    is written by window's leaf hook, on ranged tables only: the bits of
+    each order and diagonal per level, keyed by ints alone, so that they
+    pin no formula or model and are bounded by pairs times levels."""
 
     def __init__(self, base_size: int, quantifier_range):
         self.base_size = base_size
@@ -307,6 +310,7 @@ class _Operators:
         self.spaces: dict = {}  # level -> TupleSpace(u, level)
         self.lifts: dict = {}  # (level, higher level) -> doubling shifts
         self.functions: dict = {}  # op -> its function
+        self.leaves: dict = {}  # ("<", a, b, level) or ("=", i, j, level) -> bits
         self.quantifier_range = quantifier_range
 
     def space(self, level: int) -> TupleSpace:

@@ -22,7 +22,12 @@ seeds over its own coordinates: an order atom is the strict order
 (spaces.strictly_below, either way round) ORed with the diagonal at the
 fixed points (spaces.diagonal_at), and an `Eq` leaf is the diagonal.  The
 runs are one value per radius and margin, so the operator table of each
-radius, kernels and all, is kept between calls (see models).
+radius, kernels and all, is kept between calls (see models).  The table
+keeps the strict orders and the diagonals too, in its `leaves`, keyed by
+their pair and level alone, so each is built once per table whatever
+model or formula asks for it; the fixed points, which differ by model,
+are ORed in on each call.  A fixed point outside the window of a radius
+is refused (PreconditionError) before any leaf is built.
 """
 
 from dataclasses import dataclass, field
@@ -83,11 +88,23 @@ class WindowReport:
     )
 
 
-def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int) -> int:
-    """Bits of the assignments s with s_a related to s_b: the strict order
-    and, at the fixed points, s_a = s_b."""
-    points = [c + radius for c in model.fixed]
-    return strictly_below(space, a, b) | diagonal_at(space, a, b, points)
+def _relation(space: TupleSpace, model: WindowModel, radius: int, a: int, b: int,
+              order: int) -> int:
+    """Bits of the assignments s with s_a related to s_b: the strict order,
+    `order`, which is strictly_below(space, a, b), and, at the fixed points,
+    s_a = s_b."""
+    if not model.fixed:
+        return order
+    return order | diagonal_at(space, a, b, [c + radius for c in model.fixed])
+
+
+def _check_fixed(model: WindowModel, radius: int) -> None:
+    """Refuse a fixed point that the window of this radius does not hold."""
+    for c in model.fixed:
+        if not -radius <= c <= radius:
+            raise PreconditionError(
+                f"fixed point {c} lies outside the radius-{radius} window [{-radius}, {radius}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,13 +153,20 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
         raise PreconditionError(
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
+    _check_fixed(model, radius)
     reach = _Reach(radius, model.margin)
-    space = operator_table(2 * radius + 1, reach).space(max(max_var_index(f) + 1, 1))
+    table = operator_table(2 * radius + 1, reach)
+    space = table.space(max(max_var_index(f) + 1, 1))
+    leaves = table.leaves
 
-    def leaf(g, level: TupleSpace) -> int:
-        if isinstance(g, Eq):
-            return diag(level, g.left, g.right).bits
-        return _relation(level, model, radius, g.args[0], g.args[1])
+    def leaf(g, level: TupleSpace) -> int:  # kept on the table, made on first use
+        eq = isinstance(g, Eq)
+        i, j = (g.left, g.right) if eq else g.args
+        key = ("=" if eq else "<", i, j, level.dimension)
+        bits = leaves.get(key)
+        if bits is None:
+            bits = leaves[key] = diag(level, i, j).bits if eq else strictly_below(level, i, j)
+        return bits if eq else _relation(level, model, radius, i, j, bits)
 
     return Element(space, satisfaction_bits(space, pairs, leaf, reach))
 
@@ -156,8 +180,9 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     closed = close_universally(f)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
-    _pairs_read(closed)  # fail on an atom the order cannot read, and on capacity,
-    space_size(2 * max(radii) + 1, max(max_var_index(closed) + 1, 1))  # before any work
+    _pairs_read(closed)  # fail on an atom the order cannot read, on capacity,
+    space_size(2 * max(radii) + 1, max(max_var_index(closed) + 1, 1))
+    _check_fixed(model, min(radii))  # and on a fixed point out of a window, before any work
     by_radius = {}
     for r in radii:
         sat = window_satisfaction(model, closed, r)

@@ -22,7 +22,7 @@ from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.formulas import free_vars, max_var_index, quantifier_depth
 from baokit.library import close_universally, formula_library
 from baokit.models import _plan, satisfaction_bits, satisfaction_set
-from baokit.spaces import relation_bits
+from baokit.spaces import relation_bits, strictly_below
 from baokit.window import _pairs_read, _relation, window_satisfaction
 
 VOCABULARY = Vocabulary.of(R=2, P=1, T=3, Z=0)
@@ -167,7 +167,8 @@ def full_width_window(model: WindowModel, f, radius: int) -> int:
     def leaf(g) -> int:
         if isinstance(g, Eq):
             return diag(space, g.left, g.right).bits
-        return _relation(space, model, radius, g.args[0], g.args[1])
+        a, b = g.args[0], g.args[1]
+        return _relation(space, model, radius, a, b, strictly_below(space, a, b))
 
     def allowed(depth_now, var):
         reach = radius - depth_now * model.margin

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product as iproduct
 
 import pytest
@@ -23,7 +25,7 @@ from baokit import (
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.library import close_universally, formula_library
 from baokit.spaces import strictly_below
-from baokit.window import _relation, window_satisfaction
+from baokit.window import _Reach, _relation, window_satisfaction
 
 
 def test_fixed_points_must_respect_margin():
@@ -238,7 +240,7 @@ def test_order_atoms_match_value_loop(radius, n):
         model = WindowModel(radius, 1, fixed)
         for a in range(n):
             for b in range(n):
-                got = _relation(space, model, radius, a, b)
+                got = _relation(space, model, radius, a, b, strictly_below(space, a, b))
                 want = relation_by_value_loop(space, model, radius, a, b)
                 assert got == want, (fixed, a, b)
 
@@ -259,7 +261,7 @@ def test_order_atoms_match_value_loop_at_radius_16():
     space, model = TupleSpace(33, 3), WindowModel(16, 2, (0, 5))
     for a in range(3):
         for b in range(3):
-            got = _relation(space, model, 16, a, b)
+            got = _relation(space, model, 16, a, b, strictly_below(space, a, b))
             assert got == relation_by_value_loop(space, model, 16, a, b), (a, b)
 
 
@@ -267,24 +269,34 @@ def test_order_atoms_match_value_loop_at_radius_64():
     space, model = TupleSpace(129, 3), WindowModel(64, 2, (0, 5))
     for a in range(3):
         for b in range(3):
-            got = _relation(space, model, 64, a, b)
+            got = _relation(space, model, 64, a, b, strictly_below(space, a, b))
             assert got == relation_by_value_loop(space, model, 64, a, b), (a, b)
 
 
 def test_a_fixed_point_outside_a_narrower_radius_is_refused():
-    """The fixed point 7 is the value 11 of a radius-4 window's base of 9,
-    refused with the error `TupleSpace.digit_mask` gives for it."""
+    """The fixed point 7 is outside a radius-4 window, so both entry points
+    refuse it, naming the point and the radius, before any table is made
+    or any leaf built: for an order atom, either way round, and for a
+    diagonal alike."""
     model = WindowModel(8, 1, (7,))
-    for text in ("R(v0,v1)", "R(v1,v1)"):
-        with pytest.raises(ValueError, match=r"^coordinate value 11 outside base 9$"):
+    want = r"^fixed point 7 lies outside the radius-4 window \[-4, 4\]$"
+    baokit.models.operator_table.cache_clear()
+    for text in ("R(v0,v1)", "R(v1,v1)", "v0 = v1"):
+        with pytest.raises(PreconditionError, match=want):
             window_satisfaction(model, parse_formula(text), 4)
+        with pytest.raises(PreconditionError, match=want):
+            eval_window(model, parse_formula(text), radii=(8, 4))
+    assert baokit.models.operator_table.cache_info().currsize == 0
+    edge = WindowModel(8, 1, (4,))  # the window's last point is held
+    assert window_satisfaction(edge, parse_formula("R(v0,v0)"), 4).bits
 
 
 def test_one_call_builds_each_diagonal_once(monkeypatch):
-    """Each radius builds each diagonal once, for the Eq leaves only: each
-    order atom, either way round, grows from its own seed, and the pattern
-    of its fixed points is no diagonal.  `ax` asks for each of its three
-    pairs both ways."""
+    """On fresh tables, the first call builds each diagonal of each radius
+    once, for the Eq leaves only, and a second call builds none: the
+    tables keep their diagonals, and each order atom, either way round,
+    grows from its own seed, the pattern of its fixed points being no
+    diagonal.  `ax` asks for each of its three pairs both ways."""
     import baokit.spaces
     import baokit.window
 
@@ -297,10 +309,15 @@ def test_one_call_builds_each_diagonal_once(monkeypatch):
 
     monkeypatch.setattr(baokit.window, "diag", counting)
     monkeypatch.setattr(baokit.spaces, "diag", counting)  # the builders', if any
-    report = eval_window(WindowModel(8, 1, (0,)), formula_library()["ax"].formula)
+    baokit.models.operator_table.cache_clear()
+    ax = formula_library()["ax"].formula
+    report = eval_window(WindowModel(8, 1, (0,)), ax)
     assert report.value and report.stable
     assert sorted(built) == [(2 * r + 1, i, j) for r in (8, 16, 32)
                              for i, j in ((0, 1), (0, 2), (1, 2))]
+    built.clear()
+    assert eval_window(WindowModel(8, 1, (0,)), ax) == report
+    assert built == []
 
 
 def full_width_window(model: WindowModel, f, radius: int) -> int:
@@ -372,3 +389,69 @@ def test_atoms_with_fewer_than_two_places_are_refused_before_any_work():
     for call in calls:
         with pytest.raises(PreconditionError, match=r"\((v\d)?\) has [01]$"):
             call()
+
+
+def kept_tables(radii, margins):
+    """The ranged operator table of each radius and margin, as kept."""
+    return {(r, m): baokit.models.operator_table(2 * r + 1, _Reach(r, m))
+            for r in radii for m in margins}
+
+
+def test_kept_leaves_match_leaves_built_afresh():
+    """Every leaf a window table keeps equals its order or diagonal built
+    on a fresh space, and the orders match the value loop with no fixed
+    point, whichever fixed sets and formulas were evaluated on it; each
+    result on warm tables equals its result on cleared ones, eta's too,
+    which the fixed sets flip between True and False."""
+    baokit.models.operator_table.cache_clear()
+    lib = formula_library()
+    radii, margins = (15, 18), (1, 2)
+    runs = [(name, fixed, margin) for name in ("ax", "eta")
+            for fixed in ((), (0,), (0, 5)) for margin in margins]
+
+    def evaluate(name, fixed, margin):
+        return eval_window(WindowModel(15, margin, fixed), lib[name].formula, radii).by_radius
+
+    warm = [evaluate(*run) for run in runs]
+    for (radius, margin), table in kept_tables(radii, margins).items():
+        assert table.leaves, (radius, margin)
+        empty = WindowModel(radius, margin, ())
+        for key, bits in table.leaves.items():
+            kind, i, j, level = key
+            space = TupleSpace(2 * radius + 1, level)
+            if kind == "=":
+                assert bits == diag(space, i, j).bits, key
+            else:
+                assert bits == strictly_below(space, i, j), key
+                assert bits == relation_by_value_loop(space, empty, radius, i, j), key
+    after = [evaluate("eta", (0,), margin) for margin in margins]  # after (0, 5)
+    cold = []
+    for run in runs:
+        baokit.models.operator_table.cache_clear()
+        cold.append(evaluate(*run))
+    assert warm == cold
+    assert after == [cold[runs.index(("eta", (0,), margin))] for margin in margins]
+    assert [by[15] for by in cold[6:]] == [True, True, False, False, True, True]
+
+
+def test_kept_leaves_are_bounded_and_pin_no_model():
+    """A table keeps one leaf per order or diagonal and level, keyed by
+    ints alone, whatever fixed sets are evaluated on it, and no model
+    outlives its eval_window."""
+    baokit.models.operator_table.cache_clear()
+    ax = formula_library()["ax"].formula
+    fixed_sets = [(c,) for c in range(-7, 8)] + [(c, c + 2) for c in range(-7, -2)]
+    assert len(set(fixed_sets)) == 20
+    counts = []
+    for fixed in fixed_sets:
+        model = WindowModel(8, 1, fixed)
+        alive = weakref.ref(model)
+        eval_window(model, ax, radii=(8,))
+        del model
+        gc.collect()
+        assert alive() is None, fixed
+        counts.append(len(kept_tables((8,), (1,))[8, 1].leaves))
+    assert counts == [counts[0]] * 20
+    leaves = kept_tables((8,), (1,))[8, 1].leaves
+    assert all(type(part) in (str, int) for key in leaves for part in key)
+    assert all(type(bits) is int for bits in leaves.values())

@@ -15,6 +15,9 @@ script records:
   COMMANDS: `corpus-check`, `translate`, `arith` and `window` at their
   default flags, `window --fixed 0,5`, and the two window runs of CI's
   "CLI exit codes" step;
+- the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
+  (TIER1, the command ROADMAP.md names), run in the tree with its own
+  src on PYTHONPATH, and the counts pytest reports for its last run;
 - src_lines, the line count of src/baokit/*.py;
 - the tree's identity: `commit`, its HEAD commit (the parent's commit for
   a change measured before it is committed), `dirty`, whether the tree
@@ -31,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -46,6 +50,9 @@ COMMANDS = (
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
 )
+
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_REPEATS = 3
 
 
 def summary(values: list[float]) -> dict:
@@ -100,6 +107,19 @@ def wall_time(tree: str, args: tuple) -> float:
     return took
 
 
+def tier1(tree: str) -> tuple[float, dict]:
+    """Seconds for one tier-1 run in `tree`, and the counts of its pytest
+    summary line ({"passed": 552}, say); a failing suite is recorded, not
+    fatal, since its counts say so."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    started = time.perf_counter()
+    run = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                         capture_output=True, text=True)
+    took = time.perf_counter() - started
+    last = run.stdout.strip().splitlines()[-1:] or [""]
+    return took, {word: int(count) for count, word in re.findall(r"(\d+) (\w+)", last[0])}
+
+
 def src_lines(tree: str) -> int:
     total = 0
     for path in sorted(glob.glob(os.path.join(tree, "src", "baokit", "*.py"))):
@@ -124,12 +144,21 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
         for args in COMMANDS:
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
+    suites = {label: [] for label in trees}
+    counts = {}
+    for k in range(TIER1_REPEATS):
+        for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
+            took, counts[label] = tier1(tree)
+            suites[label].append(took)
+            print(f"{label} tier-1: {took:.1f} s {counts[label]}", file=sys.stderr)
     return {
         label: {
             **identity(tree),
             "perfbench": {w: {m: summary(v) for m, v in by.items()}
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
+            "tier1_s": summary(suites[label]),
+            "tier1_counts": counts[label],
             "src_lines": src_lines(tree),
         }
         for label, tree in trees.items()
@@ -153,6 +182,8 @@ def compare(before: dict, after: dict) -> list[str]:
             row(f"{workload} {metric}", a, after["perfbench"][workload][metric])
     for cmd, a in before["wall_s"].items():
         row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
+    row("tier-1 s", before["tier1_s"], after["tier1_s"])
+    lines.append(f"{'tier-1 counts':45s} {before['tier1_counts']} {after['tier1_counts']}")
     lines.append(f"{'src_lines':45s} {before['src_lines']:10d} {after['src_lines']:10d}")
     return lines
 
@@ -178,6 +209,7 @@ def main() -> None:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "repeats": args.repeats,
+        "tier1_repeats": TIER1_REPEATS,
         **results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
