@@ -21,15 +21,15 @@ from .formulas import (
     Atom,
     Eq,
     Exists,
-    Forall,
     Formula,
     Iff,
-    Implies,
-    Not,
-    Or,
     max_var_index,
+    memo,
+    parts,
+    postorder,
+    rebuilt,
 )
-from .models import ModelFinite, satisfaction_set
+from .models import _CONNECTIVES, ModelFinite, satisfaction_set
 from .signatures import Signature
 from .spaces import SetAlgebra
 from .terms import App, Const, Term, TermNode, Var
@@ -45,30 +45,16 @@ def unrestricted_atom(f: Formula, n: int) -> Atom | None:
     relation symbol and compile to diagonal constants.  An atom mentioning
     a variable index at or past n also counts as a violation.
     """
-
-    def walk(g):
+    for g in postorder(f, parts):
         if isinstance(g, Atom):
             if g.args != tuple(range(len(g.args))) or max(g.args, default=-1) >= n:
                 return g
-            return None
-        if isinstance(g, Eq):
-            return None
-        if isinstance(g, Not):
-            return walk(g.body)
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return walk(g.left) or walk(g.right)
-        if isinstance(g, (Exists, Forall)):
-            return walk(g.body)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+    return None
 
 
 def is_restricted(f: Formula, n: int) -> bool:
     """Natural-order relational atoms only, all variable indices below n."""
-    if max_var_index(f) >= n:
-        return False
-    return unrestricted_atom(f, n) is None
+    return max_var_index(f) < n and unrestricted_atom(f, n) is None
 
 
 @lru_cache(maxsize=None)
@@ -128,14 +114,25 @@ def _renamings(g: Atom, bound: int | None, n: int):
     return plan
 
 
-@lru_cache(maxsize=None)
+def _projected(g) -> bool:
+    """Is g an existential straight over an atom that names its variable,
+    which restriction and compilation rewrite as one?"""
+    return isinstance(g, Exists) and isinstance(g.body, Atom) and g.var in g.body.args
+
+
+def _compiled_parts(g) -> tuple:
+    """`parts`, with a projected atom a leaf."""
+    return () if _projected(g) else parts(g)
+
+
+@memo
 def restrict_formula(f: Formula, n: int) -> Formula:
     """An equivalent formula whose relational atoms are in natural order.
 
     Out-of-order atoms are pinned down with equality quantifiers; a
     directly projected atom (an existential straight over the atom) may
     reuse the bound slot.  Raises CompileError when no rewriting within n
-    variables exists, e.g. a fully permuted n-ary atom.
+    variables exists, e.g. a fully permuted n-ary atom.  Kept on f, per n.
     """
     if max_var_index(f) >= n:
         raise CompileError(f"formula uses v{max_var_index(f)}, but n = {n}")
@@ -153,26 +150,19 @@ def restrict_formula(f: Formula, n: int) -> Formula:
             out = Exists(i, And(Eq(i, j), out))
         return out
 
-    def walk(g) -> Formula:
+    out = {}
+    for g in postorder(f, _compiled_parts):
         if isinstance(g, Atom):
-            if g.args == tuple(range(len(g.args))):
-                return g
-            return rewrite_atom(g, None)
-        if isinstance(g, Eq):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, Exists) and isinstance(g.body, Atom):
-            if g.var in g.body.args:
-                return rewrite_atom(g.body, g.var)
-            return walk(g.body)  # vacuous quantifier over a nonempty carrier
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+            out[g] = g if g.args == tuple(range(len(g.args))) else rewrite_atom(g, None)
+        elif isinstance(g, Eq):
+            out[g] = g
+        elif _projected(g):
+            out[g] = rewrite_atom(g.body, g.var)
+        elif isinstance(g, Exists) and isinstance(g.body, Atom):
+            out[g] = out[g.body]  # vacuous quantifier over a nonempty carrier
+        else:
+            out[g] = rebuilt(g, out)
+    return out[f]
 
 
 @dataclass
@@ -187,7 +177,7 @@ class CompiledTerm:
         return _eval_term(self.term, assignment, ambient)
 
 
-@lru_cache(maxsize=None)
+@memo
 def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
     """Compile to a term over one variable per relation symbol.
 
@@ -199,7 +189,7 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
     Equal subformulas (a repeated atom, rewritten atom or connective, and
     both sides of a biconditional) compile to equal nodes, which are one
     object (see `formulas.Node`), so the term's DAG has a few nodes per
-    distinct subformula.
+    distinct subformula.  Kept on f, per kind and n.
     """
     if kind not in ("CA", "SC"):
         raise CompileError(f"compilation targets CA or SC, not {kind!r}")
@@ -231,52 +221,31 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
     def _diag_node(i: int, j: int) -> TermNode:
         return Const(("diag", (min(i, j), max(i, j))))
 
-    def walk(g) -> TermNode:
+    out: dict = {}  # subformula -> its term node
+    for g in postorder(f, _compiled_parts):
         if isinstance(g, Atom):
-            return atom_term(g, None)
-        if isinstance(g, Eq):
+            out[g] = atom_term(g, None)
+        elif isinstance(g, Eq):
             if kind == "SC":
                 raise CompileError("equality atoms need the CA target")
-            if g.left == g.right:
-                return Const(("one", ()))
-            return _diag_node(g.left, g.right)
-        if isinstance(g, Not):
-            return App(("not", ()), (walk(g.body),))
-        if isinstance(g, And):
-            return App(("and", ()), (walk(g.left), walk(g.right)))
-        if isinstance(g, Or):
-            return App(("or", ()), (walk(g.left), walk(g.right)))
-        if isinstance(g, Implies):
-            return App(("impl", ()), (walk(g.left), walk(g.right)))
-        if isinstance(g, Iff):
-            a, b = walk(g.left), walk(g.right)
-            return App(
-                ("and", ()), (App(("impl", ()), (a, b)), App(("impl", ()), (b, a)))
-            )
-        if isinstance(g, Exists):
-            if isinstance(g.body, Atom) and g.var in g.body.args:
-                return atom_term(g.body, g.var)
-            return App(("cyl", (g.var,)), (walk(g.body),))
-        if isinstance(g, Forall):
-            inner = App(("not", ()), (walk(g.body),))
-            return App(("not", ()), (App(("cyl", (g.var,)), (inner,)),))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return CompiledTerm(Term(walk(f), signature), tuple(symbols))
+            out[g] = Const(("one", ())) if g.left == g.right else _diag_node(g.left, g.right)
+        elif isinstance(g, Iff):
+            a, b = out[g.left], out[g.right]
+            out[g] = App(("and", ()), (App(("impl", ()), (a, b)), App(("impl", ()), (b, a))))
+        elif type(g) in _CONNECTIVES:  # named as in the plans of models
+            out[g] = App((_CONNECTIVES[type(g)], ()), tuple(out[part] for part in parts(g)))
+        elif _projected(g):
+            out[g] = atom_term(g.body, g.var)
+        elif isinstance(g, Exists):
+            out[g] = App(("cyl", (g.var,)), (out[g.body],))
+        else:  # Forall
+            inner = App(("not", ()), (out[g.body],))
+            out[g] = App(("not", ()), (App(("cyl", (g.var,)), (inner,)),))
+    return CompiledTerm(Term(out[f], signature), tuple(symbols))
 
 
 def _relation_symbols(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.rel}
-    if isinstance(f, Eq):
-        return set()
-    if isinstance(f, Not):
-        return _relation_symbols(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _relation_symbols(f.left) | _relation_symbols(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return _relation_symbols(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return {g.rel for g in postorder(f, parts) if isinstance(g, Atom)}
 
 
 def natural_atom_sets(model: ModelFinite, symbols, n: int) -> dict:

@@ -6,12 +6,17 @@ grammar uses ASCII connectives: & | ! -> <-> = != and the quantifier words
 another quantifier, or a parenthesized formula).  Nesting of (, ! and
 quantifiers, or a formula tree, past MAX_NESTING levels is a syntax error.
 Formula nodes, and the term nodes of `terms`, are interned (see Node).
+
+`memo` keeps what a function derives from a node on the node itself, made
+once and freed with it, and `postorder` walks the distinct nodes under a
+root on its own stack, so that printing, translating and compiling a
+formula of any depth need no recursion.
 """
 
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 
 from .errors import FormulaSyntaxError
 
@@ -27,9 +32,10 @@ class Node:
     are therefore one object, compared and hashed by identity in O(1) at
     any depth; the fields hash and compare their child nodes by identity
     too, so building a node looks at its own fields only.  Nodes are
-    immutable, and pickling or copying one builds it again."""
+    immutable, and pickling or copying one builds it again.  `_memo`, a
+    dict made on first use, holds what `memo` functions derived from it."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_memo")
     _fields: tuple = ()
 
     def __new__(cls, *fields):
@@ -60,8 +66,69 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        text = {}
+        for node in postorder(self):
+            fields = ", ".join(f"{name}={_field_text(getattr(node, name), text)}" for name in node._fields)
+            text[node] = f"{type(node).__name__}({fields})"
+        return text[self]
+
+
+def _nodes_in(node) -> list:
+    """The nodes among node's fields, a tuple field's items included."""
+    values = [getattr(node, name) for name in node._fields]
+    return [item for value in values for item in (value if type(value) is tuple else (value,))
+            if isinstance(item, Node)]
+
+
+def _field_text(value, text: dict) -> str:
+    """repr(value), with text[node] for each node in it."""
+    if type(value) is not tuple:
+        return text[value] if isinstance(value, Node) else repr(value)
+    items = [_field_text(item, text) for item in value]
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def postorder(root, children=_nodes_in):
+    """Each distinct node under `root`, root included, once, after its
+    children, left to right, as a recursive walk that skips the nodes it
+    has seen finishes them, but on a stack of its own.  `children(node)`
+    gives a node's children, so a caller may make a node a leaf."""
+    done = set()
+    stack = [(root, iter(children(root)))]  # each node with its children to go
+    while stack:
+        node, todo = stack[-1]
+        for child in todo:
+            if child not in done:
+                stack.append((child, iter(children(child))))
+                break
+        else:
+            stack.pop()
+            done.add(node)
+            yield node
+
+
+def memo(job):
+    """`job(node, *args)`, kept on the node, in `node._memo[job][args]`:
+    made once, it lives as long as the node does.  A result that refers
+    back to its node is a cycle, which the collector frees, but a result
+    must not be a node built over the node: the intern table's key of the
+    result holds the node, so neither would be freed.  Anything but a node
+    is passed to `job` each time."""
+
+    @wraps(job)
+    def kept(node, *args):
+        try:
+            return node._memo[job][args]
+        except KeyError:
+            pass
+        except AttributeError:  # no memo yet, or not a node
+            if not isinstance(node, Node):
+                return job(node, *args)
+            object.__setattr__(node, "_memo", {})
+        value = node._memo.setdefault(job, {})[args] = job(node, *args)
+        return value
+
+    return kept
 
 
 class Formula(Node):
@@ -161,6 +228,24 @@ def neq(i: int, j: int) -> Formula:
     return Not(Eq(i, j))
 
 
+def parts(g) -> tuple:
+    """The subformulas of g, left to right, for `postorder`: none for an
+    atom or an equality; TypeError for what is not a formula node."""
+    if isinstance(g, (Not, _Quantifier)):
+        return (g.body,)
+    if isinstance(g, _Binary):
+        return (g.left, g.right)
+    if isinstance(g, (Atom, Eq)):
+        return ()
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def rebuilt(g, new: dict) -> Formula:
+    """g with new[h] in place of each subformula h."""
+    fields = (getattr(g, name) for name in g._fields)
+    return type(g)(*(new[value] if isinstance(value, Formula) else value for value in fields))
+
+
 def _formula(f) -> Formula:
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
@@ -201,18 +286,14 @@ class Vocabulary:
 
 
 def check_vocabulary(f: Formula, vocab: Vocabulary) -> None:
-    if isinstance(f, Atom):
-        if f.rel not in vocab:
-            raise ValueError(f"unknown relation symbol {f.rel!r}")
-        if vocab.arity(f.rel) != len(f.args):
-            raise ValueError(f"{f.rel} expects {vocab.arity(f.rel)} arguments")
-    elif isinstance(f, Not):
-        check_vocabulary(f.body, vocab)
-    elif isinstance(f, _Binary):
-        check_vocabulary(f.left, vocab)
-        check_vocabulary(f.right, vocab)
-    elif isinstance(f, _Quantifier):
-        check_vocabulary(f.body, vocab)
+    """Raise ValueError at the first atom, left to right, whose relation
+    `vocab` lacks or whose argument count is not its arity."""
+    for g in postorder(f, parts):
+        if isinstance(g, Atom):
+            if g.rel not in vocab:
+                raise ValueError(f"unknown relation symbol {g.rel!r}")
+            if vocab.arity(g.rel) != len(g.args):
+                raise ValueError(f"{g.rel} expects {vocab.arity(g.rel)} arguments")
 
 
 # -- printing ----------------------------------------------------------------
@@ -222,31 +303,29 @@ _CONNECTIVE = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
 
 
 def format_formula(f: Formula) -> str:
-    def fmt(g, parent_prec: int) -> str:
-        if isinstance(g, Atom):
-            return f"{g.rel}(" + ",".join(f"v{a}" for a in g.args) + ")"
-        if isinstance(g, Eq):
-            return f"v{g.left} = v{g.right}"
-        if isinstance(g, Not):
-            if isinstance(g.body, Eq):
-                return f"v{g.body.left} != v{g.body.right}"
-            return "!" + fmt(g.body, 5)
-        if isinstance(g, _Quantifier):
-            word = "ex" if isinstance(g, Exists) else "all"
-            if isinstance(g.body, (Atom, Eq)):
-                return f"{word} v{g.var} {fmt(g.body, 0)}"
-            return f"{word} v{g.var} ({fmt(g.body, 0)})"
-        prec = _PREC[type(g)]
-        text = (
-            fmt(g.left, prec + 1)
-            + f" {_CONNECTIVE[type(g)]} "
-            + fmt(g.right, prec if isinstance(g, Implies) else prec + 1)
-        )
-        if prec < parent_prec:
-            return "(" + text + ")"
-        return text
+    text = {}  # subformula -> its text, with no parentheses around it
 
-    return fmt(f, 0)
+    def operand(g, prec: int) -> str:
+        """The text of g, in parentheses when it binds looser than prec."""
+        return f"({text[g]})" if _PREC.get(type(g), 5) < prec else text[g]
+
+    for g in postorder(f, parts):
+        if isinstance(g, Atom):
+            text[g] = f"{g.rel}(" + ",".join(f"v{a}" for a in g.args) + ")"
+        elif isinstance(g, Eq):
+            text[g] = f"v{g.left} = v{g.right}"
+        elif isinstance(g, Not):
+            body = g.body
+            text[g] = f"v{body.left} != v{body.right}" if isinstance(body, Eq) else "!" + operand(body, 5)
+        elif isinstance(g, _Quantifier):
+            word = "ex" if isinstance(g, Exists) else "all"
+            body = text[g.body] if isinstance(g.body, (Atom, Eq)) else f"({text[g.body]})"
+            text[g] = f"{word} v{g.var} {body}"
+        else:
+            prec = _PREC[type(g)]
+            right = prec if isinstance(g, Implies) else prec + 1
+            text[g] = f"{operand(g.left, prec + 1)} {_CONNECTIVE[type(g)]} {operand(g.right, right)}"
+    return text[f]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -304,7 +383,8 @@ def _var_index(token) -> int:
 
 # The deepest nesting a parse accepts, of the (, ! and quantifiers around a
 # token and of the tree it builds: far above any shipped formula, and far
-# below where the recursive passes over a formula run out of stack.
+# below where the parser, or the source that `models.holds` generates,
+# runs out of stack.
 MAX_NESTING = 100
 
 

@@ -4,19 +4,20 @@ satisfaction_set computes {s in carrier^n : the formula holds under s} as a
 bitset Element.  Its evaluator, satisfaction_bits, is the one
 formula-to-bitset evaluator: each formula is laid out once, as a term is,
 into a straight-line program over raw ints, its plan, in which a repeated
-subformula, atom or diagonal is computed once; the plan is bound once per
-base size and keeps the binding.  Every step runs at its level, 1 + the
-highest variable free in it: a value at level k is a bitset over the first
-k coordinates, and the root is lifted to the whole space at the end.  The
-leaf hook is asked for each atom and diagonal over the TupleSpace of its
-level; a ModelFinite, read as immutable, keeps them and its sections.
-The window module runs the evaluator too, with its own leaves and a run of
-values for each quantifier depth, bound on each call to a kept table.
-holds evaluates one assignment (compiled once per formula to a Python
-function) and accepts an optional quantifier domain, which relativizes
-every quantifier to a subset of the carrier (free variables may still take
-any value).  It works on any model-like object: one with `carrier_size`
-and `rel_holds(name, row) -> truth value`, and optionally
+subformula, atom or diagonal is computed once; the plan is kept on the
+formula (see formulas.memo), bound once per base size, and keeps the
+binding.  Every step runs at its level, 1 + the highest variable free in
+it: a value at level k is a bitset over the first k coordinates, and the
+root is lifted to the whole space at the end.  The leaf hook is asked for
+each atom and diagonal over the TupleSpace of its level; a ModelFinite,
+read as immutable, keeps them and its sections.  The window module runs
+the evaluator too, with its own leaves and a run of values for each
+quantifier depth, bound on each call to a kept table.
+holds evaluates one assignment (by a Python function compiled once per
+formula and kept on it) and accepts an optional quantifier domain, which
+relativizes every quantifier to a subset of the carrier (free variables
+may still take any value).  It works on any model-like object: one with
+`carrier_size` and `rel_holds(name, row) -> truth value`, and optionally
 `section(name, position, others, mask) -> int`, whose bit t, for each t
 set in the int `mask`, tells whether rel_holds holds of the row that puts
 t at `position` among the tuple `others` (other bits do not matter); a
@@ -51,6 +52,9 @@ from .formulas import (
     Vocabulary,
     free_vars,
     max_var_index,
+    memo,
+    parts,
+    postorder,
 )
 from .spaces import (
     Element,
@@ -210,7 +214,7 @@ def _level(g: Formula) -> int:
     return 1 + max(g.free, default=0)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _plan(f: Formula, ranged: bool) -> _Plan:
     """Lay out the DAG of f, its plan: a layout with no constants, whose
     `variables` are its distinct atoms and diagonals (an Eq with left <=
@@ -226,57 +230,39 @@ def _plan(f: Formula, ranged: bool) -> _Plan:
     nonempty.  A repeated subformula, atom or diagonal is computed once.
     With `ranged`, a quantifier's range depends on its depth, so a
     subformula is told apart by its depth as well; without, every depth
-    counts as 0.  The walk keeps its own stack, so deep formulas need no
-    recursion."""
+    counts as 0.  The walk is `formulas.postorder`, over pairs of a
+    subformula and its depth.  The plan is kept on f, per `ranged`."""
     leaves: dict = {}  # atom or diagonal -> its input number
-    steps: dict = {}  # (subformula, depth) -> its node
+    nodes: dict = {}  # (subformula, depth) -> ~its input, or its step number
     ops: dict = {}  # operator -> its number
     kinds, operands = array("l"), []
 
-    def laid_out(g, depth):
-        """The node of g if known: ~input for a leaf, the node of a
-        subformula laid out already, else None."""
-        if isinstance(g, Eq) and g.left > g.right:
-            g = Eq(g.right, g.left)  # the same diagonal
-        if isinstance(g, (Atom, Eq)):
-            return ~leaves.setdefault(g, len(leaves))
-        return steps.get((g, depth))
+    def children(item) -> list:
+        g, depth = item
+        inner = depth + ranged if isinstance(g, (Exists, Forall)) else depth
+        return [(part, inner) for part in parts(g)]
 
-    stack = [(f, 0)]
-    while stack:
-        g, depth = stack[-1]
-        if laid_out(g, depth) is not None:
-            stack.pop()
+    for item in postorder((f, 0), children):  # the atoms numbered as they are met
+        g, depth = item
+        if isinstance(g, (Atom, Eq)):
+            if isinstance(g, Eq) and g.left > g.right:
+                g = Eq(g.right, g.left)  # the same diagonal
+            nodes[item] = ~leaves.setdefault(g, len(leaves))
             continue
-        if isinstance(g, (Exists, Forall)):
-            children = [(g.body, depth + ranged)]
-        elif type(g) in _CONNECTIVES:
-            parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
-            children = [(part, depth) for part in parts]
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        nodes = []
-        for child in children:  # left to right, as the atoms are met
-            node = laid_out(*child)
-            if node is None:
-                break
-            nodes.append(node)
-        if len(nodes) < len(children):
-            stack.append(child)  # lay out that child first, then look again
-            continue
-        stack.pop()
+        args = [nodes[child] for child in children(item)]
         if isinstance(g, (Exists, Forall)):
             if g.var not in g.body.free:  # vacuous
-                steps[(g, depth)] = nodes[0]
+                nodes[item] = args[0]
                 continue
             name = "ex" if isinstance(g, Exists) else "all"
             op = (name, (g.var, depth + ranged, _level(g.body), _level(g)))
         else:
-            op = (_CONNECTIVES[type(g)], (_level(parts[0]), _level(parts[-1])))
-        steps[(g, depth)] = len(operands)
+            sides = parts(g)
+            op = (_CONNECTIVES[type(g)], (_level(sides[0]), _level(sides[-1])))
+        nodes[item] = len(operands)
         kinds.append(ops.setdefault(op, len(ops)))
-        operands.append(nodes)
-    plan = _Plan(tuple(leaves), (), tuple(ops), kinds, operands, laid_out(f, 0))
+        operands.append(args)
+    plan = _Plan(tuple(leaves), (), tuple(ops), kinds, operands, nodes[f, 0])
     plan.levels = tuple(_level(g) for g in leaves)
     plan.level = _level(f)
     return plan
@@ -397,10 +383,10 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     raise, the quantifier reruns as the loop: results and errors are the
     loop's.
     """
-    global _last
-    last = _last
-    if last[0] is not f:
-        last = _last = (f, _compile(f))
+    try:  # _compile(f), read inline: a scan calls holds once per value
+        program = f._memo[_COMPILE][()]
+    except (AttributeError, KeyError):
+        program = _compile(f)
     env = assignment if type(assignment) is dict else dict(assignment or {})
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
@@ -412,16 +398,7 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
         mask = (1 << domain.stop) - (1 << domain.start)
     else:
         mask = _domain_mask(domain)
-    return last[1](env, rel_holds, domain, section, mask)
-
-
-# The formula of the last call of holds, and its program: a scan that asks
-# for one formula over and over finds it by identity, without a lookup in
-# `_compile`'s cache.  The `universe` workload of perfbench, whose calls
-# are mostly the rank-4 `ord` scan, ran 2.9 % slower without it (median of
-# 8 alternating runs, 2 CPUs, CPython 3.11).  The reference it holds keeps
-# that formula's id from being reused.
-_last = (None, None)
+    return program(env, rel_holds, domain, section, mask)
 
 
 _MAX_DOMAIN_BITS = 1 << 20
@@ -459,11 +436,14 @@ def _unassigned(env: dict, free: tuple):
     raise UnboundVariableError(f"v{var} is unassigned") from None
 
 
-@lru_cache(maxsize=None)
+@memo
 def _compile(f: Formula):
     """The program of `f`, a Python function `(env, rh, dom, sec, D) ->
-    bool` compiled from generated source, once."""
+    bool` compiled from generated source, once, and kept on f."""
     return _Source().program(f, tuple(sorted(free_vars(f))))
+
+
+_COMPILE = _compile.__wrapped__  # the key of f's program in f._memo
 
 
 # CPython's parser refuses more than 200 nested parentheses, and each level

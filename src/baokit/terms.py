@@ -17,10 +17,9 @@ and ``id`` are bare words.
 
 from array import array
 from collections.abc import Iterator
-from typing import Union
 
 from .errors import SignatureError, UnboundVariableError
-from .formulas import MAX_NESTING, Node
+from .formulas import MAX_NESTING, Node, postorder
 from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
 from .spaces import MAX_SPACE_BITS, RelationAlgebra, SetAlgebra, SetOperators, TupleSpace
 
@@ -37,7 +36,10 @@ class App(Node):
     __slots__ = _fields = ("op", "args")
 
 
-TermNode = Union[Var, Const, App]
+# A Var, Const or App.  A plain name, not a typing.Union: typing's own
+# cache would keep the Union, and through it the classes and interned
+# nodes of this module, alive after baokit is imported afresh.
+TermNode = Node
 
 
 class Term:
@@ -180,30 +182,28 @@ def _lay_out(root: TermNode, signature: Signature) -> Layout:
     """Check the DAG under root against the signature and lay it out.
 
     Equal nodes are one object (see `formulas.Node`), so a repeated
-    subterm is one step.  Each distinct node is checked once, in pre-order
-    from left to right (the first error is the one a walk of the whole
-    tree meets first), and laid out after its arguments.  The walk keeps its own stack, so
-    deep terms need no recursion.
+    subterm is one step.  The walk, `formulas.postorder`, meets each
+    distinct node once: it is checked then, in pre-order from left to right
+    (the first error is the one a walk of the whole tree meets first), and
+    laid out after its arguments.
     """
     leaves: dict = {}  # constant op or variable index -> leaf number
     ops: dict = {}  # operator -> its number
     number: dict = {}  # node -> its step number, or ~its leaf number
     kinds, operands = array("l"), []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
+
+    def arguments(node) -> tuple:
+        _check_node(node, signature)
+        return node.args if isinstance(node, App) else ()
+
+    for node in postorder(root, arguments):
+        if isinstance(node, App):
             number[node] = len(operands)
             kinds.append(ops.setdefault(node.op, len(ops)))
             operands.append([number[a] for a in node.args])
-        elif node not in number:
-            _check_node(node, signature)
-            if isinstance(node, App):
-                stack.append((node, True))
-                stack.extend((a, False) for a in reversed(node.args))
-            else:
-                leaf = node.index if isinstance(node, Var) else node.op
-                number[node] = ~leaves.setdefault(leaf, len(leaves))
+        else:
+            leaf = node.index if isinstance(node, Var) else node.op
+            number[node] = ~leaves.setdefault(leaf, len(leaves))
     constants = tuple(leaf for leaf in leaves if not isinstance(leaf, int))
     variables = tuple(leaf for leaf in leaves if isinstance(leaf, int))
     place = {leaf: k for k, leaf in enumerate(constants + variables)}
@@ -359,21 +359,18 @@ _CONST_WORDS = {"zero": ("zero", ()), "one": ("one", ()), "id": ("id", ())}
 
 
 def format_term(term: Term) -> str:
-    def fmt(node) -> str:
+    text = {}  # node -> its text
+    for node in postorder(term.root):
         if isinstance(node, Var):
-            return f"(var {node.index})"
-        if isinstance(node, Const):
+            text[node] = f"(var {node.index})"
+        elif isinstance(node, Const):
             name, params = node.op
-            if name == "diag":
-                return f"(diag {params[0]} {params[1]})"
-            return name
-        name, params = node.op
-        inner = " ".join(
-            [str(p) for p in params] + [fmt(a) for a in node.args]
-        )
-        return f"({name} {inner})"
-
-    return fmt(term.root)
+            text[node] = f"(diag {params[0]} {params[1]})" if name == "diag" else name
+        else:
+            name, params = node.op
+            inner = " ".join([str(p) for p in params] + [text[a] for a in node.args])
+            text[node] = f"({name} {inner})"
+    return text[term.root]
 
 
 def _tokenize(text: str) -> list[str]:

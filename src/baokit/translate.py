@@ -10,57 +10,33 @@ model factors through it.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import PreconditionError
-from .formulas import (
-    And,
-    Atom,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-)
+from .formulas import Atom, Eq, Forall, Formula, Iff, memo, parts, postorder, rebuilt
 from .models import ModelFinite, satisfaction_set
 
 MEMBER = "E"  # the membership symbol
 
 
-@lru_cache(maxsize=None)
+@memo
 def tr(f: Formula) -> Formula:
     """Replace v_i = v_j by `all v_k (E(v_k,v_i) <-> E(v_k,v_j))`.
 
     The quantified variable is the smallest index distinct from i and j, so
     a trivial equality v_i = v_i turns into a tautology of the same shape.
     Equality-free formulas come back unchanged (the same object, as nodes
-    are interned).  Built once per formula.
+    are interned).  Built once per formula and kept on it.
     """
-
-    def spare(i: int, j: int) -> int:
-        k = 0
-        while k == i or k == j:
-            k += 1
-        return k
-
-    def walk(g) -> Formula:
+    out = {}
+    for g in postorder(f, parts):
         if isinstance(g, Atom):
-            return g
-        if isinstance(g, Eq):
-            k = spare(g.left, g.right)
-            return Forall(k, Iff(Atom(MEMBER, (k, g.left)), Atom(MEMBER, (k, g.right))))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+            out[g] = g
+        elif isinstance(g, Eq):
+            k = min({0, 1, 2} - {g.left, g.right})
+            out[g] = Forall(k, Iff(Atom(MEMBER, (k, g.left)), Atom(MEMBER, (k, g.right))))
+        else:
+            out[g] = rebuilt(g, out)
+    return out[f]
 
 
 @dataclass

@@ -13,8 +13,9 @@ argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
 on its last coordinate; an atom with fewer than two places is refused
 before any work (PreconditionError).  Each atom is cut to those two
-places once per formula, so a step of models' satisfaction plan that
-reads a third variable only there runs a level lower (see models).
+places once per formula, and the cut formula is kept on it (see
+formulas.memo), so a step of models' satisfaction plan that reads a third
+variable only there runs a level lower (see models).
 Evaluation runs that plan with one leaf hook, which gives these atoms and
 the diagonals over the space of their level, and, for each quantifier
 depth, the run of values its variable may take.  Each leaf grows from
@@ -31,19 +32,19 @@ is refused (PreconditionError) before any leaf is built.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import PreconditionError
 from .formulas import (
     Atom,
     Eq,
-    Exists,
-    Forall,
     Formula,
-    Not,
     format_formula,
     max_var_index,
+    memo,
+    parts,
+    postorder,
     quantifier_depth,
+    rebuilt,
 )
 from .library import close_universally
 from .models import operator_table, satisfaction_bits
@@ -121,28 +122,23 @@ class _Reach:
         return range(self.radius - reach, self.radius + reach + 1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _pairs_read(f: Formula) -> Formula:
     """f with each atom cut to its first two places, the ones the order
     reads, so that a place past them is not a free variable of the atom.
-    Raises PreconditionError for an atom with fewer places."""
-    def walk(g):
+    Raises PreconditionError for an atom with fewer places.  Kept on f."""
+    out = {}
+    for g in postorder(f, parts):
         if isinstance(g, Atom):
             if len(g.args) < 2:
                 raise PreconditionError(
                     f"window reads the first two places of every atom, and "
                     f"{format_formula(g)} has {len(g.args)}"
                 )
-            return Atom(g.rel, g.args[:2])
-        if isinstance(g, Eq):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, walk(g.body))
-        return type(g)(walk(g.left), walk(g.right))
-
-    return walk(f)
+            out[g] = Atom(g.rel, g.args[:2])
+        else:
+            out[g] = g if isinstance(g, Eq) else rebuilt(g, out)
+    return out[f]
 
 
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:

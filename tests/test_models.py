@@ -771,11 +771,10 @@ def test_deep_satisfaction_matches_recursive_walker(name, f):
 def test_satisfaction_plan_is_built_once_and_shares_subformulas():
     f = parse_formula("ex v2 R(v0,v1,v2) & (ex v2 R(v0,v1,v2) | ex v2 R(v1,v0,v2))")
     model = ModelFinite([0, 1], {"R": [(0, 1, 0), (1, 1, 1)]})
-    _plan.cache_clear()
     first = satisfaction_set(model, f, 3)
-    assert satisfaction_set(model, f, 3) == first
-    assert _plan.cache_info().misses == 1
     plan = _plan(f, False)
+    assert satisfaction_set(model, f, 3) == first
+    assert _plan(f, False) is plan  # kept on f while f lives
     # two atoms, and ex v2 R(v0,v1,v2) computed once
     assert len(plan.variables) == 2 and len(plan.kinds) == 4 and plan.constants == ()
     long_conj = _plan(conj([Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]), False)
@@ -872,12 +871,12 @@ def test_leaves_are_kept_per_model_not_per_carrier_size():
 
 
 def test_a_plan_keeps_one_binding_per_base_size():
-    f = parse_formula("ex v2 (E(v0,v2) & all v1 (E(v2,v1) | v1 = v0))")
-    _plan.cache_clear()
+    # a relation no other test names, so that no plan of f is kept yet
+    f = parse_formula("ex v2 (OneBinding(v0,v2) & all v1 (OneBinding(v2,v1) | v1 = v0))")
     plan = _plan(f, False)
     kept = {}
     for u in (2, 3, 2):
-        model = ModelFinite(range(u), {"E": [(a, (a + 1) % u) for a in range(u)]})
+        model = ModelFinite(range(u), {"OneBinding": [(a, (a + 1) % u) for a in range(u)]})
         assert satisfaction_set(model, f, 3).bits == fw.satisfaction_set_bits(model, f, 3)
         binding = kept.setdefault(u, plan.bindings[(u,)])
         assert plan.bindings[(u,)] is binding  # bound once, at the first call on u
@@ -935,6 +934,5 @@ def test_no_cache_keeps_a_model_or_pins_a_formula_in_a_model():
     satisfaction_set(model, g, 3)
     nodes = weakref.ref(g), weakref.ref(atom)
     del g, atom
-    _plan.cache_clear()  # the plan cache keeps every formula it sees
     gc.collect()
     assert model._leaves and [node() for node in nodes] == [None, None]

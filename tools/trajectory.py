@@ -16,8 +16,11 @@ script records:
   default flags, `window --fixed 0,5`, and the two window runs of CI's
   "CLI exit codes" step;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
-  (TIER1, the command ROADMAP.md names), run in the tree with its own
-  src on PYTHONPATH, and the counts pytest reports for its last run;
+  (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
+  tree with its own src on PYTHONPATH, the median of the per-test call
+  durations pytest reports for each run, summed (`tier1_call_s`: the time
+  spent in the tests themselves, without collection, start-up and
+  fixtures), and the counts pytest reports for its last run;
 - src_lines, the line count of src/baokit/*.py;
 - the tree's identity: `commit`, its HEAD commit (the parent's commit for
   a change measured before it is committed), `dirty`, whether the tree
@@ -52,6 +55,7 @@ COMMANDS = (
 )
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+DURATIONS = ("--durations=0", "--durations-min=0")  # every test's phases, on stdout
 TIER1_REPEATS = 3
 
 
@@ -107,17 +111,19 @@ def wall_time(tree: str, args: tuple) -> float:
     return took
 
 
-def tier1(tree: str) -> tuple[float, dict]:
-    """Seconds for one tier-1 run in `tree`, and the counts of its pytest
-    summary line ({"passed": 552}, say); a failing suite is recorded, not
-    fatal, since its counts say so."""
+def tier1(tree: str) -> tuple[float, float, dict]:
+    """Seconds for one tier-1 run in `tree`, the sum of the call durations
+    pytest reports for its tests, and the counts of its summary line
+    ({"passed": 552}, say); a failing suite is recorded, not fatal, since
+    its counts say so."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     started = time.perf_counter()
-    run = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+    run = subprocess.run([sys.executable, *TIER1, *DURATIONS], cwd=tree, env=env,
                          capture_output=True, text=True)
     took = time.perf_counter() - started
+    calls = sum(float(s) for s in re.findall(r"^([\d.]+)s call ", run.stdout, re.MULTILINE))
     last = run.stdout.strip().splitlines()[-1:] or [""]
-    return took, {word: int(count) for count, word in re.findall(r"(\d+) (\w+)", last[0])}
+    return took, calls, {word: int(count) for count, word in re.findall(r"(\d+) (\w+)", last[0])}
 
 
 def src_lines(tree: str) -> int:
@@ -145,12 +151,15 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
     suites = {label: [] for label in trees}
+    calls = {label: [] for label in trees}
     counts = {}
     for k in range(TIER1_REPEATS):
         for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
-            took, counts[label] = tier1(tree)
+            took, called, counts[label] = tier1(tree)
             suites[label].append(took)
-            print(f"{label} tier-1: {took:.1f} s {counts[label]}", file=sys.stderr)
+            calls[label].append(called)
+            print(f"{label} tier-1: {took:.1f} s, calls {called:.1f} s {counts[label]}",
+                  file=sys.stderr)
     return {
         label: {
             **identity(tree),
@@ -158,6 +167,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
             "tier1_s": summary(suites[label]),
+            "tier1_call_s": summary(calls[label]),
             "tier1_counts": counts[label],
             "src_lines": src_lines(tree),
         }
@@ -183,6 +193,7 @@ def compare(before: dict, after: dict) -> list[str]:
     for cmd, a in before["wall_s"].items():
         row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
     row("tier-1 s", before["tier1_s"], after["tier1_s"])
+    row("tier-1 summed call s", before["tier1_call_s"], after["tier1_call_s"])
     lines.append(f"{'tier-1 counts':45s} {before['tier1_counts']} {after['tier1_counts']}")
     lines.append(f"{'src_lines':45s} {before['src_lines']:10d} {after['src_lines']:10d}")
     return lines
