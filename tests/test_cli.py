@@ -285,8 +285,19 @@ GOLDEN = {  # output of the value-level path, before algebras computed on ints
     "atoms_u3_n3_ca_less10.json": ["atoms", "--u", "3", "--n", "3", "--kind", "CA",
                                    "--gens", "less:1,0", "--cap", "134217728"],
     "window_ax.json": ["window", "--formula", "ax"],
+    # output before a relation was an Element of TupleSpace(u, 2): exhaustive,
+    # sampled, and failing with counterexamples
+    "check_identity_ra_u2.json": ["check-identity", "--kind", "RA", "--u", "2",
+                                  "--lhs", "(conv (comp (var 0) (var 1)))",
+                                  "--rhs", "(comp (conv (var 1)) (conv (var 0)))"],
+    "check_identity_ra_u5.json": ["check-identity", "--kind", "RA", "--u", "5",
+                                  "--lhs", "(conv (comp (var 0) (var 1)))",
+                                  "--rhs", "(comp (conv (var 1)) (conv (var 0)))"],
+    "check_identity_ra_u3_conv.json": ["check-identity", "--kind", "RA", "--u", "3",
+                                       "--lhs", "(conv (var 0))", "--rhs", "(var 0)"],
 }
-GOLDEN_EXIT = {"window_suc_w8.json": 2}  # the margin budget: no output
+GOLDEN_EXIT = {"window_suc_w8.json": 2,  # the margin budget: no output
+               "check_identity_ra_u3_conv.json": 1}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
