@@ -33,6 +33,7 @@ from .errors import (
     ClosureCapError,
     CompileError,
     FormulaSyntaxError,
+    InputError,
     PreconditionError,
     SignatureError,
     SpaceMismatchError,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
-from .errors import SpaceMismatchError
+from .errors import InputError, SpaceMismatchError
 from .signatures import OpRef, Signature, opref_str
 from .spaces import Element, Operators, RaElement, TupleSpace
 
@@ -171,10 +171,10 @@ class TableDomain:
     def describe(self) -> str:
         """The domain line `serialize` writes, which fixes how values read back."""
         v = self.values[0] if self.values else None
-        if isinstance(v, Element):
-            return f"space {v.space.base_size} {v.space.dimension}"
         if isinstance(v, RaElement):
             return f"rel {v.base_size}"
+        if isinstance(v, Element):
+            return f"space {v.space.base_size} {v.space.dimension}"
         return "tables"
 
 
@@ -347,7 +347,7 @@ class FiniteAlgebra:
         if len(self.atom_bits) > 8:
             raise PreconditionError("serialization supported up to 256 elements")
         carrier = self.carrier
-        if not all(isinstance(v, (Element, RaElement)) for v in carrier):
+        if not all(isinstance(v, Element) for v in carrier):
             raise PreconditionError("only bitset-backed carriers serialize")
         table = self.domain.operators
         bits = self.carrier_bits
@@ -380,15 +380,15 @@ class FiniteAlgebra:
         """Read `serialize` output; each table's shape comes from its arity."""
         lines = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != ["baokit-algebra", "1"]:
-            raise ValueError("unknown algebra format")
+            raise InputError("unknown algebra format")
         if len(lines) < 4 or len(lines[1]) != 3 or lines[3][:1] != ["carrier"]:
-            raise ValueError("truncated algebra text: incomplete header")
+            raise InputError("truncated algebra text: incomplete header")
         kind, dim = lines[1][1:]
         signature = Signature(kind, None if kind in ("BA", "RA") else int(dim))
         count = int(lines[3][-1])
         elems = [ln for ln in lines[4 : 4 + count] if ln[0] == "elem" and len(ln) == 2]
         if len(elems) != count:
-            raise ValueError(f"truncated algebra text: {len(elems)} of {count} elems")
+            raise InputError(f"truncated algebra text: {len(elems)} of {count} elems")
         values = _read_values(" ".join(lines[2]), [ln[1] for ln in elems])
         rows = {}
         for ln in lines[4 + count :]:
@@ -402,9 +402,9 @@ class FiniteAlgebra:
         for name, arity in shapes:
             row = rows.get(name)
             if row is None or len(row) != count**arity:
-                raise ValueError(f"truncated algebra text: table {name!r} incomplete")
+                raise InputError(f"truncated algebra text: table {name!r} incomplete")
             if not all(0 <= e < count for e in row):
-                raise ValueError(f"table {name!r} refers past the carrier")
+                raise InputError(f"table {name!r} refers past the carrier")
             args = itertools.product(names, repeat=arity)
             tables[name] = {a: values[e] for a, e in zip(args, row)}
         return cls(TableDomain(signature, values, tables), values)
@@ -424,7 +424,7 @@ def _read_values(desc: str, hexes) -> list:
         return [Element(space, int(h, 16)) for h in hexes]
     if parts[:1] == ["rel"] and len(parts) == 2:
         return [RaElement(int(parts[1]), int(h, 16)) for h in hexes]
-    raise ValueError(f"cannot deserialize domain {desc!r}")
+    raise InputError(f"cannot deserialize domain {desc!r}")
 
 
 def generate_subalgebra(domain, gens, cap: int = 4096) -> FiniteAlgebra:

@@ -18,7 +18,7 @@ from itertools import islice
 
 from .algebras import atoms, generate_subalgebra, is_hereditary_closed, product
 from .compiler import compiler_agrees, is_restricted, unrestricted_atom
-from .errors import BaokitError, CapacityError, FormulaSyntaxError
+from .errors import BaokitError, CapacityError, FormulaSyntaxError, InputError
 from .example import example_algebra
 from .formulas import format_formula
 from .freeness import (
@@ -91,9 +91,9 @@ def _parse_gen(spec: str, ambient: SetAlgebra) -> Element:
         try:
             i, j = (int(p) for p in rest.split(","))
         except ValueError:
-            raise ValueError(f"generator spec {spec!r}: expected {kind}:i,j") from None
+            raise InputError(f"generator spec {spec!r}: expected {kind}:i,j") from None
         if not (0 <= i < space.dimension and 0 <= j < space.dimension):
-            raise ValueError(
+            raise InputError(
                 f"generator spec {spec!r}: coordinates must lie in 0..{space.dimension - 1}"
             )
         if kind == "diag":
@@ -103,14 +103,14 @@ def _parse_gen(spec: str, ambient: SetAlgebra) -> Element:
         try:
             bits = int(rest, 16)
         except ValueError:
-            raise ValueError(f"generator spec {spec!r}: expected hex digits") from None
+            raise InputError(f"generator spec {spec!r}: expected hex digits") from None
         if bits < 0 or bits >> space.size:
-            raise ValueError(
+            raise InputError(
                 f"generator spec {spec!r}: not a nonnegative value of at most "
                 f"{space.size} bits"
             )
         return ambient.from_bits(bits)
-    raise ValueError(f"unknown generator spec {spec!r}; use diag:i,j less:i,j hex:...")
+    raise InputError(f"unknown generator spec {spec!r}; use diag:i,j less:i,j hex:...")
 
 
 def _decimal(n: int) -> str:
@@ -183,7 +183,7 @@ def _cmd_check_identity(args) -> ExperimentReport:
     lhs = parse_term(args.lhs, ambient.signature)
     rhs = parse_term(args.rhs, ambient.signature)
     var_count = max(lhs.var_count, rhs.var_count)
-    size = args.u**2 if args.kind == "RA" else args.u**args.n
+    size = ambient.space.size
     exhaustive = var_count * size <= 16 and (1 << size) ** var_count <= 65536
     if exhaustive:
         # lane l is assignment number l, variable 0 varying fastest
@@ -277,7 +277,7 @@ def _cmd_tau_sigma_delta(args) -> ExperimentReport:
 def _cmd_window(args) -> ExperimentReport:
     lib = formula_library()
     if args.formula not in lib:
-        raise ValueError(f"unknown library formula {args.formula!r}")
+        raise InputError(f"unknown library formula {args.formula!r}")
     model = WindowModel(args.w, args.margin, tuple(args.fixed))
     report = eval_window(model, lib[args.formula].formula)
     verdict = "surrogate-pass" if report.stable else "fail"
@@ -625,7 +625,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except (BaokitError, ValueError, OSError) as exc:
+    except (BaokitError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     report.elapsed = time.perf_counter() - started

@@ -5,6 +5,11 @@ class BaokitError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(BaokitError, ValueError):
+    """Text or a name from a user that does not parse or names nothing: a
+    ValueError too, for callers that catch one."""
+
+
 class CapacityError(BaokitError):
     """A construction exceeds the desk-scale budget."""
 

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from functools import partial, wraps
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, InputError
 
 # Every node alive, by its key (its class, then its fields).
 _interned = weakref.WeakValueDictionary()
@@ -286,14 +286,14 @@ class Vocabulary:
 
 
 def check_vocabulary(f: Formula, vocab: Vocabulary) -> None:
-    """Raise ValueError at the first atom, left to right, whose relation
+    """Raise InputError at the first atom, left to right, whose relation
     `vocab` lacks or whose argument count is not its arity."""
     for g in postorder(f, parts):
         if isinstance(g, Atom):
             if g.rel not in vocab:
-                raise ValueError(f"unknown relation symbol {g.rel!r}")
+                raise InputError(f"unknown relation symbol {g.rel!r}")
             if vocab.arity(g.rel) != len(g.args):
-                raise ValueError(f"{g.rel} expects {vocab.arity(g.rel)} arguments")
+                raise InputError(f"{g.rel} expects {vocab.arity(g.rel)} arguments")
 
 
 # -- printing ----------------------------------------------------------------

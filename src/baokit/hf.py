@@ -263,7 +263,7 @@ def quasiprojection_relations(universe: HFUniverse) -> tuple[RaElement, RaElemen
         first, second = decoded
         p0_bits |= 1 << (code * universe.size + first.code)
         p1_bits |= 1 << (code * universe.size + second.code)
-    return RaElement(universe.size, p0_bits), RaElement(universe.size, p1_bits)
+    return algebra.from_bits(p0_bits), algebra.from_bits(p1_bits)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, InputError
 from .formulas import (
     And,
     Atom,
@@ -440,8 +440,8 @@ def formula_library() -> dict[str, LibraryEntry]:
 
 def load_corpus(path=None) -> list[tuple[str, Formula]]:
     """Named formulas over E/2, one `name: formula` per line; # starts a
-    comment.  Another symbol, or E with other than two arguments, is a
-    ValueError that names the line."""
+    comment.  Another symbol, or E with other than two arguments, is an
+    InputError that names the line."""
     if path is None:
         text = resources.files("baokit.data").joinpath("corpus.txt").read_text()
     else:
@@ -463,5 +463,5 @@ def load_corpus(path=None) -> list[tuple[str, Formula]]:
                 f"line {lineno} ({name.strip()}): {exc.message}", exc.position
             ) from None
         except ValueError as exc:
-            raise ValueError(f"line {lineno} ({name.strip()}): {exc}") from None
+            raise InputError(f"line {lineno} ({name.strip()}): {exc}") from None
     return out

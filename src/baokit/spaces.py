@@ -18,9 +18,13 @@ coordinate, `fold_top` the same fold of the last coordinate onto a space
 of lower dimension, with nothing spread back, `strictly_below` the
 order atom s_a < s_b, and `diagonal_at` the diagonal at chosen values.
 
-RelationAlgebra plays the same role for binary relations on a base set,
-with composition, converse and the identity relation.  Both are
-FullAlgebras, which share zero, one and apply, and each is the value
+A binary relation on a base of size u is an Element of TupleSpace(u, 2),
+of the subclass RaElement: the pair (a, b) is the tuple (b, a), at bit
+a*u + b, so row a of the u x u bit matrix is a run of u bits.  Converse
+swaps the two coordinates, a bit-matrix transpose (`transpose`), and the
+identity relation is the diagonal d_01.  RelationAlgebra adds composition
+to them.  SetAlgebra and RelationAlgebra are FullAlgebras, which share
+their values' construction, zero, one and apply, and each is the value
 domain of its own finite subalgebras, which compute on its raw ints.
 
 An operator table (`SetOperators`, `RelationOperators`) is the one map from
@@ -31,7 +35,7 @@ term programs and formula plans run tables too.
 import operator
 from collections.abc import Iterable, Iterator
 
-from .errors import CapacityError, SignatureError, SpaceMismatchError
+from .errors import CapacityError, InputError, SignatureError, SpaceMismatchError
 from .signatures import OpRef, Signature
 
 MAX_SPACE_BITS = 1 << 24
@@ -154,7 +158,9 @@ class TupleSpace:
 
 
 class Element:
-    """An immutable subset of one tuple space, stored as a bitset."""
+    """An immutable subset of one tuple space, stored as a bitset.  Values
+    of different types, such as a relation and a set element, never
+    combine or compare equal, even over one space."""
 
     __slots__ = ("space", "bits")
 
@@ -163,8 +169,8 @@ class Element:
         self.bits = bits & space.full_mask
 
     def _peer(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            raise TypeError(f"expected an Element, got {type(other).__name__}")
+        if type(other) is not type(self):
+            raise TypeError(f"expected an {type(self).__name__}, got {type(other).__name__}")
         if other.space != self.space:
             raise SpaceMismatchError(
                 f"elements of {self.space!r} and {other.space!r} cannot be combined"
@@ -172,19 +178,19 @@ class Element:
         return other
 
     def __and__(self, other):
-        return Element(self.space, self.bits & self._peer(other).bits)
+        return _value(type(self), self.space, self.bits & self._peer(other).bits)
 
     def __or__(self, other):
-        return Element(self.space, self.bits | self._peer(other).bits)
+        return _value(type(self), self.space, self.bits | self._peer(other).bits)
 
     def __xor__(self, other):
-        return Element(self.space, self.bits ^ self._peer(other).bits)
+        return _value(type(self), self.space, self.bits ^ self._peer(other).bits)
 
     def __sub__(self, other):
-        return Element(self.space, self.bits ^ (self.bits & self._peer(other).bits))
+        return _value(type(self), self.space, self.bits ^ (self.bits & self._peer(other).bits))
 
     def __invert__(self):
-        return Element(self.space, self.space.full_mask ^ self.bits)
+        return _value(type(self), self.space, self.space.full_mask ^ self.bits)
 
     def __le__(self, other):
         return self.bits & self._peer(other).bits == self.bits
@@ -194,7 +200,7 @@ class Element:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Element)
+            type(other) is type(self)
             and self.space == other.space
             and self.bits == other.bits
         )
@@ -234,7 +240,7 @@ class Element:
         head, _, payload = text.partition(":")
         dims, _, hexbits = payload.partition(":")
         if head != "space" or not hexbits:
-            raise ValueError(f"malformed element text {text!r}")
+            raise InputError(f"malformed element text {text!r}")
         u_str, _, n_str = dims.partition(",")
         space = TupleSpace(int(u_str), int(n_str))
         return cls(space, int(hexbits, 16))
@@ -244,6 +250,18 @@ class Element:
             f"Element(u={self.space.base_size}, n={self.space.dimension}, "
             f"count={self.count})"
         )
+
+
+_new = object.__new__
+
+
+def _value(cls, space: TupleSpace, bits: int):
+    """A value of type `cls`, Element or a subclass, over `space`, holding
+    `bits`, which lie below its top; no constructor runs."""
+    x = _new(cls)
+    x.space = space
+    x.bits = bits
+    return x
 
 
 def _check_run(values: range, base_size: int) -> None:
@@ -535,8 +553,10 @@ class FullAlgebra:
     """The algebra of all subsets of one finite set under a signature, and
     the value domain of its finite subalgebras, which compute on the raw
     ints of its operator table (`full`, `operators`, `key`, `from_bits`).
-    A subclass fixes the value type (`from_bits`, `contains`) and owns the
-    operator table."""
+    A subclass fixes `space`, the type of its values (`value`) and owns
+    the operator table."""
+
+    value = Element
 
     @property
     def full(self) -> int:
@@ -549,6 +569,22 @@ class FullAlgebra:
     @property
     def one(self):
         return self.from_bits(self.operators.full)
+
+    def element(self, tuples: Iterable):
+        bits = 0
+        for t in tuples:
+            bits |= 1 << self.space.encode(t)
+        return self.from_bits(bits)
+
+    def from_bits(self, bits: int):
+        return _value(self.value, self.space, bits & self.space.full_mask)
+
+    def random_element(self, rng):
+        return _value(self.value, self.space, rng.getrandbits(self.space.size))
+
+    def contains(self, x) -> bool:
+        # a value made here holds this very space, so `is` settles most calls
+        return type(x) is self.value and (x.space is self.space or x.space == self.space)
 
     def key(self, v) -> int | None:
         """The bits of a value of this algebra; None for any other object."""
@@ -575,21 +611,6 @@ class SetAlgebra(FullAlgebra):
         self.space = TupleSpace(base_size, dimension)
         self.operators = SetOperators(self.space, dimension)
 
-    def element(self, tuples: Iterable) -> Element:
-        bits = 0
-        for t in tuples:
-            bits |= 1 << self.space.encode(t)
-        return Element(self.space, bits)
-
-    def from_bits(self, bits: int) -> Element:
-        return Element(self.space, bits)
-
-    def random_element(self, rng) -> Element:
-        return Element(self.space, rng.getrandbits(self.space.size))
-
-    def contains(self, x) -> bool:
-        return isinstance(x, Element) and x.space == self.space
-
     def describe(self) -> str:
         """The domain line `FiniteAlgebra.serialize` writes."""
         return f"space {self.space.base_size} {self.space.dimension}"
@@ -601,83 +622,28 @@ class SetAlgebra(FullAlgebra):
         )
 
 
-class RaElement:
-    """An immutable binary relation on {0, ..., u-1}, stored as a bitset.
+class RaElement(Element):
+    """An immutable binary relation on {0, ..., u-1}: an Element of
+    TupleSpace(u, 2) whose tuple (b, a) is the pair (a, b), at bit a*u + b."""
 
-    The pair (a, b) occupies bit a*u + b.
-    """
-
-    __slots__ = ("base_size", "bits")
+    __slots__ = ()
 
     def __init__(self, base_size: int, bits: int):
-        self.base_size = base_size
-        self.bits = bits & ((1 << (base_size * base_size)) - 1)
-
-    def _peer(self, other: "RaElement") -> "RaElement":
-        if not isinstance(other, RaElement):
-            raise TypeError(f"expected an RaElement, got {type(other).__name__}")
-        if other.base_size != self.base_size:
-            raise SpaceMismatchError(
-                f"relations on bases {self.base_size} and {other.base_size}"
-            )
-        return other
+        super().__init__(TupleSpace(base_size, 2), bits)
 
     @property
-    def full_mask(self) -> int:
-        return (1 << (self.base_size * self.base_size)) - 1
-
-    def __and__(self, other):
-        return RaElement(self.base_size, self.bits & self._peer(other).bits)
-
-    def __or__(self, other):
-        return RaElement(self.base_size, self.bits | self._peer(other).bits)
-
-    def __xor__(self, other):
-        return RaElement(self.base_size, self.bits ^ self._peer(other).bits)
-
-    def __sub__(self, other):
-        return RaElement(self.base_size, self.bits ^ (self.bits & self._peer(other).bits))
-
-    def __invert__(self):
-        return RaElement(self.base_size, self.full_mask ^ self.bits)
-
-    def __le__(self, other):
-        return self.bits & self._peer(other).bits == self.bits
-
-    def __lt__(self, other):
-        return self <= other and self.bits != other.bits
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RaElement)
-            and self.base_size == other.base_size
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash(("ra", self.base_size, self.bits))
-
-    def __bool__(self):
-        return self.bits != 0
-
-    @property
-    def count(self) -> int:
-        return self.bits.bit_count()
+    def base_size(self) -> int:
+        return self.space.base_size
 
     def has_pair(self, a: int, b: int) -> bool:
         return (self.bits >> (a * self.base_size + b)) & 1 == 1
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        u = self.base_size
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            pos = low.bit_length() - 1
-            yield divmod(pos, u)
-            bits ^= low
+        """The pairs (a, b) in the order of a*u + b."""
+        return ((a, b) for b, a in self.tuples())
 
     def serialize(self) -> str:
-        width = (self.base_size * self.base_size + 3) // 4
+        width = (self.space.size + 3) // 4
         return f"rel:{self.base_size}:{self.bits:0{width}x}"
 
     @classmethod
@@ -685,7 +651,7 @@ class RaElement:
         head, _, payload = text.partition(":")
         u_str, _, hexbits = payload.partition(":")
         if head != "rel" or not hexbits:
-            raise ValueError(f"malformed relation text {text!r}")
+            raise InputError(f"malformed relation text {text!r}")
         return cls(int(u_str), int(hexbits, 16))
 
     def __repr__(self):
@@ -708,35 +674,65 @@ def compose_bits(u: int, r: int, s: int) -> int:
     return out
 
 
-def converse_bits(u: int, r: int) -> int:
-    """The converse of a relation bitset on a base of size u."""
-    out = 0
-    while r:
-        low = r & -r
-        a, b = divmod(low.bit_length() - 1, u)
-        out |= 1 << (b * u + a)
-        r ^= low
-    return out
+def transpose(space: TupleSpace, bits: int) -> int:
+    """The bits of {(s_1, s_0) : s in x}, x a bitset over TupleSpace(u, 2):
+    the converse of a relation, the transpose of the u x u bit matrix
+    whose row a is bits a*u .. a*u + u - 1.
+
+    With w the power of two at or above u, the rows are first spread to
+    length w: for each bit j of a row index, highest first, the rows with
+    that bit set move up by 2**j * (w - u), one masked move for all of
+    them.  The w x w matrix is transposed by log2 w masked block swaps
+    (Warren, Hacker's Delight, 2nd ed., 7-3): for k = w/2, ..., 1 the
+    top-right and bottom-left k x k blocks of each 2k x 2k block trade
+    places.  The moves undone in reverse order compact the rows back.
+    """
+    u = space.base_size
+    w = 1 << (u - 1).bit_length()
+    moves = []  # (the rows that move, how far), in groups of 2k rows
+    k = w >> 1
+    while k and w != u:
+        run = ((1 << k * u) - 1) << k * u  # the upper k rows of a group
+        moves.append((_replicate(run, 2 * k * w, -(-u // (2 * k))), k * (w - u)))
+        k >>= 1
+    for rows, shift in moves:
+        moved = bits & rows
+        bits ^= moved ^ moved << shift
+    k = w >> 1
+    cols = _replicate(((1 << k) - 1) << k, w, w)  # the columns with bit k set
+    rows = (1 << k * w) - 1  # the rows with bit k clear
+    while k:
+        shift = k * (w - 1)
+        swap = (bits ^ bits >> shift) & cols & rows
+        bits ^= swap ^ swap << shift
+        k >>= 1
+        if k:
+            cols ^= cols >> k
+            rows ^= rows << k * w
+    for rows, shift in reversed(moves):
+        moved = bits & rows << shift
+        bits ^= moved ^ moved >> shift
+    return bits
 
 
 class RelationOperators(Operators):
     """The operators of the algebra of all binary relations on a base of
-    size u: composition, converse and the identity relation."""
+    size u: composition, converse and the identity relation d_01."""
 
-    def __init__(self, u: int):
-        super().__init__((1 << (u * u)) - 1)
-        self.u = u
-        self.key = (u,)
+    def __init__(self, space: TupleSpace):
+        super().__init__(space.full_mask)
+        self.space = space
+        self.key = (space.base_size,)
 
     def constant(self, op: OpRef) -> int:
-        if op[0] == "id":  # the pairs (a, a), at bits a*u + a
-            return _replicate(1, self.u + 1, self.u)
+        if op[0] == "id":
+            return diag(self.space, 0, 1).bits
         return super().constant(op)
 
     def make(self, op: OpRef):
-        u = self.u
+        space, u = self.space, self.space.base_size
         if op[0] == "conv":
-            return lambda x, _: converse_bits(u, x)
+            return lambda x, _: transpose(space, x)
         if op[0] == "comp":
             return lambda x, y: compose_bits(u, x, y)
         raise SignatureError(f"unsupported operator {op[0]!r}")
@@ -745,36 +741,28 @@ class RelationOperators(Operators):
 class RelationAlgebra(FullAlgebra):
     """All binary relations on a finite base, with ;, converse and Id."""
 
+    value = RaElement
+
     def __init__(self, base_size: int):
-        if base_size < 1:
-            raise ValueError("base size must be at least 1")
-        if base_size * base_size > MAX_SPACE_BITS:
-            raise CapacityError(f"base {base_size} exceeds the desk-scale budget")
         self.signature = Signature("RA")
+        self.space = TupleSpace(base_size, 2)
         self.base_size = base_size
-        self.operators = RelationOperators(base_size)
+        self.operators = RelationOperators(self.space)
 
     @property
     def identity(self) -> RaElement:
-        return RaElement(self.base_size, self.operators.constant(("id", ())))
+        return self.from_bits(self.operators.constant(("id", ())))
 
     def element(self, pairs: Iterable[tuple[int, int]]) -> RaElement:
         u = self.base_size
-        bits = 0
-        for a, b in pairs:
-            if not (0 <= a < u and 0 <= b < u):
-                raise ValueError(f"pair ({a}, {b}) outside base {u}")
-            bits |= 1 << (a * u + b)
-        return RaElement(u, bits)
 
-    def from_bits(self, bits: int) -> RaElement:
-        return RaElement(self.base_size, bits)
+        def tuples():
+            for a, b in pairs:
+                if not (0 <= a < u and 0 <= b < u):
+                    raise ValueError(f"pair ({a}, {b}) outside base {u}")
+                yield b, a
 
-    def random_element(self, rng) -> RaElement:
-        return RaElement(self.base_size, rng.getrandbits(self.base_size**2))
-
-    def contains(self, x) -> bool:
-        return isinstance(x, RaElement) and x.base_size == self.base_size
+        return super().element(tuples())
 
     def describe(self) -> str:
         """The domain line `FiniteAlgebra.serialize` writes."""
@@ -782,10 +770,10 @@ class RelationAlgebra(FullAlgebra):
 
     def compose(self, r: RaElement, s: RaElement) -> RaElement:
         r._peer(s)
-        return RaElement(self.base_size, compose_bits(self.base_size, r.bits, s.bits))
+        return self.from_bits(compose_bits(self.base_size, r.bits, s.bits))
 
     def converse(self, r: RaElement) -> RaElement:
-        return RaElement(self.base_size, converse_bits(self.base_size, r.bits))
+        return self.from_bits(transpose(self.space, r.bits))
 
     def residual(self, r: RaElement, s: RaElement) -> RaElement:
         """Boolean residual r -> s, that is -r + s."""

@@ -18,10 +18,11 @@ and ``id`` are bare words.
 from array import array
 from collections.abc import Iterator
 
-from .errors import SignatureError, UnboundVariableError
+from .errors import InputError, SignatureError, UnboundVariableError
 from .formulas import MAX_NESTING, Node, postorder
 from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
-from .spaces import MAX_SPACE_BITS, RelationAlgebra, SetAlgebra, SetOperators, TupleSpace
+from .spaces import MAX_SPACE_BITS, FullAlgebra, RelationAlgebra, SetAlgebra, SetOperators
+from .spaces import TupleSpace
 
 
 class Var(Node):
@@ -222,7 +223,7 @@ def eval_term(term: Term, assignment, ambient):
     shared subterm is evaluated once.
     """
     _check_signature(term, ambient)
-    if not isinstance(ambient, (SetAlgebra, RelationAlgebra)):
+    if not isinstance(ambient, FullAlgebra):
         raise TypeError(f"cannot evaluate terms in {type(ambient).__name__}")
     binding = term._layout.binding(ambient.operators)
     inputs = []
@@ -332,12 +333,11 @@ def eval_term_lanes(term: Term, columns, ambient) -> list[int]:
     if len(lengths) > 1:
         raise ValueError("columns of different lengths")
     count = lengths.pop() if lengths else 1
-    relations = isinstance(ambient, RelationAlgebra)
-    width = ambient.base_size**2 if relations else ambient.space.size
+    width = ambient.space.size
     for column in columns.values():
         if column and (min(column) < 0 or max(column) >> width):
             raise ValueError(f"a value does not fit in {width} bits")
-    if relations:
+    if isinstance(ambient, RelationAlgebra):
         return [
             eval_term(
                 term, {i: ambient.from_bits(c[lane]) for i, c in columns.items()}, ambient
@@ -378,14 +378,14 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_term(text: str, signature: Signature) -> Term:
-    """Parse the s-expression form; a syntax error is a ValueError that
+    """Parse the s-expression form; a syntax error is an InputError that
     names the position of the offending token."""
     tokens = _tokenize(text)
     pos = 0
     depth = 0  # the parentheses open around the current token
 
     def fail(msg, at):
-        raise ValueError(f"term syntax error: {msg} (at token {at})")
+        raise InputError(f"term syntax error: {msg} (at token {at})")
 
     def take() -> str:
         nonlocal pos

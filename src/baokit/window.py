@@ -33,7 +33,7 @@ is refused (PreconditionError) before any leaf is built.
 
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .formulas import (
     Atom,
     Eq,
@@ -61,13 +61,13 @@ class WindowModel:
 
     def __post_init__(self):
         if self.radius < 1 or self.margin < 1:
-            raise ValueError("radius and margin must be positive")
+            raise InputError("radius and margin must be positive")
         lo, hi = -self.radius + self.margin, self.radius - self.margin
         if self.fixed and lo > hi:
-            raise ValueError(f"margin {self.margin} leaves no room inside radius {self.radius}")
+            raise InputError(f"margin {self.margin} leaves no room inside radius {self.radius}")
         bad = [c for c in self.fixed if not lo <= c <= hi]
         if bad:
-            raise ValueError(
+            raise InputError(
                 f"fixed points {bad} fall outside the margin interval [{lo}, {hi}]"
             )
 

@@ -8,7 +8,7 @@ every call.  `node_repr` is `Node.__repr__` as it was.
 """
 
 from baokit.compiler import CompiledTerm, _renamings
-from baokit.errors import CompileError, PreconditionError
+from baokit.errors import CompileError, InputError, PreconditionError
 from baokit.formulas import (
     _CONNECTIVE,
     _PREC,
@@ -50,9 +50,9 @@ def _value_repr(value) -> str:
 def check_vocabulary(f, vocab) -> None:
     if isinstance(f, Atom):
         if f.rel not in vocab:
-            raise ValueError(f"unknown relation symbol {f.rel!r}")
+            raise InputError(f"unknown relation symbol {f.rel!r}")
         if vocab.arity(f.rel) != len(f.args):
-            raise ValueError(f"{f.rel} expects {vocab.arity(f.rel)} arguments")
+            raise InputError(f"{f.rel} expects {vocab.arity(f.rel)} arguments")
     elif isinstance(f, Not):
         check_vocabulary(f.body, vocab)
     elif isinstance(f, _Binary):

@@ -20,7 +20,7 @@ from baokit import (
 )
 import baokit.cli
 import element_path
-from baokit import CapacityError
+from baokit import BaokitError, CapacityError, InputError, parse_term
 from baokit.algebras import product as direct_product
 from baokit.cli import ExperimentReport, _decimal, _parse_gen, main
 
@@ -341,6 +341,25 @@ def run_usage_error(capsys, *argv):
     return err
 
 
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    """Only input that does not parse is a usage error; a plain ValueError
+    raised inside a subcommand reaches the caller, not exit code 2."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(baokit.cli, "identity_sweep", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["tau-sigma-delta"])
+    assert capsys.readouterr().err == ""
+    # input errors stay ValueErrors for library callers
+    assert issubclass(InputError, ValueError) and issubclass(InputError, BaokitError)
+    for bad in (lambda: parse_term("(var", SetAlgebra("CA", 2, 2).signature),
+                lambda: _parse_gen("junk:1", SetAlgebra("CA", 2, 2))):
+        with pytest.raises(InputError):
+            bad()
+
+
 def test_unclosed_term_is_usage_error(capsys):
     err = run_usage_error(capsys, "check-identity", "--lhs", "(var", "--rhs", "(var 0)")
     assert "at token 2" in err
@@ -618,6 +637,9 @@ _CLI_FLAGS = {  # subcommand -> flag -> values in and out of range, and malforme
     "pairing": {"rank": ["1", "2", "3", "4", "0", "x", _BIG]},
     "tau-sigma-delta": {"u": ["1", "2", "3", "0", "x", _BIG], "samples": ["1", "10", "0", "x"],
                         "seed": ["0", "7", "-1", "x", _BIG]},
+    # no u that builds a large relation and then samples it
+    "check-identity": {"kind": ["BA", "CA", "RA"], "u": ["1", "2", "3", "0", "x", "4097", _BIG],
+                       "samples": ["1", "5", "0", "x"]},
 }
 
 
@@ -638,6 +660,9 @@ def test_fuzzed_flags_and_paths_keep_the_exit_code_contract(tmp_path, capsys, da
         argv += ["--rank=1", f"--corpus={data.draw(st.sampled_from(paths))}"]
     elif command == "corpus-check":
         argv.append(str(data.draw(st.sampled_from(paths))))
+    elif command == "check-identity":
+        argv.append(f"--lhs={data.draw(st.sampled_from(['(var 0)', '(conv (var 1))']))}")
+        argv.append(f"--rhs={data.draw(st.sampled_from(['(not (not (var 0)))', '(cyl 0 (var 0))']))}")
     elif command == "atoms" and data.draw(st.booleans()):
         argv.append(f"--dump={data.draw(st.sampled_from(paths + [tmp_path / 'out.txt']))}")
     try:

@@ -12,9 +12,9 @@ script records:
   tree (perfbench is used as it is; the two trees alternate, and so does
   which of them runs first for a seed);
 - the median wall time, over --repeats process runs, of each command in
-  COMMANDS: `corpus-check`, `translate`, `arith` and `window` at their
-  default flags, `window --fixed 0,5`, and the two window runs of CI's
-  "CLI exit codes" step;
+  COMMANDS: `corpus-check`, `translate`, `arith`, `pairing` and `window`
+  at their default flags, `window --fixed 0,5`, and the two window runs
+  of CI's "CLI exit codes" step;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
   (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
   tree with its own src on PYTHONPATH, the median of the per-test call
@@ -48,6 +48,7 @@ COMMANDS = (
     ("--json", "corpus-check"),
     ("--json", "translate"),
     ("--json", "arith"),
+    ("--json", "pairing"),
     ("--json", "window"),
     ("--json", "window", "--fixed", "0,5"),
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
