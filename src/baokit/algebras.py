@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
 from .errors import InputError, SpaceMismatchError
 from .signatures import OpRef, Signature, opref_str
-from .spaces import Element, Operators, RaElement, TupleSpace
+from .spaces import Element, Operators, RaElement, RelationAlgebra, TupleSpace
 
 
 class KernelTable(Operators):
@@ -423,7 +423,8 @@ def _read_values(desc: str, hexes) -> list:
         space = TupleSpace(int(parts[1]), int(parts[2]))
         return [Element(space, int(h, 16)) for h in hexes]
     if parts[:1] == ["rel"] and len(parts) == 2:
-        return [RaElement(int(parts[1]), int(h, 16)) for h in hexes]
+        ra = RelationAlgebra(int(parts[1]))
+        return [ra.from_bits(int(h, 16)) for h in hexes]
     raise InputError(f"cannot deserialize domain {desc!r}")
 
 

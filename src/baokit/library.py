@@ -445,8 +445,11 @@ def load_corpus(path=None) -> list[tuple[str, Formula]]:
     if path is None:
         text = resources.files("baokit.data").joinpath("corpus.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -746,23 +746,23 @@ class RelationAlgebra(FullAlgebra):
     def __init__(self, base_size: int):
         self.signature = Signature("RA")
         self.space = TupleSpace(base_size, 2)
-        self.base_size = base_size
         self.operators = RelationOperators(self.space)
+
+    @property
+    def base_size(self) -> int:
+        return self.space.base_size
 
     @property
     def identity(self) -> RaElement:
         return self.from_bits(self.operators.constant(("id", ())))
 
     def element(self, pairs: Iterable[tuple[int, int]]) -> RaElement:
-        u = self.base_size
-
-        def tuples():
-            for a, b in pairs:
-                if not (0 <= a < u and 0 <= b < u):
-                    raise ValueError(f"pair ({a}, {b}) outside base {u}")
-                yield b, a
-
-        return super().element(tuples())
+        u, bits = self.base_size, 0
+        for a, b in pairs:
+            if not (0 <= a < u and 0 <= b < u):
+                raise ValueError(f"pair ({a}, {b}) outside base {u}")
+            bits |= 1 << (a * u + b)
+        return self.from_bits(bits)
 
     def describe(self) -> str:
         """The domain line `FiniteAlgebra.serialize` writes."""

@@ -375,6 +375,14 @@ def test_missing_corpus_is_usage_error(capsys):
     assert "/nonexistent" in err
 
 
+def test_a_corpus_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "binary.txt"
+    corpus.write_bytes(b"ok: E(v0,v1)\n\xff\n")
+    expected = f"usage error: {corpus}: not UTF-8 text at byte 13\n"
+    assert run_usage_error(capsys, "corpus-check", str(corpus)) == expected
+    assert run_usage_error(capsys, "translate", "--corpus", str(corpus)) == expected
+
+
 def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
     parens = tmp_path / "parens.txt"
     parens.write_text("deep: " + "(" * 250 + "E(v0,v1)" + ")" * 250 + "\n")
@@ -650,7 +658,9 @@ def test_fuzzed_flags_and_paths_keep_the_exit_code_contract(tmp_path, capsys, da
     """Random values of the numeric, choice and path flags; huge --trials
     and --samples are left out, since they ask for that many runs."""
     (tmp_path / "file.txt").write_text("")
-    paths = [tmp_path / "missing" / "out.txt", tmp_path, tmp_path / "file.txt" / "out.txt"]
+    (tmp_path / "binary.txt").write_bytes(b"\xff")
+    paths = [tmp_path / "missing" / "out.txt", tmp_path, tmp_path / "file.txt" / "out.txt",
+             tmp_path / "binary.txt"]
     command = data.draw(st.sampled_from([*_CLI_FLAGS, "translate", "corpus-check"]))
     argv = [command]
     for flag, values in _CLI_FLAGS.get(command, {}).items():
