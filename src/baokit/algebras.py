@@ -13,11 +13,11 @@ and `from_bits(int)`, the value back.  Meet, join and complement are `&`,
 `|` and `full ^`, and an int is its own key.  A full set or relation
 algebra (`spaces.SetAlgebra`, `spaces.RelationAlgebra`) is a domain
 itself; the domains here cover relativizations (each result ANDed with
-b), binary products (a pair packed as `left << shift | right`, whose
-numeric order is the order of the pairs) and explicit operation tables (a
-value is the mask of the atoms below it).  An algebra keeps its atoms as
+b) and binary products (a pair packed as `left << shift | right`, whose
+numeric order is the order of the pairs).  An algebra keeps its atoms as
 ints and wraps values only in `atoms`, `carrier`, `zero`, `one`,
-`serialize` and the maps it hands out.
+`serialize` and the maps it hands out.  Reading a serialized algebra back
+rebuilds the domain its text names and checks each table against it.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import CapacityError, ClosureCapError, PreconditionError, SignatureError
 from .errors import InputError, SpaceMismatchError
 from .signatures import OpRef, Signature, opref_str
-from .spaces import Element, Operators, RaElement, RelationAlgebra, TupleSpace
+from .spaces import Element, Operators, RelationAlgebra, SetAlgebra, read_int
 
 
 class KernelTable(Operators):
@@ -106,78 +106,6 @@ class ProductDomain:
         return f"product({self.left.describe()}; {self.right.describe()})"
 
 
-def _name(v):
-    """The key of a value in the tables of a TableDomain."""
-    return getattr(v, "bits", v)
-
-
-class TableDomain:
-    """Explicit finite operation tables over hashable values.
-
-    `tables` maps an opref string to a dict from tuples of argument names
-    (a value's `bits` if it has them, else the value) to values, as do
-    "and", "or" and "not"; "zero" and "one" map () to the constant.  A value
-    computes as the mask of the atoms below it, atom i being the i-th
-    minimal nonzero value by name.  Raises ValueError unless the Boolean
-    tables act on those masks as &, | and complement, so that they agree
-    with the int operations.
-    """
-
-    def __init__(self, signature: Signature, values, tables: dict):
-        self.signature = signature
-        self.values = list(values)
-        self.tables = tables
-        names = [_name(v) for v in self.values]
-        meet = {args: _name(v) for args, v in tables["and"].items()}
-        nonzero = [k for k in names if k != _name(tables["zero"][()])]
-        atoms = sorted(k for k in nonzero if not any(j != k and meet[j, k] == j for j in nonzero))
-        mask = {k: sum(1 << i for i, a in enumerate(atoms) if meet[a, k] == a) for k in names}
-        self._mask, self._value = mask, {mask[k]: v for k, v in zip(names, self.values)}
-        self.full = full = (1 << len(atoms)) - 1
-        ends = [mask.get(_name(tables[c][()])) for c in ("zero", "one")]
-        if len(self._value) != len(names) or len(names) != full + 1 or ends != [0, full]:
-            raise ValueError("carrier is not the set of joins of its atoms")
-        for label, name, arity, want in (
-            ("complement", "not", 1, lambda m: full ^ m),
-            ("meet", "and", 2, lambda m, n: m & n),
-            ("join", "or", 2, lambda m, n: m | n),
-        ):
-            for args in itertools.product(names, repeat=arity):
-                if mask.get(_name(tables[name][args])) != want(*map(mask.get, args)):
-                    raise ValueError(f"{label} does not act on the atoms below each element")
-
-        def rows(op) -> dict:
-            return {
-                tuple(map(mask.get, args)): mask.get(_name(v))
-                for args, v in tables[opref_str(op)].items()
-            }
-
-        def kernel(op):
-            row, arity = rows(op), signature.op_arity(op)
-            return lambda x, y: row[(x, y)[:arity]]
-
-        self.operators = KernelTable(signature, full, kernel, lambda op: rows(op)[()])
-
-    def key(self, v):
-        try:
-            m = self._mask.get(_name(v))
-        except TypeError:  # unhashable, so not a value
-            return None
-        return m if m is not None and self._value[m] == v else None
-
-    def from_bits(self, bits: int):
-        return self._value[bits]
-
-    def describe(self) -> str:
-        """The domain line `serialize` writes, which fixes how values read back."""
-        v = self.values[0] if self.values else None
-        if isinstance(v, RaElement):
-            return f"rel {v.base_size}"
-        if isinstance(v, Element):
-            return f"space {v.space.base_size} {v.space.dimension}"
-        return "tables"
-
-
 MAX_CARRIER_ATOMS = 16  # carriers are enumerated up to 2**16 elements
 
 
@@ -219,10 +147,6 @@ def _joins(atoms) -> list:
     return out
 
 
-def _put(items: tuple, i: int, value) -> tuple:
-    return items[:i] + (value,) + items[i + 1 :]
-
-
 class FiniteAlgebra:
     """A finite subalgebra of a value domain, stored as its atoms: the ints
     `atom_bits`, in numeric order.
@@ -230,22 +154,36 @@ class FiniteAlgebra:
     The carrier, the joins of the atoms in numeric order, is built on first
     access and only up to 2**16 elements.  The library builds algebras from
     their atoms (`from_atoms`); the constructor is for carriers that come
-    from outside the program, such as tables read from a file.
+    from outside the program, such as the elems of a text `deserialize`
+    reads back into the domain it names.
     """
 
     def __init__(self, domain, carrier):
         """Find the atoms of an outside carrier by refining against it.
 
-        Checks, exactly and on every element, that the carrier is the set
-        of joins of its atoms and that every operator table is normal and
-        additive in each argument, the condition that generation by
-        refinement relies on.  Raises ValueError when either check fails.
+        Checks, exactly, that the carrier is the set of joins of its atoms
+        and that it is closed under every operator.  Raises InputError, a
+        ValueError, when either check fails.
         """
         keys = {domain.key(v) for v in carrier}
         if None in keys:
-            raise ValueError("carrier holds a value outside its domain")
+            raise InputError("carrier holds a value outside its domain")
         self._setup(domain, _split([domain.full] if domain.full else [], keys))
-        self._check_carrier(keys)
+        # the joins by mask, if the size fits: no carrier past 2**16 is built
+        if len(keys) != self.size or keys != set(self.carrier_bits):
+            raise InputError("carrier is not the set of joins of its atoms")
+        # a domain's operators are normal and additive, so the carrier is
+        # closed under one when it holds its images of the atoms
+        table = domain.operators
+        for op, arity in self.operator_descriptors():
+            if arity:
+                f = table.function(op)
+                args = itertools.product(self.atom_bits, repeat=arity)
+                images = {f(a[0], a[-1]) for a in args}
+            else:
+                images = {table.constant(op)}
+            if not images <= keys:
+                raise InputError(f"carrier not closed under {opref_str(op)}")
 
     @classmethod
     def from_atoms(cls, domain, atoms) -> "FiniteAlgebra":
@@ -310,122 +248,114 @@ class FiniteAlgebra:
     def operator_descriptors(self):
         return self.signature.operator_descriptors()
 
-    # -- validation of outside carriers -------------------------------------
-
-    def _check_carrier(self, keys: set):
-        table = self.domain.operators
-        # the joins by mask, if the size fits: no carrier past 2**16 is built
-        by_mask = self.carrier_bits if len(keys) == self.size else []
-        if keys != set(by_mask):
-            raise ValueError("carrier is not the set of joins of its atoms")
-        masks = {x: m for m, x in enumerate(by_mask)}
-        for op, arity in self.operator_descriptors():
-            f = table.function(op) if arity else lambda *_: table.constant(op)
-            images = {}
-            for ms in itertools.product(range(self.size), repeat=arity):
-                args = [by_mask[m] for m in ms] or [None]
-                images[ms] = masks.get(f(args[0], args[-1]))
-            if None in images.values():
-                raise ValueError(f"carrier not closed under {opref_str(op)}")
-            # Normal and additive in argument i: f(.., 0, ..) = 0, and
-            # f(.., x, ..) joins f(.., a, ..) and f(.., x - a, ..) for the
-            # lowest atom a below x.
-            for ms, got in images.items():
-                for i, m in enumerate(ms):
-                    low = m & -m
-                    if m == low and m:  # one atom: nothing to join
-                        continue
-                    want = m and images[_put(ms, i, low)] | images[_put(ms, i, m ^ low)]
-                    if got != want:
-                        raise ValueError(
-                            f"{opref_str(op)} is not normal and additive in argument {i}"
-                        )
-
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> str:
         if len(self.atom_bits) > 8:
-            raise PreconditionError("serialization supported up to 256 elements")
-        carrier = self.carrier
-        if not all(isinstance(v, Element) for v in carrier):
+            raise CapacityError("serialization supported up to 256 elements")
+        if not isinstance(self.zero, Element):
             raise PreconditionError("only bitset-backed carriers serialize")
-        table = self.domain.operators
         bits = self.carrier_bits
-        index = {x: i for i, x in enumerate(bits)}
-
-        def row(op, arity) -> str:
-            if not arity:
-                return str(index[table.constant(op)])
-            f = table.function(op)
-            args = itertools.product(bits, repeat=arity)
-            return " ".join(str(index[f(a[0], a[-1])]) for a in args)
-
         dim = self.signature.dimension
         lines = [
             "baokit-algebra 1",
             f"signature {self.signature.kind} {dim if dim else 0}",
             self.domain.describe(),
-            f"carrier {len(carrier)}",
+            f"carrier {len(bits)}",
         ]
-        lines += [f"elem {v.bits:x}" for v in carrier]
-        lines.append(f"zero {index[0]}")
-        lines.append(f"one {index[self.domain.full]}")
-        shapes = [(("not", ()), 1), (("and", ()), 2), (("or", ()), 2)]
-        for op, arity in shapes + list(self.operator_descriptors()):
-            lines.append(f"table {opref_str(op)} {row(op, arity)}")
+        lines += [f"elem {x:x}" for x in bits]
+        for name, row in _rows(self.domain, bits).items():
+            head = name if name in ("zero", "one") else f"table {name}"
+            lines.append(f"{head} {' '.join(row)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def deserialize(cls, text: str) -> "FiniteAlgebra":
-        """Read `serialize` output; each table's shape comes from its arity."""
+        """Read `serialize` output back into the domain its domain line
+        names.  The elems must be the joins of their atoms, and every row
+        the domain's own operation on them, in the order they are listed;
+        raises InputError, a ValueError, naming what differs."""
         lines = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != ["baokit-algebra", "1"]:
             raise InputError("unknown algebra format")
         if len(lines) < 4 or len(lines[1]) != 3 or lines[3][:1] != ["carrier"]:
             raise InputError("truncated algebra text: incomplete header")
-        kind, dim = lines[1][1:]
-        signature = Signature(kind, None if kind in ("BA", "RA") else int(dim))
-        count = int(lines[3][-1])
+        ambient, levels = _read_domain(*lines[1][1:], " ".join(lines[2]))
+        count = read_int(lines[3][-1])
         elems = [ln for ln in lines[4 : 4 + count] if ln[0] == "elem" and len(ln) == 2]
         if len(elems) != count:
             raise InputError(f"truncated algebra text: {len(elems)} of {count} elems")
-        values = _read_values(" ".join(lines[2]), [ln[1] for ln in elems])
+        bits = [read_int(ln[1], 16) for ln in elems]
+        for x in bits:
+            if x | ambient.full != ambient.full:
+                raise InputError(f"elem {x:x} lies outside the {ambient.describe()} domain")
+        if len(set(bits)) != count:
+            raise InputError("an elem is listed twice")
         rows = {}
         for ln in lines[4 + count :]:
             is_table = ln[0] == "table" and len(ln) > 1
             name, entries = (ln[1], ln[2:]) if is_table else (ln[0], ln[1:])
-            rows[name] = [int(e) for e in entries]
-        shapes = [("zero", 0), ("one", 0), ("not", 1), ("and", 2), ("or", 2)]
-        shapes += [(opref_str(op), a) for op, a in signature.operator_descriptors()]
-        tables = {}
-        names = [_name(v) for v in values]
-        for name, arity in shapes:
-            row = rows.get(name)
-            if row is None or len(row) != count**arity:
-                raise InputError(f"truncated algebra text: table {name!r} incomplete")
-            if not all(0 <= e < count for e in row):
-                raise InputError(f"table {name!r} refers past the carrier")
-            args = itertools.product(names, repeat=arity)
-            tables[name] = {a: values[e] for a, e in zip(args, row)}
-        return cls(TableDomain(signature, values, tables), values)
+            rows[name] = entries
+        for op, arity in _BOOLEAN_ROWS + ambient.signature.operator_descriptors():
+            if len(rows.get(opref_str(op), ())) != count**arity:
+                raise InputError(f"truncated algebra text: table {opref_str(op)!r} incomplete")
+        one = read_int(rows["one"][0])
+        if not 0 <= one < count:
+            raise InputError("table 'one' refers past the carrier")
+        domain = ambient
+        for _ in range(levels):
+            domain = RelativizedDomain(domain, bits[one])
+        algebra = cls(domain, [domain.from_bits(x) for x in bits])
+        for name, row in _rows(domain, bits).items():
+            if rows[name] != row:
+                raise InputError(f"table {name!r} is not the {domain.describe()} operation")
+        return algebra
 
     def __repr__(self):
         return f"FiniteAlgebra({self.signature.label}, size={self.size})"
 
 
-def _read_values(desc: str, hexes) -> list:
-    """Carrier values for a domain line: `space u n`, `rel u`, or either
-    inside any number of `relativized(...)`."""
+# the rows every algebra text has, ahead of its signature's operators
+_BOOLEAN_ROWS = (
+    (("zero", ()), 0), (("one", ()), 0), (("not", ()), 1), (("and", ()), 2), (("or", ()), 2)
+)
+
+
+def _rows(domain, bits) -> dict:
+    """The rows of the text of an algebra over `domain` whose carrier is
+    `bits`, in that order: by the name of each constant and operation, the
+    index in `bits`, in decimal, of each image, the arguments row-major."""
+    table = domain.operators
+    index = {x: str(i) for i, x in enumerate(bits)}
+    out = {}
+    for op, arity in _BOOLEAN_ROWS + domain.signature.operator_descriptors():
+        if arity:
+            f = table.function(op)
+            row = [index[f(a[0], a[-1])] for a in itertools.product(bits, repeat=arity)]
+        else:
+            row = [index[table.constant(op)]]
+        out[opref_str(op)] = row
+    return out
+
+
+def _read_domain(kind: str, dim: str, desc: str):
+    """The full algebra a domain line names, `space u n` or `rel u`, and
+    how many `relativized(...)` enclose it; InputError unless the kind and
+    dimension of the signature line are the ones `serialize` writes for it."""
+    levels = 0
     while desc.startswith("relativized(") and desc.endswith(")"):
-        desc = desc[len("relativized(") : -1]
-    parts = desc.split()
-    if parts[:1] == ["space"] and len(parts) == 3:
-        space = TupleSpace(int(parts[1]), int(parts[2]))
-        return [Element(space, int(h, 16)) for h in hexes]
-    if parts[:1] == ["rel"] and len(parts) == 2:
-        ra = RelationAlgebra(int(parts[1]))
-        return [ra.from_bits(int(h, 16)) for h in hexes]
-    raise InputError(f"cannot deserialize domain {desc!r}")
+        desc, levels = desc[len("relativized(") : -1], levels + 1
+    parts, ambient = desc.split(), None
+    try:
+        if parts[:1] == ["space"] and len(parts) == 3 and kind != "RA":
+            ambient = SetAlgebra(kind, read_int(parts[1]), read_int(parts[2]))
+        if parts[:1] == ["rel"] and len(parts) == 2 and kind == "RA":
+            ambient = RelationAlgebra(read_int(parts[1]))
+    except (SignatureError, ValueError) as exc:
+        raise InputError(f"cannot read domain {desc!r}: {exc}") from None
+    if ambient is None or (ambient.signature.dimension or 0) != read_int(dim):
+        raise InputError(f"signature {kind} {dim} does not fit the domain {desc!r}")
+    return ambient, levels
 
 
 def generate_subalgebra(domain, gens, cap: int = 4096) -> FiniteAlgebra:

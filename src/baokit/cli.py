@@ -163,8 +163,9 @@ def _cmd_atoms(args) -> ExperimentReport:
         "atoms": [a.serialize() for a in ats[:16]],
     }
     if args.dump:
+        text = algebra.serialize()  # before the file opens, so a refusal leaves it as it was
         with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(algebra.serialize())
+            fh.write(text)
         details["dumped_to"] = args.dump
     return ExperimentReport(
         "atoms",

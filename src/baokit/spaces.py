@@ -41,6 +41,14 @@ from .signatures import OpRef, Signature
 MAX_SPACE_BITS = 1 << 24
 
 
+def read_int(token: str, base: int = 10) -> int:
+    """The int a token of element or algebra text spells; else InputError naming it."""
+    try:
+        return int(token, base)
+    except ValueError:
+        raise InputError(f"not a base-{base} number: {token!r}") from None
+
+
 def doubling_shifts(period: int, count: int) -> tuple[int, ...]:
     """Shifts that make `count` copies of a pattern, at offsets 0, period,
     ..., by ORing in a shifted copy of everything so far: O(log count)."""
@@ -242,8 +250,8 @@ class Element:
         if head != "space" or not hexbits:
             raise InputError(f"malformed element text {text!r}")
         u_str, _, n_str = dims.partition(",")
-        space = TupleSpace(int(u_str), int(n_str))
-        return cls(space, int(hexbits, 16))
+        space = TupleSpace(read_int(u_str), read_int(n_str))
+        return cls(space, read_int(hexbits, 16))
 
     def __repr__(self):
         return (
@@ -652,7 +660,7 @@ class RaElement(Element):
         u_str, _, hexbits = payload.partition(":")
         if head != "rel" or not hexbits:
             raise InputError(f"malformed relation text {text!r}")
-        return cls(int(u_str), int(hexbits, 16))
+        return cls(read_int(u_str), read_int(hexbits, 16))
 
     def __repr__(self):
         return f"RaElement(base={self.base_size}, count={self.count})"

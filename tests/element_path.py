@@ -1,17 +1,17 @@
 """The value-level path that `baokit.algebras` and `baokit.freeness` replaced,
 kept as the oracle of their int path.
 
-Here every domain computes on wrapped values (Elements, RaElements, pairs
-or table values) through `zero`, `one`, `meet`, `join`, `compl`, `apply`
-and a hashable `key`, an algebra keeps its atoms as values sorted by key,
-and refinement meets every cell with every splitter.  `element_domain`
+Here every domain computes on wrapped values (Elements, RaElements or
+pairs) through `zero`, `one`, `meet`, `join`, `compl`, `apply` and a
+hashable `key`, an algebra keeps its atoms as values sorted by key, and
+refinement meets every cell with every splitter.  `element_domain`
 gives the value-level twin of a library domain.
 """
 
 import itertools
 from functools import partial
 
-from baokit.algebras import ProductDomain, RelativizedDomain, TableDomain
+from baokit.algebras import ProductDomain, RelativizedDomain
 from baokit.errors import ClosureCapError, PreconditionError
 from baokit.signatures import opref_str
 from baokit.spaces import Element, FullAlgebra, RaElement
@@ -99,39 +99,6 @@ class ProductValues:
         return (self.left.key(v[0]), self.right.key(v[1]))
 
 
-class TableValues:
-    """Explicit finite operation tables over hashable values."""
-
-    def __init__(self, domain: TableDomain):
-        self.signature = domain.signature
-        self.values = domain.values
-        self.tables = domain.tables
-        self.describe = domain.describe
-
-    @property
-    def zero(self):
-        return self.tables["zero"][()]
-
-    @property
-    def one(self):
-        return self.tables["one"][()]
-
-    def meet(self, a, b):
-        return self.tables["and"][(self.key(a), self.key(b))]
-
-    def join(self, a, b):
-        return self.tables["or"][(self.key(a), self.key(b))]
-
-    def compl(self, a):
-        return self.tables["not"][(self.key(a),)]
-
-    def apply(self, op, *args):
-        return self.tables[opref_str(op)][tuple(map(self.key, args))]
-
-    def key(self, v):
-        return getattr(v, "bits", v)
-
-
 def element_domain(domain):
     """The value-level twin of a library domain."""
     if isinstance(domain, FullAlgebra):
@@ -140,8 +107,6 @@ def element_domain(domain):
         return RelativizedValues(element_domain(domain.base), domain.base.from_bits(domain.b))
     if isinstance(domain, ProductDomain):
         return ProductValues(element_domain(domain.left), element_domain(domain.right))
-    if isinstance(domain, TableDomain):
-        return TableValues(domain)
     return domain
 
 

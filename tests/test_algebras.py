@@ -3,12 +3,13 @@ import random
 import pytest
 
 from baokit import (
+    CapacityError,
     ClosureCapError,
     FiniteAlgebra,
+    InputError,
     PreconditionError,
     RelationAlgebra,
     SetAlgebra,
-    Signature,
     atom_below,
     atoms,
     decompose_by_zero_dimensional,
@@ -22,7 +23,6 @@ from baokit import (
     product,
     relativize,
 )
-from baokit.algebras import TableDomain
 
 
 def diag_algebra():
@@ -246,32 +246,13 @@ def test_hereditary_closed_examples():
 
 
 def test_hereditary_closed_identity_tables():
-    values = ["bottom", "a", "b", "top"]
-    meets = {
-        ("bottom", v): "bottom" for v in values
-    }
-    meets.update({(v, "bottom"): "bottom" for v in values})
-    meets.update({("top", v): v for v in values})
-    meets.update({(v, "top"): v for v in values})
-    meets.update({("a", "a"): "a", ("b", "b"): "b", ("a", "b"): "bottom", ("b", "a"): "bottom"})
-    joins = {
-        (x, y): min((z for z in values if meets[(z, x)] == x and meets[(z, y)] == y),
-                    key=values.index)
-        for x in values
-        for y in values
-    }
-    compl = {("bottom",): "top", ("top",): "bottom", ("a",): "b", ("b",): "a"}
-    tables = {
-        "zero": {(): "bottom"},
-        "one": {(): "top"},
-        "and": meets,
-        "or": joins,
-        "not": compl,
-        "cyl:0": {(v,): v for v in values},
-    }
-    domain = TableDomain(Signature("DF", 1), values, tables)
-    alg = FiniteAlgebra(domain, values)
-    assert is_hereditary_closed(alg, "top")
+    # the converse table of the algebra of Id and its complement is the
+    # identity, so each atom is fixed and the top is hereditarily closed
+    ra = RelationAlgebra(2)
+    text = generate_subalgebra(ra, [ra.identity]).serialize()
+    assert "table conv 0 1 2 3\n" in text
+    back = FiniteAlgebra.deserialize(text)
+    assert is_hereditary_closed(back, back.one)
 
 
 def test_atom_bound_under_hereditarily_closed_two_generators():
@@ -331,7 +312,7 @@ def test_serialize_roundtrip():
     back = FiniteAlgebra.deserialize(text)
     assert len(back.carrier) == len(alg.carrier)
     assert set(atoms(back)) == set(atoms(alg))
-    assert back.serialize().splitlines()[3:] == text.splitlines()[3:]
+    assert back.serialize() == text
 
 
 def _builders():  # label, algebra, the domain line `serialize` writes
@@ -344,6 +325,11 @@ def _builders():  # label, algebra, the domain line `serialize` writes
     amb, alg = diag_algebra()
     yield "relativized", relativize(alg, diag(amb.space, 0, 1)), "relativized(space 2 2)"
     yield "relativized to 0", relativize(alg, amb.zero), "relativized(space 2 2)"
+    amb = SetAlgebra("SC", 2, 3)
+    alg = generate_subalgebra(amb, [amb.element([(0, 1, 0)])])
+    inner = relativize(alg, alg.carrier[-2])  # each cut drops the lowest atom
+    twice = relativize(inner, inner.carrier[-2])
+    yield "doubly relativized", twice, "relativized(relativized(space 2 3))"
     for k in range(4):
         yield f"free k={k}", free_boolean_algebra(k)[0], f"space {2**k} 1"
 
@@ -359,8 +345,7 @@ def test_serialize_roundtrip_every_builder(label, algebra, domain_line):
     key = algebra.domain.key
     assert [x.bits for x in back.carrier] == [key(x) for x in algebra.carrier], label
     assert [a.bits for a in atoms(back)] == [key(a) for a in atoms(algebra)], label
-    assert back.serialize().splitlines()[3:] == text.splitlines()[3:], label
-    assert FiniteAlgebra.deserialize(back.serialize()).serialize() == back.serialize()
+    assert back.serialize() == text, label
 
 
 def test_a_full_algebra_is_the_domain_of_its_subalgebras():
@@ -385,36 +370,86 @@ def test_deserialize_truncated_text_is_value_error():
         FiniteAlgebra.deserialize("\n".join(lines[:-1] + [lines[-1] + " 7"]) + "\n")
 
 
-def _square_tables(**extra):
-    values = ["bottom", "a", "b", "top"]
-    sets = {"bottom": set(), "a": {1}, "b": {2}, "top": {1, 2}}
-    name = {frozenset(v): k for k, v in sets.items()}
-    tables = {
-        "zero": {(): "bottom"},
-        "one": {(): "top"},
-        "and": {(x, y): name[frozenset(sets[x] & sets[y])] for x in values for y in values},
-        "or": {(x, y): name[frozenset(sets[x] | sets[y])] for x in values for y in values},
-        "not": {(x,): name[frozenset({1, 2} - sets[x])] for x in values},
-        "cyl:0": {(v,): v for v in values},
-    }
-    tables.update(extra)
-    return values, tables
-
-
 def test_outside_carrier_checked_exactly():
-    values, tables = _square_tables()
-    alg = FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)
-    assert atoms(alg) == ["a", "b"]
-    assert "b" in alg and "elsewhere" not in alg
-    # not the set of joins of its atoms: "b" is missing
-    with pytest.raises(ValueError):
-        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), ["bottom", "a", "top"])
-    # not additive: the top is not sent to the join of the images of a and b
-    values, tables = _square_tables(**{"cyl:0": {("bottom",): "bottom", ("a",): "a",
-                                                 ("b",): "b", ("top",): "a"}})
-    with pytest.raises(ValueError, match="additive"):
-        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)
-    # not normal
-    values, tables = _square_tables(**{"cyl:0": {(v,): "top" for v in values}})
-    with pytest.raises(ValueError, match="normal"):
-        FiniteAlgebra(TableDomain(Signature("DF", 1), values, tables), values)
+    amb, _ = diag_algebra()
+    d01 = diag(amb.space, 0, 1)
+    alg = FiniteAlgebra(amb, [amb.zero, d01, ~d01, amb.one])
+    assert atoms(alg) == [~d01, d01]
+    assert ~d01 in alg and "elsewhere" not in alg
+    # not the set of joins of its atoms: ~d01 is missing
+    with pytest.raises(InputError, match="joins"):
+        FiniteAlgebra(amb, [amb.zero, d01, amb.one])
+    # the joins of its atoms, but c_0 of the atom {(0, 0)} is not among them
+    point = amb.element([(0, 0)])
+    with pytest.raises(InputError, match="closed under cyl:0"):
+        FiniteAlgebra(amb, [amb.zero, point, ~point, amb.one])
+
+
+def test_deserialize_checks_every_row_against_the_domain():
+    # each row must be the named domain's own operation on the elems: a
+    # changed entry is refused and its row named, Boolean rows and constants too
+    _, alg = diag_algebra()
+    text = alg.serialize()
+    for name, row, changed in (
+        ("cyl:0", "table cyl:0 0 3 3 3", "table cyl:0 0 3 3 2"),
+        ("cyl:0", "table cyl:0 0 3 3 3", "table cyl:0 1 3 3 3"),
+        ("not", "table not 3 2 1 0", "table not 3 1 2 0"),
+        ("or", "table or 0 1 2 3 1 1 3 3", "table or 0 1 2 3 1 1 3 2"),
+        ("diag:0,1", "table diag:0,1 2", "table diag:0,1 1"),
+        ("zero", "zero 0", "zero 3"),
+    ):
+        assert row in text
+        with pytest.raises(InputError, match=f"table '{name}'"):
+            FiniteAlgebra.deserialize(text.replace(row, changed))
+
+
+def test_deserialize_signature_must_fit_the_domain():
+    _, alg = diag_algebra()
+    text = alg.serialize()
+    assert text.startswith("baokit-algebra 1\nsignature CA 2\nspace 2 2\n")
+    for header in (
+        "signature CA 3\nspace 2 2",  # the dimension is the space's n
+        "signature BA 2\nspace 2 2",  # a BA writes 0
+        "signature RA 0\nspace 2 2",  # RA goes with rel
+        "signature CA 2\nrel 2",
+        "signature XY 2\nspace 2 2",
+        "signature CA 2\nspace 0 2",
+        "signature CA 2\ntables",
+        "signature CA 2\nrelativized(space 2 2",
+    ):
+        with pytest.raises(InputError):
+            FiniteAlgebra.deserialize(text.replace("signature CA 2\nspace 2 2", header))
+    # relativized: the one row fixes the top, and the elems lie below it
+    rel = relativize(alg, alg.carrier[1]).serialize()
+    assert FiniteAlgebra.deserialize(rel).one.bits == alg.carrier_bits[1]
+    with pytest.raises(InputError):
+        FiniteAlgebra.deserialize(rel.replace("elem 0\n", "elem f\n"))
+
+
+def test_deserialize_names_a_number_that_does_not_parse():
+    _, alg = diag_algebra()
+    text = alg.serialize()
+    for old, new, token in (
+        ("signature CA 2", "signature CA x", "'x'"),
+        ("elem 6", "elem zz", "'zz'"),
+        ("carrier 4", "carrier four", "'four'"),
+        ("space 2 2", "space 2 two", "'two'"),
+        ("one 3", "one three", "'three'"),
+    ):
+        with pytest.raises(InputError, match=token):
+            FiniteAlgebra.deserialize(text.replace(old, new))
+
+
+def test_deserialize_refuses_elems_outside_the_domain_or_listed_twice():
+    _, alg = diag_algebra()
+    text = alg.serialize()
+    with pytest.raises(InputError, match="elem 1f lies outside"):
+        FiniteAlgebra.deserialize(text.replace("elem f\n", "elem 1f\n"))
+    with pytest.raises(InputError, match="twice"):
+        FiniteAlgebra.deserialize(text.replace("elem 9\n", "elem 6\n"))
+
+
+def test_serialize_past_256_elements_is_a_capacity_error():
+    free, _ = free_boolean_algebra(4)
+    with pytest.raises(CapacityError, match="256 elements"):
+        free.serialize()

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from baokit import (
+    FiniteAlgebra,
     SetAlgebra,
     atoms,
     compile_to_term,
@@ -81,9 +82,21 @@ def test_atoms_command_with_dump(tmp_path, capsys):
     assert code == 0
     text = dump.read_text()
     assert text.startswith("baokit-algebra 1")
-    from baokit import FiniteAlgebra
+    back = FiniteAlgebra.deserialize(text)
+    assert len(back.carrier) == 4
+    assert back.serialize() == text
 
-    assert len(FiniteAlgebra.deserialize(text).carrier) == 4
+
+def test_a_refused_dump_leaves_the_file_as_it_was(tmp_path, capsys):
+    # 512 elements are past the 256 that serialize writes
+    dump = tmp_path / "algebra.txt"
+    dump.write_text("kept\n")
+    code = main(["atoms", "--u", "3", "--n", "2", "--kind", "CA", "--gens", "less:0,1",
+                 "--dump", str(dump)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "capacity error: serialization supported up to 256 elements\n"
+    assert dump.read_text() == "kept\n"
 
 
 def test_check_identity_counterexamples_vary_variable_zero_fastest(capsys):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from baokit import (
     CapacityError,
     Element,
+    InputError,
+    RaElement,
     RelationAlgebra,
     SetAlgebra,
     SpaceMismatchError,
@@ -296,6 +298,15 @@ def test_element_serialization_roundtrip():
         assert Element.deserialize(x.serialize()) == x
     ra = RelationAlgebra(3)
     r = ra.random_element(rng)
-    from baokit import RaElement
-
     assert RaElement.deserialize(r.serialize()) == r
+
+
+def test_element_text_names_a_number_that_does_not_parse():
+    for read, text, token in (
+        (Element.deserialize, "space:x,2:ff", "'x'"),
+        (Element.deserialize, "space:2,2:fg", "'fg'"),
+        (RaElement.deserialize, "rel:2:zz", "'zz'"),
+        (RaElement.deserialize, "rel:two:f", "'two'"),
+    ):
+        with pytest.raises(InputError, match=token):
+            read(text)
