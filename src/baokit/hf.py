@@ -117,7 +117,8 @@ EMPTY = HFSet(0)
 
 
 class HFUniverse:
-    """All sets of rank at most r, codes 0 .. t(r) - 1, membership by bit."""
+    """All sets of rank at most r, codes 0 .. t(r) - 1, membership by bit.
+    It keeps the truth sets `models.holds` reads."""
 
     def __init__(self, rank: int):
         if rank > 4:
@@ -125,6 +126,7 @@ class HFUniverse:
         self.rank = rank
         self.size = tower(rank)
         self._columns: dict = {}  # (a, width) -> codes below width with bit a set
+        self.truth_sets: dict = {}  # see models.holds
 
     @property
     def carrier_size(self) -> int:

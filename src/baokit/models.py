@@ -13,15 +13,24 @@ each atom and diagonal over the TupleSpace of its level; a ModelFinite,
 read as immutable, keeps them and its sections.  The window module runs
 the evaluator too, with its own leaves and a run of values for each
 quantifier depth, bound on each call to a kept table.
-holds evaluates one assignment (by a Python function compiled once per
-formula and kept on it) and accepts an optional quantifier domain, which
-relativizes every quantifier to a subset of the carrier (free variables
-may still take any value).  It works on any model-like object: one with
-`carrier_size` and `rel_holds(name, row) -> truth value`, and optionally
-`section(name, position, others, mask) -> int`, whose bit t, for each t
-set in the int `mask`, tells whether rel_holds holds of the row that puts
-t at `position` among the tuple `others` (other bits do not matter); a
-model without `section` has them derived from rel_holds.  Each quantifier
+holds evaluates one assignment and accepts an optional quantifier domain,
+which relativizes every quantifier to a subset of the carrier (free
+variables may still take any value).  It works on any model-like object:
+one with `carrier_size` and `rel_holds(name, row) -> truth value`, and
+optionally `section(name, position, others, mask) -> int`, whose bit t,
+for each t set in the int `mask`, tells whether rel_holds holds of the row
+that puts t at `position` among the tuple `others` (other bits do not
+matter); a model without `section` has them derived from rel_holds.
+A model may also keep truth sets: a dict `truth_sets`, which holds fills
+(ModelFinite and HFUniverse do), and then its rel_holds returns a bool.
+On such a model, holds answers a formula with exactly one free variable,
+assigned an int in [0, carrier_size), from the formula's truth set,
+truth_set: the values of that variable at which it holds, computed once
+per (formula, domain) with the variable's values as lanes, one bit each
+(the bit-slicing of Biham 1997, A fast new DES implementation in
+software), kept, and read with one bit test.  Every other call runs the
+pointwise program, a Python function compiled once per formula and kept
+on it, which is also the lane path's oracle.  Each of its quantifiers
 first computes, from the sections of the atoms its body reads at its
 variable, the values where the body is known true and known false.  An
 innermost quantifier, one whose body has no quantifier and no atom naming
@@ -34,10 +43,11 @@ which its variables are bound (see holds).
 """
 
 import json
+import weakref
 from array import array
 from functools import lru_cache, partial
 
-from .errors import UnboundVariableError
+from .errors import CapacityError, PreconditionError, UnboundVariableError
 from .formulas import (
     And,
     Atom,
@@ -71,8 +81,9 @@ from .terms import Layout
 
 class ModelFinite:
     """A finite model: carrier labels plus one tuple table per relation.
-    It is read as immutable, and keeps the sections `holds` reads and the
-    bits of each atom and diagonal per level, each made on first use."""
+    It is read as immutable, and keeps the sections and truth sets `holds`
+    reads and the bits of each atom and diagonal per level, each made on
+    first use."""
 
     def __init__(self, carrier, relations, vocabulary: Vocabulary | None = None):
         self.carrier = list(carrier)
@@ -98,6 +109,7 @@ class ModelFinite:
                 raise ValueError(f"relation {name} has rows of the wrong arity")
         self._sections: dict = {}  # (relation, position) -> {others: bits}
         self._leaves: dict = {}  # (relation, args, level) or ("=", i, j, level) -> bits
+        self.truth_sets: dict = {}  # see holds
 
     @property
     def carrier_size(self) -> int:
@@ -363,8 +375,24 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     written.
 
     With D the domain as a mask (bit t for each value t, made once per
-    call, a range by arithmetic), a quantifier `Q x phi` first computes,
-    from the sections of the atoms phi reads at x outside any nested
+    call, a range by arithmetic), the call reads a truth set when f has
+    exactly one free variable, assigned an int in [0, carrier_size), the
+    model keeps truth sets and D is not None.  The set of f over that
+    variable for D (see truth_set) is computed on the first such call and
+    kept in `model.truth_sets`, keyed by a weak reference to f and then by
+    the domain (None, a range, or the mask of any other domain), so that
+    it keeps neither f nor the model alive; each later call is one bit
+    test.  A range with no mask, a set past truth_set's capacity, and one
+    whose evaluation raised (an unknown relation, say) are kept as refused,
+    and the call runs the pointwise program, as does every call that reads
+    no truth set.  The lane evaluation reads every atom the loop below
+    reads at any value of the variable, and a model that keeps truth sets
+    raises for a relation name or the shape of a row, never for particular
+    int values, so when the evaluation raises nothing, neither does the
+    loop: results and errors are the loop's.
+
+    In the pointwise program, a quantifier `Q x phi` first computes, from
+    the sections of the atoms phi reads at x outside any nested
     quantifier, T and F: the values where the loop's own left-to-right
     evaluation of phi reads those atoms only and finds phi true, or false
     (Kleene's connectives; a nested quantifier, or an atom naming x twice,
@@ -388,27 +416,225 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     except (AttributeError, KeyError):
         program = _compile(f)
     env = assignment if type(assignment) is dict else dict(assignment or {})
+    var = program.var
+    if var is not None:
+        sets = getattr(model, "truth_sets", None)
+        value = env.get(var)
+        if sets is not None and type(value) is int and value >= 0:
+            key = quantifier_domain  # None, a range, or else its mask
+            if key is not None and type(key) is not range:
+                key = _domain_mask(key)
+            if key is not None or quantifier_domain is None:
+                try:
+                    kept = sets[_ref(f)][key]
+                except KeyError:  # made on the first call at a value in the carrier
+                    kept = _keep(sets, model, f, var, key) if value < model.carrier_size else None
+                if kept is not None and value < kept[0]:
+                    return kept[1][value >> 3] >> (value & 7) & 1 == 1
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
     )
+    mask = _range_mask(domain) if type(domain) is range else None
+    if mask is None:
+        mask = _domain_mask(domain)
     rel_holds = model.rel_holds
     section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
-    if (type(domain) is range and domain.step == 1
-            and 0 <= domain.start <= domain.stop <= _MAX_DOMAIN_BITS):
-        mask = (1 << domain.stop) - (1 << domain.start)
-    else:
-        mask = _domain_mask(domain)
     return program(env, rel_holds, domain, section, mask)
+
+
+_ref = weakref.ref
+
+
+def _keep(sets: dict, model, f: Formula, var: int, key) -> tuple | None:
+    """The truth set of f over v<var> for the domain `key` stands for (None
+    for the carrier, a range, or a mask), as (carrier_size, its bits as
+    little-endian bytes), since an int's bit test would copy the int; made
+    and kept in `sets`, or None, kept too, when refused.  The first set
+    kept for a formula drops the entries of formulas no longer alive."""
+    by_mask = sets.get(_ref(f))
+    if by_mask is None:
+        for dead in [ref for ref in sets if ref() is None]:
+            del sets[dead]
+        by_mask = sets[_ref(f)] = {}
+    u = model.carrier_size
+    domain = range(u) if key is None else key
+    mask = _range_mask(domain) if type(domain) is range else domain
+    kept = None
+    if mask is not None:
+        try:
+            kept = u, _truth_bits(model, f, var, mask).to_bytes((u + 7) // 8, "little")
+        except Exception:  # refused: the pointwise program gives the result, or the error
+            pass
+    by_mask[key] = kept
+    return kept
+
+
+# The most lane work truth_set takes on: the carrier width, counted as at
+# least _MIN_WIDTH bits, times |D| ** (nesting of non-vacuous quantifiers).
+# Below _MIN_WIDTH bits a lane operation costs about as much as the
+# interpreter's step around it.  `ford` on the rank-4 set universe with
+# quantifiers over range(16) is 2**16 * 16**3 = 2**28.
+_MAX_LANE_WORK = 1 << 28
+_MIN_WIDTH = 1 << 12
+
+
+def truth_set(model, f: Formula, var: int, quantifier_domain=None) -> int:
+    """The values t in [0, carrier_size) at which `f` holds with v<var> = t,
+    as the bits of an int, quantifiers ranging over `quantifier_domain`
+    when given, else over the carrier; `var` must be the one variable free
+    in f, if any is.
+
+    The values of v<var> are lanes, one bit each: a subformula's truth is
+    one carrier-wide int, an atom naming v<var> is the model's section at
+    its place (derived from rel_holds on a model without one), and a
+    subformula in which v<var> is not free, such as one under a quantifier
+    that rebinds it, is 0 or all lanes (the carrier's bits, not -1: CPython
+    works on a negative int's bits several times slower).  Each quantifier
+    loops over the domain and ORs (`ex`) or ANDs (`all`) its body's lanes,
+    reading the body at every value.  A vacuous quantifier, whose variable
+    is not free in its body, is its body, read once; over an empty domain,
+    `ex` is false and `all` true.  The connectives are bitwise, and skip
+    their right operand where the left one decides them at every lane.
+
+    Raises PreconditionError for a domain holds makes no mask of (see
+    holds) or an atom naming v<var> twice, and CapacityError, before any
+    work, past _MAX_LANE_WORK.
+    """
+    domain = range(model.carrier_size) if quantifier_domain is None else quantifier_domain
+    mask = _range_mask(domain) if type(domain) is range else _domain_mask(domain)
+    if mask is None:
+        raise PreconditionError("a truth set needs a domain of ints in [0, 2**20)")
+    return _truth_bits(model, f, var, mask)
+
+
+def _truth_bits(model, f: Formula, var: int, mask: int) -> int:
+    """truth_set for the domain whose values are the bits of `mask`."""
+    unassigned = sorted(f.free - {var})
+    if unassigned:
+        raise UnboundVariableError(f"v{unassigned[0]} is unassigned")
+    program = _lane_program(f, var)
+    if program is None:
+        raise PreconditionError(f"an atom names v{var} twice; its lanes have no section")
+    nesting, run = program
+    u, width = model.carrier_size, mask.bit_count()
+    if max(u, _MIN_WIDTH) * width**nesting > _MAX_LANE_WORK:
+        raise CapacityError(
+            f"a truth set over {u} values with {nesting} nested quantifiers over "
+            f"{width} values exceeds the 2**28 lane budget"
+        )
+    rel_holds = model.rel_holds
+    section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
+    full = (1 << u) - 1
+    values = [t for t, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    return run(_Run({}, rel_holds, section, full, values)) & full
+
+
+class _Run:
+    """What a lane program reads while it runs: the values bound to the
+    quantified variables, the model's rel_holds and section, the carrier's
+    lanes and the domain's values, ascending."""
+
+    __slots__ = ("env", "rel_holds", "section", "full", "values")
+
+    def __init__(self, env, rel_holds, section, full, values):
+        self.env, self.rel_holds, self.section = env, rel_holds, section
+        self.full, self.values = full, values
+
+
+@memo
+def _lane_program(f: Formula, var: int) -> tuple | None:
+    """(nesting, run) for the lanes of f over v<var> (see truth_set), kept
+    on f per var: the nesting of f's non-vacuous quantifiers, and a
+    function of a _Run whose result has bit t, for t below the carrier
+    size, set when f holds at v<var> = t.  None when an atom names v<var>
+    twice where it is the lane variable (not under a quantifier that
+    rebinds it).  Each subformula is a closure over its children's, made
+    on `formulas.postorder`, over pairs of a subformula and whether v<var>
+    is the lane variable in it."""
+    made: dict = {}  # item -> (nesting, function)
+
+    def children(item) -> list:
+        g, lanes = item
+        inner = lanes and not (isinstance(g, (Exists, Forall)) and g.var == var)
+        return [(part, inner) for part in parts(g)]
+
+    for item in postorder((f, True), children):
+        g, lanes = item
+        if lanes and isinstance(g, Atom) and g.args.count(var) > 1:
+            return None
+        below = [made[child] for child in children(item)]
+        nesting = max((n for n, _ in below), default=0)
+        nesting += isinstance(g, (Exists, Forall)) and g.var in g.body.free
+        made[item] = nesting, _lane_step(g, var if lanes else None, [h for _, h in below])
+    return made[f, True]
+
+
+def _lane_step(g: Formula, lane, inner: list):
+    """The function of a _Run that gives g's lanes from its children's
+    functions `inner`; `lane` is the lane variable, or None where there
+    is none, so that every variable is read from the run's env and the
+    result is 0 or the run's `full`."""
+    if isinstance(g, Atom):
+        rel, args = g.rel, g.args
+        if lane is not None and lane in args:
+            at, others = args.index(lane), [a for a in args if a != lane]
+            return lambda r: r.section(rel, at, tuple(map(r.env.__getitem__, others)), r.full)
+        return lambda r: r.full if r.rel_holds(rel, tuple(map(r.env.__getitem__, args))) else 0
+    if isinstance(g, Eq):
+        a, b = g.left, g.right
+        if lane is not None and lane in (a, b):
+            other = b if a == lane else a
+            return (lambda r: r.full) if a == b else lambda r: 1 << r.env[other]
+        return lambda r: r.full if r.env[a] == r.env[b] else 0
+    if isinstance(g, Not):
+        (body,) = inner
+        return lambda r: r.full ^ body(r)
+    if isinstance(g, (Exists, Forall)):
+        (body,) = inner
+        y, found = g.var, isinstance(g, Exists)
+        if y not in g.body.free:  # vacuous: the body once, or the empty domain's value
+            if found:
+                return lambda r: body(r) if r.values else 0
+            return lambda r: body(r) if r.values else r.full
+        return partial(_fold, y, body, found)
+    left, right = inner
+    if isinstance(g, And):
+        return lambda r: 0 if (x := left(r)) == 0 else x & right(r)
+    if isinstance(g, Or):
+        return lambda r: x if (x := left(r)) == r.full else x | right(r)
+    if isinstance(g, Implies):
+        return lambda r: r.full if (x := left(r)) == 0 else r.full ^ x | right(r)
+    return lambda r: r.full ^ left(r) ^ right(r)  # Iff
+
+
+def _fold(y: int, body, found: bool, r: _Run) -> int:
+    """The OR (`found`) or the AND of body's lanes over the domain's values
+    of v<y>, bound in the run's env and restored after."""
+    env = r.env
+    outer, acc = env.get(y, env), 0 if found else r.full  # env itself: v<y> unbound
+    for env[y] in r.values:
+        acc = acc | body(r) if found else acc & body(r)
+    if outer is not env:  # an unbound v<y> is read nowhere after
+        env[y] = outer
+    return acc
 
 
 _MAX_DOMAIN_BITS = 1 << 20
 
 
+def _range_mask(domain: range) -> int | None:
+    """The bits of the values of a range with step 1 in [0,
+    _MAX_DOMAIN_BITS], by arithmetic; None for any other range."""
+    if domain.step == 1 and 0 <= domain.start <= domain.stop <= _MAX_DOMAIN_BITS:
+        return (1 << domain.stop) - (1 << domain.start)
+    return None
+
+
 def _domain_mask(domain) -> int | None:
     """The bits of the values of `domain`, or None when it is not a list,
     tuple or set of ints in [0, _MAX_DOMAIN_BITS).  holds makes the mask of
-    a range with step 1 in [0, _MAX_DOMAIN_BITS] itself; any other range
-    is looped over."""
+    a range with step 1 in [0, _MAX_DOMAIN_BITS] by _range_mask; any other
+    range is looped over."""
     if type(domain) not in (list, tuple, set, frozenset):
         return None
     mask = 0
@@ -439,8 +665,13 @@ def _unassigned(env: dict, free: tuple):
 @memo
 def _compile(f: Formula):
     """The program of `f`, a Python function `(env, rh, dom, sec, D) ->
-    bool` compiled from generated source, once, and kept on f."""
-    return _Source().program(f, tuple(sorted(free_vars(f))))
+    bool` compiled from generated source, once, and kept on f.  Its
+    attribute `var` is the one variable free in f, whose truth sets holds
+    may read, or None when f has none or several."""
+    free = tuple(sorted(free_vars(f)))
+    program = _Source().program(f, free)
+    program.var = free[0] if len(free) == 1 else None
+    return program
 
 
 _COMPILE = _compile.__wrapped__  # the key of f's program in f._memo

@@ -49,6 +49,15 @@ def read_int(token: str, base: int = 10) -> int:
         raise InputError(f"not a base-{base} number: {token!r}") from None
 
 
+def read_size(token: str) -> int:
+    """The base size or dimension a token of element text spells, at least
+    1; else InputError naming the token."""
+    size = read_int(token)
+    if size < 1:
+        raise InputError(f"{token!r} is below 1")
+    return size
+
+
 def doubling_shifts(period: int, count: int) -> tuple[int, ...]:
     """Shifts that make `count` copies of a pattern, at offsets 0, period,
     ..., by ORing in a shifted copy of everything so far: O(log count)."""
@@ -250,7 +259,7 @@ class Element:
         if head != "space" or not hexbits:
             raise InputError(f"malformed element text {text!r}")
         u_str, _, n_str = dims.partition(",")
-        space = TupleSpace(read_int(u_str), read_int(n_str))
+        space = TupleSpace(read_size(u_str), read_size(n_str))
         return cls(space, read_int(hexbits, 16))
 
     def __repr__(self):
@@ -660,7 +669,7 @@ class RaElement(Element):
         u_str, _, hexbits = payload.partition(":")
         if head != "rel" or not hexbits:
             raise InputError(f"malformed relation text {text!r}")
-        return cls(read_int(u_str), read_int(hexbits, 16))
+        return cls(read_size(u_str), read_int(hexbits, 16))
 
     def __repr__(self):
         return f"RaElement(base={self.base_size}, count={self.count})"

@@ -656,6 +656,8 @@ _CLI_FLAGS = {  # subcommand -> flag -> values in and out of range, and malforme
                    "kind": ["DF", "SC", "CA", "BA"], "trials": ["1", "3", "0", "x"],
                    "seed": ["0", "5", "-1", "x", _BIG], "cap": ["1", "64", "0", "x", _BIG]},
     "pairing": {"rank": ["1", "2", "3", "4", "0", "x", _BIG]},
+    # no --max that is accepted but large: 200 takes 0.6 s of instance checks
+    "arith": {"max": ["0", "6", "20", "-1", "x", _BIG]},
     "tau-sigma-delta": {"u": ["1", "2", "3", "0", "x", _BIG], "samples": ["1", "10", "0", "x"],
                         "seed": ["0", "7", "-1", "x", _BIG]},
     # no u that builds a large relation and then samples it

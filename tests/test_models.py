@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from functools import reduce
 from itertools import product as iproduct
@@ -29,11 +30,11 @@ from baokit import (
     satisfaction_set,
 )
 from baokit.compiler import compiler_agrees
-from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
+from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj, parts
 from baokit.hf import HFUniverse
 from baokit.library import formula_library
 import baokit.models
-from baokit.models import _domain_mask, _plan, satisfaction_bits
+from baokit.models import _domain_mask, _plan, satisfaction_bits, truth_set
 from baokit.terms import Layout
 from baokit.translate import tr, tr_equivalent_on
 from baokit.window import WindowModel, window_satisfaction
@@ -596,6 +597,219 @@ def test_holds_reads_the_assignment_without_changing_it():
     assert assignment == before
     # any input dict() accepts still works
     assert holds(model, f, [(0, 0), (1, 1)]) == holds(model, f, {0: 0, 1: 1})
+
+
+# -- truth sets: holds with the free variable as lanes ----------------------------
+
+
+def pointwise(model):
+    """A view of `model` that keeps no truth sets, so that holds on it runs
+    the pointwise program, the lane path's oracle, on the model's sections."""
+    return SimpleNamespace(carrier_size=model.carrier_size, rel_holds=model.rel_holds,
+                           section=model.section)
+
+
+def kept(model, f) -> dict:
+    """The truth sets holds keeps on `model` for f, by domain (None when
+    refused)."""
+    return model.truth_sets.get(weakref.ref(f), {})
+
+
+def lanes(bits: int, u: int) -> list:
+    return [c == "1" for c in bin(bits)[2:].zfill(u)[::-1]]
+
+
+def test_rank_4_truth_sets_of_ord_and_ford_match_the_pointwise_program():
+    """Every rank-4 code, quantifiers over the rank-3 cut, as arith and the
+    universe benchmark ask: truth_set, and holds reading its kept set,
+    against the pointwise program."""
+    universe, library, domain = hf_universe(4), formula_library(), range(16)
+    ordinals = sorted(ordinal_hf(k).code for k in range(5))
+    for name in ("ord", "ford"):
+        f = library[name].formula
+        want = [holds(pointwise(universe), f, {0: code}, quantifier_domain=domain)
+                for code in range(universe.size)]
+        assert [code for code in range(universe.size) if want[code]] == ordinals
+        assert lanes(truth_set(universe, f, 0, domain), universe.size) == want, name
+        got = [holds(universe, f, {0: code}, quantifier_domain=domain)
+               for code in range(universe.size)]
+        assert got == want and kept(universe, f)[domain] is not None, name
+
+
+def random_formula(rng: random.Random, depth: int):
+    """A formula over R, P and = with variables v0 to v2, of depth at most
+    `depth`: quantifiers rebind free and bound variables and are often
+    vacuous."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Atom("R", (rng.randrange(3), rng.randrange(3)))
+        if kind == 1:
+            return Atom("P", (rng.randrange(3),))
+        return Eq(rng.randrange(3), rng.randrange(3))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return Not(random_formula(rng, depth - 1))
+    if kind < 5:
+        op = (And, Or, Implies, Iff)[kind - 1]
+        return op(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    return (Exists, Forall)[kind - 5](rng.randrange(3), random_formula(rng, depth - 1))
+
+
+def shapes(f) -> set:
+    """Which of "shadowed" (a quantifier rebinding a variable bound or free
+    around it) and "vacuous" (a quantifier whose variable is not free in its
+    body) occur in f."""
+    found = set()
+    stack = [(f, frozenset(f.free))]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, (Exists, Forall)):
+            found |= {"shadowed"} if g.var in bound else set()
+            found |= {"vacuous"} if g.var not in g.body.free else set()
+            bound = bound | {g.var}
+        stack.extend((part, bound) for part in parts(g))
+    return found
+
+
+def test_truth_sets_match_the_pointwise_program_on_random_formulas():
+    """Seeded formulas of depth at most 4 with one free variable, on tuple
+    tables of 1 to 4 points and the set universes of ranks 1 to 3, over the
+    whole carrier, a sub-range, a list with repeats and the empty list:
+    truth_set and holds against the pointwise program at every value.  An
+    atom naming the free variable twice (P read as E(v,v) on a universe)
+    has no lanes: truth_set refuses it, and holds runs the program."""
+    rng = random.Random(29)
+    worlds = []
+    for u in (1, 2, 3, 4, 4):
+        pairs = [p for p in iproduct(range(u), repeat=2) if rng.random() < 0.5]
+        points = [(a,) for a in range(u) if rng.random() < 0.5]
+        worlds.append(ModelFinite(range(u), {"R": pairs, "P": points}, Vocabulary.of(R=2, P=1)))
+    worlds += [hf_universe(r) for r in (1, 2, 3)]
+    seen, compared, refused = set(), 0, 0
+    for model in worlds:
+        u = model.carrier_size
+        for domain in (None, range(u // 2, u), [u - 1, 0, u - 1], []):
+            count = 0
+            while count < 25:
+                f = random_formula(rng, 4)
+                if isinstance(model, HFUniverse):
+                    f = on_sets(f)
+                if len(f.free) != 1:
+                    continue
+                count += 1
+                (var,) = f.free
+                want = [holds(pointwise(model), f, {var: t}, quantifier_domain=domain)
+                        for t in range(u)]
+                try:
+                    bits = truth_set(model, f, var, domain)
+                except baokit.PreconditionError:
+                    refused += 1
+                else:
+                    assert lanes(bits, u) == want, (f, model, domain)
+                    compared += 1
+                    seen |= shapes(f)
+                got = [holds(model, f, {var: t}, quantifier_domain=domain) for t in range(u)]
+                assert got == want, (f, model, domain)
+    assert compared > 450 and refused > 0 and seen == {"shadowed", "vacuous"}
+
+
+def test_a_truth_set_past_the_capacity_is_refused_before_any_work(monkeypatch):
+    """ord on the rank-4 universe with quantifiers over all 65,536 codes:
+    2**16 lanes times 65536**2 is past the lane budget, so holds keeps the
+    refusal, makes no lane run, and answers by the pointwise program."""
+    runs = []
+    monkeypatch.setattr(baokit.models, "_Run", lambda *args: runs.append(args))
+    universe, ord_f = hf_universe(4), formula_library()["ord"].formula
+    with pytest.raises(baokit.CapacityError):
+        truth_set(universe, ord_f, 0)
+    codes = [ordinal_hf(2).code, 5, 7, 2**16 - 1]  # an ordinal walks every code, 0.5 s
+    got = [holds(universe, ord_f, {0: code}) for code in codes]
+    assert got == [holds(pointwise(universe), ord_f, {0: code}) for code in codes]
+    assert got == [True, False, False, False]
+    assert runs == [] and kept(universe, ord_f) == {None: None}
+
+
+def test_a_truth_set_that_raises_is_refused_once_and_the_loop_answers(monkeypatch):
+    """S is no relation of the model: its section raises, so the set is
+    refused, never tried again, and each call gives the loop's result or
+    error, which differ by value."""
+    tried = []
+    real = baokit.models._truth_bits
+    monkeypatch.setattr(baokit.models, "_truth_bits",
+                        lambda *args: tried.append(args) or real(*args))
+    model = ModelFinite(range(3), {"R": [(0, 1), (1, 2)]})
+    f = parse_formula("all v0 (R(v0,v1) -> S(v0,v1))")
+    got = [outcome(lambda: holds(model, f, {1: t})) for t in range(3)]
+    assert got == [outcome(lambda: walk(model, f, {1: t})) for t in range(3)]
+    assert got == [True, (KeyError, ("S",)), (KeyError, ("S",))]
+    assert len(tried) == 1 and kept(model, f) == {None: None}
+
+
+def test_holds_keeps_a_set_only_where_the_lane_path_runs():
+    """Two free variables, a value outside the carrier and a list that is
+    not of ints in [0, 2**20): no set is kept.  A range holds makes no mask
+    of is refused.  One set per formula and domain serves every later
+    call."""
+    model = ModelFinite(range(3), {"R": [(0, 1), (1, 2)]})
+    two, one = parse_formula("R(v0,v1) | ex v2 R(v2,v0)"), parse_formula("ex v2 R(v2,v0)")
+    holds(model, two, {0: 1, 1: 2})
+    for value in (3, -1, True, 1.0):
+        assert holds(model, one, {0: value}) == walk(model, one, {0: value})
+    assert holds(model, one, {0: 1}, quantifier_domain=[-1, 0]) is True
+    assert model.truth_sets == {}
+    for domain in (range(0, 3, 2), range(2, 1)):
+        got = holds(model, one, {0: 1}, quantifier_domain=domain)
+        assert got == walk(model, one, {0: 1}, domain)
+    assert kept(model, one) == {range(0, 3, 2): None, range(2, 1): None}
+    for domain in (None, range(1), [0, 0], (0,), frozenset({0})):
+        for value in range(3):
+            want = value == 1 if domain else value > 0
+            assert holds(model, one, {0: value}, quantifier_domain=domain) == want
+    # (0,), [0, 0] and {0} share a mask
+    assert list(kept(model, one)) == [range(0, 3, 2), range(2, 1), None, range(1), 1]
+
+
+def test_kept_truth_sets_keep_neither_the_model_nor_the_formula_alive():
+    model = ModelFinite(range(3), {"Kept": [(0, 1)]})  # a relation no other test names
+    f = Exists(1, Atom("Kept", (0, 1)))
+    assert [holds(model, f, {0: t}) for t in range(3)] == [True, False, False]
+    assert kept(model, f)[None] is not None
+    alive = weakref.ref(f)
+    del f
+    gc.collect()
+    assert alive() is None
+    # the next formula's first set drops the entry of the dead one
+    assert holds(model, Forall(1, Atom("Kept", (0, 1))), {0: 0}) is False
+    assert len(model.truth_sets) == 1
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
+
+
+def test_vacuous_quantifiers_are_read_once_on_the_lane_path():
+    """!ex v0 nested 100 deep over R(v0,v1): every quantifier but the
+    innermost is vacuous, so the set is the innermost's, and holds answers
+    at once, where the pointwise program doubles its time per level.  The
+    parser stops at 100 levels of nesting, so the 100-quantifier chain is
+    built and the 50-quantifier one parsed.  Over an empty domain `ex` is
+    false and `all` true, as in the loop."""
+    model = ModelFinite(range(3), {"R": [(0, 1), (1, 2)]})
+    deep = Atom("R", (0, 1))
+    for _ in range(100):
+        deep = Not(Exists(0, deep))
+    started = time.perf_counter()
+    got = [holds(model, deep, {1: t}) for t in range(3)]
+    assert time.perf_counter() - started < 0.1
+    shallow = parse_formula("ex v0 R(v0,v1)")
+    assert got == [holds(pointwise(model), shallow, {1: t}) for t in range(3)]
+    assert holds(model, parse_formula("!ex v0 " * 50 + "R(v0,v1)"), {1: 0}) is False
+    for text in ("!ex v0 " * 12 + "R(v0,v1)", "all v0 " * 6 + "!all v0 R(v0,v1)"):
+        f = parse_formula(text)
+        for domain in (None, [], [2, 0, 2], range(1, 3)):
+            want = [holds(pointwise(model), f, {1: t}, quantifier_domain=domain) for t in range(3)]
+            assert lanes(truth_set(model, f, 1, domain), 3) == want, (text, domain)
 
 
 # -- satisfaction sets -----------------------------------------------------------

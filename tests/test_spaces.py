@@ -310,3 +310,13 @@ def test_element_text_names_a_number_that_does_not_parse():
     ):
         with pytest.raises(InputError, match=token):
             read(text)
+
+
+@pytest.mark.parametrize("read, text", [
+    (Element.deserialize, "space:0,2:f"),
+    (Element.deserialize, "space:2,0:f"),
+    (RaElement.deserialize, "rel:0:f"),
+])
+def test_element_text_with_a_zero_base_or_dimension_names_the_token(read, text):
+    with pytest.raises(InputError, match="'0' is below 1"):
+        read(text)

@@ -13,8 +13,9 @@ script records:
   which of them runs first for a seed);
 - the median wall time, over --repeats process runs, of each command in
   COMMANDS: `corpus-check`, `translate`, `arith`, `pairing` and `window`
-  at their default flags, `window --fixed 0,5`, and the two window runs
-  of CI's "CLI exit codes" step;
+  at their default flags, `window --fixed 0,5`, the two window runs of
+  CI's "CLI exit codes" step, and `arith --max 200`, arith's stretched
+  setting;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
   (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
   tree with its own src on PYTHONPATH, the median of the per-test call
@@ -53,6 +54,7 @@ COMMANDS = (
     ("--json", "window", "--fixed", "0,5"),
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
+    ("--json", "arith", "--max", "200"),
 )
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
