@@ -308,7 +308,9 @@ def _is_zero_or_successor(code: int) -> bool:
 
 
 def ordinal_oracles(x: HFSet) -> OrdinalReport:
-    if not is_ordinal(x):
+    code = x.code
+    top = code.bit_length() - 1  # is_ordinal's first step, which settles most codes
+    if code and code != top | (1 << top) or not is_ordinal(x):
         return _NOT_ORDINAL
     ford_ok = all(_is_zero_or_successor(m) for m in x.member_codes())
     return OrdinalReport(True, ford_ok, len(x))

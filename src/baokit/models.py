@@ -28,7 +28,9 @@ assigned an int in [0, carrier_size), from the formula's truth set,
 truth_set: the values of that variable at which it holds, computed once
 per (formula, domain) with the variable's values as lanes, one bit each
 (the bit-slicing of Biham 1997, A fast new DES implementation in
-software), kept, and read with one bit test.  Every other call runs the
+software), and kept in one record per formula, which a call handed the
+same domain as the last one served (None, or that very range object)
+reads with one dict lookup and one bit test.  Every other call runs the
 pointwise program, a Python function compiled once per formula and kept
 on it, which is also the lane path's oracle.  Each of its quantifiers
 first computes, from the sections of the atoms its body reads at its
@@ -379,10 +381,16 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     exactly one free variable, assigned an int in [0, carrier_size), the
     model keeps truth sets and D is not None.  The set of f over that
     variable for D (see truth_set) is computed on the first such call and
-    kept in `model.truth_sets`, keyed by a weak reference to f and then by
-    the domain (None, a range, or the mask of any other domain), so that
-    it keeps neither f nor the model alive; each later call is one bit
-    test.  A range with no mask, a set past truth_set's capacity, and one
+    kept in f's record in `model.truth_sets` (see _keep), by the domain
+    (None, a range, or the mask of any other domain); the record names f
+    by its id and a weak reference, so that it keeps neither f nor the
+    model alive.  A later call with a dict assignment and the domain the
+    record last served, None or that very range object (a range is
+    immutable), finds the record before anything else and is one bit
+    test; any other, an equal range built anew or a list that may have
+    changed, makes its key again and finds the set by that key, and the
+    record then serves a range or None by identity in its turn.  A range
+    with no mask, a set past truth_set's capacity, and one
     whose evaluation raised (an unknown relation, say) are kept as refused,
     and the call runs the pointwise program, as does every call that reads
     no truth set.  The lane evaluation reads every atom the loop below
@@ -411,26 +419,28 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     raise, the quantifier reruns as the loop: results and errors are the
     loop's.
     """
-    try:  # _compile(f), read inline: a scan calls holds once per value
-        program = f._memo[_COMPILE][()]
+    try:  # f's record (see _keep), read before anything else: a scan calls holds per value
+        ref, var, domain, size, bits, _ = model.truth_sets[id(f)]
+        if domain is quantifier_domain and ref() is f and type(assignment) is dict:
+            value = assignment.get(var)
+            if type(value) is int and 0 <= value < size:
+                return bits[value >> 3] >> (value & 7) & 1 == 1
     except (AttributeError, KeyError):
-        program = _compile(f)
+        pass
+    program = _compile(f)
     env = assignment if type(assignment) is dict else dict(assignment or {})
     var = program.var
-    if var is not None:
-        sets = getattr(model, "truth_sets", None)
+    sets = getattr(model, "truth_sets", None)
+    if var is not None and sets is not None:
         value = env.get(var)
-        if sets is not None and type(value) is int and value >= 0:
+        if type(value) is int and 0 <= value < model.carrier_size:
             key = quantifier_domain  # None, a range, or else its mask
             if key is not None and type(key) is not range:
                 key = _domain_mask(key)
             if key is not None or quantifier_domain is None:
-                try:
-                    kept = sets[_ref(f)][key]
-                except KeyError:  # made on the first call at a value in the carrier
-                    kept = _keep(sets, model, f, var, key) if value < model.carrier_size else None
-                if kept is not None and value < kept[0]:
-                    return kept[1][value >> 3] >> (value & 7) & 1 == 1
+                bits = _keep(sets, model, f, var, quantifier_domain, key)
+                if bits is not None:
+                    return bits[value >> 3] >> (value & 7) & 1 == 1
     domain = (
         range(model.carrier_size) if quantifier_domain is None else quantifier_domain
     )
@@ -442,31 +452,40 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     return program(env, rel_holds, domain, section, mask)
 
 
-_ref = weakref.ref
-
-
-def _keep(sets: dict, model, f: Formula, var: int, key) -> tuple | None:
-    """The truth set of f over v<var> for the domain `key` stands for (None
-    for the carrier, a range, or a mask), as (carrier_size, its bits as
-    little-endian bytes), since an int's bit test would copy the int; made
-    and kept in `sets`, or None, kept too, when refused.  The first set
-    kept for a formula drops the entries of formulas no longer alive."""
-    by_mask = sets.get(_ref(f))
-    if by_mask is None:
-        for dead in [ref for ref in sets if ref() is None]:
+def _keep(sets: dict, model, f: Formula, var: int, domain, key) -> bytes | None:
+    """The truth set of f over v<var> for `domain`, which `key` stands for
+    (None for the carrier, a range, or a mask), as its bits in
+    little-endian bytes, since an int's bit test would copy the int; made
+    and kept, or None, kept too, when refused.  `sets` holds one record per
+    live formula, by its id: (a weak reference to it, var, the last None or
+    range domain served, the carrier size, that domain's bytes, and every
+    set made, by key).  holds reads the bytes when handed that very domain
+    object again; a list, tuple or set may change, so it is never trusted
+    by identity.  A new record drops those of formulas no longer alive."""
+    record = sets.get(id(f))
+    if record is None or record[0]() is not f:
+        for dead in [n for n, (ref, *_) in sets.items() if ref() is None]:
             del sets[dead]
-        by_mask = sets[_ref(f)] = {}
-    u = model.carrier_size
-    domain = range(u) if key is None else key
-    mask = _range_mask(domain) if type(domain) is range else domain
-    kept = None
-    if mask is not None:
-        try:
-            kept = u, _truth_bits(model, f, var, mask).to_bytes((u + 7) // 8, "little")
-        except Exception:  # refused: the pointwise program gives the result, or the error
-            pass
-    by_mask[key] = kept
-    return kept
+        record = sets[id(f)] = (weakref.ref(f), var, _UNSERVED, None, None, {})
+    by_key, u = record[5], model.carrier_size
+    if key in by_key:
+        bits = by_key[key]
+    else:
+        whole = range(u) if key is None else key
+        mask = _range_mask(whole) if type(whole) is range else whole
+        bits = None
+        if mask is not None:
+            try:
+                bits = _truth_bits(model, f, var, mask).to_bytes((u + 7) // 8, "little")
+            except Exception:  # refused: the pointwise program gives the result, or the error
+                pass
+        by_key[key] = bits
+    if bits is not None and type(key) is not int:
+        sets[id(f)] = (record[0], var, domain, u, bits, by_key)
+    return bits
+
+
+_UNSERVED = object()  # the domain of a record that has served none
 
 
 # The most lane work truth_set takes on: the carrier width, counted as at
@@ -672,9 +691,6 @@ def _compile(f: Formula):
     program = _Source().program(f, free)
     program.var = free[0] if len(free) == 1 else None
     return program
-
-
-_COMPILE = _compile.__wrapped__  # the key of f's program in f._memo
 
 
 # CPython's parser refuses more than 200 nested parentheses, and each level

@@ -32,6 +32,7 @@ from baokit.hf import (
     tower,
 )
 from baokit.library import formula_library
+import baokit.hf
 
 
 def test_universe_sizes_follow_the_tower():
@@ -226,6 +227,20 @@ def fields(report: OrdinalReport) -> tuple:
     """The fields of a report with their types, so that 1 is not True."""
     values = (report.is_ord, report.is_ford, report.value)
     return values, tuple(type(value) for value in values)
+
+
+def test_ordinal_oracles_asks_is_ordinal_only_past_its_first_step(monkeypatch):
+    """Every rank-4 code: ordinal_oracles calls a set an ordinal exactly
+    when is_ordinal does.  Its own first test, is_ordinal's first step,
+    settles every code but 0 and the 16 codes 2**t + t, so only those reach
+    is_ordinal; the non-ordinals get the one shared report."""
+    asked = []
+    monkeypatch.setattr(baokit.hf, "is_ordinal", lambda x: asked.append(x.code) or is_ordinal(x))
+    for code in range(2**16):
+        got = ordinal_oracles(HFSet(code))
+        assert got.is_ord == is_ordinal(HFSet(code)), code
+        assert got.is_ord or got is baokit.hf._NOT_ORDINAL, code
+    assert asked == [0] + [2**t + t for t in range(16)]
 
 
 def test_ordinal_oracles_match_the_keyword_reports_on_every_rank_4_code():

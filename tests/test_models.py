@@ -2,9 +2,10 @@ import gc
 import random
 import time
 import weakref
+from collections import OrderedDict
 from functools import reduce
 from itertools import product as iproduct
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -611,8 +612,10 @@ def pointwise(model):
 
 def kept(model, f) -> dict:
     """The truth sets holds keeps on `model` for f, by domain (None when
-    refused)."""
-    return model.truth_sets.get(weakref.ref(f), {})
+    refused): the last field of f's record, kept by f's id and naming f by
+    a weak reference."""
+    record = model.truth_sets.get(id(f))
+    return record[-1] if record is not None and record[0]() is f else {}
 
 
 def lanes(bits: int, u: int) -> list:
@@ -786,6 +789,93 @@ def test_kept_truth_sets_keep_neither_the_model_nor_the_formula_alive():
     del model
     gc.collect()
     assert alive() is None
+
+
+def count_lane_runs(monkeypatch) -> list:
+    """The calls of _truth_bits from now on: one for each set made."""
+    tried = []
+    real = baokit.models._truth_bits
+    monkeypatch.setattr(baokit.models, "_truth_bits",
+                        lambda *args: tried.append(args) or real(*args))
+    return tried
+
+
+def test_an_equal_range_that_is_another_object_reads_the_kept_set(monkeypatch):
+    """holds knows the last range it served by identity; an equal range
+    built anew is found by value, served from the same set, and then known
+    by identity in its turn."""
+    tried = count_lane_runs(monkeypatch)
+    universe, ord_f = hf_universe(4), formula_library()["ord"].formula
+    first, second = range(16), range(0, 16)
+    assert first is not second
+    codes = [0, 1, 3, 6, 11, 2059, 12345, 2**16 - 1]
+    want = [holds(pointwise(universe), ord_f, {0: c}, quantifier_domain=first) for c in codes]
+    for domain in (first, second, first):
+        assert [holds(universe, ord_f, {0: c}, quantifier_domain=domain) for c in codes] == want
+    assert len(tried) == 1 and list(kept(universe, ord_f)) == [first]
+
+
+def test_a_list_domain_changed_between_calls_gives_the_new_answer():
+    """A list is never known by identity: each call reads its values."""
+    model = ModelFinite(range(3), {"R": [(0, 1), (1, 2)]})
+    f = parse_formula("ex v2 R(v2,v0)")
+    domain = [0]
+    for values in ([0], [1], [1, 0], [], [2]):
+        domain[:] = values
+        got = [holds(model, f, {0: t}, quantifier_domain=domain) for t in range(3)]
+        assert got == [holds(pointwise(model), f, {0: t}, quantifier_domain=domain)
+                       for t in range(3)], values
+    assert list(kept(model, f)) == [1, 2, 3, 0, 4]  # one set per mask
+
+
+def test_a_new_formula_never_reads_the_set_of_a_dead_one():
+    """A record names its formula by a weak reference as well as by id, so
+    the set of a formula that died is not read for one built later, even
+    when the new one has the dead one's id (made so here by moving the
+    record, as if the allocator had reused the address)."""
+    model = ModelFinite(range(3), {"Gone": [(0, 1)], "Here": [(1, 2), (2, 2)]})
+    dead = Exists(1, Atom("Gone", (0, 1)))
+    assert [holds(model, dead, {0: t}) for t in range(3)] == [True, False, False]
+    dead_id = id(dead)
+    del dead
+    gc.collect()
+    new = Exists(1, Atom("Here", (0, 1)))
+    if id(new) != dead_id:
+        model.truth_sets[id(new)] = model.truth_sets.pop(dead_id)
+    want = [holds(pointwise(model), new, {0: t}) for t in range(3)]
+    assert want == [False, True, True]
+    assert [holds(model, new, {0: t}) for t in range(3)] == want
+    assert list(model.truth_sets) == [id(new)] and kept(model, new)[None] is not None
+
+
+def test_holds_reads_a_kept_set_only_for_an_int_in_the_carrier(monkeypatch):
+    """With the set kept, True, -1, the carrier size and 1.0 still run the
+    pointwise program (they reach _compile), with its results and errors;
+    an int in the carrier does not."""
+    universe = hf_universe(2)
+    f = parse_formula("ex v1 (E(v1,v0) & all v2 !E(v2,v1))")
+    assert [holds(universe, f, {0: t}) for t in range(4)] == [False, True, False, True]
+    compiled = []
+    real = baokit.models._compile
+    monkeypatch.setattr(baokit.models, "_compile", lambda g: compiled.append(g) or real(g))
+    assert holds(universe, f, {0: 1}) is True and compiled == []
+    for value in (True, -1, universe.size, 1.0):
+        got = outcome(lambda: holds(universe, f, {0: value}))
+        assert len(compiled) == 1, value
+        assert got == outcome(lambda: holds(pointwise(universe), f, {0: value})), value
+        compiled.clear()
+
+
+def test_an_assignment_that_is_not_a_dict_reads_the_kept_set(monkeypatch):
+    """A mapping that is not a dict, a dict subclass and a list of pairs are
+    copied into a dict, and answered from the same kept set."""
+    tried = count_lane_runs(monkeypatch)
+    model = ModelFinite(range(3), {"R": [(0, 1), (1, 2)]})
+    f = parse_formula("ex v2 R(v2,v0)")
+    for make in (MappingProxyType, OrderedDict, lambda d: list(d.items()), dict):
+        got = [holds(model, f, make({0: t, 5: "unused"})) for t in range(3)]
+        assert got == [holds(pointwise(model), f, {0: t}) for t in range(3)] == [False, True, True]
+    assert len(tried) == 1
 
 
 def test_vacuous_quantifiers_are_read_once_on_the_lane_path():

@@ -23,6 +23,12 @@ script records:
   spent in the tests themselves, without collection, start-up and
   fixtures), and the counts pytest reports for its last run;
 - src_lines, the line count of src/baokit/*.py;
+- `bytecode`, taken before the first run: whether a Python started as
+  the runs are writes bytecode (`sys.dont_write_bytecode`, set by
+  PYTHONDONTWRITEBYTECODE or -B) and whether src/baokit/__pycache__
+  exists.  With neither, each perfbench set-up's fresh import compiles
+  every module from source, most of its time, so `setup_s` grows with
+  the source a workload imports; a `setup_s` comparison names its regime;
 - the tree's identity: `commit`, its HEAD commit (the parent's commit for
   a change measured before it is committed), `dirty`, whether the tree
   differs from that commit, and `src_sha256`, a sha256 over the names and
@@ -89,6 +95,15 @@ def identity(tree: str) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
+def bytecode(tree: str) -> dict:
+    """Whether a Python started in `tree` as the runs are writes bytecode,
+    and whether `tree`'s src/baokit/__pycache__ exists."""
+    run = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+                         cwd=tree, capture_output=True, text=True, check=True)
+    return {"dont_write_bytecode": run.stdout.strip() == "True",
+            "pycache": os.path.isdir(os.path.join(tree, "src", "baokit", "__pycache__"))}
+
+
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """The metrics of one perfbench run in `tree`; exits on a failed run."""
     run = subprocess.run(
@@ -140,6 +155,7 @@ def src_lines(tree: str) -> int:
 def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    regimes = {label: bytecode(tree) for label, tree in trees.items()}
     runs = {label: {w: {m: [] for m in METRICS} for w in workloads} for label in trees}
     for workload in workloads:
         for k, seed in enumerate(seeds):
@@ -166,6 +182,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
     return {
         label: {
             **identity(tree),
+            "bytecode": regimes[label],
             "perfbench": {w: {m: summary(v) for m, v in by.items()}
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
@@ -199,6 +216,7 @@ def compare(before: dict, after: dict) -> list[str]:
     row("tier-1 summed call s", before["tier1_call_s"], after["tier1_call_s"])
     lines.append(f"{'tier-1 counts':45s} {before['tier1_counts']} {after['tier1_counts']}")
     lines.append(f"{'src_lines':45s} {before['src_lines']:10d} {after['src_lines']:10d}")
+    lines.append(f"{'bytecode':45s} {before['bytecode']} {after['bytecode']}")
     return lines
 
 
