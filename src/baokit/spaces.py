@@ -3,29 +3,31 @@
 A TupleSpace identifies the u**n tuples over a base of size u with the bit
 positions 0 .. u**n - 1 through a mixed-radix code, coordinate 0 least
 significant.  Element wraps one such bitset immutably; all operations are
-hard errors across distinct spaces.  No kernel scans tuples; each costs
-O(log u) big-integer shifts.  Cylindrification folds its coordinate onto
-digit 0 and spreads the result back by doubling; the top coordinate,
-whose values are contiguous blocks, is folded by halving, each step on
-half the bits of the one before.  The diagonal d_ij and the strict order
-s_a < s_b, for a below b and for a above it alike, grow by doubling from
-a seed over their own coordinates, the ones up to the higher of the two,
-and are replicated along the coordinates above it last, so only their
-last steps work at full width; neither order is built from the other.
-Substitution is c_i(d_ij . x) and reuses both.  `cylinder` gives the
-raw-int kernel of cylindrification, relativized to a run of values of its
-coordinate, `fold_top` the same fold of the last coordinate onto a space
-of lower dimension, with nothing spread back, `strictly_below` the
-order atom s_a < s_b, and `diagonal_at` the diagonal at chosen values.
+hard errors across distinct spaces.  No kernel scans tuples.  Along
+coordinate 0, whose values are runs of u bits, cylindrification takes 7
+full-width operations by carries from u = 3 on; along any other it folds
+onto digit 0 and spreads back by doubling, O(log u) shifts, and the top
+coordinate, whose values are contiguous blocks, is folded by halving.
+The diagonal d_ij and the strict order s_a < s_b, for a below b and for a
+above it alike, grow by doubling from a seed over their own coordinates,
+the ones up to the higher of the two, and are replicated along the
+coordinates above it last, so only their last steps work at full width;
+neither order is built from the other.  Substitution is c_i(d_ij . x)
+and reuses both.  `cylinder` gives the raw-int kernel of
+cylindrification, relativized to a run of values of its coordinate,
+`fold_top` the same fold of the last coordinate onto a space of lower
+dimension, with nothing spread back, `strictly_below` the order atom
+s_a < s_b, and `diagonal_at` the diagonal at chosen values.
 
 A binary relation on a base of size u is an Element of TupleSpace(u, 2),
 of the subclass RaElement: the pair (a, b) is the tuple (b, a), at bit
 a*u + b, so row a of the u x u bit matrix is a run of u bits.  Converse
 swaps the two coordinates, a bit-matrix transpose (`transpose`), and the
 identity relation is the diagonal d_01.  RelationAlgebra adds composition
-to them.  SetAlgebra and RelationAlgebra are FullAlgebras, which share
-their values' construction, zero, one and apply, and each is the value
-domain of its own finite subalgebras, which compute on its raw ints.
+(`compose_bits`, by Four Russians' tables for a dense relation).
+SetAlgebra and RelationAlgebra are FullAlgebras, which share their
+values' construction, zero, one and apply, and each is the value domain
+of its own finite subalgebras, which compute on its raw ints.
 
 An operator table (`SetOperators`, `RelationOperators`) is the one map from
 operator names to raw-int kernels; each algebra owns one for `apply`, and
@@ -39,6 +41,7 @@ from .errors import CapacityError, InputError, SignatureError, SpaceMismatchErro
 from .signatures import OpRef, Signature
 
 MAX_SPACE_BITS = 1 << 24
+SLICED_FROM = 64  # the base size from which compose_bits splits its rows by halving
 
 
 def read_int(token: str, base: int = 10) -> int:
@@ -342,11 +345,14 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
     holds the tuples whose coordinate `coord` lies in `values`, a nonempty
     run of base values (the whole base by default).
 
-    The run of x is folded onto digit 0 (see `_folding`) and the result is
-    replicated u times by doubling; D itself is never built.  The kernel
-    ignores a second argument, so a straight-line program applies it like
-    any binary operator.
+    Coordinate 0 of a base of 3 or more goes by carries (`_carries`), any
+    other run of x is folded onto digit 0 (`_folding`) and replicated u
+    times by doubling; D itself is never built.  The kernel ignores a
+    second argument, so a straight-line program applies it like any
+    binary operator.
     """
+    if coord == 0 and space.base_size > 2:
+        return _carries(space, values)
     fold = _folding(space, coord, values)
     spread = doubling_shifts(space.stride(coord), space.base_size)
 
@@ -355,6 +361,35 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
         for shift in spread:
             x |= x << shift
         return x
+
+    return kernel
+
+
+def _carries(space: TupleSpace, values: range | None):
+    """c_0(D . x) by carries, for u >= 3: each tuple's coordinate-0 values
+    are a group of u bits.  With high the top bit of each group and low the
+    others, t = ((x & low) + low | x) & high marks the groups that hold a
+    bit, as the add carries into a group's top bit and never out of it, and
+    t - (t >> (u - 1)) | t fills them.  low is cut to x's whole groups, so
+    a narrow x costs its own width.  Per Mbit on CPython 3.11 this takes
+    160 us at u = 3, the doubling fold 227; at u = 2, 167 against 103.
+    """
+    u, size = space.base_size, space.size
+    zero = space.digit_zero_mask(0)
+    high = zero << (u - 1)
+    low = space.full_mask ^ high
+    run = None
+    if values is not None:
+        _check_run(values, u)
+        if len(values) < u:
+            run = (zero << values.stop) - (zero << values.start)
+
+    def kernel(x: int, _=None) -> int:
+        if run is not None:
+            x &= run
+        cut = (size - x.bit_length()) // u * u  # the groups above x's highest
+        t = ((x & low) + (low >> cut if cut else low) | x) & high
+        return t - (t >> (u - 1)) | t
 
     return kernel
 
@@ -532,17 +567,17 @@ class SetOperators(Operators):
     """The operators of a set algebra on coordinates 0 .. n-1 of `space`:
     c_i, d_ij and s_ij = c_i(d_ij . x) (Henkin, Monk and Tarski,
     Cylindric Algebras I, 1.5).  Every coordinate of `space` from n up is
-    left alone, so it may number lanes."""
+    left alone, so it may number lanes, of which `full` may hold fewer."""
 
-    def __init__(self, space: TupleSpace, n: int):
-        super().__init__(space.full_mask)
+    def __init__(self, space: TupleSpace, n: int, full: int | None = None):
+        super().__init__(space.full_mask if full is None else full)
         self.space = space
         self.n = n
-        self.key = (space.base_size, space.dimension, n)  # same key, same kernels
+        self.key = (space.base_size, space.dimension, n, self.full.bit_length())  # same kernels
 
     def constant(self, op: OpRef) -> int:
         if op[0] == "diag":
-            return diag(self.space, *op[1]).bits
+            return diag(self.space, *op[1]).bits & self.full
         return super().constant(op)
 
     def make(self, op: OpRef):
@@ -676,19 +711,63 @@ class RaElement(Element):
 
 
 def compose_bits(u: int, r: int, s: int) -> int:
-    """Relational composition r;s of two relation bitsets on a base of size u."""
-    row_mask = (1 << u) - 1
-    s_rows = [(s >> (b * u)) & row_mask for b in range(u)]
-    out = 0
-    for a in range(u):
-        row = (r >> (a * u)) & row_mask
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= s_rows[low.bit_length() - 1]
-            row ^= low
-        out |= acc << (a * u)
-    return out
+    """Relational composition r;s of two relation bitsets on a base of size
+    u: row a of r;s is the OR of the rows b of s over the pairs (a, b) of
+    r, joined by pairing (`join_rows`).  Below u = SLICED_FROM each row is
+    shifted out of the whole int and r's pairs are walked; at u = 16 that
+    takes 21 us, and splitting by halving 30.  From there on the rows are
+    split by halving, and an r with u*u/32 pairs or more goes by the
+    method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970),
+    u*u/8 + 32u row ORs: 0.34 s at u = 4,096 on random relations, against
+    6.7 s for the walk by shifts.
+    """
+    if u < SLICED_FROM:
+        row_mask = (1 << u) - 1
+        s_rows = [(s >> (b * u)) & row_mask for b in range(u)]
+        r_rows = [(r >> (a * u)) & row_mask for a in range(u)]
+    else:
+        s_rows, r_rows = split_rows(s, u, u), split_rows(r, u, u)
+    if u < SLICED_FROM or r.bit_count() * 32 < u * u:
+        rows = []
+        for row in r_rows:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= s_rows[low.bit_length() - 1]
+                row ^= low
+            rows.append(acc)
+        return join_rows(rows, u)
+    # per 8 rows of s, one table of the ORs of its 256 subsets, read by r's bytes
+    width = (u + 7) >> 3  # bytes a row
+    s_rows += [0] * (8 * width - u)
+    data = b"".join([row.to_bytes(width, "little") for row in r_rows])
+    rows = [0] * u
+    for group in range(width):
+        table = [0]
+        for row in s_rows[8 * group : 8 * group + 8]:
+            table += [t | row for t in table]
+        rows = list(map(operator.or_, rows, map(table.__getitem__, data[group::width])))
+    return join_rows(rows, u)
+
+
+def split_rows(bits: int, width: int, count: int) -> list[int]:
+    """The `count` rows of `width` bits of `bits` < 2**(count*width), by halving."""
+    parts = [bits]
+    for level in reversed(range((count - 1).bit_length())):
+        half = width << level
+        low = (1 << half) - 1
+        parts = [q for p in parts for q in (p & low, p >> half)]
+    return parts[:count]
+
+
+def join_rows(rows: list[int], width: int) -> int:
+    """`rows`, each below 2**width, as one bitset, row a from bit a*width."""
+    while len(rows) > 1:
+        if len(rows) & 1:
+            rows.append(0)
+        rows = [lo | hi << width for lo, hi in zip(rows[::2], rows[1::2])]
+        width *= 2
+    return rows[0]
 
 
 def transpose(space: TupleSpace, bits: int) -> int:

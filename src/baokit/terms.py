@@ -22,7 +22,7 @@ from .errors import InputError, SignatureError, UnboundVariableError
 from .formulas import MAX_NESTING, Node, postorder
 from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
 from .spaces import MAX_SPACE_BITS, FullAlgebra, RelationAlgebra, SetAlgebra, SetOperators
-from .spaces import TupleSpace
+from .spaces import TupleSpace, join_rows, split_rows
 
 
 class Var(Node):
@@ -279,33 +279,21 @@ class Lanes:
             extra += 1
         self.ambient = ambient
         self.space = TupleSpace(u, base.dimension + extra)
-        self.operators = SetOperators(self.space, base.dimension)
         self.count = count
         self.width = base.size
         self.full = (1 << (count * self.width)) - 1  # every lane the top
+        self.operators = SetOperators(self.space, base.dimension, self.full)
 
     def pack(self, values) -> int:
         """One integer holding `values` (raw bits below 2**width), value 0
         in lane 0, by pairing neighbours level by level."""
         if len(values) != self.count:
             raise ValueError(f"expected {self.count} values, got {len(values)}")
-        parts = list(values)
-        span = self.width
-        while len(parts) > 1:
-            if len(parts) & 1:
-                parts.append(0)
-            parts = [lo | hi << span for lo, hi in zip(parts[::2], parts[1::2])]
-            span *= 2
-        return parts[0]
+        return join_rows(list(values), self.width)
 
     def unpack(self, bits: int) -> list[int]:
         """The raw bits of each lane, by halving."""
-        parts = [bits & self.full]
-        for level in reversed(range((self.count - 1).bit_length())):
-            half = self.width << level
-            low = (1 << half) - 1
-            parts = [q for p in parts for q in (p & low, p >> half)]
-        return parts[: self.count]
+        return split_rows(bits & self.full, self.width, self.count)
 
     def run(self, term: Term, packed) -> int:
         """Evaluate `term` on every lane at once; `packed` maps variable

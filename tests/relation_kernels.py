@@ -1,10 +1,11 @@
-"""The relation value type and converse that `baokit.spaces` replaced, kept
-as the oracles of RaElement as an Element of TupleSpace(u, 2) and of
-`spaces.transpose`.
+"""The relation value type, converse and composition that `baokit.spaces`
+replaced, kept as the oracles of RaElement as an Element of
+TupleSpace(u, 2), of `spaces.transpose` and of `spaces.compose_bits`.
 
 Here a relation is its own value type, which repeats every Boolean
-operator of Element over a mask of u*u bits, and converse moves one pair
-at a time: quadratic in the number of pairs.
+operator of Element over a mask of u*u bits, converse moves one pair at a
+time, quadratic in the number of pairs, and composition shifts each row
+out of the whole u*u-bit int and walks the pairs of r.
 """
 
 from collections.abc import Iterator
@@ -111,4 +112,20 @@ def converse_bits(u: int, r: int) -> int:
         a, b = divmod(low.bit_length() - 1, u)
         out |= 1 << (b * u + a)
         r ^= low
+    return out
+
+
+def compose_bits(u: int, r: int, s: int) -> int:
+    """Relational composition r;s of two relation bitsets on a base of size u."""
+    row_mask = (1 << u) - 1
+    s_rows = [(s >> (b * u)) & row_mask for b in range(u)]
+    out = 0
+    for a in range(u):
+        row = (r >> (a * u)) & row_mask
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= s_rows[low.bit_length() - 1]
+            row ^= low
+        out |= acc << (a * u)
     return out

@@ -1,5 +1,6 @@
-"""Relations as Elements of TupleSpace(u, 2), against the relation type and
-the pair-by-pair converse they replaced (tests/relation_kernels.py)."""
+"""Relations as Elements of TupleSpace(u, 2), against the relation type,
+the pair-by-pair converse and the composition by shifts they replaced
+(tests/relation_kernels.py)."""
 
 import operator
 import random
@@ -8,7 +9,8 @@ import pytest
 
 import relation_kernels as old
 from baokit import RaElement, RelationAlgebra, SetAlgebra, SpaceMismatchError, TupleSpace
-from baokit.spaces import Element, transpose
+from baokit import spaces
+from baokit.spaces import Element, compose_bits, join_rows, split_rows, transpose
 
 
 def _relations(rng, u, count):
@@ -105,3 +107,41 @@ def test_converse_at_the_largest_base_is_an_involution():
         assert back.has_pair(b, a) == r.has_pair(a, b)
     corners = ra.element([(0, u - 1), (u - 1, 0), (1, 2)])
     assert set(ra.converse(corners).pairs()) == {(u - 1, 0), (0, u - 1), (2, 1)}
+
+
+def _compose_cases(rng, u):
+    """The empty, full and identity relations, a functional, a sparse and
+    two dense ones, by name."""
+    return {
+        "empty": 0,
+        "full": (1 << u * u) - 1,
+        "identity": sum(1 << a * (u + 1) for a in range(u)),
+        "functional": sum(1 << a * u + rng.randrange(u) for a in range(u)),
+        "sparse": sum(1 << rng.randrange(u * u) for _ in range(max(1, u * u // 64))),
+        "dense": rng.getrandbits(u * u),
+        "denser": rng.getrandbits(u * u) | rng.getrandbits(u * u),
+    }
+
+
+@pytest.mark.parametrize("sliced_from", [None, 1])
+@pytest.mark.parametrize("u", [*range(1, 21), 64, 100, 128, 257])
+def test_compose_matches_the_composition_by_shifts(monkeypatch, u, sliced_from):
+    """Every pair of cases, at the stated threshold and with the rows split
+    by halving at every u, so that the walk over split rows and the Four
+    Russians' tables meet small and ragged bases too."""
+    if sliced_from is not None:
+        monkeypatch.setattr(spaces, "SLICED_FROM", sliced_from)
+    rng = random.Random(u)
+    cases = _compose_cases(rng, u)
+    for r_name, r in cases.items():
+        for s_name, s in cases.items():
+            assert compose_bits(u, r, s) == old.compose_bits(u, r, s), (r_name, s_name)
+
+
+@pytest.mark.parametrize("width, count", [(1, 1), (1, 5), (3, 7), (8, 8), (9, 3), (100, 17)])
+def test_rows_split_and_join_back(width, count):
+    rng = random.Random(width * count)
+    rows = [rng.getrandbits(width) for _ in range(count)]
+    bits = sum(row << a * width for a, row in enumerate(rows))
+    assert split_rows(bits, width, count) == rows
+    assert join_rows(list(rows), width) == bits

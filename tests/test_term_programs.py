@@ -296,9 +296,12 @@ def test_program_is_compiled_once_per_space():
     term = parse_term("(cyl 0 (and (var 0) (diag 0 1)))", amb.signature)
     eval_term(term, {0: amb.one}, amb)
     eval_term(term, {0: amb.zero}, amb)
-    assert list(term._layout.bindings) == [(3, 2, 2)]
+    assert list(term._layout.bindings) == [(3, 2, 2, 9)]
     eval_term_lanes(term, {0: [0, 1, 2, 3, 4]}, amb)  # five lanes: TupleSpace(3, 2 + 2)
-    assert list(term._layout.bindings) == [(3, 2, 2), (3, 4, 2)]
+    assert list(term._layout.bindings) == [(3, 2, 2, 9), (3, 4, 2, 45)]
+    # four lanes pad to the same space, but their top is 4 * 9 bits wide
+    eval_term_lanes(term, {0: [0, 1, 2, 3]}, amb)
+    assert list(term._layout.bindings) == [(3, 2, 2, 9), (3, 4, 2, 45), (3, 4, 2, 36)]
 
 
 def test_result_registers_are_reused():
@@ -316,7 +319,7 @@ def test_compiling_a_term_leaves_no_reference_cycles():
     gc.disable()
     try:
         eval_term(fresh, {0: amb.one}, amb)
-        assert (2, 3, 3) in fresh._layout.bindings
+        assert (2, 3, 3, 8) in fresh._layout.bindings
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -467,6 +470,22 @@ def test_identity_sweep_matches_per_value_loop(monkeypatch, u, samples, seed, mu
         result = identities.identity_sweep(u, samples=samples, seed=seed)
         assert result.failures == want
         assert result.total == (256 if u == 2 else samples)
+
+
+@pytest.mark.parametrize("which, name", [("sigma", "sigma(tau(x)) = x"),
+                                         ("delta", "delta(tau(x)) = 1")])
+def test_identity_sweep_finds_one_identity_failing_alone(monkeypatch, which, name):
+    """Only one of the two mutated terms: every batch that fails, fails
+    that identity alone, which the check of both at once must still see."""
+    terms = dict(identities.order_terms(3))
+    terms[which] = _mutated_order_terms()[which]
+    monkeypatch.setattr(identities, "order_terms", lambda n=3: terms)
+    want = sweep_per_value(3, 60, 4, terms)
+    assert want and {failure for failure, _ in want} == {name}
+    for budget in (None, 3**5):
+        if budget is not None:
+            monkeypatch.setattr("baokit.terms.MAX_SPACE_BITS", budget)
+        assert identities.identity_sweep(3, samples=60, seed=4).failures == want
 
 
 def check_identity_per_assignment(argv):

@@ -14,8 +14,16 @@ script records:
 - the median wall time, over --repeats process runs, of each command in
   COMMANDS: `corpus-check`, `translate`, `arith`, `pairing` and `window`
   at their default flags, `window --fixed 0,5`, the two window runs of
-  CI's "CLI exit codes" step, and `arith --max 200`, arith's stretched
-  setting;
+  CI's "CLI exit codes" step, and three stretched settings: `arith --max
+  200`, `tau-sigma-delta --u 32` and an RA `check-identity` at u = 512;
+- `kernels_us`, the layer below: the median microseconds of one call of
+  each `spaces` kernel, over KERNEL_ROUNDS processes in the tree (the two
+  trees alternate), each the median of KERNEL_SAMPLES timed batches of
+  calls on seeded random values: `cylinder` per coordinate, `subst` over
+  every ordered pair and `diag` over every pair of coordinates on the
+  three spaces of perfbench's `wide` workload (KERNEL_SPACES), and
+  `compose_bits` at each u in COMPOSE_BASES.  The processes fix glibc's
+  allocator thresholds as perfbench/run.py does;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
   (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
   tree with its own src on PYTHONPATH, the median of the per-test call
@@ -61,7 +69,59 @@ COMMANDS = (
     ("--json", "window", "--formula", "phi", "--w", "30", "--margin", "1"),
     ("--json", "window", "--formula", "psi", "--fixed", "0,1", "--w", "30", "--margin", "1"),
     ("--json", "arith", "--max", "200"),
+    ("--json", "tau-sigma-delta", "--u", "32"),
+    ("--json", "check-identity", "--kind", "RA", "--u", "512",
+     "--lhs", "(comp (var 0) id)", "--rhs", "(var 0)"),
 )
+KERNEL_SPACES = ((16, 5), (65, 3), (129, 3))  # (u, n), as perfbench's wide workload has them
+COMPOSE_BASES = (16, 256, 1024)
+KERNEL_ROUNDS = 3
+KERNEL_SAMPLES = 5
+
+# Run with the tree's src on sys.path; prints {kernel: median us of one call}.
+KERNEL_TIMER = """
+import ctypes, ctypes.util, json, random, statistics, sys, time
+from baokit import spaces
+
+libc = ctypes.CDLL(ctypes.util.find_library("c"))
+if hasattr(libc, "mallopt"):  # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+    libc.mallopt(-3, 1 << 26)
+    libc.mallopt(-1, 1 << 27)
+space_shapes, compose_bases, samples = json.loads(sys.argv[1])
+
+
+def median_us(calls):
+    started = time.perf_counter()
+    calls()
+    number = max(1, int(0.02 / max(time.perf_counter() - started, 1e-9)))
+    times = []
+    for _ in range(samples):
+        started = time.perf_counter()
+        for _ in range(number):
+            calls()
+        times.append((time.perf_counter() - started) / number)
+    return 1e6 * statistics.median(times)
+
+
+out = {}
+rng = random.Random(1)
+for u, n in space_shapes:
+    space = spaces.TupleSpace(u, n)
+    x = spaces.Element(space, rng.getrandbits(space.size))
+    for coord in range(n):
+        kernel = spaces.cylinder(space, coord)
+        out[f"cylinder {u}^{n} c{coord}"] = median_us(lambda: kernel(x.bits))
+    ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out[f"subst {u}^{n}"] = median_us(
+        lambda: [spaces.subst(i, j, x) for i, j in ordered]) / len(ordered)
+    pairs = [(i, j) for i, j in ordered if i < j]
+    out[f"diag {u}^{n}"] = median_us(
+        lambda: [spaces.diag(space, i, j) for i, j in pairs]) / len(pairs)
+for u in compose_bases:
+    r, s = rng.getrandbits(u * u), rng.getrandbits(u * u)
+    out[f"compose_bits u={u}"] = median_us(lambda: spaces.compose_bits(u, r, s))
+print(json.dumps(out))
+"""
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 DURATIONS = ("--durations=0", "--durations-min=0")  # every test's phases, on stdout
@@ -129,6 +189,17 @@ def wall_time(tree: str, args: tuple) -> float:
     return took
 
 
+def kernel_times(tree: str) -> dict:
+    """{kernel: median microseconds of one call} from one process in `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    shapes = json.dumps([KERNEL_SPACES, COMPOSE_BASES, KERNEL_SAMPLES])
+    run = subprocess.run([sys.executable, "-c", KERNEL_TIMER, shapes], env=env,
+                         capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.exit(f"kernel timing failed in {tree}:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
 def tier1(tree: str) -> tuple[float, float, dict]:
     """Seconds for one tier-1 run in `tree`, the sum of the call durations
     pytest reports for its tests, and the counts of its summary line
@@ -169,6 +240,11 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
         for args in COMMANDS:
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
+    kernels = {label: {} for label in trees}
+    for k in range(KERNEL_ROUNDS):
+        for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
+            for name, us in kernel_times(tree).items():
+                kernels[label].setdefault(name, []).append(us)
     suites = {label: [] for label in trees}
     calls = {label: [] for label in trees}
     counts = {}
@@ -186,6 +262,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
             "perfbench": {w: {m: summary(v) for m, v in by.items()}
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
+            "kernels_us": {name: summary(v) for name, v in kernels[label].items()},
             "tier1_s": summary(suites[label]),
             "tier1_call_s": summary(calls[label]),
             "tier1_counts": counts[label],
@@ -212,6 +289,8 @@ def compare(before: dict, after: dict) -> list[str]:
             row(f"{workload} {metric}", a, after["perfbench"][workload][metric])
     for cmd, a in before["wall_s"].items():
         row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
+    for name, a in before["kernels_us"].items():
+        row(f"{name} us", a, after["kernels_us"][name])
     row("tier-1 s", before["tier1_s"], after["tier1_s"])
     row("tier-1 summed call s", before["tier1_call_s"], after["tier1_call_s"])
     lines.append(f"{'tier-1 counts':45s} {before['tier1_counts']} {after['tier1_counts']}")
