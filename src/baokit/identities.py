@@ -12,6 +12,7 @@ batch run sigma and delta apart, against the packed input and top.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .compiler import CompiledTerm, compile_to_term, restrict_formula
@@ -42,7 +43,13 @@ def order_terms(n: int = 3) -> dict[str, CompiledTerm]:
     return out
 
 
-_BOTH: dict = {}  # (sigma, delta) -> the term, the top where both hold, of the last sweep
+@lru_cache(maxsize=2)
+def both_identities(sigma: Term, delta: Term) -> Term:
+    """(sigma(y) <-> x) & delta(y), y variable 0 and x variable 1: with y =
+    tau(x), the top where both hold, in one program, sharing their nodes."""
+    back = App(("and", ()), (App(("impl", ()), (sigma.root, Var(1))),
+                             App(("impl", ()), (Var(1), sigma.root))))
+    return Term(App(("and", ()), (back, delta.root)), sigma.signature)
 
 
 def identity_sweep(u: int, *, samples: int = 1000, seed: int = 0) -> IdentitySweepResult:
@@ -64,12 +71,7 @@ def identity_sweep(u: int, *, samples: int = 1000, seed: int = 0) -> IdentitySwe
         values = (ambient.random_element(rng).bits for _ in range(samples))
 
     tau, sigma, delta = (terms[name].term for name in ("tau", "sigma", "delta"))
-    both = _BOTH.get((sigma, delta))
-    if both is None:  # (sigma(y) <-> x) & delta(y), y = variable 0, x = 1
-        back = App(("and", ()), (App(("impl", ()), (sigma.root, Var(1))),
-                                 App(("impl", ()), (Var(1), sigma.root))))
-        _BOTH.clear()
-        both = _BOTH[sigma, delta] = Term(App(("and", ()), (back, delta.root)), sigma.signature)
+    both = both_identities(sigma, delta)
     failures = []
     for batch in lane_batches(ambient, total):
         xs = list(islice(values, len(batch)))
@@ -88,4 +90,3 @@ def identity_sweep(u: int, *, samples: int = 1000, seed: int = 0) -> IdentitySwe
     return IdentitySweepResult(
         base_size=u, total=total, exhaustive=exhaustive, failures=failures
     )
-

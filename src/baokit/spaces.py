@@ -41,7 +41,7 @@ from .errors import CapacityError, InputError, SignatureError, SpaceMismatchErro
 from .signatures import OpRef, Signature
 
 MAX_SPACE_BITS = 1 << 24
-SLICED_FROM = 64  # the base size from which compose_bits splits its rows by halving
+SLICED_FROM = 32  # the base size from which compose_bits splits its rows by halving
 
 
 def read_int(token: str, base: int = 10) -> int:
@@ -366,14 +366,13 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
 
 
 def _carries(space: TupleSpace, values: range | None):
-    """c_0(D . x) by carries, for u >= 3: each tuple's coordinate-0 values
-    are a group of u bits.  With high the top bit of each group and low the
-    others, t = ((x & low) + low | x) & high marks the groups that hold a
-    bit, as the add carries into a group's top bit and never out of it, and
-    t - (t >> (u - 1)) | t fills them.  low is cut to x's whole groups, so
-    a narrow x costs its own width.  Per Mbit on CPython 3.11 this takes
-    160 us at u = 3, the doubling fold 227; at u = 2, 167 against 103.
-    """
+    """c_0(D . x) by carries, for u >= 3, each tuple's coordinate-0 values
+    a group of u bits: with high the top bit of each group and low the
+    others, t = ((x & low) + low | x) & high marks the nonempty groups (the
+    add carries into a group's top bit, never out) and t - (t >> (u - 1)) |
+    t fills them.  low is cut to x's whole groups, so a narrow x costs its
+    width.  Per Mbit on CPython 3.11: 160 us at u = 3, the doubling fold
+    227; at u = 2, 167 against 103."""
     u, size = space.base_size, space.size
     zero = space.digit_zero_mask(0)
     high = zero << (u - 1)
@@ -381,8 +380,7 @@ def _carries(space: TupleSpace, values: range | None):
     run = None
     if values is not None:
         _check_run(values, u)
-        if len(values) < u:
-            run = (zero << values.stop) - (zero << values.start)
+        run = (zero << values.stop) - (zero << values.start)
 
     def kernel(x: int, _=None) -> int:
         if run is not None:
@@ -567,17 +565,17 @@ class SetOperators(Operators):
     """The operators of a set algebra on coordinates 0 .. n-1 of `space`:
     c_i, d_ij and s_ij = c_i(d_ij . x) (Henkin, Monk and Tarski,
     Cylindric Algebras I, 1.5).  Every coordinate of `space` from n up is
-    left alone, so it may number lanes, of which `full` may hold fewer."""
+    left alone, so it may number lanes."""
 
-    def __init__(self, space: TupleSpace, n: int, full: int | None = None):
-        super().__init__(space.full_mask if full is None else full)
+    def __init__(self, space: TupleSpace, n: int):
+        super().__init__(space.full_mask)
         self.space = space
         self.n = n
-        self.key = (space.base_size, space.dimension, n, self.full.bit_length())  # same kernels
+        self.key = (space.base_size, space.dimension, n)  # same key, same kernels
 
     def constant(self, op: OpRef) -> int:
         if op[0] == "diag":
-            return diag(self.space, *op[1]).bits & self.full
+            return diag(self.space, *op[1]).bits
         return super().constant(op)
 
     def make(self, op: OpRef):
@@ -712,22 +710,33 @@ class RaElement(Element):
 
 def compose_bits(u: int, r: int, s: int) -> int:
     """Relational composition r;s of two relation bitsets on a base of size
-    u: row a of r;s is the OR of the rows b of s over the pairs (a, b) of
-    r, joined by pairing (`join_rows`).  Below u = SLICED_FROM each row is
-    shifted out of the whole int and r's pairs are walked; at u = 16 that
-    takes 21 us, and splitting by halving 30.  From there on the rows are
-    split by halving, and an r with u*u/32 pairs or more goes by the
-    method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970),
-    u*u/8 + 32u row ORs: 0.34 s at u = 4,096 on random relations, against
-    6.7 s for the walk by shifts.
+    u: row a of r;s is the OR of the rows b of s over the pairs (a, b) of r.
+
+    Below u = SLICED_FROM each row is shifted out of the whole int and r's
+    pairs are walked; from there on rows are split by halving and joined by
+    pairing, an r with fewer than u*(u + 256)/24 pairs is walked, and a
+    denser one goes by the tables of the Four Russians (Arlazarov, Dinic,
+    Kronrod and Faradzev 1970), u*u/8 + 32u row ORs.  Measured crossovers
+    (CPython 3.11): on random r the tables tie with the shifts at u = 32,
+    100 against 97 us; walk and tables tie near u*u/3 pairs at u = 32,
+    u*u/10 at 256, u*u/21 at 1,024 and u*u/27 at 4,096, where the tables
+    take 0.36 to 0.52 s on random relations and the walk by shifts 6.7 s.
     """
     if u < SLICED_FROM:
         row_mask = (1 << u) - 1
         s_rows = [(s >> (b * u)) & row_mask for b in range(u)]
-        r_rows = [(r >> (a * u)) & row_mask for a in range(u)]
-    else:
-        s_rows, r_rows = split_rows(s, u, u), split_rows(r, u, u)
-    if u < SLICED_FROM or r.bit_count() * 32 < u * u:
+        out = 0
+        for a in range(u):
+            row = (r >> (a * u)) & row_mask
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= s_rows[low.bit_length() - 1]
+                row ^= low
+            out |= acc << (a * u)
+        return out
+    s_rows, r_rows = split_rows(s, u, u), split_rows(r, u, u)
+    if r.bit_count() * 24 < u * (u + 256):
         rows = []
         for row in r_rows:
             acc = 0
@@ -739,7 +748,6 @@ def compose_bits(u: int, r: int, s: int) -> int:
         return join_rows(rows, u)
     # per 8 rows of s, one table of the ORs of its 256 subsets, read by r's bytes
     width = (u + 7) >> 3  # bytes a row
-    s_rows += [0] * (8 * width - u)
     data = b"".join([row.to_bytes(width, "little") for row in r_rows])
     rows = [0] * u
     for group in range(width):

@@ -22,7 +22,7 @@ from .errors import InputError, SignatureError, UnboundVariableError
 from .formulas import MAX_NESTING, Node, postorder
 from .signatures import _OP_SHAPES, OpRef, Signature, opref_str
 from .spaces import MAX_SPACE_BITS, FullAlgebra, RelationAlgebra, SetAlgebra, SetOperators
-from .spaces import TupleSpace, join_rows, split_rows
+from .spaces import TupleSpace, boolean, join_rows, split_rows
 
 
 class Var(Node):
@@ -129,7 +129,7 @@ class Layout(StraightLine):
     ~i is input i and node j >= 0 the result of step j.
     """
 
-    __slots__ = ("variables", "constants", "ops", "kinds", "bindings")
+    __slots__ = ("variables", "constants", "ops", "kinds", "bindings", "narrowed")
 
     def __init__(self, variables, constants, ops, kinds, operands, root):
         fixed = len(constants) + len(variables)
@@ -140,6 +140,7 @@ class Layout(StraightLine):
         self.ops = ops
         self.kinds = kinds
         self.bindings: dict = {}  # table key -> bind(table)
+        self.narrowed = None  # (table key, width of its top, binding): the last one cut
 
     def bind(self, operators) -> tuple[list, list]:
         """The constants' values and each step's function in the operator
@@ -147,16 +148,25 @@ class Layout(StraightLine):
         bound = [operators.function(op) for op in self.ops]
         return [operators.constant(op) for op in self.constants], [bound[k] for k in self.kinds]
 
-    def binding(self, operators) -> tuple[list, list]:
+    def binding(self, operators, full: int | None = None) -> tuple[list, list]:
         """bind(operators), made on first use and kept for every table with
-        the same key; a table whose key is None is bound on each call."""
+        the same key; a table whose key is None is bound on each call.  A
+        top `full` narrower than the table's cuts the constants and Boolean
+        operators to it, sharing the other kernels; the last cut is kept."""
         key = operators.key
         binding = self.bindings.get(key)
         if binding is None:
             binding = self.bind(operators)
             if key is not None:
                 self.bindings[key] = binding
-        return binding
+        width = None if full is None else full.bit_length()
+        if width is None or width == operators.full.bit_length():
+            return binding
+        if key is None or self.narrowed is None or self.narrowed[:2] != (key, width):
+            cut = [boolean(op[0], full) for op in self.ops]
+            functions = [cut[k] or f for k, f in zip(self.kinds, binding[1])]
+            self.narrowed = key, width, ([c & full for c in binding[0]], functions)
+        return self.narrowed[2]
 
     def run(self, binding, inputs: list) -> int:
         constants, functions = binding
@@ -265,6 +275,8 @@ class Lanes:
     one value: the coordinates n and up of TupleSpace(u, n + d), with
     u**d >= count, number the lanes.  A term over the algebra's signature
     acts on coordinates below n only, so its program never mixes lanes.
+    It runs with the top of its `count` lanes (see `Layout.binding`), so
+    no complement or constant spends work on the padding lanes above them.
     """
 
     __slots__ = ("ambient", "space", "operators", "count", "width", "full")
@@ -282,7 +294,7 @@ class Lanes:
         self.count = count
         self.width = base.size
         self.full = (1 << (count * self.width)) - 1  # every lane the top
-        self.operators = SetOperators(self.space, base.dimension, self.full)
+        self.operators = SetOperators(self.space, base.dimension)
 
     def pack(self, values) -> int:
         """One integer holding `values` (raw bits below 2**width), value 0
@@ -299,7 +311,7 @@ class Lanes:
         """Evaluate `term` on every lane at once; `packed` maps variable
         indices to packed integers."""
         _check_signature(term, self.ambient)
-        binding = term._layout.binding(self.operators)
+        binding = term._layout.binding(self.operators, self.full)
         try:
             inputs = [packed[index] for index in term._layout.variables]
         except KeyError as exc:

@@ -107,7 +107,7 @@ def test_lanes_match_eval_term_at_the_batch_edges(monkeypatch, kind, u, n):
 def test_a_batch_computes_nothing_past_its_lanes():
     ambient = SetAlgebra("CA", 3, 2)
     lanes = Lanes(ambient, 5)  # TupleSpace(3, 4): nine lanes, five in use
-    assert lanes.operators.full == lanes.full == (1 << 45) - 1
+    assert lanes.full == (1 << 45) - 1  # the table keeps its space's top, the run cuts it
     for text in ("(not (var 0))", "one", "(or (diag 0 1) (cyl 0 (not (var 0))))"):
         term = parse_term(text, ambient.signature)
         assert lanes.run(term, {0: 0}) >> 45 == 0, text

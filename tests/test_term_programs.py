@@ -296,12 +296,29 @@ def test_program_is_compiled_once_per_space():
     term = parse_term("(cyl 0 (and (var 0) (diag 0 1)))", amb.signature)
     eval_term(term, {0: amb.one}, amb)
     eval_term(term, {0: amb.zero}, amb)
-    assert list(term._layout.bindings) == [(3, 2, 2, 9)]
+    assert list(term._layout.bindings) == [(3, 2, 2)]
     eval_term_lanes(term, {0: [0, 1, 2, 3, 4]}, amb)  # five lanes: TupleSpace(3, 2 + 2)
-    assert list(term._layout.bindings) == [(3, 2, 2, 9), (3, 4, 2, 45)]
-    # four lanes pad to the same space, but their top is 4 * 9 bits wide
-    eval_term_lanes(term, {0: [0, 1, 2, 3]}, amb)
-    assert list(term._layout.bindings) == [(3, 2, 2, 9), (3, 4, 2, 45), (3, 4, 2, 36)]
+    assert list(term._layout.bindings) == [(3, 2, 2), (3, 4, 2)]
+
+
+def test_lane_counts_share_one_binding_per_space():
+    """Batches of different lane counts that pad to one space share its
+    kernels; only the last binding cut to a narrower top is kept, so a
+    sweep over many sample counts does not grow what a term holds."""
+    amb = SetAlgebra("CA", 3, 2)
+    term = parse_term("(not (cyl 0 (and (var 0) (diag 0 1))))", amb.signature)
+    for count, cut in ((5, 5), (4, 4), (9, 4), (7, 7), (5, 5)):  # each pads to 9 lanes
+        values = list(range(count))
+        want = [eval_term(term, {0: amb.from_bits(v)}, amb).bits for v in values]
+        assert eval_term_lanes(term, {0: values}, amb) == want
+        assert list(term._layout.bindings) == [(3, 2, 2), (3, 4, 2)]
+        assert term._layout.narrowed[:2] == ((3, 4, 2), 9 * cut)  # 9 lanes need no cut
+    tau = identities.order_terms(3)["tau"].term
+    before = set(tau._layout.bindings)
+    for samples in (10, 25, 11, 13):  # each a batch of TupleSpace(3, 3 + 3), 27 lanes
+        identities.identity_sweep(3, samples=samples, seed=1)
+    assert set(tau._layout.bindings) - before <= {(3, 6, 3)}
+    assert tau._layout.narrowed[:2] == ((3, 6, 3), 27 * 13)
 
 
 def test_result_registers_are_reused():
@@ -319,7 +336,7 @@ def test_compiling_a_term_leaves_no_reference_cycles():
     gc.disable()
     try:
         eval_term(fresh, {0: amb.one}, amb)
-        assert (2, 3, 3, 8) in fresh._layout.bindings
+        assert (2, 3, 3) in fresh._layout.bindings
         assert gc.collect() == 0
     finally:
         gc.enable()

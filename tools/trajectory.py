@@ -22,7 +22,9 @@ script records:
   calls on seeded random values: `cylinder` per coordinate, `subst` over
   every ordered pair and `diag` over every pair of coordinates on the
   three spaces of perfbench's `wide` workload (KERNEL_SPACES), and
-  `compose_bits` at each u in COMPOSE_BASES.  The processes fix glibc's
+  `compose_bits` at each u in COMPOSE_BASES, of a random relation and of
+  a function (one pair a row) with a random one, so that the walk and the
+  tables of `compose_bits` are each timed.  The processes fix glibc's
   allocator thresholds as perfbench/run.py does;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
   (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
@@ -120,6 +122,8 @@ for u, n in space_shapes:
 for u in compose_bases:
     r, s = rng.getrandbits(u * u), rng.getrandbits(u * u)
     out[f"compose_bits u={u}"] = median_us(lambda: spaces.compose_bits(u, r, s))
+    f = sum(1 << (a * u + rng.randrange(u)) for a in range(u))  # sparse: a function
+    out[f"compose_bits u={u} functional"] = median_us(lambda: spaces.compose_bits(u, f, s))
 print(json.dumps(out))
 """
 
