@@ -383,8 +383,8 @@ def _var_index(token) -> int:
 
 # The deepest nesting a parse accepts, of the (, ! and quantifiers around a
 # token and of the tree it builds: far above any shipped formula, and far
-# below where the parser, or the source that `models.holds` generates,
-# runs out of stack.
+# below where the parser, or the closures `models.holds` runs, one call per
+# level, run out of stack.
 MAX_NESTING = 100
 
 

@@ -31,17 +31,14 @@ per (formula, domain) with the variable's values as lanes, one bit each
 software), and kept in one record per formula, which a call handed the
 same domain as the last one served (None, or that very range object)
 reads with one dict lookup and one bit test.  Every other call runs the
-pointwise program, a Python function compiled once per formula and kept
-on it, which is also the lane path's oracle.  Each of its quantifiers
-first computes, from the sections of the atoms its body reads at its
-variable, the values where the body is known true and known false.  An
-innermost quantifier, one whose body has no quantifier and no atom naming
-its variable twice, is then one bitset test; any other walks only the
-undecided values, the guard's section bounding the walk of a guarded
-quantifier all x (A -> phi) or ex x (A & phi), reads the atoms it knows
-from their sections and inlines a nested innermost quantifier's bitset
-test.  A section is computed once per call of the generated function in
-which its variables are bound (see holds).
+pointwise program: the lane steps of truth_set with no lane variable, one
+closure per subformula, made on `formulas.postorder` and kept on the
+formula, so that it takes a formula of any depth.  A quantifier whose
+body has no quantifier and no atom naming its variable twice (an
+innermost one) is its body's lanes over its variable, one bitset test; a
+guarded one, all x (A -> phi) or ex x (A & phi) with A an atom naming x
+once, walks over a range domain only the values where A holds, read from
+A's section; any other loops over the domain (see holds).
 """
 
 import json
@@ -399,25 +396,29 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
     int values, so when the evaluation raises nothing, neither does the
     loop: results and errors are the loop's.
 
-    In the pointwise program, a quantifier `Q x phi` first computes, from
-    the sections of the atoms phi reads at x outside any nested
-    quantifier, T and F: the values where the loop's own left-to-right
-    evaluation of phi reads those atoms only and finds phi true, or false
-    (Kleene's connectives; a nested quantifier, or an atom naming x twice,
-    is unknown).  When nothing is unknown (an innermost quantifier), `all`
-    holds when D & ~T is 0 and `ex` when D & T is not.  Otherwise, over a
-    range domain, `all` walks the values of D outside T in ascending order,
-    the loop's order: it fails at the first value in F, and evaluates phi
-    at each undecided one, reading the known atoms from their sections and
-    a nested innermost quantifier as its bitset test; `ex` is the dual.
-    A section, or an atom, whose variables are all bound outside the
-    quantifier is computed once per call of its function, before the walk,
-    and read by every atom and nested bitset that needs it.  A domain that
-    is not a range, list, tuple or set of ints in [0, 2**20), and any
-    domain but a range for a quantifier with an unknown part, is looped
-    over.  The bitset forms ask for atoms the loop may skip, so when they
-    raise, the quantifier reruns as the loop: results and errors are the
-    loop's.
+    The pointwise program (see _pointwise) evaluates the connectives left
+    to right with short circuits, as the loop does, on a copy of the
+    assignment in which each quantifier binds its variable and restores it
+    after.  A quantifier `Q x phi` whose variable is not free in phi reads
+    phi once, or gives the empty domain's value.  Any other takes the
+    first of three forms that applies:
+    - innermost, when phi has no quantifier and no atom naming x twice,
+      and D is not None or 0: phi's lanes over x (see truth_set), with
+      its sections read at D, ANDed with D; `ex` holds when that is not
+      0, `all` when it is D;
+    - guarded, when phi is A -> psi (`all`) or A & psi (`ex`), A an atom
+      naming x once, and the domain is a range with a mask: a walk, in
+      ascending order, the loop's, over the values of D & (A's section at
+      x), evaluating psi at each until one decides the quantifier;
+    - the loop over the domain, which stops at the first value that
+      decides the quantifier.
+    The bitset and the walk read atoms, and sections, that the loop may
+    skip (a section may also have bits outside D: a ModelFinite's ignores
+    the mask, an HFUniverse's is exact below its bit length only, and the
+    lanes are bitwise, so each result is ANDed with D), so when either
+    raises, the quantifier reruns as the loop: results and errors are the
+    loop's.  A domain that is not a range, list, tuple or set of ints in
+    [0, 2**20) has no mask and is looped over.
     """
     try:  # f's record (see _keep), read before anything else: a scan calls holds per value
         ref, var, domain, size, bits, _ = model.truth_sets[id(f)]
@@ -427,12 +428,14 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
                 return bits[value >> 3] >> (value & 7) & 1 == 1
     except (AttributeError, KeyError):
         pass
-    program = _compile(f)
-    env = assignment if type(assignment) is dict else dict(assignment or {})
-    var = program.var
+    free = free_vars(f)
+    env = dict(assignment or {})  # the program binds quantified variables in it
+    if not env.keys() >= free:
+        raise UnboundVariableError(f"v{min(free - env.keys())} is unassigned")
     sets = getattr(model, "truth_sets", None)
-    if var is not None and sets is not None:
-        value = env.get(var)
+    if len(free) == 1 and sets is not None:
+        (var,) = free
+        value = env[var]
         if type(value) is int and 0 <= value < model.carrier_size:
             key = quantifier_domain  # None, a range, or else its mask
             if key is not None and type(key) is not range:
@@ -449,7 +452,7 @@ def holds(model, f: Formula, assignment=None, *, quantifier_domain=None) -> bool
         mask = _domain_mask(domain)
     rel_holds = model.rel_holds
     section = getattr(model, "section", None) or partial(_derived_section, rel_holds)
-    return program(env, rel_holds, domain, section, mask)
+    return _pointwise(f)(_Point(env, rel_holds, section, domain, mask)) != 0
 
 
 def _keep(sets: dict, model, f: Formula, var: int, domain, key) -> bytes | None:
@@ -551,13 +554,14 @@ def _truth_bits(model, f: Formula, var: int, mask: int) -> int:
 class _Run:
     """What a lane program reads while it runs: the values bound to the
     quantified variables, the model's rel_holds and section, the carrier's
-    lanes and the domain's values, ascending."""
+    lanes and the domain's values, ascending; `mask`, the bits at which a
+    section must be exact, is the carrier's lanes too."""
 
-    __slots__ = ("env", "rel_holds", "section", "full", "values")
+    __slots__ = ("env", "rel_holds", "section", "full", "values", "mask")
 
     def __init__(self, env, rel_holds, section, full, values):
         self.env, self.rel_holds, self.section = env, rel_holds, section
-        self.full, self.values = full, values
+        self.full, self.values, self.mask = full, values, full
 
 
 @memo
@@ -597,13 +601,24 @@ def _lane_step(g: Formula, lane, inner: list):
         rel, args = g.rel, g.args
         if lane is not None and lane in args:
             at, others = args.index(lane), [a for a in args if a != lane]
-            return lambda r: r.section(rel, at, tuple(map(r.env.__getitem__, others)), r.full)
-        return lambda r: r.full if r.rel_holds(rel, tuple(map(r.env.__getitem__, args))) else 0
+            if len(others) == 1:  # a binary relation: the row inline, a call fewer
+                (o,) = others
+                return lambda r: r.section(rel, at, (r.env[o],), r.mask)
+            others = _row(others)
+            return lambda r: r.section(rel, at, others(r.env), r.mask)
+        if len(args) == 2:
+            a, b = args
+            return lambda r: r.full if r.rel_holds(rel, (r.env[a], r.env[b])) else 0
+        row = _row(args)
+        return lambda r: r.full if r.rel_holds(rel, row(r.env)) else 0
     if isinstance(g, Eq):
         a, b = g.left, g.right
         if lane is not None and lane in (a, b):
             other = b if a == lane else a
-            return (lambda r: r.full) if a == b else lambda r: 1 << r.env[other]
+            if a == b:
+                return lambda r: r.full
+            # bounded, as a pointwise call may assign the other variable any value
+            return lambda r: 1 << w if 0 <= (w := r.env[other]) < r.mask.bit_length() else 0
         return lambda r: r.full if r.env[a] == r.env[b] else 0
     if isinstance(g, Not):
         (body,) = inner
@@ -636,6 +651,94 @@ def _fold(y: int, body, found: bool, r: _Run) -> int:
     if outer is not env:  # an unbound v<y> is read nowhere after
         env[y] = outer
     return acc
+
+
+class _Point(_Run):
+    """A _Run for one pointwise call of holds: `values` is the quantifier
+    domain as given and `mask` its bits, or None when it has none.  Every
+    lane is `full`, -1, so that a step's truth is 0 or -1 and the lanes of
+    an innermost quantifier stay as narrow as the sections they read."""
+
+    __slots__ = ()
+
+    def __init__(self, env, rel_holds, section, values, mask):
+        self.env, self.rel_holds, self.section = env, rel_holds, section
+        self.full, self.values, self.mask = -1, values, mask
+
+
+@memo
+def _pointwise(f: Formula):
+    """f's pointwise program, kept on f: a function of a _Point whose
+    result is not 0 when f holds at its env (see holds).  Each subformula
+    is a closure over its children's, made on `formulas.postorder`: its
+    lane step with no lane variable, but for a quantifier whose variable
+    is free in its body (see _quantifier)."""
+    made: dict = {}  # subformula -> its function
+    for g in postorder(f, parts):
+        inner = [made[part] for part in parts(g)]
+        if isinstance(g, (Exists, Forall)) and g.var in g.body.free:
+            made[g] = _quantifier(g, inner[0], made)
+        else:
+            made[g] = _lane_step(g, None, inner)
+    return made[f]
+
+
+def _quantifier(g: Formula, body, made: dict):
+    """The pointwise step of the quantifier g, whose variable y is free in
+    its body, from `body`, its body's step, and `made`, the steps made so
+    far: the bitset of an innermost body or the walk of a guarded one where
+    it applies, else, or when it raises, the loop (see holds)."""
+    y, found, phi = g.var, isinstance(g, Exists), g.body
+    hit, miss = (-1, 0) if found else (0, -1)
+    program = _lane_program(phi, y) if phi.depth == 0 else None
+    lanes = program and program[1]
+    guard = phi.left if type(phi) is (And if found else Implies) else None
+    walks = not lanes and type(guard) is Atom and guard.args.count(y) == 1
+    if walks:
+        rel, at, then = guard.rel, guard.args.index(y), made[phi.right]
+        row = _row([a for a in guard.args if a != y])
+
+    def quantifier(r) -> int:
+        env, mask = r.env, r.mask
+        if lanes and mask:
+            try:
+                bits = lanes(r)  # binds nothing: y is the lane variable
+                if found:
+                    return -1 if mask & bits else 0
+                return 0 if mask & ~bits else -1
+            except Exception:  # the loop gives the same result, or the error it meets
+                pass
+        outer = env.get(y, env)  # env itself: y unbound, and read nowhere after
+        try:
+            if walks and mask and type(r.values) is range:  # a walk keeps a range's order
+                try:
+                    todo = r.section(rel, at, row(env), mask) & mask
+                    while todo:
+                        env[y] = (todo & -todo).bit_length() - 1
+                        if (then(r) != 0) is found:
+                            return hit
+                        todo &= todo - 1
+                    return miss
+                except Exception:  # as the bitset's
+                    pass
+            for env[y] in r.values:
+                if (body(r) != 0) is found:
+                    return hit
+            return miss
+        finally:
+            if outer is not env:
+                env[y] = outer
+
+    return quantifier
+
+
+def _row(args: list):
+    """The function of an env that gives the tuple of the values of the
+    variables `args`, as a row of an atom."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: (env[a],)
+    return lambda env: tuple(map(env.__getitem__, args))
 
 
 _MAX_DOMAIN_BITS = 1 << 20
@@ -673,310 +776,3 @@ def _derived_section(rel_holds, name: str, position: int, others: tuple, mask: i
             bits |= low
         mask ^= low
     return bits
-
-
-def _unassigned(env: dict, free: tuple):
-    """Raise for the first variable of `free` that `env` does not assign."""
-    var = next(var for var in free if var not in env)
-    raise UnboundVariableError(f"v{var} is unassigned") from None
-
-
-@memo
-def _compile(f: Formula):
-    """The program of `f`, a Python function `(env, rh, dom, sec, D) ->
-    bool` compiled from generated source, once, and kept on f.  Its
-    attribute `var` is the one variable free in f, whose truth sets holds
-    may read, or None when f has none or several."""
-    free = tuple(sorted(free_vars(f)))
-    program = _Source().program(f, free)
-    program.var = free[0] if len(free) == 1 else None
-    return program
-
-
-# CPython's parser refuses more than 200 nested parentheses, and each level
-# of an expression below opens at most two, so a subformula this deep moves
-# into a function of its own.
-_MAX_NESTING = 40
-
-# The arguments every generated function takes: rel_holds, the quantifier
-# domain, the section function and the domain's mask (None: loop only).
-_ARGS = "rh, dom, sec, D"
-
-# Each connective on the bits of its operands' truth values.
-_BITWISE = {Not: "~{}", And: "({} & {})", Or: "({} | {})", Implies: "(~{} | {})", Iff: "~({} ^ {})"}
-
-
-def _var(i: int) -> str:
-    """The local name of variable i."""
-    return "v%d" % i if i >= 0 else "w%d" % -i
-
-
-def _row(args) -> str:
-    """Source of the tuple of the variables `args`."""
-    return "(" + ", ".join(_var(a) for a in args) + ("," if len(args) == 1 else "") + ")"
-
-
-def _and(a, b):
-    """Source of a & b, where None stands for 0."""
-    return None if a is None or b is None else f"({a} & {b})"
-
-
-def _or(a, b):
-    """Source of a | b, where None stands for 0."""
-    return b if a is None else a if b is None else f"({a} | {b})"
-
-
-def _invert(a: str) -> str:
-    """Source of ~a."""
-    return a[1:] if a[0] == "~" and a[1:].isalnum() else "~" + a
-
-
-class _Scope:
-    """The function of one quantifier `Q x phi` while its source is made:
-    x (`var`), the variables free in the quantifier (`params`, fixed for
-    the whole call) and the statements of its pre-pass, each setting a
-    local `k<i>` once per call from the parameters and earlier locals."""
-
-    def __init__(self, var: int, params: frozenset):
-        self.var, self.params = var, params
-        self.lines: list = []  # (key, statement)
-        self.names: dict = {}  # key -> its local
-
-    def local(self, key, source: str) -> str:
-        """The local set to `source`, shared by every use of `key`."""
-        name = self.names.get(key)
-        if name is None:
-            name = self.names[key] = "k%d" % len(self.lines)
-            self.lines.append((key, f"{name} = {source}"))
-        return name
-
-    def value(self, source):
-        """`source`, or a local set to it when it is more than a name or a
-        literal, so that it is computed once."""
-        if source is None or source.lstrip("~-").isalnum():
-            return source
-        return self.local(source, source)
-
-    def undo(self, mark: int):
-        """Forget the locals made since there were `mark`."""
-        for key, _ in self.lines[mark:]:
-            del self.names[key]
-        del self.lines[mark:]
-
-
-class _Source:
-    """Python source for one formula.
-
-    Each variable is a local `v<i>`; the entry function reads the free ones
-    from `env` once.  Every quantifier, and every subformula nested past
-    _MAX_NESTING, is a module-level function of the variables free in it
-    and of _ARGS, so Python's scoping restores a shadowed variable.  A
-    quantifier's function starts with its pre-pass and bitset form (see
-    holds), made with a _Scope.  Relation names are constants of the exec
-    namespace, never source text.
-    """
-
-    def __init__(self):
-        self.defs: list[str] = []
-        self.functions: dict = {}  # subformula -> name of its function
-        self.namespace: dict = {"_unassigned": _unassigned}
-        self.relations: dict = {}  # relation name -> name of its constant
-
-    def program(self, f: Formula, free: tuple):
-        """The entry function `(env, rh, dom, sec, D)` for f, whose free variables are `free`."""
-        reads = ""
-        if free:
-            reads = "".join(f"        {_var(v)} = env[{v:d}]\n" for v in free)
-            reads = f"    try:\n{reads}    except KeyError:\n        _unassigned(env, {free!r})\n"
-        self.defs.append(f"def program(env, {_ARGS}):\n{reads}    return {self.expr(f, 0)}\n")
-        exec(compile("\n".join(self.defs), "<baokit.models.holds>", "exec"), self.namespace)
-        return self.namespace["program"]
-
-    def relation(self, name: str) -> str:
-        """The name of the constant that holds relation name `name`."""
-        rel = self.relations.get(name)
-        if rel is None:
-            rel = self.relations[name] = f"r{len(self.relations)}"
-            self.namespace[rel] = name
-        return rel
-
-    def expr(self, g, depth: int, scope: _Scope | None = None) -> str:
-        """An expression for g; connectives short-circuit left to right.
-        With `scope`, g is read inside the walk of its quantifier: an atom
-        naming the walk variable at most once is read from the pre-pass,
-        and an innermost quantifier is its bitset test."""
-        if isinstance(g, Atom):
-            x = None if scope is None else scope.var
-            if scope is None or g.args.count(x) > 1:
-                return f"rh({self.relation(g.rel)}, {_row(g.args)})"
-            if x in g.args:
-                return f"({self.section(g, g.args.index(x), scope)} >> {_var(x)} & 1)"
-            return self.constant(g, scope)
-        if isinstance(g, Eq):
-            return f"({_var(g.left)} == {_var(g.right)})"
-        if isinstance(g, (Exists, Forall)) and scope is not None and depth < _MAX_NESTING:
-            mark = len(scope.lines)
-            bits = self.bits(g.body, g.var, depth + 1, scope)
-            if bits is not None:
-                return f"(D & {bits} != 0)" if isinstance(g, Exists) else f"(not D & ~{bits})"
-            scope.undo(mark)
-        if isinstance(g, (Exists, Forall)) or depth >= _MAX_NESTING:
-            return self.call(g)
-        depth += 1
-        if isinstance(g, Not):
-            return f"(not {self.expr(g.body, depth, scope)})"
-        if not isinstance(g, (And, Or, Implies, Iff)):
-            raise TypeError(f"not a formula: {g!r}")
-        left, right = self.expr(g.left, depth, scope), self.expr(g.right, depth, scope)
-        if isinstance(g, And):
-            return f"({left} and {right})"
-        if isinstance(g, Or):
-            return f"({left} or {right})"
-        if isinstance(g, Implies):
-            return f"(not {left} or {right})"
-        return f"((not {left}) == (not {right}))"  # truth values, not objects
-
-    def section(self, g: Atom, i: int, scope: _Scope) -> str:
-        """Source of the section of atom g at place i: a pre-pass local
-        when the variables at its other places are all parameters."""
-        others = g.args[:i] + g.args[i + 1:]
-        source = f"sec({self.relation(g.rel)}, {i}, {_row(others)}, D)"
-        if set(others) <= scope.params:
-            return scope.local((g.rel, i, others), source)
-        return source
-
-    def constant(self, g: Atom, scope: _Scope) -> str:
-        """Source of -1 or 0, the truth of atom g, which names neither the
-        walk variable nor the bitset's: a pre-pass local when its variables
-        are all parameters."""
-        source = f"-1 if {self.expr(g, 0)} else 0"
-        if set(g.args) <= scope.params:
-            return scope.local(g, source)
-        return f"({source})"
-
-    def bits(self, g, z: int, depth: int, scope: _Scope) -> str | None:
-        """An int expression whose bit t, for each t in the domain, is the
-        truth of g at v<z> = t; None when g has a quantifier or an atom
-        naming v<z> twice, or nests past _MAX_NESTING.  Within the walk on
-        another variable x, an atom naming x once, but not v<z>, is read
-        from its section at x."""
-        if isinstance(g, Atom):
-            x = scope.var
-            if z in g.args:
-                i = g.args.index(z)
-                return None if z in g.args[i + 1:] else self.section(g, i, scope)
-            if x != z and g.args.count(x) == 1:
-                return f"-({self.section(g, g.args.index(x), scope)} >> {_var(x)} & 1)"
-            return self.constant(g, scope)
-        if isinstance(g, Eq):
-            if z not in (g.left, g.right):
-                return f"(-1 if {self.expr(g, 0)} else 0)"
-            if g.left == g.right:
-                return "-1"
-            w = _var(g.right if g.left == z else g.left)
-            return f"(1 << {w} if 0 <= {w} < D.bit_length() else 0)"
-        if type(g) not in _BITWISE or depth >= _MAX_NESTING:
-            return None
-        parts = [g.body] if isinstance(g, Not) else [g.left, g.right]
-        parts = [self.bits(part, z, depth + 1, scope) for part in parts]
-        return None if None in parts else _BITWISE[type(g)].format(*parts)
-
-    def decided(self, g, scope: _Scope) -> tuple:
-        """Sources of (T, F) for g at the walk variable x, None standing
-        for 0: the values where the loop's evaluation of g reads known
-        atoms only, and finds g true (T) or false (F).  A quantifier, or an
-        atom naming x twice, is unknown; the connectives are Kleene's, in
-        left-to-right short-circuit order."""
-        mark = len(scope.lines)
-        bits = self.bits(g, scope.var, 0, scope)
-        if bits is not None:
-            known = scope.value(bits)
-            return known, _invert(known)
-        scope.undo(mark)
-        if isinstance(g, Not):
-            t, f = self.decided(g.body, scope)
-            return f, t
-        if not isinstance(g, (And, Or, Implies, Iff)):
-            return None, None
-        (t1, f1), (t2, f2) = self.decided(g.left, scope), self.decided(g.right, scope)
-        if isinstance(g, And):
-            t, f = _and(t1, t2), _or(f1, _and(t1, f2))
-        elif isinstance(g, Or):
-            t, f = _or(t1, _and(f1, t2)), _and(f1, f2)
-        elif isinstance(g, Implies):
-            t, f = _or(f1, _and(t1, t2)), _and(t1, f2)
-        else:  # both operands are read
-            t, f = _or(_and(t1, t2), _and(f1, f2)), _or(_and(t1, f2), _and(f1, t2))
-        return scope.value(t), scope.value(f)
-
-    def undecided(self, g, depth: int, scope: _Scope) -> str:
-        """An expression for g inside the walk, where the loop's evaluation
-        of g is left open by (T, F): there a known left operand of `and`,
-        `or` or `->` has the value that makes the loop read the right one,
-        so only the right one is read."""
-        if isinstance(g, Not) and depth < _MAX_NESTING:
-            return f"(not {self.undecided(g.body, depth + 1, scope)})"
-        if isinstance(g, (And, Or, Implies)) and depth < _MAX_NESTING:
-            mark = len(scope.lines)
-            if self.bits(g.left, scope.var, 0, scope) is not None:
-                return self.undecided(g.right, depth, scope)
-            scope.undo(mark)
-        return self.expr(g, depth, scope)
-
-    def call(self, g) -> str:
-        """A call of the function that evaluates g, emitted on first use."""
-        params = "".join(f"{_var(v)}, " for v in sorted(free_vars(g)))
-        name = self.functions.get(g)
-        if name is None:
-            name = self.functions[g] = f"f{len(self.functions)}"
-            if isinstance(g, (Exists, Forall)):
-                body = self.quantifier(g)
-            else:
-                body = f"    return {self.expr(g, 0)}\n"
-            self.defs.append(f"def {name}({params}{_ARGS}):\n{body}")
-        return f"{name}({params}{_ARGS})"
-
-    def quantifier(self, g) -> str:
-        """The body of the function of quantifier g: its bitset form (see
-        holds), then the loop over `dom`, which the bitset form reruns as
-        when it raises."""
-        x, found = g.var, isinstance(g, Exists)
-        scope = _Scope(x, free_vars(g))
-        bits = self.bits(g.body, x, 0, scope)
-        if bits is not None:
-            guard = "D is not None"
-            test = f"D & {bits} != 0" if found else f"not D & ~{bits}"
-            form = [f"return {test}"]
-        else:
-            scope.undo(0)
-            guard = "D is not None and type(dom) is range"
-            t, f = self.decided(g.body, scope)
-            hit, miss = (t, f) if found else (f, t)  # the values that end the loop, and the rest
-            undecided = "D" + "".join(f" & {_invert(m)}" for m in (hit, miss) if m is not None)
-            form = []
-            if hit is not None:  # the loop ends at the first of them
-                form += [f"stop = D & {hit}", "stop &= -stop"]
-                undecided += " & (stop - 1)"
-            body = self.undecided(g.body, 0, scope)
-            form += [
-                f"todo = {undecided}",
-                "while todo:",
-                f"    {_var(x)} = (todo & -todo).bit_length() - 1",
-                f"    if {'' if found else 'not '}{body}:",
-                f"        return {found}",
-                "    todo &= todo - 1",
-                f"return {'stop != 0' if found else 'not stop'}" if hit else f"return {not found}",
-            ]
-        statements = "".join(f"            {line}\n" for _, line in scope.lines)
-        statements += "".join(f"            {line}\n" for line in form)
-        return (
-            f"    if {guard}:\n"
-            "        try:\n"
-            f"{statements}"
-            "        except Exception:  # the loop gives the same result, or the error it met\n"
-            "            pass\n"
-            f"    for {_var(x)} in dom:\n"
-            f"        if {'' if found else 'not '}{self.expr(g.body, 0)}:\n"
-            f"            return {found}\n"
-            f"    return {not found}\n"
-        )

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+import tracemalloc
 import weakref
 from collections import OrderedDict
 from functools import reduce
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import full_width_plan as fw
+from pointwise_source import pointwise
 from baokit import (
     Element,
     ModelFinite,
@@ -268,6 +270,18 @@ def test_a_formula_built_600_levels_deep_needs_no_recursion():
     for model in (order_model(), cycle):
         assert satisfaction_set(model, f, 2) == satisfaction_set(model, shallow, 2)
     assert satisfaction_set(cycle, f, 2).is_full()
+    # through holds: the sentence runs the pointwise program, and the chain
+    # with v1 free reads a truth set on a model that keeps them
+    chain = Atom("R", (0, 1))
+    for _ in range(300):
+        chain = Not(Exists(0, chain))
+    for model in (order_model(), cycle):
+        sentence, sat = satisfaction_set(model, f, 2), satisfaction_set(model, chain, 2)
+        for evaluated in (model, view(model)):
+            assert holds(evaluated, f, {}) == sentence.is_full()
+            for t in range(model.carrier_size):
+                want = sat.bits >> sat.space.encode((0, t)) & 1 == 1
+                assert holds(evaluated, chain, {1: t}) == want, (model, t)
 
 
 def test_carrier_labels_must_be_unique():
@@ -290,11 +304,11 @@ def deep_formulas():
         mixed = op(mixed, Not(atoms[i])) if i % 3 else op(atoms[i], mixed)
     yield "200-deep mixed", mixed
     body = Atom("R", (0, 1))
-    for i in range(45):  # the bitset form of ex gives up past 40 levels, the loop does not
+    for i in range(45):  # an innermost body 90 levels deep, one bitset
         body = (Iff, Or)[i % 2](Atom("R", (1 + i % 2, 0)), Not(body))
     yield "45-deep body of ex", Exists(0, body)
     body = Exists(2, And(Atom("R", (2, 0)), Atom("P", (2,))))
-    for i in range(45):  # a walk whose pre-pass and residual nest past 40 levels
+    for i in range(45):  # a loop of all over a body 45 levels deep
         body = (Implies, And, Or, Iff)[i % 4](Atom("R", (0, 1 + i % 2)), body)
     yield "45-deep walk of all", Forall(0, body)
     body = And(Atom("P", (0,)), Forall(2, Or(Atom("R", (0, 2)), Exists(1, Atom("R", (2, 1))))))
@@ -317,7 +331,11 @@ def test_shadowing_quantifier_restores_the_outer_variable():
     f = And(Exists(0, Atom("R", (1, 0))), Atom("R", (0, 1)))
     g = Or(Forall(0, Atom("R", (1, 0))), Atom("R", (0, 1)))
     nested = Exists(1, And(Forall(1, Atom("P", (1,))), Atom("R", (0, 1))))
-    for formula in (f, g, nested):
+    # a loop and a guarded walk, which bind v0 value by value
+    looped = And(Exists(0, Or(Atom("R", (1, 0)), Exists(2, Atom("R", (0, 2))))), Atom("R", (0, 1)))
+    walked = Or(Forall(0, Implies(Atom("R", (1, 0)), Exists(2, Atom("R", (0, 2))))),
+                Atom("R", (0, 1)))
+    for formula in (f, g, nested, looped, walked):
         for a, b in iproduct(range(3), repeat=2):
             assignment = {0: a, 1: b}
             got = holds(model, formula, assignment)
@@ -406,18 +424,21 @@ def outcome(evaluate):
     "ex v0 (P(v0) & all v2 (S(v2,v0) | E(v2,v1)))",
     "all v0 (ex v2 (E(v2,v0) & S(v2,v1)) | E(v0,v1))",
     "ex v0 (S(v1,v0) <-> all v2 E(v2,v0))",
+    # in the order [1, 0] the loop meets S at v0 = 1 before it finds v0 = 0
+    "ex v0 (E(v0,v1) & (all v2 !E(v2,v0) | S(v0,v1)))",
 ])
 def test_unknown_relation_in_an_innermost_quantifier_raises_as_the_walker_does(text):
     """An innermost quantifier's bitset asks for every atom of its body, so
     it meets the unknown S where the loop may short-circuit past it: the
     quantifier then reruns as the loop, for the walker's result or error.
-    So do the pre-pass and walk of a quantifier with a nested one, where
-    S may be met at an undecided value only, or in the nested bitset."""
+    So does the walk of a guarded quantifier, where S may be met at a
+    value the guard admits only, or in a nested bitset; it walks a range
+    only, as a list is looped over in its own order."""
     f = parse_formula(text)
     tables = ORDER3[0]
     bare = SimpleNamespace(carrier_size=3, rel_holds=tables.rel_holds)  # no section
     for model in (tables, bare, hf_universe(2), TruthModel()):
-        for domain in (None, [], [2, 0, 0], range(1, 3)):
+        for domain in (None, [], [2, 0, 0], [1, 0], range(1, 3)):
             for v1 in range(model.carrier_size):
                 got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
                 want = outcome(lambda: walk(model, f, {1: v1}, domain))
@@ -428,7 +449,8 @@ def test_values_past_the_bitsets_give_the_walkers_result_or_error():
     """Values that are not ints in [0, 2**20) in the domain or in a free
     variable: the quantifier runs as the loop, or reruns as it."""
     texts = ["ex v0 v0 = v1", "ex v0 E(v1,v0)", "all v0 (E(v0,v1) -> v0 = v1)",
-             "ex v0 R(v1,v0)", "all v0 (R(v0,v1) | v1 = v0)"]
+             "ex v0 R(v1,v0)", "all v0 (R(v0,v1) | v1 = v0)",
+             "all v0 (E(v0,v1) -> E(v0,v0))"]  # a walk: 2.0 fails its section, not as the loop
     domains = [None, [0, 2, 2, 1], range(1, 3), range(40), range(0, 4, 2), (1, 0),
                frozenset({0, 2}), [-1, 0], [0.0, 1], [True], [2**21]]
     bare = SimpleNamespace(carrier_size=3, rel_holds=ORDER3[0].rel_holds)  # no section
@@ -440,6 +462,19 @@ def test_values_past_the_bitsets_give_the_walkers_result_or_error():
                     got = outcome(lambda: holds(model, f, {1: v1}, quantifier_domain=domain))
                     want = outcome(lambda: walk(model, f, {1: v1}, domain))
                     assert got == want, (model, text, v1, domain)
+
+
+def test_an_equality_lane_past_the_domain_makes_no_wide_int():
+    """The lane of v0 = v1 in a bitset over 3 values is bounded by the
+    domain's mask: at v1 = 2**27 it is 0, not a 2**27-bit (16 MB) int."""
+    f = parse_formula("ex v0 (v0 = v1 & P(v0))")
+    tracemalloc.start()
+    try:
+        assert holds(view(ORDER3[0]), f, {1: 2**27}) is False
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def guarded_formulas():
@@ -476,11 +511,11 @@ def table_models():
 
 
 def test_walk_matches_the_walker_on_guarded_nested_quantifiers():
-    """The pre-pass (T and F from the guard's section), the walk over the
-    undecided values of a range domain, the nested bitsets inlined in it
-    and the loop of every other domain agree with the walker, results and
-    errors alike: on the models worlds() draws from, TruthModel (only P,
-    truth values other than True) and a tuple table without `section`."""
+    """The walk over the values a guard admits in a range domain, the
+    nested bitsets run in it, and the loop of an unguarded body and of
+    every other domain agree with the walker, results and errors alike: on
+    the models worlds() draws from, TruthModel (only P, truth values other
+    than True) and a tuple table without `section`."""
     tables = list(table_models())
     bare = SimpleNamespace(carrier_size=3, rel_holds=tables[-1].rel_holds)  # no section
     models = tables + [bare, HF3(), hf_universe(2), hf_universe(3), TruthModel()]
@@ -603,9 +638,11 @@ def test_holds_reads_the_assignment_without_changing_it():
 # -- truth sets: holds with the free variable as lanes ----------------------------
 
 
-def pointwise(model):
+def view(model):
     """A view of `model` that keeps no truth sets, so that holds on it runs
-    the pointwise program, the lane path's oracle, on the model's sections."""
+    the pointwise program on the model's sections.  The oracle of both the
+    lane path and that program is `pointwise`, the generated-source program
+    holds ran before, which shares no step with them."""
     return SimpleNamespace(carrier_size=model.carrier_size, rel_holds=model.rel_holds,
                            section=model.section)
 
@@ -630,7 +667,7 @@ def test_rank_4_truth_sets_of_ord_and_ford_match_the_pointwise_program():
     ordinals = sorted(ordinal_hf(k).code for k in range(5))
     for name in ("ord", "ford"):
         f = library[name].formula
-        want = [holds(pointwise(universe), f, {0: code}, quantifier_domain=domain)
+        want = [pointwise(universe, f, {0: code}, quantifier_domain=domain)
                 for code in range(universe.size)]
         assert [code for code in range(universe.size) if want[code]] == ordinals
         assert lanes(truth_set(universe, f, 0, domain), universe.size) == want, name
@@ -679,8 +716,9 @@ def test_truth_sets_match_the_pointwise_program_on_random_formulas():
     """Seeded formulas of depth at most 4 with one free variable, on tuple
     tables of 1 to 4 points and the set universes of ranks 1 to 3, over the
     whole carrier, a sub-range, a list with repeats and the empty list:
-    truth_set and holds against the pointwise program at every value.  An
-    atom naming the free variable twice (P read as E(v,v) on a universe)
+    truth_set, holds and holds on a view without truth sets, which runs the
+    pointwise program, against the generated-source oracle at every value.
+    An atom naming the free variable twice (P read as E(v,v) on a universe)
     has no lanes: truth_set refuses it, and holds runs the program."""
     rng = random.Random(29)
     worlds = []
@@ -702,7 +740,7 @@ def test_truth_sets_match_the_pointwise_program_on_random_formulas():
                     continue
                 count += 1
                 (var,) = f.free
-                want = [holds(pointwise(model), f, {var: t}, quantifier_domain=domain)
+                want = [pointwise(model, f, {var: t}, quantifier_domain=domain)
                         for t in range(u)]
                 try:
                     bits = truth_set(model, f, var, domain)
@@ -713,6 +751,9 @@ def test_truth_sets_match_the_pointwise_program_on_random_formulas():
                     compared += 1
                     seen |= shapes(f)
                 got = [holds(model, f, {var: t}, quantifier_domain=domain) for t in range(u)]
+                assert got == want, (f, model, domain)
+                got = [holds(view(model), f, {var: t}, quantifier_domain=domain)
+                       for t in range(u)]
                 assert got == want, (f, model, domain)
     assert compared > 450 and refused > 0 and seen == {"shadowed", "vacuous"}
 
@@ -728,7 +769,7 @@ def test_a_truth_set_past_the_capacity_is_refused_before_any_work(monkeypatch):
         truth_set(universe, ord_f, 0)
     codes = [ordinal_hf(2).code, 5, 7, 2**16 - 1]  # an ordinal walks every code, 0.5 s
     got = [holds(universe, ord_f, {0: code}) for code in codes]
-    assert got == [holds(pointwise(universe), ord_f, {0: code}) for code in codes]
+    assert got == [pointwise(universe, ord_f, {0: code}) for code in codes]
     assert got == [True, False, False, False]
     assert runs == [] and kept(universe, ord_f) == {None: None}
 
@@ -809,7 +850,7 @@ def test_an_equal_range_that_is_another_object_reads_the_kept_set(monkeypatch):
     first, second = range(16), range(0, 16)
     assert first is not second
     codes = [0, 1, 3, 6, 11, 2059, 12345, 2**16 - 1]
-    want = [holds(pointwise(universe), ord_f, {0: c}, quantifier_domain=first) for c in codes]
+    want = [pointwise(universe, ord_f, {0: c}, quantifier_domain=first) for c in codes]
     for domain in (first, second, first):
         assert [holds(universe, ord_f, {0: c}, quantifier_domain=domain) for c in codes] == want
     assert len(tried) == 1 and list(kept(universe, ord_f)) == [first]
@@ -823,7 +864,7 @@ def test_a_list_domain_changed_between_calls_gives_the_new_answer():
     for values in ([0], [1], [1, 0], [], [2]):
         domain[:] = values
         got = [holds(model, f, {0: t}, quantifier_domain=domain) for t in range(3)]
-        assert got == [holds(pointwise(model), f, {0: t}, quantifier_domain=domain)
+        assert got == [pointwise(model, f, {0: t}, quantifier_domain=domain)
                        for t in range(3)], values
     assert list(kept(model, f)) == [1, 2, 3, 0, 4]  # one set per mask
 
@@ -842,7 +883,7 @@ def test_a_new_formula_never_reads_the_set_of_a_dead_one():
     new = Exists(1, Atom("Here", (0, 1)))
     if id(new) != dead_id:
         model.truth_sets[id(new)] = model.truth_sets.pop(dead_id)
-    want = [holds(pointwise(model), new, {0: t}) for t in range(3)]
+    want = [pointwise(model, new, {0: t}) for t in range(3)]
     assert want == [False, True, True]
     assert [holds(model, new, {0: t}) for t in range(3)] == want
     assert list(model.truth_sets) == [id(new)] and kept(model, new)[None] is not None
@@ -850,19 +891,19 @@ def test_a_new_formula_never_reads_the_set_of_a_dead_one():
 
 def test_holds_reads_a_kept_set_only_for_an_int_in_the_carrier(monkeypatch):
     """With the set kept, True, -1, the carrier size and 1.0 still run the
-    pointwise program (they reach _compile), with its results and errors;
+    pointwise program (they reach _pointwise), with its results and errors;
     an int in the carrier does not."""
     universe = hf_universe(2)
     f = parse_formula("ex v1 (E(v1,v0) & all v2 !E(v2,v1))")
     assert [holds(universe, f, {0: t}) for t in range(4)] == [False, True, False, True]
     compiled = []
-    real = baokit.models._compile
-    monkeypatch.setattr(baokit.models, "_compile", lambda g: compiled.append(g) or real(g))
+    real = baokit.models._pointwise
+    monkeypatch.setattr(baokit.models, "_pointwise", lambda g: compiled.append(g) or real(g))
     assert holds(universe, f, {0: 1}) is True and compiled == []
     for value in (True, -1, universe.size, 1.0):
         got = outcome(lambda: holds(universe, f, {0: value}))
         assert len(compiled) == 1, value
-        assert got == outcome(lambda: holds(pointwise(universe), f, {0: value})), value
+        assert got == outcome(lambda: pointwise(universe, f, {0: value})), value
         compiled.clear()
 
 
@@ -874,14 +915,14 @@ def test_an_assignment_that_is_not_a_dict_reads_the_kept_set(monkeypatch):
     f = parse_formula("ex v2 R(v2,v0)")
     for make in (MappingProxyType, OrderedDict, lambda d: list(d.items()), dict):
         got = [holds(model, f, make({0: t, 5: "unused"})) for t in range(3)]
-        assert got == [holds(pointwise(model), f, {0: t}) for t in range(3)] == [False, True, True]
+        assert got == [pointwise(model, f, {0: t}) for t in range(3)] == [False, True, True]
     assert len(tried) == 1
 
 
 def test_vacuous_quantifiers_are_read_once_on_the_lane_path():
     """!ex v0 nested 100 deep over R(v0,v1): every quantifier but the
     innermost is vacuous, so the set is the innermost's, and holds answers
-    at once, where the pointwise program doubles its time per level.  The
+    at once, as the pointwise program does on a view.  The
     parser stops at 100 levels of nesting, so the 100-quantifier chain is
     built and the 50-quantifier one parsed.  Over an empty domain `ex` is
     false and `all` true, as in the loop."""
@@ -893,13 +934,23 @@ def test_vacuous_quantifiers_are_read_once_on_the_lane_path():
     got = [holds(model, deep, {1: t}) for t in range(3)]
     assert time.perf_counter() - started < 0.1
     shallow = parse_formula("ex v0 R(v0,v1)")
-    assert got == [holds(pointwise(model), shallow, {1: t}) for t in range(3)]
+    assert got == [pointwise(model, shallow, {1: t}) for t in range(3)]
     assert holds(model, parse_formula("!ex v0 " * 50 + "R(v0,v1)"), {1: 0}) is False
     for text in ("!ex v0 " * 12 + "R(v0,v1)", "all v0 " * 6 + "!all v0 R(v0,v1)"):
         f = parse_formula(text)
         for domain in (None, [], [2, 0, 2], range(1, 3)):
-            want = [holds(pointwise(model), f, {1: t}, quantifier_domain=domain) for t in range(3)]
+            want = [pointwise(model, f, {1: t}, quantifier_domain=domain) for t in range(3)]
             assert lanes(truth_set(model, f, 1, domain), 3) == want, (text, domain)
+            got = [holds(view(model), f, {1: t}, quantifier_domain=domain) for t in range(3)]
+            assert got == want, (text, domain)
+    # so does the pointwise program, which the generated source it replaced
+    # tripled in time per two levels (0.11 s at 22): an even chain is ex v0
+    for k in range(16, 41, 4):
+        f = parse_formula("!ex v0 " * k + "R(v0,v1)")
+        started = time.perf_counter()
+        got = [holds(view(model), f, {1: t}) for t in range(3)]
+        assert time.perf_counter() - started < 0.1, k
+        assert got == [walk(model, shallow, {1: t}) for t in range(3)], k
 
 
 # -- satisfaction sets -----------------------------------------------------------

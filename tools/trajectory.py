@@ -26,6 +26,15 @@ script records:
   a function (one pair a row) with a random one, so that the walk and the
   tables of `compose_bits` are each timed.  The processes fix glibc's
   allocator thresholds as perfbench/run.py does;
+- `pointwise_us`, the layer of pointwise `models.holds`: the median
+  microseconds of each case of POINTWISE_TIMER, over POINTWISE_ROUNDS
+  processes in the tree (the two trees alternate), each the median of
+  POINTWISE_SAMPLES timed batches, all through a view of the rank-4 set
+  universe that keeps no truth sets, so that every call runs the pointwise
+  evaluator: `ord` and `ford` at the code of the ordinal 3 with quantifiers
+  over all 65,536 codes, `ord` at three codes that are not ordinals, over
+  all codes, and 4,096 calls of `ord` (codes 0 to 4,095) with quantifiers
+  over range(16), one case, which is per-call set-up;
 - the median wall time, over TIER1_REPEATS runs, of the tier-1 suite
   (TIER1, the command ROADMAP.md names, with DURATIONS added), run in the
   tree with its own src on PYTHONPATH, the median of the per-test call
@@ -80,17 +89,9 @@ COMPOSE_BASES = (16, 256, 1024)
 KERNEL_ROUNDS = 3
 KERNEL_SAMPLES = 5
 
-# Run with the tree's src on sys.path; prints {kernel: median us of one call}.
-KERNEL_TIMER = """
-import ctypes, ctypes.util, json, random, statistics, sys, time
-from baokit import spaces
-
-libc = ctypes.CDLL(ctypes.util.find_library("c"))
-if hasattr(libc, "mallopt"):  # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
-    libc.mallopt(-3, 1 << 26)
-    libc.mallopt(-1, 1 << 27)
-space_shapes, compose_bases, samples = json.loads(sys.argv[1])
-
+# The median microseconds of one call of `calls`, over `samples` timed
+# batches of calls that take about 20 ms each; shared by the timers below.
+MEDIAN_US = """
 
 def median_us(calls):
     started = time.perf_counter()
@@ -104,7 +105,19 @@ def median_us(calls):
         times.append((time.perf_counter() - started) / number)
     return 1e6 * statistics.median(times)
 
+"""
 
+# Run with the tree's src on sys.path; prints {kernel: median us of one call}.
+KERNEL_TIMER = """
+import ctypes, ctypes.util, json, random, statistics, sys, time
+from baokit import spaces
+
+libc = ctypes.CDLL(ctypes.util.find_library("c"))
+if hasattr(libc, "mallopt"):  # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+    libc.mallopt(-3, 1 << 26)
+    libc.mallopt(-1, 1 << 27)
+space_shapes, compose_bases, samples = json.loads(sys.argv[1])
+""" + MEDIAN_US + """
 out = {}
 rng = random.Random(1)
 for u, n in space_shapes:
@@ -125,6 +138,33 @@ for u in compose_bases:
     f = sum(1 << (a * u + rng.randrange(u)) for a in range(u))  # sparse: a function
     out[f"compose_bits u={u} functional"] = median_us(lambda: spaces.compose_bits(u, f, s))
 print(json.dumps(out))
+"""
+
+POINTWISE_ROUNDS = 5  # a round on a busy machine can read twice as slow
+POINTWISE_SAMPLES = 5
+
+# Run with the tree's src on sys.path; prints {case: median us of one case}.
+POINTWISE_TIMER = """
+import json, statistics, sys, time
+from types import SimpleNamespace
+from baokit import formula_library, hf_universe, holds, ordinal_hf
+
+samples = json.loads(sys.argv[1])
+universe = hf_universe(4)
+view = SimpleNamespace(carrier_size=universe.size, rel_holds=universe.rel_holds,
+                       section=universe.section)  # no truth sets: every call is pointwise
+library = formula_library()
+ord_f, ford_f, ordinal = library["ord"].formula, library["ford"].formula, ordinal_hf(3).code
+cases = {
+    "ord at ordinal 3, all codes": lambda: holds(view, ord_f, {0: ordinal}),
+    "ford at ordinal 3, all codes": lambda: holds(view, ford_f, {0: ordinal}),
+    **{f"ord at {code}, all codes": lambda code=code: holds(view, ord_f, {0: code})
+       for code in (12345, 777, 40000)},
+    "4096 calls of ord over range(16)": lambda: [
+        holds(view, ord_f, {0: code}, quantifier_domain=range(16)) for code in range(4096)],
+}
+""" + MEDIAN_US + """
+print(json.dumps({name: median_us(case) for name, case in cases.items()}))
 """
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -193,15 +233,36 @@ def wall_time(tree: str, args: tuple) -> float:
     return took
 
 
-def kernel_times(tree: str) -> dict:
-    """{kernel: median microseconds of one call} from one process in `tree`."""
+def timer(tree: str, source: str, argument, layer: str) -> dict:
+    """The JSON that the timer `source` prints, run in one process in
+    `tree` with the JSON of `argument` as its one argument."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    shapes = json.dumps([KERNEL_SPACES, COMPOSE_BASES, KERNEL_SAMPLES])
-    run = subprocess.run([sys.executable, "-c", KERNEL_TIMER, shapes], env=env,
+    run = subprocess.run([sys.executable, "-c", source, json.dumps(argument)], env=env,
                          capture_output=True, text=True)
     if run.returncode != 0:
-        sys.exit(f"kernel timing failed in {tree}:\n{run.stderr}")
+        sys.exit(f"{layer} timing failed in {tree}:\n{run.stderr}")
     return json.loads(run.stdout)
+
+
+def kernel_times(tree: str) -> dict:
+    """{kernel: median microseconds of one call} from one process in `tree`."""
+    return timer(tree, KERNEL_TIMER, [KERNEL_SPACES, COMPOSE_BASES, KERNEL_SAMPLES], "kernel")
+
+
+def pointwise_times(tree: str) -> dict:
+    """{case: median microseconds of one case} from one process in `tree`."""
+    return timer(tree, POINTWISE_TIMER, POINTWISE_SAMPLES, "pointwise")
+
+
+def layer_times(trees: dict, times, rounds: int) -> dict:
+    """{label: {name: [us per round]}}: `times(tree)` in `rounds` rounds,
+    the trees alternating which goes first."""
+    out = {label: {} for label in trees}
+    for k in range(rounds):
+        for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
+            for name, us in times(tree).items():
+                out[label].setdefault(name, []).append(us)
+    return out
 
 
 def tier1(tree: str) -> tuple[float, float, dict]:
@@ -244,11 +305,8 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
         for args in COMMANDS:
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
-    kernels = {label: {} for label in trees}
-    for k in range(KERNEL_ROUNDS):
-        for label, tree in list(trees.items())[::1 if k % 2 == 0 else -1]:
-            for name, us in kernel_times(tree).items():
-                kernels[label].setdefault(name, []).append(us)
+    kernels = layer_times(trees, kernel_times, KERNEL_ROUNDS)
+    points = layer_times(trees, pointwise_times, POINTWISE_ROUNDS)
     suites = {label: [] for label in trees}
     calls = {label: [] for label in trees}
     counts = {}
@@ -267,6 +325,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
             "kernels_us": {name: summary(v) for name, v in kernels[label].items()},
+            "pointwise_us": {name: summary(v) for name, v in points[label].items()},
             "tier1_s": summary(suites[label]),
             "tier1_call_s": summary(calls[label]),
             "tier1_counts": counts[label],
@@ -293,8 +352,9 @@ def compare(before: dict, after: dict) -> list[str]:
             row(f"{workload} {metric}", a, after["perfbench"][workload][metric])
     for cmd, a in before["wall_s"].items():
         row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
-    for name, a in before["kernels_us"].items():
-        row(f"{name} us", a, after["kernels_us"][name])
+    for layer in ("kernels_us", "pointwise_us"):
+        for name, a in before[layer].items():
+            row(f"{name} us", a, after[layer][name])
     row("tier-1 s", before["tier1_s"], after["tier1_s"])
     row("tier-1 summed call s", before["tier1_call_s"], after["tier1_call_s"])
     lines.append(f"{'tier-1 counts':45s} {before['tier1_counts']} {after['tier1_counts']}")
