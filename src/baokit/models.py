@@ -198,16 +198,23 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
     values it returns, which must not be empty, where depth counts the
     quantifier's nesting from the root (outermost 1): the relativized ex v
     phi is c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the
-    tuples whose v lies in the run.
+    tuples whose v lies in the run.  `plan_bits` is the run before the lift.
     """
-    plan = _plan(f, quantifier_range is not None)
-    space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
     operators = operator_table(space.base_size, quantifier_range)
-    inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
-    bits = plan.run(plan.binding(operators), inputs)
-    for shift in operators.lift(plan.level, space.dimension):  # to the whole space
+    bits, level = plan_bits(space, f, leaf, operators)
+    for shift in operators.lift(level, space.dimension):  # to the whole space
         bits |= bits << shift
     return bits
+
+
+def plan_bits(space: TupleSpace, f: Formula, leaf, operators: "_Operators") -> tuple[int, int]:
+    """The plan run of `satisfaction_bits` on `operators`, the table of its
+    base size and quantifier range: the bits of f's satisfaction set at
+    its plan level, over operators.space(level), and that level."""
+    plan = _plan(f, operators.quantifier_range is not None)
+    space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
+    inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
+    return plan.run(plan.binding(operators), inputs), plan.level
 
 
 _CONNECTIVES = {Not: "not", And: "and", Or: "or", Implies: "impl", Iff: "iff"}

@@ -12,12 +12,16 @@ The diagonal d_ij and the strict order s_a < s_b, for a below b and for a
 above it alike, grow by doubling from a seed over their own coordinates,
 the ones up to the higher of the two, and are replicated along the
 coordinates above it last, so only their last steps work at full width;
-neither order is built from the other.  Substitution is c_i(d_ij . x)
-and reuses both.  `cylinder` gives the raw-int kernel of
-cylindrification, relativized to a run of values of its coordinate,
-`fold_top` the same fold of the last coordinate onto a space of lower
-dimension, with nothing spread back, `strictly_below` the order atom
-s_a < s_b, and `diagonal_at` the diagonal at chosen values.
+neither order is built from the other.  Substitution is c_i(d_ij . x).
+A space keeps its digit-zero masks and, made on first use, its kernel
+table (`operators`, the one its SetAlgebra runs), so `cyl` and `subst`
+build each cylinder kernel once; d_ij is built on each call, as kept
+diagonals grew the peak RSS of perfbench's `wide` by 10-14%.  `cylinder`
+gives the raw-int kernel of cylindrification, relativized to a run of
+values of its coordinate, `fold_top` the same fold of the last coordinate
+onto a space of lower dimension, with nothing spread back,
+`strictly_below` the order atom s_a < s_b, and `diagonal_at` the
+diagonal at chosen values.
 
 A binary relation on a base of size u is an Element of TupleSpace(u, 2),
 of the subclass RaElement: the pair (a, b) is the tuple (b, a), at bit
@@ -30,8 +34,9 @@ values' construction, zero, one and apply, and each is the value domain
 of its own finite subalgebras, which compute on its raw ints.
 
 An operator table (`SetOperators`, `RelationOperators`) is the one map from
-operator names to raw-int kernels; each algebra owns one for `apply`, and
-term programs and formula plans run tables too.
+operator names to raw-int kernels; each algebra has one for `apply` (a
+SetAlgebra its space's), and term programs and formula plans run tables
+too.
 """
 
 import operator
@@ -106,7 +111,7 @@ def space_size(base_size: int, dimension: int) -> int:
 class TupleSpace:
     """The set of all dimension-n tuples over a base {0, ..., u-1}."""
 
-    __slots__ = ("base_size", "dimension", "size", "full_mask", "_digit_zero")
+    __slots__ = ("base_size", "dimension", "size", "full_mask", "_digit_zero", "_operators")
 
     def __init__(self, base_size: int, dimension: int):
         size = space_size(base_size, dimension)
@@ -115,6 +120,14 @@ class TupleSpace:
         self.size = size
         self.full_mask = (1 << size) - 1
         self._digit_zero: list[int | None] = [None] * dimension
+        self._operators = None
+
+    @property
+    def operators(self) -> "SetOperators":
+        """The kernel table of this space, on all its coordinates, made on first use."""
+        if self._operators is None:
+            self._operators = SetOperators(self, self.dimension)
+        return self._operators
 
     def stride(self, coord: int) -> int:
         return self.base_size**coord
@@ -367,16 +380,16 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
 
 def _carries(space: TupleSpace, values: range | None):
     """c_0(D . x) by carries, for u >= 3, each tuple's coordinate-0 values
-    a group of u bits: with high the top bit of each group and low the
-    others, t = ((x & low) + low | x) & high marks the nonempty groups (the
-    add carries into a group's top bit, never out) and t - (t >> (u - 1)) |
-    t fills them.  low is cut to x's whole groups, so a narrow x costs its
-    width.  Per Mbit on CPython 3.11: 160 us at u = 3, the doubling fold
-    227; at u = 2, 167 against 103."""
+    a group of u bits: with high the top bit of each group and zero the
+    bottom one (the digit-zero mask), t = ((x | high) - zero | x) & high
+    marks the nonempty groups (a group borrows from its own top bit only
+    when all below it are clear, never from the next) and t - (t >> (u -
+    1)) | t fills them.  high and zero are cut to x's whole groups, so a
+    narrow x costs its width.  Per Mbit on CPython 3.11: 160 us at u = 3,
+    the doubling fold 227; at u = 2, 167 against 103."""
     u, size = space.base_size, space.size
     zero = space.digit_zero_mask(0)
     high = zero << (u - 1)
-    low = space.full_mask ^ high
     run = None
     if values is not None:
         _check_run(values, u)
@@ -386,7 +399,8 @@ def _carries(space: TupleSpace, values: range | None):
         if run is not None:
             x &= run
         cut = (size - x.bit_length()) // u * u  # the groups above x's highest
-        t = ((x & low) + (low >> cut if cut else low) | x) & high
+        top, bottom = (high >> cut, zero >> cut) if cut else (high, zero)
+        t = ((x | top) - bottom | x) & top
         return t - (t >> (u - 1)) | t
 
     return kernel
@@ -411,16 +425,18 @@ def fold_top(space: TupleSpace, values: range | None, dimension: int):
 
 
 def cyl(coord: int, x: Element) -> Element:
-    """Existential projection along `coord`: replace the coordinate freely."""
-    return Element(x.space, cylinder(x.space, coord)(x.bits))
+    """Existential projection along `coord`: replace the coordinate freely,
+    by the cylinder kernel kept on x's space."""
+    space = x.space
+    return _value(Element, space, space.operators.function(("cyl", (coord,)))(x.bits))
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
     """The set of tuples whose coordinates i and j agree (see `diagonal_at`)."""
     if i == j:
         space.check_coord(i)
-        return Element(space, space.full_mask)
-    return Element(space, diagonal_at(space, i, j))
+        return _value(Element, space, space.full_mask)
+    return _value(Element, space, diagonal_at(space, i, j))
 
 
 def diagonal_at(space: TupleSpace, i: int, j: int, values=None) -> int:
@@ -513,11 +529,17 @@ def strictly_below(space: TupleSpace, a: int, b: int) -> int:
 
 
 def subst(i: int, j: int, x: Element) -> Element:
-    """Replacement substitution: tuples s with s[i := s_j] in x."""
-    same = diag(x.space, i, j)  # checks both coordinates
+    """Replacement substitution: tuples s with s[i := s_j] in x, that is
+    c_i(d_ij . x), by the cylinder kernel kept on x's space."""
+    space = x.space
+    space.check_coord(i)
+    space.check_coord(j)
     if i == j:
         raise ValueError("substitution needs two distinct coordinates")
-    return cyl(i, same & x)
+    if type(x) is not Element:
+        raise TypeError(f"expected an Element, got {type(x).__name__}")
+    kernel = space.operators.function(("cyl", (i,)))
+    return _value(Element, space, kernel(diagonal_at(space, i, j) & x.bits))
 
 
 def boolean(name: str, full: int):
@@ -588,7 +610,7 @@ class SetOperators(Operators):
             project = cylinder(self.space, i)
             return lambda x, _: project(x & same)
         if name == "disc":  # c_0 ... c_{n-1}: the top exactly when x is nonzero
-            kernels = [cylinder(self.space, c) for c in range(self.n)]
+            kernels = [self.function(("cyl", (c,))) for c in range(self.n)]
 
             def disc(x, _):
                 for kernel in kernels:
@@ -659,7 +681,7 @@ class SetAlgebra(FullAlgebra):
             raise SignatureError("use RelationAlgebra for binary relations")
         self.signature = Signature(kind, None if kind == "BA" else dimension)
         self.space = TupleSpace(base_size, dimension)
-        self.operators = SetOperators(self.space, dimension)
+        self.operators = self.space.operators
 
     def describe(self) -> str:
         """The domain line `FiniteAlgebra.serialize` writes."""

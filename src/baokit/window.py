@@ -47,7 +47,7 @@ from .formulas import (
     rebuilt,
 )
 from .library import close_universally
-from .models import operator_table, satisfaction_bits
+from .models import operator_table, plan_bits, satisfaction_bits
 from .spaces import Element, TupleSpace, diag, diagonal_at, space_size, strictly_below
 
 
@@ -143,6 +143,14 @@ def _pairs_read(f: Formula) -> Formula:
 
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     """Satisfaction bitset at one radius, margin ranges applied per depth."""
+    space, pairs, leaf, table = _window(model, f, radius)
+    return Element(space, satisfaction_bits(space, pairs, leaf, table.quantifier_range))
+
+
+def _window(model: WindowModel, f: Formula, radius: int) -> tuple:
+    """The plan's arguments for f at this radius, after the depth and fixed
+    point checks: the space of f's variables, f cut to the pairs the order
+    reads, the leaf hook and the radius's operator table."""
     pairs = _pairs_read(f)
     depth = quantifier_depth(f)
     if depth * model.margin >= radius:
@@ -150,8 +158,7 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     _check_fixed(model, radius)
-    reach = _Reach(radius, model.margin)
-    table = operator_table(2 * radius + 1, reach)
+    table = operator_table(2 * radius + 1, _Reach(radius, model.margin))
     space = table.space(max(max_var_index(f) + 1, 1))
     leaves = table.leaves
 
@@ -164,14 +171,15 @@ def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
             bits = leaves[key] = diag(level, i, j).bits if eq else strictly_below(level, i, j)
         return bits if eq else _relation(level, model, radius, i, j, bits)
 
-    return Element(space, satisfaction_bits(space, pairs, leaf, reach))
+    return space, pairs, leaf, table
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     """Truth at the model's radius plus a stability flag across larger radii.
 
     Open formulas are universally closed first; the closing quantifiers
-    count toward the nesting depth like any others.
+    count toward the nesting depth like any others.  A closed formula's
+    value is read at its plan level, with no lift to the whole space.
     """
     closed = close_universally(f)
     if radii is None:
@@ -181,13 +189,14 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     _check_fixed(model, min(radii))  # and on a fixed point out of a window, before any work
     by_radius = {}
     for r in radii:
-        sat = window_satisfaction(model, closed, r)
-        if sat.bits not in (0, sat.space.full_mask):
+        space, pairs, leaf, table = _window(model, closed, r)
+        bits, level = plan_bits(space, pairs, leaf, table)
+        if bits not in (0, table.space(level).full_mask):
             raise AssertionError(
                 f"closed formula produced a mixed satisfaction set: "
                 f"{format_formula(closed)}"
             )
-        by_radius[r] = sat.is_full()
+        by_radius[r] = bits != 0
     value = by_radius[radii[0]]
     stable = len(set(by_radius.values())) == 1
     return WindowReport(value=value, stable=stable, by_radius=by_radius)

@@ -1,7 +1,8 @@
 """The carry kernel of c_0 (`spaces._carries`) against the full-width
-doubling fold it replaced for u >= 3 (tests/doubling_kernels.py), and lane
-batches, whose operator table stops at the lanes in use, against
-per-value `eval_term`."""
+doubling fold it replaced for u >= 3 (tests/doubling_kernels.py) and
+against its own two-mask form (`two_mask_carries`), and lane batches,
+whose operator table stops at the lanes in use, against per-value
+`eval_term`."""
 
 import random
 
@@ -59,6 +60,45 @@ def test_carries_match_the_doubling_fold(u):
             got, want = cylinder(space, 0, values), full_width.cylinder(space, 0, values)
             for name, x in xs.items():
                 assert got(x) == want(x), (n, values, name)
+
+
+def two_mask_carries(space: TupleSpace, values: range | None):
+    """c_0(D . x) by carries as it was computed with two kept masks, high,
+    the top bit of each group of u bits, and low, the others:
+    t = ((x & low) + low | x) & high, low cut to x's whole groups."""
+    u, size = space.base_size, space.size
+    zero = space.digit_zero_mask(0)
+    high = zero << (u - 1)
+    low = space.full_mask ^ high
+    run = None if values is None else (zero << values.stop) - (zero << values.start)
+
+    def kernel(x: int) -> int:
+        if run is not None:
+            x &= run
+        cut = (size - x.bit_length()) // u * u  # the groups above x's highest
+        t = ((x & low) + (low >> cut if cut else low) | x) & high
+        return t - (t >> (u - 1)) | t
+
+    return kernel
+
+
+@pytest.mark.parametrize("u", range(3, 10))
+def test_carries_match_the_two_mask_kernel(u):
+    """Over the whole base and every run, on full-width values and on
+    narrow ones: below the top group, a single group, and 0."""
+    rng = random.Random(100 + u)
+    for n in (1, 2, 3):
+        space = TupleSpace(u, n)
+        size = space.size
+        group = rng.randrange(size // u)
+        xs = [space.full_mask, 0, 1 << size - 1, rng.getrandbits(max(size - u, 1)),
+              rng.getrandbits(u) << u * group, 1 << u * group]
+        xs += [rng.getrandbits(size) for _ in range(4)]
+        runs = [None] + [range(a, b) for a in range(u) for b in range(a + 1, u + 1)]
+        for values in runs:
+            got, want = cylinder(space, 0, values), two_mask_carries(space, values)
+            for x in xs:
+                assert got(x) == want(x), (n, values, x)
 
 
 def test_a_narrow_value_fills_its_last_group():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_call_kernels as per_call
 from baokit import (
     CapacityError,
     Element,
@@ -17,7 +18,7 @@ from baokit import (
     diag,
     subst,
 )
-from baokit.spaces import cylinder, relation_bits, strictly_below
+from baokit.spaces import cylinder, diagonal_at, relation_bits, strictly_below
 
 
 def scan_element(ambient, predicate):
@@ -320,3 +321,123 @@ def test_element_text_names_a_number_that_does_not_parse():
 def test_element_text_with_a_zero_base_or_dimension_names_the_token(read, text):
     with pytest.raises(InputError, match="'0' is below 1"):
         read(text)
+
+
+# -- the kept kernels of the Element path ---------------------------------------
+
+
+def outcome(f, *args):
+    """What a call gives: the type, space and bits of its value, or the
+    type and text of the error it raises."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.space, value.bits
+
+
+def kept_ints(table) -> list:
+    """Every int held in the closures of the kernels `table` keeps."""
+    out, todo = [], list(table.functions.values())
+    while todo:
+        for cell in getattr(todo.pop(), "__closure__", None) or ():
+            value = cell.cell_contents
+            if isinstance(value, int):
+                out.append(value)
+            elif callable(value):
+                todo.append(value)
+            elif isinstance(value, (list, tuple)):
+                todo += [v for v in value if callable(v)]
+                out += [v for v in value if isinstance(v, int)]
+    return out
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4, 5, 16])
+def test_the_element_path_matches_the_kernels_built_per_call(u):
+    """cyl, subst and diag on kept kernels give the bits and types of the
+    per-call builds for every coordinate and ordered pair, with the calls
+    on two equal but distinct spaces interleaved."""
+    rng = random.Random(u)
+    for n in range(1, 5):
+        first, second = TupleSpace(u, n), TupleSpace(u, n)
+        size = first.size
+        patterns = (0, first.full_mask, rng.getrandbits(size), 1 << size - 1,
+                    rng.getrandbits(max(size - u, 1)),  # below the top group
+                    rng.getrandbits(u) << u * rng.randrange(size // u))  # one group
+        values = [Element(space, bits) for bits in patterns for space in (first, second)]
+        if n == 2:
+            values.append(RaElement(u, rng.getrandbits(size)))
+        coords = range(n)
+        for x in values:
+            for i in coords:
+                assert outcome(cyl, i, x) == outcome(per_call.cyl, i, x), (n, i)
+                assert cyl(i, x).space is x.space
+                for j in coords:
+                    assert outcome(subst, i, j, x) == outcome(per_call.subst, i, j, x), (n, i, j)
+                    assert outcome(diag, x.space, i, j) == outcome(per_call.diag, x.space, i, j)
+
+
+def test_the_element_path_raises_the_errors_of_the_per_call_builds():
+    """A bad coordinate raises IndexError before i == j raises ValueError;
+    a relation, a value of another type and a non-value raise as before."""
+    space = TupleSpace(3, 3)
+    x = Element(space, random.Random(1).getrandbits(space.size))
+    relation = RaElement(3, 0b101)
+    calls = [(cyl, (c, x)) for c in (-1, 3, 7)]
+    calls += [(subst, (i, j, x)) for i, j in ((3, 3), (-1, -1), (0, 3), (3, 0), (1, 1), (2, 2))]
+    calls += [(diag, (space, i, j)) for i, j in ((3, 3), (0, 3), (-1, 0))]
+    calls += [(subst, (0, 1, relation)), (subst, (1, 0, relation)), (subst, (1, 1, relation)),
+              (subst, (0, 1, 5)), (cyl, (0, 5)), (subst, (0, 1, "x"))]
+    for f, args in calls:
+        got = outcome(f, *args)
+        assert got == outcome(getattr(per_call, f.__name__), *args), (f.__name__, args)
+        assert issubclass(got[0], Exception), (f.__name__, args)
+    assert outcome(subst, 3, 3, x)[0] is IndexError
+    assert outcome(subst, 1, 1, x)[0] is ValueError
+    assert outcome(subst, 0, 1, relation)[0] is TypeError
+
+
+def test_a_kernel_whose_build_raised_is_not_kept(monkeypatch):
+    import baokit.spaces
+
+    space = TupleSpace(4, 3)
+    x = Element(space, random.Random(2).getrandbits(space.size))
+    with pytest.raises(IndexError):
+        cyl(3, x)
+    assert space.operators.functions == {}
+
+    def failing(*args):
+        raise MemoryError("no room for the kernel")
+
+    monkeypatch.setattr(baokit.spaces, "cylinder", failing)
+    for call in (lambda: cyl(1, x), lambda: subst(1, 0, x)):
+        with pytest.raises(MemoryError):
+            call()
+    assert space.operators.functions == {}
+    monkeypatch.undo()
+    assert cyl(1, x) == per_call.cyl(1, x)
+    assert subst(1, 0, x) == per_call.subst(1, 0, x)
+
+
+def test_subst_keeps_no_diagonal_on_the_space():
+    """Kept diagonals, one per pair, grew the peak RSS of perfbench's
+    `wide`, so subst over every pair keeps cylinder kernels alone, and no
+    int those kernels hold is a diagonal."""
+    for u, n in ((3, 3), (5, 4), (16, 3)):
+        space = TupleSpace(u, n)
+        x = Element(space, random.Random(u).getrandbits(space.size))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for i, j in pairs:
+            subst(i, j, x)
+        table = space.operators
+        assert set(table.functions) == {("cyl", (i,)) for i in range(n)}
+        diagonals = {diagonal_at(space, i, j) for i, j in pairs}
+        assert diagonals.isdisjoint(kept_ints(table))
+
+
+def test_a_set_algebra_runs_the_table_of_its_space():
+    amb = SetAlgebra("CA", 3, 3)
+    assert amb.operators is amb.space.operators
+    x = amb.random_element(random.Random(4))
+    assert cyl(1, x) == amb.apply(("cyl", (1,)), x)
+    assert set(amb.operators.functions) == {("cyl", (1,))}

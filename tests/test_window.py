@@ -455,3 +455,38 @@ def test_kept_leaves_are_bounded_and_pin_no_model():
     leaves = kept_tables((8,), (1,))[8, 1].leaves
     assert all(type(part) in (str, int) for key in leaves for part in key)
     assert all(type(bits) is int for bits in leaves.values())
+
+
+@pytest.mark.parametrize("fixed", [(), (0,), (0, 5)])
+def test_a_verdict_read_at_the_plan_level_matches_the_whole_space(fixed):
+    """eval_window reads a closed formula's value at its plan level; each
+    verdict equals is_full() of the whole-space set, for every library
+    formula whose atoms the order can read."""
+    model, radii = WindowModel(11, 1, fixed), (11, 13)
+    evaluated = 0
+    for name, entry in formula_library().items():
+        closed = close_universally(entry.formula)
+        try:
+            report = eval_window(model, closed, radii)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                window_satisfaction(model, closed, radii[0])
+            continue
+        evaluated += 1
+        for radius in radii:
+            sat = window_satisfaction(model, closed, radius)
+            assert report.by_radius[radius] == sat.is_full(), (name, fixed, radius)
+    assert evaluated == len(formula_library()) - 1  # all but lambda
+
+
+def test_a_mixed_value_at_the_plan_level_is_refused(monkeypatch):
+    """The mixed-set guard reads the plan-level value: a plan run whose
+    closed value is neither 0 nor its level's top raises AssertionError."""
+    import baokit.window
+
+    real = baokit.window.plan_bits
+    monkeypatch.setattr(baokit.window, "plan_bits",
+                        lambda *args: (lambda bits, level: (bits ^ 1, level))(*real(*args)))
+    for fixed in ((0,), (0, 5)):  # eta is false on the first and true on the second
+        with pytest.raises(AssertionError, match="mixed satisfaction set"):
+            eval_window(WindowModel(16, 2, fixed), formula_library()["eta"].formula)

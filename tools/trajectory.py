@@ -19,13 +19,19 @@ script records:
 - `kernels_us`, the layer below: the median microseconds of one call of
   each `spaces` kernel, over KERNEL_ROUNDS processes in the tree (the two
   trees alternate), each the median of KERNEL_SAMPLES timed batches of
-  calls on seeded random values: `cylinder` per coordinate, `subst` over
-  every ordered pair and `diag` over every pair of coordinates on the
-  three spaces of perfbench's `wide` workload (KERNEL_SPACES), and
-  `compose_bits` at each u in COMPOSE_BASES, of a random relation and of
-  a function (one pair a row) with a random one, so that the walk and the
-  tables of `compose_bits` are each timed.  The processes fix glibc's
-  allocator thresholds as perfbench/run.py does;
+  calls on seeded random values: the raw `cylinder` per coordinate, the
+  Element-level `cyl` over every coordinate (`cyl {u}^{n}`, per call),
+  `subst` over every ordered pair and `diag` over every pair of
+  coordinates on the three spaces of perfbench's `wide` workload
+  (KERNEL_SPACES), and `compose_bits` at each u in COMPOSE_BASES, of a
+  random relation and of a function (one pair a row) with a random one,
+  so that the walk and the tables of `compose_bits` are each timed.  The
+  processes fix glibc's allocator thresholds as perfbench/run.py does;
+- `window_us`, the layer of window evaluation: the median microseconds
+  of one `eval_window` of each of the three window jobs of perfbench's
+  `wide` workload (WINDOW_JOBS), warm, over WINDOW_ROUNDS processes in the
+  tree (the two trees alternate), each the median of WINDOW_SAMPLES timed
+  batches, with the allocator thresholds fixed as for `kernels_us`;
 - `pointwise_us`, the layer of pointwise `models.holds`: the median
   microseconds of each case of POINTWISE_TIMER, over POINTWISE_ROUNDS
   processes in the tree (the two trees alternate), each the median of
@@ -88,6 +94,9 @@ KERNEL_SPACES = ((16, 5), (65, 3), (129, 3))  # (u, n), as perfbench's wide work
 COMPOSE_BASES = (16, 256, 1024)
 KERNEL_ROUNDS = 3
 KERNEL_SAMPLES = 5
+WINDOW_JOBS = (("ax", (0,)), ("eta", (0,)), ("eta", (0, 5)))  # WindowModel(16, 2, fixed)
+WINDOW_ROUNDS = 3
+WINDOW_SAMPLES = 5
 
 # The median microseconds of one call of `calls`, over `samples` timed
 # batches of calls that take about 20 ms each; shared by the timers below.
@@ -107,15 +116,21 @@ def median_us(calls):
 
 """
 
-# Run with the tree's src on sys.path; prints {kernel: median us of one call}.
-KERNEL_TIMER = """
-import ctypes, ctypes.util, json, random, statistics, sys, time
-from baokit import spaces
+# The allocator thresholds that perfbench/run.py fixes.
+MALLOPT = """
+import ctypes, ctypes.util
 
 libc = ctypes.CDLL(ctypes.util.find_library("c"))
 if hasattr(libc, "mallopt"):  # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
     libc.mallopt(-3, 1 << 26)
     libc.mallopt(-1, 1 << 27)
+"""
+
+# Run with the tree's src on sys.path; prints {kernel: median us of one call}.
+KERNEL_TIMER = MALLOPT + """
+import json, random, statistics, sys, time
+from baokit import spaces
+
 space_shapes, compose_bases, samples = json.loads(sys.argv[1])
 """ + MEDIAN_US + """
 out = {}
@@ -126,6 +141,7 @@ for u, n in space_shapes:
     for coord in range(n):
         kernel = spaces.cylinder(space, coord)
         out[f"cylinder {u}^{n} c{coord}"] = median_us(lambda: kernel(x.bits))
+    out[f"cyl {u}^{n}"] = median_us(lambda: [spaces.cyl(c, x) for c in range(n)]) / n
     ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
     out[f"subst {u}^{n}"] = median_us(
         lambda: [spaces.subst(i, j, x) for i, j in ordered]) / len(ordered)
@@ -137,6 +153,22 @@ for u in compose_bases:
     out[f"compose_bits u={u}"] = median_us(lambda: spaces.compose_bits(u, r, s))
     f = sum(1 << (a * u + rng.randrange(u)) for a in range(u))  # sparse: a function
     out[f"compose_bits u={u} functional"] = median_us(lambda: spaces.compose_bits(u, f, s))
+print(json.dumps(out))
+"""
+
+# Run with the tree's src on sys.path; prints {job: median us of one eval_window}.
+WINDOW_TIMER = MALLOPT + """
+import json, statistics, sys, time
+from baokit import WindowModel, eval_window, formula_library
+
+jobs, samples = json.loads(sys.argv[1])
+library = formula_library()
+""" + MEDIAN_US + """
+out = {}
+for name, fixed in jobs:
+    model, f = WindowModel(16, 2, tuple(fixed)), library[name].formula
+    out[f"window {name} fixed={','.join(map(str, fixed))}"] = median_us(
+        lambda: eval_window(model, f))
 print(json.dumps(out))
 """
 
@@ -249,6 +281,11 @@ def kernel_times(tree: str) -> dict:
     return timer(tree, KERNEL_TIMER, [KERNEL_SPACES, COMPOSE_BASES, KERNEL_SAMPLES], "kernel")
 
 
+def window_times(tree: str) -> dict:
+    """{job: median microseconds of one eval_window} from one process in `tree`."""
+    return timer(tree, WINDOW_TIMER, [WINDOW_JOBS, WINDOW_SAMPLES], "window")
+
+
 def pointwise_times(tree: str) -> dict:
     """{case: median microseconds of one case} from one process in `tree`."""
     return timer(tree, POINTWISE_TIMER, POINTWISE_SAMPLES, "pointwise")
@@ -306,6 +343,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
             for label, tree in trees.items():
                 walls[label][" ".join(args)].append(wall_time(tree, args))
     kernels = layer_times(trees, kernel_times, KERNEL_ROUNDS)
+    windows = layer_times(trees, window_times, WINDOW_ROUNDS)
     points = layer_times(trees, pointwise_times, POINTWISE_ROUNDS)
     suites = {label: [] for label in trees}
     calls = {label: [] for label in trees}
@@ -325,6 +363,7 @@ def measure(trees: dict, seeds: list[int], seconds: float, repeats: int) -> dict
                           for w, by in runs[label].items()},
             "wall_s": {cmd: summary(v) for cmd, v in walls[label].items()},
             "kernels_us": {name: summary(v) for name, v in kernels[label].items()},
+            "window_us": {name: summary(v) for name, v in windows[label].items()},
             "pointwise_us": {name: summary(v) for name, v in points[label].items()},
             "tier1_s": summary(suites[label]),
             "tier1_call_s": summary(calls[label]),
@@ -352,7 +391,7 @@ def compare(before: dict, after: dict) -> list[str]:
             row(f"{workload} {metric}", a, after["perfbench"][workload][metric])
     for cmd, a in before["wall_s"].items():
         row(cmd.replace("--json ", ""), a, after["wall_s"][cmd])
-    for layer in ("kernels_us", "pointwise_us"):
+    for layer in ("kernels_us", "window_us", "pointwise_us"):
         for name, a in before[layer].items():
             row(f"{name} us", a, after[layer][name])
     row("tier-1 s", before["tier1_s"], after["tier1_s"])
