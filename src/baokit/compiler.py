@@ -23,6 +23,7 @@ from .formulas import (
     Exists,
     Formula,
     Iff,
+    Not,
     max_var_index,
     memo,
     parts,
@@ -183,7 +184,9 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
 
     kind "CA": the formula must be restricted (equality atoms allowed);
     conjunction becomes meet, negation complement, an existential the
-    cylindrification of its variable, and equalities diagonal constants.
+    cylindrification of its variable, a universal -c_v(-phi), and
+    equalities diagonal constants; a complement of a complement is its
+    operand, so no `not` stands directly over another.
     kind "SC": the formula must be equality-free; atoms in any variable
     order are reached from the generator by replacement substitutions.
     Equal subformulas (a repeated atom, rewritten atom or connective, and
@@ -232,6 +235,8 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
         elif isinstance(g, Iff):
             a, b = out[g.left], out[g.right]
             out[g] = App(("and", ()), (App(("impl", ()), (a, b)), App(("impl", ()), (b, a))))
+        elif isinstance(g, Not):
+            out[g] = _complement(out[g.body])
         elif type(g) in _CONNECTIVES:  # named as in the plans of models
             out[g] = App((_CONNECTIVES[type(g)], ()), tuple(out[part] for part in parts(g)))
         elif _projected(g):
@@ -239,9 +244,16 @@ def compile_to_term(f: Formula, kind: str, n: int) -> CompiledTerm:
         elif isinstance(g, Exists):
             out[g] = App(("cyl", (g.var,)), (out[g.body],))
         else:  # Forall
-            inner = App(("not", ()), (out[g.body],))
-            out[g] = App(("not", ()), (App(("cyl", (g.var,)), (inner,)),))
+            out[g] = _complement(App(("cyl", (g.var,)), (_complement(out[g.body]),)))
     return CompiledTerm(Term(out[f], signature), tuple(symbols))
+
+
+def _complement(node: TermNode) -> TermNode:
+    """The complement of node: its operand when node is one, so that no
+    complement stands directly over another."""
+    if isinstance(node, App) and node.op == ("not", ()):
+        return node.args[0]
+    return App(("not", ()), (node,))
 
 
 def _relation_symbols(f: Formula) -> set[str]:

@@ -11,8 +11,8 @@ it: a value at level k is a bitset over the first k coordinates, and the
 root is lifted to the whole space at the end.  The leaf hook is asked for
 each atom and diagonal over the TupleSpace of its level; a ModelFinite,
 read as immutable, keeps them and its sections.  The window module runs
-the evaluator too, with its own leaves and a run of values for each
-quantifier depth, bound on each call to a kept table.
+the evaluator too, on formulas whose quantifiers it has relativized, with
+its own leaves, which it keeps on the table of its base size.
 holds evaluates one assignment and accepts an optional quantifier domain,
 which relativizes every quantifier to a subset of the carrier (free
 variables may still take any value).  It works on any model-like object:
@@ -169,7 +169,7 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     top = max_var_index(f)
     if top >= n:
         raise UnboundVariableError(f"formula uses v{top}, allowed indices are < {n}")
-    space = operator_table(model.carrier_size, None).space(n)
+    space = operator_table(model.carrier_size).space(n)
     leaves = model._leaves
 
     def leaf(g, level: TupleSpace) -> int:  # kept on the model, made on first use
@@ -184,23 +184,18 @@ def satisfaction_set(model: ModelFinite, f: Formula, n: int) -> Element:
     return Element(space, satisfaction_bits(space, f, leaf))
 
 
-def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None) -> int:
+def satisfaction_bits(space: TupleSpace, f: Formula, leaf) -> int:
     """The bits of the satisfaction set of `f` over `space`.
 
     `f` runs as its plan (see `_plan`), laid out once per formula and bound
-    once per base size, or on each call when ranged (see `operator_table`).
-    Each step runs at its level k, on the tuples of TupleSpace(u, k), and
-    the root is lifted to the whole space at the end.  `leaf(g, level)`
-    gives the bits of each of the plan's inputs over `level`, the TupleSpace
-    of its level: each distinct atom g, and each distinct diagonal, an Eq g
-    with g.left <= g.right.  A quantifier on v ranges over the whole base,
-    or, when `quantifier_range(depth, v)` is given, over the run of base
-    values it returns, which must not be empty, where depth counts the
-    quantifier's nesting from the root (outermost 1): the relativized ex v
-    phi is c_v(D . phi) and all v phi is -c_v(D . -phi), D holding the
-    tuples whose v lies in the run.  `plan_bits` is the run before the lift.
+    once per base size (see `operator_table`).  Each step runs at its level
+    k, on the tuples of TupleSpace(u, k), and the root is lifted to the
+    whole space at the end.  `leaf(g, level)` gives the bits of each of the
+    plan's inputs over `level`, the TupleSpace of its level: each distinct
+    atom g, and each distinct diagonal, an Eq g with g.left <= g.right.
+    `plan_bits` is the run before the lift.
     """
-    operators = operator_table(space.base_size, quantifier_range)
+    operators = operator_table(space.base_size)
     bits, level = plan_bits(space, f, leaf, operators)
     for shift in operators.lift(level, space.dimension):  # to the whole space
         bits |= bits << shift
@@ -209,9 +204,9 @@ def satisfaction_bits(space: TupleSpace, f: Formula, leaf, quantifier_range=None
 
 def plan_bits(space: TupleSpace, f: Formula, leaf, operators: "_Operators") -> tuple[int, int]:
     """The plan run of `satisfaction_bits` on `operators`, the table of its
-    base size and quantifier range: the bits of f's satisfaction set at
-    its plan level, over operators.space(level), and that level."""
-    plan = _plan(f, operators.quantifier_range is not None)
+    base size: the bits of f's satisfaction set at its plan level, over
+    operators.space(level), and that level."""
+    plan = _plan(f)
     space.check_coord(max(plan.levels) - 1)  # no step is higher than a leaf
     inputs = [leaf(g, operators.space(k)) for g, k in zip(plan.variables, plan.levels)]
     return plan.run(plan.binding(operators), inputs), plan.level
@@ -233,89 +228,74 @@ def _level(g: Formula) -> int:
 
 
 @memo
-def _plan(f: Formula, ranged: bool) -> _Plan:
+def _plan(f: Formula) -> _Plan:
     """Lay out the DAG of f, its plan: a layout with no constants, whose
     `variables` are its distinct atoms and diagonals (an Eq with left <=
     right stands for a diagonal) and whose `ops` are connectives
     (name, (level of the left operand, level of the right)) and quantifiers
-    ("ex" | "all", (var, depth, level of the body, level of the result)).
+    ("ex" | "all", (var, level of the body, level of the result)).
 
     A node's level is 1 + the highest variable free in it, and at least 1:
     its value does not depend on the coordinates from there up (Henkin,
     Monk and Tarski, Cylindric Algebras I, 1.6), so it is kept as a bitset
     over the tuples of those first coordinates.  A quantifier whose
-    variable is not free in its body is that body, as every range is
+    variable is not free in its body is that body, as the base is
     nonempty.  A repeated subformula, atom or diagonal is computed once.
-    With `ranged`, a quantifier's range depends on its depth, so a
-    subformula is told apart by its depth as well; without, every depth
-    counts as 0.  The walk is `formulas.postorder`, over pairs of a
-    subformula and its depth.  The plan is kept on f, per `ranged`."""
+    The walk is `formulas.postorder`.  The plan is kept on f."""
     leaves: dict = {}  # atom or diagonal -> its input number
-    nodes: dict = {}  # (subformula, depth) -> ~its input, or its step number
+    nodes: dict = {}  # subformula -> ~its input, or its step number
     ops: dict = {}  # operator -> its number
     kinds, operands = array("l"), []
-
-    def children(item) -> list:
-        g, depth = item
-        inner = depth + ranged if isinstance(g, (Exists, Forall)) else depth
-        return [(part, inner) for part in parts(g)]
-
-    for item in postorder((f, 0), children):  # the atoms numbered as they are met
-        g, depth = item
+    for g in postorder(f, parts):  # the atoms numbered as they are met
         if isinstance(g, (Atom, Eq)):
-            if isinstance(g, Eq) and g.left > g.right:
-                g = Eq(g.right, g.left)  # the same diagonal
-            nodes[item] = ~leaves.setdefault(g, len(leaves))
+            key = Eq(g.right, g.left) if isinstance(g, Eq) and g.left > g.right else g
+            nodes[g] = ~leaves.setdefault(key, len(leaves))  # an Eq its diagonal
             continue
-        args = [nodes[child] for child in children(item)]
+        args = [nodes[part] for part in parts(g)]
         if isinstance(g, (Exists, Forall)):
             if g.var not in g.body.free:  # vacuous
-                nodes[item] = args[0]
+                nodes[g] = args[0]
                 continue
             name = "ex" if isinstance(g, Exists) else "all"
-            op = (name, (g.var, depth + ranged, _level(g.body), _level(g)))
+            op = (name, (g.var, _level(g.body), _level(g)))
         else:
             sides = parts(g)
             op = (_CONNECTIVES[type(g)], (_level(sides[0]), _level(sides[-1])))
-        nodes[item] = len(operands)
+        nodes[g] = len(operands)
         kinds.append(ops.setdefault(op, len(ops)))
         operands.append(args)
-    plan = _Plan(tuple(leaves), (), tuple(ops), kinds, operands, nodes[f, 0])
+    plan = _Plan(tuple(leaves), (), tuple(ops), kinds, operands, nodes[f])
     plan.levels = tuple(_level(g) for g in leaves)
     plan.level = _level(f)
     return plan
 
 
 @lru_cache(maxsize=16)
-def operator_table(base_size: int, quantifier_range) -> "_Operators":
-    """The operators of plans over base size u whose quantifiers range over
-    the whole base (None) or over the runs `quantifier_range` gives, shared
-    by every call with an equal (u, range); the 16 tables used last are
-    kept, with their spaces, lifts and kernels, which results use too."""
-    return _Operators(base_size, quantifier_range)
+def operator_table(base_size: int) -> "_Operators":
+    """The operators of plans over base size u, shared by every call on u;
+    the 16 tables used last are kept, with their spaces, lifts and
+    kernels, which results use too."""
+    return _Operators(base_size)
 
 
 class _Operators:
     """The raw-int functions of a plan's steps over base size u, each on
     values at the levels its op names: a connective lifts its lower operand
     to the higher level, and a quantifier on v is the cylindrification of
-    v, relativized to `quantifier_range(depth, v)` when given, or, when v
-    is the top coordinate of its body, the fold of v onto the result's
-    level.  Each function, space and lift is made on first use and kept.
-    A plan keeps its binding under the key (u,) of a whole-base table; a
-    ranged one has none, so a plan is bound to it on each call.  `leaves`
-    is written by window's leaf hook, on ranged tables only: the bits of
-    each order and diagonal per level, keyed by ints alone, so that they
-    pin no formula or model and are bounded by pairs times levels."""
+    v, or, when v is the top coordinate of its body, the fold of v onto
+    the result's level.  Each function, space and lift is made on first
+    use and kept, and a plan keeps its binding under the key (u,).
+    `leaves` is written by window's leaf hook: the bits of each of its
+    leaves, keyed by a kind and ints alone, so that they pin no formula or
+    model and are bounded by pairs, or reaches, times levels."""
 
-    def __init__(self, base_size: int, quantifier_range):
+    def __init__(self, base_size: int):
         self.base_size = base_size
-        self.key = None if quantifier_range is not None else (base_size,)
+        self.key = (base_size,)
         self.spaces: dict = {}  # level -> TupleSpace(u, level)
         self.lifts: dict = {}  # (level, higher level) -> doubling shifts
         self.functions: dict = {}  # op -> its function
-        self.leaves: dict = {}  # ("<", a, b, level) or ("=", i, j, level) -> bits
-        self.quantifier_range = quantifier_range
+        self.leaves: dict = {}  # (kind, ints...) -> bits; see window
 
     def space(self, level: int) -> TupleSpace:
         """TupleSpace(u, level), made on first use."""
@@ -359,14 +339,12 @@ class _Operators:
             return lambda x, y: f(lift(x), y)
         return lambda x, y: f(x, lift(y))
 
-    def quantifier(self, name: str, var: int, depth: int, level: int, out: int):
-        ranged = self.quantifier_range
-        values = None if ranged is None else ranged(depth, var)
+    def quantifier(self, name: str, var: int, level: int, out: int):
         space = self.space(level)
         if var < level - 1 or level == 1:  # the body's level, filled again at level 1
-            exists = cylinder(space, var, values)
+            exists = cylinder(space, var)
         else:
-            exists = fold_top(space, values, out)
+            exists = fold_top(space, out)
         if name == "ex":
             return exists
         full, out_full = space.full_mask, self.space(out).full_mask

@@ -14,11 +14,11 @@ the ones up to the higher of the two, and are replicated along the
 coordinates above it last, so only their last steps work at full width;
 neither order is built from the other.  Substitution is c_i(d_ij . x).
 A space keeps its digit-zero masks and, made on first use, its kernel
-table (`operators`, the one its SetAlgebra runs), so `cyl` and `subst`
-build each cylinder kernel once; d_ij is built on each call, as kept
-diagonals grew the peak RSS of perfbench's `wide` by 10-14%.  `cylinder`
-gives the raw-int kernel of cylindrification, relativized to a run of
-values of its coordinate, `fold_top` the same fold of the last coordinate
+table (`operators`, the one its SetAlgebra runs), so `cyl` and `subst`,
+which take a plain Element and refuse a relation, build each cylinder
+kernel once; d_ij is built on each call, as kept diagonals grew the peak
+RSS of perfbench's `wide` by 10-14%.  `cylinder` gives the raw-int kernel
+of cylindrification, `fold_top` the same fold of the last coordinate
 onto a space of lower dimension, with nothing spread back,
 `strictly_below` the order atom s_a < s_b, and `diagonal_at` the
 diagonal at chosen values.
@@ -297,55 +297,35 @@ def _value(cls, space: TupleSpace, bits: int):
     return x
 
 
-def _check_run(values: range, base_size: int) -> None:
-    if values.step != 1 or not 0 <= values.start < values.stop <= base_size:
-        raise ValueError(f"{values!r} is not a nonempty run of base values")
+def _folding(space: TupleSpace, coord: int):
+    """The fold of `coord` onto digit 0: a function of x, below the space's
+    full mask, whose result holds the tuples with coordinate `coord` 0 of
+    c_coord(x).
 
-
-def _folding(space: TupleSpace, coord: int, values: range | None):
-    """The fold of the run `values` of `coord` (the whole base when None)
-    onto digit 0: a function of x, below the space's full mask, whose
-    result holds the tuples with coordinate `coord` 0 of c_coord(D . x).
-
-    x is shifted right by values.start steps of `coord`.  Below the top,
-    shifted copies of x are ORed in, O(log u) full-width shifts, and digit
-    0 is masked.  The top coordinate's values are contiguous blocks of
-    its stride, so it is folded by halving: each step ORs the upper half
-    of the blocks left onto the lower half, on half the bits of the step
-    before, and the last leaves digit 0 alone.
+    Below the top, shifted copies of x are ORed in, O(log u) full-width
+    shifts, and digit 0 is masked.  The top coordinate's values are
+    contiguous blocks of its stride, so it is folded by halving: each step
+    ORs the upper half of the blocks left onto the lower half, on half the
+    bits of the step before, and the last leaves digit 0 alone.
     """
     space.check_coord(coord)
-    u = space.base_size
-    stride = space.stride(coord)
-    if values is None:
-        start, count = 0, u
-    else:
-        _check_run(values, u)
-        start, count = values.start * stride, len(values)
+    count, stride = space.base_size, space.stride(coord)
     if coord < space.dimension - 1:
         shifts = doubling_shifts(stride, count)
         zero = space.digit_zero_mask(coord)
 
         def fold(x: int) -> int:
-            if start:
-                x >>= start
             for shift in shifts:
                 x |= x >> shift
             return x & zero
 
         return fold
-    # the blocks of the run; those past it are cut off first
-    trim = (1 << count * stride) - 1 if values is not None and values.stop < u else None
     halves = []
     while count > 1:
         count -= count // 2
         halves.append(((1 << count * stride) - 1, count * stride))
 
     def fold(x: int) -> int:
-        if start:
-            x >>= start
-        if trim is not None:
-            x &= trim
         for low, shift in halves:
             x = (x & low) | (x >> shift)
         return x
@@ -353,20 +333,17 @@ def _folding(space: TupleSpace, coord: int, values: range | None):
     return fold
 
 
-def cylinder(space: TupleSpace, coord: int, values: range | None = None):
-    """The kernel x -> c_coord(D . x) on raw bitsets over `space`, where D
-    holds the tuples whose coordinate `coord` lies in `values`, a nonempty
-    run of base values (the whole base by default).
+def cylinder(space: TupleSpace, coord: int):
+    """The kernel x -> c_coord(x) on raw bitsets over `space`.
 
     Coordinate 0 of a base of 3 or more goes by carries (`_carries`), any
-    other run of x is folded onto digit 0 (`_folding`) and replicated u
-    times by doubling; D itself is never built.  The kernel ignores a
-    second argument, so a straight-line program applies it like any
-    binary operator.
+    other is folded onto digit 0 (`_folding`) and replicated u times by
+    doubling.  The kernel ignores a second argument, so a straight-line
+    program applies it like any binary operator.
     """
     if coord == 0 and space.base_size > 2:
-        return _carries(space, values)
-    fold = _folding(space, coord, values)
+        return _carries(space)
+    fold = _folding(space, coord)
     spread = doubling_shifts(space.stride(coord), space.base_size)
 
     def kernel(x: int, _=None) -> int:
@@ -378,9 +355,9 @@ def cylinder(space: TupleSpace, coord: int, values: range | None = None):
     return kernel
 
 
-def _carries(space: TupleSpace, values: range | None):
-    """c_0(D . x) by carries, for u >= 3, each tuple's coordinate-0 values
-    a group of u bits: with high the top bit of each group and zero the
+def _carries(space: TupleSpace):
+    """c_0(x) by carries, for u >= 3, each tuple's coordinate-0 values a
+    group of u bits: with high the top bit of each group and zero the
     bottom one (the digit-zero mask), t = ((x | high) - zero | x) & high
     marks the nonempty groups (a group borrows from its own top bit only
     when all below it are clear, never from the next) and t - (t >> (u -
@@ -390,14 +367,8 @@ def _carries(space: TupleSpace, values: range | None):
     u, size = space.base_size, space.size
     zero = space.digit_zero_mask(0)
     high = zero << (u - 1)
-    run = None
-    if values is not None:
-        _check_run(values, u)
-        run = (zero << values.stop) - (zero << values.start)
 
     def kernel(x: int, _=None) -> int:
-        if run is not None:
-            x &= run
         cut = (size - x.bit_length()) // u * u  # the groups above x's highest
         top, bottom = (high >> cut, zero >> cut) if cut else (high, zero)
         t = ((x | top) - bottom | x) & top
@@ -406,29 +377,32 @@ def _carries(space: TupleSpace, values: range | None):
     return kernel
 
 
-def fold_top(space: TupleSpace, values: range | None, dimension: int):
-    """The kernel of c_top(D . x), top the last coordinate of `space` and D
-    as for `cylinder`, on the tuples whose coordinates from `dimension` up
-    are 0, as a bitset over TupleSpace(u, dimension), for 0 < dimension <
-    space.dimension.  That is all of it when x does not depend on the
-    coordinates dimension .. top - 1.
+def fold_top(space: TupleSpace, dimension: int):
+    """The kernel of c_top(x), top the last coordinate of `space`, on the
+    tuples whose coordinates from `dimension` up are 0, as a bitset over
+    TupleSpace(u, dimension), for 0 < dimension < space.dimension.  That
+    is all of it when x does not depend on the coordinates dimension ..
+    top - 1.
 
-    The run of the top coordinate is folded onto digit 0 by halving, as
-    `cylinder` folds it, and the low u**dimension bits are kept: nothing
-    is spread.
+    The top coordinate is folded onto digit 0 by halving, as `cylinder`
+    folds it, and the low u**dimension bits are kept: nothing is spread.
     """
     if not 0 < dimension < space.dimension:
         raise ValueError(f"cannot fold {space!r} onto dimension {dimension}")
-    fold = _folding(space, space.dimension - 1, values)
+    fold = _folding(space, space.dimension - 1)
     low = (1 << space.base_size**dimension) - 1
     return lambda x, _=None: fold(x) & low
 
 
 def cyl(coord: int, x: Element) -> Element:
     """Existential projection along `coord`: replace the coordinate freely,
-    by the cylinder kernel kept on x's space."""
+    by the cylinder kernel kept on x's space.  A relation is refused, as
+    by `subst`, after the coordinate."""
     space = x.space
-    return _value(Element, space, space.operators.function(("cyl", (coord,)))(x.bits))
+    kernel = space.operators.function(("cyl", (coord,)))
+    if type(x) is not Element:
+        raise TypeError(f"expected an Element, got {type(x).__name__}")
+    return _value(Element, space, kernel(x.bits))
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:

@@ -5,10 +5,11 @@ raw ints: its constants and diagonals hoisted, a repeated subterm (equal
 nodes are one object) computed once.  The layout is bound once per
 value domain (the tuple space of a set algebra, or the base of a relation
 algebra) to the kernels of the domain's operator table in `spaces`, and
-the binding is kept on the layout.  `eval_term` runs it on
-one assignment; `eval_term_lanes` runs it on many at once, side by side as
-the lanes of a wider space (see `Lanes`), since the operators on
-coordinates below n never touch the coordinates n and up.
+the binding is kept on the layout under the table's key; a formula's plan
+is bound the same way, once per base size (see `models`).  `eval_term`
+runs it on one assignment; `eval_term_lanes` runs it on many at once,
+side by side as the lanes of a wider space (see `Lanes`), since the
+operators on coordinates below n never touch the coordinates n and up.
 
 The text form is prefix s-expressions, for example
 ``(and (cyl 0 (var 0)) (not (diag 0 1)))``.  Constants ``zero``, ``one``
@@ -150,19 +151,17 @@ class Layout(StraightLine):
 
     def binding(self, operators, full: int | None = None) -> tuple[list, list]:
         """bind(operators), made on first use and kept for every table with
-        the same key; a table whose key is None is bound on each call.  A
-        top `full` narrower than the table's cuts the constants and Boolean
-        operators to it, sharing the other kernels; the last cut is kept."""
+        the same key.  A top `full` narrower than the table's cuts the
+        constants and Boolean operators to it, sharing the other kernels;
+        the last cut is kept."""
         key = operators.key
         binding = self.bindings.get(key)
         if binding is None:
-            binding = self.bind(operators)
-            if key is not None:
-                self.bindings[key] = binding
+            binding = self.bindings[key] = self.bind(operators)
         width = None if full is None else full.bit_length()
         if width is None or width == operators.full.bit_length():
             return binding
-        if key is None or self.narrowed is None or self.narrowed[:2] != (key, width):
+        if self.narrowed is None or self.narrowed[:2] != (key, width):
             cut = [boolean(op[0], full) for op in self.ops]
             functions = [cut[k] or f for k, f in zip(self.kinds, binding[1])]
             self.narrowed = key, width, ([c & full for c in binding[0]], functions)

@@ -12,32 +12,37 @@ Formulas are evaluated over a single relation symbol whose first two
 argument places are read through the order; a third place, when present,
 is ignored, matching the convention that the ternary atom does not depend
 on its last coordinate; an atom with fewer than two places is refused
-before any work (PreconditionError).  Each atom is cut to those two
-places once per formula, and the cut formula is kept on it (see
-formulas.memo), so a step of models' satisfaction plan that reads a third
-variable only there runs a level lower (see models).
-Evaluation runs that plan with one leaf hook, which gives these atoms and
-the diagonals over the space of their level, and, for each quantifier
-depth, the run of values its variable may take.  Each leaf grows from
+before any work (PreconditionError).  Once per formula, and kept on it
+(see formulas.memo), each atom is cut to those two places, so a step of
+models' plan that reads a third variable only there runs a level lower,
+and each quantifier at depth k on a variable v its body reads is
+relativized by a guard atom In_k(v) (see `_guarded`).  A guard names a
+depth, not a reach, so one plan serves every radius and margin, on the
+plain kernels of the operator table of its base size (see models).  One
+leaf hook gives every input over the space of its level, each grown from
 seeds over its own coordinates: an order atom is the strict order
 (spaces.strictly_below, either way round) ORed with the diagonal at the
-fixed points (spaces.diagonal_at), and an `Eq` leaf is the diagonal.  The
-runs are one value per radius and margin, so the operator table of each
-radius, kernels and all, is kept between calls (see models).  The table
-keeps the strict orders and the diagonals too, in its `leaves`, keyed by
-their pair and level alone, so each is built once per table whatever
-model or formula asks for it; the fixed points, which differ by model,
-are ORed in on each call.  A fixed point outside the window of a radius
-is refused (PreconditionError) before any leaf is built.
+fixed points (spaces.diagonal_at), a guard In_k(v) the points within
+W - k*M, one block of v's values at the top of its level, and an `Eq`
+leaf the diagonal.  The table keeps the orders, guards and diagonals in
+its `leaves`, keyed by kind and ints alone, so each is built once per
+table whatever model or formula asks for it; the fixed points, which
+differ by model, are ORed in on each call.  A fixed point outside the
+window of a radius is refused (PreconditionError) before any leaf is
+built.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
 from .formulas import (
+    And,
     Atom,
     Eq,
+    Exists,
+    Forall,
     Formula,
+    Implies,
     format_formula,
     max_var_index,
     memo,
@@ -108,70 +113,91 @@ def _check_fixed(model: WindowModel, radius: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class _Reach:
-    """The run of values, as indices, of a quantifier at depth k in the
-    window of this radius: the points within radius - k*margin of 0.  It
-    is a value, so models keeps an operator table per radius and margin."""
-
-    radius: int
-    margin: int
-
-    def __call__(self, depth: int, var: int) -> range:
-        reach = self.radius - depth * self.margin
-        return range(self.radius - reach, self.radius + reach + 1)
+_IN = "In#"  # the guards' relation names, In#k for depth k; the parser makes no such name
 
 
 @memo
-def _pairs_read(f: Formula) -> Formula:
-    """f with each atom cut to its first two places, the ones the order
-    reads, so that a place past them is not a free variable of the atom.
-    Raises PreconditionError for an atom with fewer places.  Kept on f."""
+def _guarded(f: Formula) -> Formula:
+    """f as the plan reads it in a window, kept on f: each atom cut to its
+    first two places, the ones the order reads, so that a place past them
+    is not a free variable of the atom, and each quantifier at depth k
+    (counted from the root, outermost 1, vacuous quantifiers too) whose
+    variable v is free in its body relativized by the guard In_k(v), an
+    atom named _IN + str(k): ex v (In_k(v) & phi), all v (In_k(v) -> phi).
+    A guard names the depth, not the reach, so one guarded formula and one
+    plan serve every radius and margin.  Raises PreconditionError for an
+    atom with fewer than two places.  The walk is `formulas.postorder`,
+    over pairs of a subformula and its depth."""
     out = {}
-    for g in postorder(f, parts):
+
+    def children(item) -> list:
+        g, depth = item
+        inner = depth + isinstance(g, (Exists, Forall))
+        return [(part, inner) for part in parts(g)]
+
+    for item in postorder((f, 0), children):
+        g, depth = item
         if isinstance(g, Atom):
             if len(g.args) < 2:
                 raise PreconditionError(
                     f"window reads the first two places of every atom, and "
                     f"{format_formula(g)} has {len(g.args)}"
                 )
-            out[g] = Atom(g.rel, g.args[:2])
+            out[item] = Atom(g.rel, g.args[:2])
+        elif isinstance(g, Eq):
+            out[item] = g
         else:
-            out[g] = g if isinstance(g, Eq) else rebuilt(g, out)
-    return out[f]
+            new = {part: out[child] for part, child in zip(parts(g), children(item))}
+            if isinstance(g, (Exists, Forall)) and g.var in new[g.body].free:
+                guard = Atom(_IN + str(depth + 1), (g.var,))
+                new[g.body] = (And if isinstance(g, Exists) else Implies)(guard, new[g.body])
+            out[item] = rebuilt(g, new)
+    return out[f, 0]
 
 
 def window_satisfaction(model: WindowModel, f: Formula, radius: int) -> Element:
     """Satisfaction bitset at one radius, margin ranges applied per depth."""
-    space, pairs, leaf, table = _window(model, f, radius)
-    return Element(space, satisfaction_bits(space, pairs, leaf, table.quantifier_range))
+    space, guarded, leaf, _ = _window(model, f, radius)
+    return Element(space, satisfaction_bits(space, guarded, leaf))
 
 
 def _window(model: WindowModel, f: Formula, radius: int) -> tuple:
     """The plan's arguments for f at this radius, after the depth and fixed
-    point checks: the space of f's variables, f cut to the pairs the order
-    reads, the leaf hook and the radius's operator table."""
-    pairs = _pairs_read(f)
+    point checks: the space of f's variables, f guarded (see `_guarded`),
+    the leaf hook and the operator table of the radius's base size."""
+    guarded = _guarded(f)
     depth = quantifier_depth(f)
     if depth * model.margin >= radius:
         raise PreconditionError(
             f"quantifier depth {depth} exceeds the radius-{radius} margin budget"
         )
     _check_fixed(model, radius)
-    table = operator_table(2 * radius + 1, _Reach(radius, model.margin))
+    u = 2 * radius + 1
+    table = operator_table(u)
     space = table.space(max(max_var_index(f) + 1, 1))
     leaves = table.leaves
 
     def leaf(g, level: TupleSpace) -> int:  # kept on the table, made on first use
-        eq = isinstance(g, Eq)
-        i, j = (g.left, g.right) if eq else g.args
-        key = ("=" if eq else "<", i, j, level.dimension)
+        if isinstance(g, Eq):
+            kind, i, j = "=", g.left, g.right
+        elif len(g.args) == 2:
+            kind, (i, j) = "<", g.args
+        else:  # In_k(v): the values k*margin .. u-1 - k*margin, those within radius - k*margin
+            kind, i, j = "in", int(g.rel[len(_IN):]) * model.margin, g.args[0]
+        key = (kind, i, j, level.dimension)
         bits = leaves.get(key)
         if bits is None:
-            bits = leaves[key] = diag(level, i, j).bits if eq else strictly_below(level, i, j)
-        return bits if eq else _relation(level, model, radius, i, j, bits)
+            if kind == "=":
+                bits = diag(level, i, j).bits
+            elif kind == "<":
+                bits = strictly_below(level, i, j)
+            else:  # v is the top coordinate of its level, so they are one block
+                stride = level.size // u
+                bits = (1 << (u - i) * stride) - (1 << i * stride)
+            leaves[key] = bits
+        return _relation(level, model, radius, i, j, bits) if kind == "<" else bits
 
-    return space, pairs, leaf, table
+    return space, guarded, leaf, table
 
 
 def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
@@ -184,13 +210,13 @@ def eval_window(model: WindowModel, f: Formula, radii=None) -> WindowReport:
     closed = close_universally(f)
     if radii is None:
         radii = (model.radius, 2 * model.radius, 4 * model.radius)
-    _pairs_read(closed)  # fail on an atom the order cannot read, on capacity,
+    _guarded(closed)  # fail on an atom the order cannot read, on capacity,
     space_size(2 * max(radii) + 1, max(max_var_index(closed) + 1, 1))
     _check_fixed(model, min(radii))  # and on a fixed point out of a window, before any work
     by_radius = {}
     for r in radii:
-        space, pairs, leaf, table = _window(model, closed, r)
-        bits, level = plan_bits(space, pairs, leaf, table)
+        space, guarded, leaf, table = _window(model, closed, r)
+        bits, level = plan_bits(space, guarded, leaf, table)
         if bits not in (0, table.space(level).full_mask):
             raise AssertionError(
                 f"closed formula produced a mixed satisfaction set: "

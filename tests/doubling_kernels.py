@@ -5,13 +5,15 @@ coordinates.
 Here the diagonal ANDs two full-width digit-zero masks and replicates the
 result u times, the strict order doubles along coordinate b from that
 diagonal, and every fold, of the top coordinate too, ORs in right-shifted
-copies of the whole bitset.  `derived_order` is the strict order s_a < s_b
+copies of the whole bitset.  A fold may be relativized to a run of values
+of its coordinate, c_i(D . x), as window quantifiers once were in the
+kernels themselves; the run is checked here (`check_run`).  `derived_order` is the strict order s_a < s_b
 for a > b as it was derived from the other order and the diagonal, before
 it grew from its own seed.
 """
 
 from baokit import spaces
-from baokit.spaces import Element, TupleSpace, _check_run, _replicate, doubling_shifts
+from baokit.spaces import Element, TupleSpace, _replicate, doubling_shifts
 
 
 def diag(space: TupleSpace, i: int, j: int) -> Element:
@@ -59,6 +61,12 @@ def derived_order(space: TupleSpace, a: int, b: int) -> int:
     return space.full_mask ^ spaces.strictly_below(space, b, a) ^ spaces.diag(space, a, b).bits
 
 
+def check_run(values: range, base_size: int) -> None:
+    """Refuse what is not a nonempty run of base values, step 1."""
+    if values.step != 1 or not 0 <= values.start < values.stop <= base_size:
+        raise ValueError(f"{values!r} is not a nonempty run of base values")
+
+
 def _folding(space: TupleSpace, coord: int, values: range | None) -> tuple[int, tuple]:
     """The shift that brings the run `values` of `coord` (the whole base
     when None) down to digit 0, and the shifts that fold its copies there."""
@@ -67,7 +75,7 @@ def _folding(space: TupleSpace, coord: int, values: range | None) -> tuple[int, 
     stride = space.stride(coord)
     if values is None:
         return 0, doubling_shifts(stride, u)
-    _check_run(values, u)
+    check_run(values, u)
     return values.start * stride, doubling_shifts(stride, len(values))
 
 

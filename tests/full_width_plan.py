@@ -4,15 +4,22 @@ plan whose steps run at their levels.
 Here every step of the plan runs on the whole space: an atom or diagonal
 is a bitset over all of it, each quantifier, vacuous or not, is the
 cylindrification of its variable over the whole space, and the leaf hook
-`leaf(g)` is asked for bits over `space`.
+`leaf(g)` is asked for bits over `space`.  A quantifier may range over a
+run of values per depth, as a window's quantifiers do, by the full-width
+fold relativized to the run (tests/doubling_kernels.py, which checks the
+run).  `relativized` and `guarded_leaf` give the same runs to the plan of
+`baokit.models` as `baokit.window` gives its own: by guard atoms in the
+formula.
 """
 
 from array import array
 from functools import lru_cache
 
-from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
-from baokit.spaces import Operators, TupleSpace, cylinder, diag, relation_bits
+from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, parts, postorder
+from baokit.formulas import rebuilt
+from baokit.spaces import Operators, TupleSpace, diag, relation_bits
 from baokit.terms import Layout
+from doubling_kernels import cylinder
 
 
 def satisfaction_bits(space: TupleSpace, f, leaf, quantifier_range=None) -> int:
@@ -103,3 +110,41 @@ class _Operators(Operators):
             return exists
         full = self.full
         return lambda x, _: full ^ exists(full ^ x)
+
+
+GUARD = "Run#"  # Run#k(v): v lies in the run of depth k; no model here has the name
+
+
+def relativized(f):
+    """f with each quantifier at depth k (outermost 1, vacuous ones too) on
+    a variable v its body reads guarded by the atom Run#k(v): ex v (Run#k(v)
+    & phi), all v (Run#k(v) -> phi)."""
+    out = {}
+
+    def children(item) -> list:
+        g, depth = item
+        inner = depth + isinstance(g, (Exists, Forall))
+        return [(part, inner) for part in parts(g)]
+
+    for item in postorder((f, 0), children):
+        g, depth = item
+        new = {part: out[child] for part, child in zip(parts(g), children(item))}
+        if isinstance(g, (Exists, Forall)) and g.var in g.body.free:
+            guard = Atom(GUARD + str(depth + 1), (g.var,))
+            new[g.body] = (And if isinstance(g, Exists) else Implies)(guard, new[g.body])
+        out[item] = rebuilt(g, new) if new else g
+    return out[f, 0]
+
+
+def guarded_leaf(leaf, quantifier_range):
+    """`leaf(g, level)` with the guards of `relativized` added: Run#k(v) is
+    the tuples of the level whose v lies in quantifier_range(k, v)."""
+
+    def guarded(g, level) -> int:
+        if isinstance(g, Atom) and g.rel.startswith(GUARD):
+            (v,) = g.args
+            run = quantifier_range(int(g.rel[len(GUARD):]), v)
+            return relation_bits(level, (v,), [(t,) for t in run])
+        return leaf(g, level)
+
+    return guarded

@@ -3,8 +3,11 @@ replaced, kept as the oracles of the walks rebuilt on it.
 
 Each recurses once per level of its input, so it raises RecursionError
 past the interpreter's limit, and none keeps its result: `tr`,
-`restrict_formula`, `compile_to_term` and `pairs_read` build afresh on
-every call.  `node_repr` is `Node.__repr__` as it was.
+`restrict_formula`, `compile_to_term` and `guarded` build afresh on
+every call.  `node_repr` is `Node.__repr__` as it was.  `compile_to_term`
+drops a complement of a complement as the compiler now does, and
+`guarded` is `window._pairs_read` as it was with the window's quantifier
+guards added.
 """
 
 from baokit.compiler import CompiledTerm, _renamings
@@ -132,9 +135,11 @@ def tr(f):
     return walk(f)
 
 
-def pairs_read(f):
-    """window._pairs_read as it was."""
-    def walk(g):
+def guarded(f):
+    """window._guarded: each atom cut to its first two places, and each
+    quantifier at depth k whose variable the cut body reads guarded by
+    In#k."""
+    def walk(g, depth):
         if isinstance(g, Atom):
             if len(g.args) < 2:
                 raise PreconditionError(
@@ -145,12 +150,16 @@ def pairs_read(f):
         if isinstance(g, Eq):
             return g
         if isinstance(g, Not):
-            return Not(walk(g.body))
+            return Not(walk(g.body, depth))
         if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, walk(g.body))
-        return type(g)(walk(g.left), walk(g.right))
+            body = walk(g.body, depth + 1)
+            if g.var in body.free:
+                guard = Atom(f"In#{depth + 1}", (g.var,))
+                body = (And if isinstance(g, Exists) else Implies)(guard, body)
+            return type(g)(g.var, body)
+        return type(g)(walk(g.left, depth), walk(g.right, depth))
 
-    return walk(f)
+    return walk(f, 0)
 
 
 def unrestricted_atom(f, n: int):
@@ -266,7 +275,7 @@ def compile_to_term(f, kind: str, n: int) -> CompiledTerm:
                 return Const(("one", ()))
             return _diag_node(g.left, g.right)
         if isinstance(g, Not):
-            return App(("not", ()), (walk(g.body),))
+            return complement(walk(g.body))
         if isinstance(g, And):
             return App(("and", ()), (walk(g.left), walk(g.right)))
         if isinstance(g, Or):
@@ -283,8 +292,14 @@ def compile_to_term(f, kind: str, n: int) -> CompiledTerm:
                 return atom_term(g.body, g.var)
             return App(("cyl", (g.var,)), (walk(g.body),))
         if isinstance(g, Forall):
-            inner = App(("not", ()), (walk(g.body),))
-            return App(("not", ()), (App(("cyl", (g.var,)), (inner,)),))
+            return complement(App(("cyl", (g.var,)), (complement(walk(g.body)),)))
         raise TypeError(f"not a formula: {g!r}")
 
     return CompiledTerm(Term(walk(f), signature), tuple(symbols))
+
+
+def complement(node):
+    """(not node), or t when node is (not t)."""
+    if isinstance(node, App) and node.op == ("not", ()):
+        return node.args[0]
+    return App(("not", ()), (node,))

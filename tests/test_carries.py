@@ -2,7 +2,9 @@
 doubling fold it replaced for u >= 3 (tests/doubling_kernels.py) and
 against its own two-mask form (`two_mask_carries`), and lane batches,
 whose operator table stops at the lanes in use, against per-value
-`eval_term`."""
+`eval_term`.  A run of values D of coordinate 0 is applied to the input,
+c_0(D . x), as window guards apply it, and the oracles fold the run
+themselves."""
 
 import random
 
@@ -14,6 +16,17 @@ from baokit.spaces import TupleSpace, _replicate, cylinder
 from baokit.terms import Lanes, eval_term, eval_term_lanes, lanes_per_batch, parse_term
 
 BASES = [1, 2, 3, 31, 32, 33, 63, 64, 65, 129]
+
+
+def on_run(space: TupleSpace, values: range | None):
+    """x -> c_0(D . x) by the carry kernel, D the tuples whose coordinate 0
+    lies in `values` (all of them when None)."""
+    kernel = cylinder(space, 0)
+    if values is None:
+        return kernel
+    zero = space.digit_zero_mask(0)
+    run = (zero << values.stop) - (zero << values.start)
+    return lambda x: kernel(x & run)
 
 
 def _edge_runs(u: int) -> list:
@@ -57,7 +70,7 @@ def test_carries_match_the_doubling_fold(u):
         space = TupleSpace(u, n)
         xs = _inputs(space, rng)
         for values in _edge_runs(u):
-            got, want = cylinder(space, 0, values), full_width.cylinder(space, 0, values)
+            got, want = on_run(space, values), full_width.cylinder(space, 0, values)
             for name, x in xs.items():
                 assert got(x) == want(x), (n, values, name)
 
@@ -96,7 +109,7 @@ def test_carries_match_the_two_mask_kernel(u):
         xs += [rng.getrandbits(size) for _ in range(4)]
         runs = [None] + [range(a, b) for a in range(u) for b in range(a + 1, u + 1)]
         for values in runs:
-            got, want = cylinder(space, 0, values), two_mask_carries(space, values)
+            got, want = on_run(space, values), two_mask_carries(space, values)
             for x in xs:
                 assert got(x) == want(x), (n, values, x)
 
@@ -105,8 +118,8 @@ def test_a_narrow_value_fills_its_last_group():
     space = TupleSpace(3, 2)
     assert cylinder(space, 0)(1) == 0b111
     assert cylinder(space, 0)(0b10000) == 0b111000
-    assert cylinder(space, 0, range(1, 2))(0b10000) == 0b111000
-    assert cylinder(space, 0, range(1, 2))(0b1000) == 0  # value 0 is outside the run
+    assert on_run(space, range(1, 2))(0b10000) == 0b111000
+    assert on_run(space, range(1, 2))(0b1000) == 0  # value 0 is outside the run
 
 
 # -- lanes -----------------------------------------------------------------------

@@ -19,7 +19,10 @@ from baokit import (
     tr,
 )
 from baokit.compiler import STAR, _plan_rewrite, natural_atom_sets
-from baokit.library import formula_library
+from baokit.formulas import postorder
+from baokit.identities import order_terms
+from baokit.library import formula_library, load_corpus
+from baokit.terms import App
 
 
 def all_binary_models(u):
@@ -194,3 +197,28 @@ def test_plan_rewrite_matches_the_search_over_every_start():
                     assert _plan_rewrite(target, n, star_ok=star_ok) == want, target
                     checked += 1
     assert checked == 5588
+
+
+def test_no_compiled_term_has_a_complement_of_a_complement():
+    """Not and Forall drop a complement of a complement, so no term
+    compiled from the library, tau, sigma and delta among them, or from
+    the corpus, for CA or SC, has a `not` directly under a `not`; tau,
+    sigma and delta had 2, 3 and 2."""
+    terms = [compiled.term for compiled in order_terms(3).values()]
+    formulas = [entry.formula for entry in formula_library().values()]
+    formulas += [f for _, f in load_corpus()]
+    for f in formulas:
+        for kind, candidate in (("CA", lambda: restrict_formula(f, 3)), ("SC", lambda: tr(f))):
+            try:
+                terms.append(compile_to_term(candidate(), kind, 3).term)
+            except CompileError:
+                pass
+    assert len(terms) > 3 + len(formulas)  # tau, sigma, delta, and most formulas twice
+    complements = 0
+    for term in terms:
+        for node in postorder(term.root):
+            if isinstance(node, App) and node.op == ("not", ()):
+                complements += 1
+                inner = node.args[0]
+                assert not (isinstance(inner, App) and inner.op == ("not", ())), format_term(term)
+    assert complements > 0

@@ -37,7 +37,7 @@ from baokit.formulas import (
     format_formula,
 )
 from baokit.terms import Var, format_term
-from baokit.window import _pairs_read
+from baokit.window import _guarded
 
 VOCAB = Vocabulary.of(R=2, T=3, P=1)
 VARIABLES = st.integers(0, 3)
@@ -101,7 +101,7 @@ def test_walks_match_the_recursive_passes(f, n):
     assert format_formula(f) == old.format_formula(f)
     assert repr(f) == old.node_repr(f)
     assert tr(f) is old.tr(f)
-    assert outcome(_pairs_read, f) == outcome(old.pairs_read, f)
+    assert outcome(_guarded, f) == outcome(old.guarded, f)
     assert outcome(check_vocabulary, f, VOCAB) == outcome(old.check_vocabulary, f, VOCAB)
     assert unrestricted_atom(f, n) is old.unrestricted_atom(f, n)
     assert _relation_symbols(f) == old.relation_symbols(f)
@@ -122,7 +122,7 @@ def test_walks_match_the_recursive_passes(f, n):
 def test_every_pass_refuses_what_is_not_a_formula(junk):
     """format_formula, check_vocabulary and _pairs_read raised a KeyError,
     nothing and an AttributeError here; now every pass says the same."""
-    passes = [format_formula, lambda g: check_vocabulary(g, VOCAB), tr, _pairs_read,
+    passes = [format_formula, lambda g: check_vocabulary(g, VOCAB), tr, _guarded,
               lambda g: unrestricted_atom(g, 2), _relation_symbols,
               lambda g: restrict_formula(g, 2), lambda g: compile_to_term(g, "SC", 2)]
     for run in passes:
@@ -153,7 +153,8 @@ def test_a_2000_level_formula_passes_through_every_walk():
     text = repr(f)
     assert text.startswith("Not(body=Exists(var=1, body=Not(") and text.count("Not(") == 1000
     check_vocabulary(f, VOCAB)
-    assert tr(f) is f and _pairs_read(f) is f and restrict_formula(f, 2) is f
+    assert tr(f) is f and restrict_formula(f, 2) is f
+    assert _guarded(f).depth == f.depth and "In#" in format_formula(_guarded(f))
     assert unrestricted_atom(f, 2) is None and _relation_symbols(f) == {"R"}
     term_text = "(var 0)"  # the innermost ex v0 R(v0,v1) projects its atom
     for i in range(1000):

@@ -3,7 +3,9 @@ doubling loops they replaced (tests/doubling_kernels.py): the diagonal and
 the strict order, either way round, grown from a seed over their own
 coordinates, and the top coordinate folded by halving.  The order for
 a > b is also checked against its derivation from the other order and the
-diagonal, and the diagonal at chosen values against the diagonal."""
+diagonal, and the diagonal at chosen values against the diagonal.  A fold
+relativized to a run of values D, c_i(D . x), is the plain kernel on the
+input cut to D (`on_run`), against the oracles' own relativized folds."""
 
 import random
 
@@ -27,6 +29,15 @@ def cut(space: TupleSpace, coord: int, values) -> int:
     for v in values:
         bits |= space.digit_mask(coord, v)
     return bits
+
+
+def on_run(kernel, space: TupleSpace, coord: int, values):
+    """x -> kernel(x cut to the tuples whose coordinate `coord` lies in
+    `values`), or the kernel itself when values is None."""
+    if values is None:
+        return kernel
+    run = cut(space, coord, values)
+    return lambda x: kernel(x & run)
 
 
 def _values(space: TupleSpace, rng: random.Random, count: int = 3) -> list[int]:
@@ -55,11 +66,12 @@ def test_folds_match_the_full_width_fold_on_every_run(u, n):
     xs = _values(space, rng)
     for coord in range(n):
         for values in _runs(u):
-            got, want = cylinder(space, coord, values), full_width.cylinder(space, coord, values)
+            got = on_run(cylinder(space, coord), space, coord, values)
+            want = full_width.cylinder(space, coord, values)
             assert [got(x) for x in xs] == [want(x) for x in xs], (coord, values)
     for dimension in range(1, n):
         for values in _runs(u):
-            got = fold_top(space, values, dimension)
+            got = on_run(fold_top(space, dimension), space, n - 1, values)
             want = full_width.fold_top(space, values, dimension)
             assert [got(x) for x in xs] == [want(x) for x in xs], (dimension, values)
 
@@ -78,10 +90,11 @@ def test_wide_masks_match_the_doubling_loops(u, n):
                 assert strictly_below(space, i, j) == full_width.derived_order(space, i, j)
     for coord in range(n):
         for values in (None, range(0, 1), range(u // 3, u - 2), range(u - 1, u)):
-            got, want = cylinder(space, coord, values), full_width.cylinder(space, coord, values)
+            got = on_run(cylinder(space, coord), space, coord, values)
+            want = full_width.cylinder(space, coord, values)
             assert [got(x) for x in xs] == [want(x) for x in xs], (coord, values)
     for dimension in range(1, n):
         for values in (None, range(1, u - 1)):
-            got = fold_top(space, values, dimension)
+            got = on_run(fold_top(space, dimension), space, n - 1, values)
             want = full_width.fold_top(space, values, dimension)
             assert [got(x) for x in xs] == [want(x) for x in xs], (dimension, values)

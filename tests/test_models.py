@@ -1095,7 +1095,9 @@ def check_against_walker(f, model, n, ranges):
             return row_atoms(model, level)(g).bits
         return diag(level, g.left, g.right).bits
 
-    bits = satisfaction_bits(space, f, leaf, lambda depth, var: ranges[depth, var])
+    # the runs as guard atoms in the formula, as window gives its own
+    bits = satisfaction_bits(space, fw.relativized(f),
+                             fw.guarded_leaf(leaf, lambda depth, var: ranges[depth, var]))
     assert bits == want.bits, (f, ranges)
 
 
@@ -1127,12 +1129,12 @@ def test_satisfaction_plan_is_built_once_and_shares_subformulas():
     f = parse_formula("ex v2 R(v0,v1,v2) & (ex v2 R(v0,v1,v2) | ex v2 R(v1,v0,v2))")
     model = ModelFinite([0, 1], {"R": [(0, 1, 0), (1, 1, 1)]})
     first = satisfaction_set(model, f, 3)
-    plan = _plan(f, False)
+    plan = _plan(f)
     assert satisfaction_set(model, f, 3) == first
-    assert _plan(f, False) is plan  # kept on f while f lives
+    assert _plan(f) is plan  # kept on f while f lives
     # two atoms, and ex v2 R(v0,v1,v2) computed once
     assert len(plan.variables) == 2 and len(plan.kinds) == 4 and plan.constants == ()
-    long_conj = _plan(conj([Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]), False)
+    long_conj = _plan(conj([Atom("R", (i % 3, (i + 1) % 3)) for i in range(250)]))
     assert len(long_conj.kinds) == 249 and len(long_conj.blank) == 1  # one register reused
 
 
@@ -1228,7 +1230,7 @@ def test_leaves_are_kept_per_model_not_per_carrier_size():
 def test_a_plan_keeps_one_binding_per_base_size():
     # a relation no other test names, so that no plan of f is kept yet
     f = parse_formula("ex v2 (OneBinding(v0,v2) & all v1 (OneBinding(v2,v1) | v1 = v0))")
-    plan = _plan(f, False)
+    plan = _plan(f)
     kept = {}
     for u in (2, 3, 2):
         model = ModelFinite(range(u), {"OneBinding": [(a, (a + 1) % u) for a in range(u)]})
@@ -1238,21 +1240,23 @@ def test_a_plan_keeps_one_binding_per_base_size():
     assert list(plan.bindings) == [(2,), (3,)]
 
 
-def test_a_ranged_plan_is_bound_on_each_call(monkeypatch):
+def test_a_window_plan_is_bound_once_per_base_size(monkeypatch):
+    """A window's guarded plan is bound to the table of its base size once,
+    as any plan is, whatever the margin; no table is bound on each call."""
     g = parse_formula("ex v1 (Bound(v0,v1) & v1 = v0)")  # seen by no other test
     model = ModelFinite(range(3), {"Bound": [(0, 0), (1, 2)]})
     want = fw.satisfaction_set_bits(model, g, 2)
     keys = []
     bind = Layout.bind
     monkeypatch.setattr(Layout, "bind", lambda self, ops: keys.append(ops.key) or bind(self, ops))
-    f = parse_formula("all v0 ex v1 (R(v0,v1) | v1 = v0)")
-    window = WindowModel(4, 1, ())
-    first = window_satisfaction(window, f, 4)
-    assert window_satisfaction(window, f, 4) == first
-    assert keys == [None, None]
+    f = parse_formula("ex v1 (OnceBound(v0,v1) & v1 != v0)")  # seen by no other test
+    first = window_satisfaction(WindowModel(5, 1, ()), f, 5)
+    assert window_satisfaction(WindowModel(5, 1, ()), f, 5) == first
+    assert window_satisfaction(WindowModel(5, 2, (0,)), f, 5).count == first.count - 11  # v0 = 3
+    assert keys == [(11,)]
     for _ in range(3):
         assert satisfaction_set(model, g, 2).bits == want
-    assert keys == [None, None, (3,)]
+    assert keys == [(11,), (3,)]
 
 
 def test_a_warm_satisfaction_set_makes_no_space_and_no_shifts(monkeypatch):

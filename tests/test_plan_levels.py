@@ -1,6 +1,9 @@
 """The formula plan whose steps run at their levels, against the full-width
 plan it replaced (tests/full_width_plan.py), on random formulas and models
-and on the window's library formulas."""
+and on the window's library formulas.  Quantifiers that range over a run
+of values per depth are relativized in the formula by guard atoms, as the
+window relativizes its quantifiers, and checked against the full-width
+plan whose folds take the runs themselves."""
 
 from itertools import product as iproduct
 
@@ -23,7 +26,7 @@ from baokit.formulas import free_vars, max_var_index, quantifier_depth
 from baokit.library import close_universally, formula_library
 from baokit.models import _plan, satisfaction_bits, satisfaction_set
 from baokit.spaces import relation_bits, strictly_below
-from baokit.window import _pairs_read, _relation, window_satisfaction
+from baokit.window import _guarded, _relation, eval_window, window_satisfaction
 
 VOCABULARY = Vocabulary.of(R=2, P=1, T=3, Z=0)
 
@@ -85,8 +88,9 @@ def cases(draw):
 
 
 def check_against_full_width(f, model, n, ranges):
-    """satisfaction_set, or satisfaction_bits over the drawn ranges, equals
-    the full-width plan on the same leaves."""
+    """satisfaction_set, or satisfaction_bits of f relativized to the drawn
+    ranges, equals the full-width plan on the same leaves, its quantifiers
+    ranging over those runs."""
     if ranges is None:
         assert satisfaction_set(model, f, n).bits == fw.satisfaction_set_bits(model, f, n), f
         return
@@ -103,7 +107,7 @@ def check_against_full_width(f, model, n, ranges):
     def quantifier_range(depth, var):
         return ranges[depth, var]
 
-    got = satisfaction_bits(space, f, leaf, quantifier_range)
+    got = satisfaction_bits(space, fw.relativized(f), fw.guarded_leaf(leaf, quantifier_range))
     assert got == fw.satisfaction_bits(space, f, full_leaf, quantifier_range), (f, ranges)
 
 
@@ -141,23 +145,27 @@ def test_levels_match_the_full_width_plan(case):
 
 
 def test_vacuous_quantifiers_leave_the_plan():
-    plan = _plan(parse_formula("ex v2 all v1 R(v0,v0)"), False)
+    plan = _plan(parse_formula("ex v2 all v1 R(v0,v0)"))
     assert len(plan.kinds) == 0 and plan.levels == (1,) and plan.level == 1
-    plan = _plan(parse_formula("ex v0 ex v1 R(v0,v1) & P(v2)"), True)
+    plan = _plan(parse_formula("ex v0 ex v1 R(v0,v1) & P(v2)"))
     # the fold of v1 onto level 1, the fill of level 1 by v0, the lift to 3
-    assert plan.ops == (("ex", (1, 2, 2, 1)), ("ex", (0, 1, 1, 1)), ("and", (1, 3)))
+    assert plan.ops == (("ex", (1, 2, 1)), ("ex", (0, 1, 1)), ("and", (1, 3)))
     assert plan.levels == (2, 3) and plan.level == 3
 
 
 def test_the_window_reads_two_places_of_each_atom():
-    # ax after the cut: 8 of its 15 quantifiers are vacuous, and 5 of the
-    # other 23 steps run on u**3 bits, the rest on u**2 or u
+    # ax after the cut: 8 of its 15 quantifiers are vacuous, the other 7
+    # are guarded, one step each, and 6 of the 30 steps run on u**3 bits,
+    # the guard of the one quantifier on v2 among them, the rest on u**2 or u
     ax = formula_library()["ax"].formula
-    plan = _plan(_pairs_read(ax), True)
-    levels = [op[1][2] if op[0] in ("ex", "all") else max(op[1]) for op in plan.ops]
+    plan = _plan(_guarded(ax))
+    levels = [op[1][1] if op[0] in ("ex", "all") else max(op[1]) for op in plan.ops]
     by_step = [levels[kind] for kind in plan.kinds]
     assert len(fw._plan(ax, True).kinds) == 31
-    assert len(by_step) == 23 and by_step.count(3) == 5 and plan.level == 1
+    assert len(by_step) == 30 and by_step.count(3) == 6 and plan.level == 1
+    guards = [g for g in plan.variables if isinstance(g, Atom) and len(g.args) == 1]
+    assert len(guards) == 7 and all(len(g.args) == 2 for g in plan.variables
+                                    if isinstance(g, Atom) and g not in guards)
 
 
 def full_width_window(model: WindowModel, f, radius: int) -> int:
@@ -182,6 +190,12 @@ LIBRARY = formula_library()
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_window_matches_the_full_width_plan_on_the_library(name):
+    """window_satisfaction, of f and of its closure, and eval_window's
+    verdict on the closure equal the full-width plan whose quantifiers fold
+    the runs of their depths themselves, at radii 4 to 64, margins 1 to 3
+    and the fixed sets {}, {0}, {0, 1} and, at margin 1, the edges of the
+    window.  Radius 64 takes each margin with one fixed set, {} at 1, {0}
+    at 2 and {0, 1} at 3, and the closed form alone."""
     f = LIBRARY[name].formula
     if name == "lambda":  # unary atoms: no second place for the order
         with pytest.raises(PreconditionError, match=r"zero\(v2\) has 1"):
@@ -189,12 +203,21 @@ def test_window_matches_the_full_width_plan_on_the_library(name):
         with pytest.raises(IndexError):
             full_width_window(WindowModel(8, 1, ()), f, 8)
         return
-    for g in {f, close_universally(f)}:
-        for radius in (8, 13, 21, 32):
-            if quantifier_depth(g) >= radius:
+    closed = close_universally(f)
+    for radius, margin in iproduct((4, 8, 13, 21, 64), (1, 2, 3)):
+        if quantifier_depth(closed) * margin >= radius:
+            continue
+        inner = radius - margin
+        edges = [(-inner, 0, 5, inner)] if margin == 1 and radius > 5 else []
+        for k, fixed in enumerate([(), (0,), (0, 1)] + edges, 1):
+            if radius == 64 and k != margin:
                 continue
-            inner = radius - 1
-            for fixed in ((), (0,), (-inner, 0, 5, inner)):
-                model = WindowModel(radius, 1, fixed)
-                got = window_satisfaction(model, g, radius).bits
-                assert got == full_width_window(model, g, radius), (name, radius, fixed)
+            model = WindowModel(radius, margin, fixed)
+            want = full_width_window(model, closed, radius)
+            assert window_satisfaction(model, closed, radius).bits == want
+            full = TupleSpace(2 * radius + 1, max(max_var_index(closed) + 1, 1)).full_mask
+            verdict = eval_window(model, closed, (radius,)).by_radius[radius]
+            assert verdict == (want == full), (name, radius, margin, fixed)
+            if radius < 64:
+                got = window_satisfaction(model, f, radius).bits
+                assert got == full_width_window(model, f, radius), (name, radius, margin, fixed)

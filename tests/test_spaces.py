@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doubling_kernels
 import per_call_kernels as per_call
 from baokit import (
     CapacityError,
@@ -162,7 +163,8 @@ def test_raw_kernels_match_tuple_scan(case, rows, arity, data):
     def put(s, coord, value):
         return s[:coord] + (value,) + s[coord + 1:]
 
-    assert cylinder(space, i, values)(x.bits) == scan(
+    ranged = scan(lambda s: s[i] in values)  # c_i(D . x), as a window guard cuts x
+    assert cylinder(space, i)(ranged & x.bits) == scan(
         lambda s: any(put(s, i, t) in members for t in values))
     assert cylinder(space, i)(x.bits) == cyl(i, x).bits
     assert strictly_below(space, i, j) == scan(lambda s: s[i] < s[j])
@@ -174,10 +176,16 @@ def test_raw_kernels_match_tuple_scan(case, rows, arity, data):
 
 
 def test_ranged_cylinder_rejects_runs_outside_the_base():
+    """The kernels take no run; the relativized fold lives on in the
+    oracles, which refuse a run that is empty, stepped or past the base."""
     space = TupleSpace(3, 2)
     for values in (range(0, 4), range(1, 1), range(0, 3, 2), range(-1, 2)):
         with pytest.raises(ValueError):
-            cylinder(space, 1, values)
+            doubling_kernels.cylinder(space, 1, values)
+        with pytest.raises(ValueError):
+            doubling_kernels.fold_top(space, values, 1)
+    with pytest.raises(TypeError):
+        cylinder(space, 1, range(3))
 
 
 def test_subst_rejects_equal_coordinates():
@@ -356,7 +364,8 @@ def kept_ints(table) -> list:
 def test_the_element_path_matches_the_kernels_built_per_call(u):
     """cyl, subst and diag on kept kernels give the bits and types of the
     per-call builds for every coordinate and ordered pair, with the calls
-    on two equal but distinct spaces interleaved."""
+    on two equal but distinct spaces interleaved.  A relation is refused
+    by cyl as by subst, where the per-call cyl made it a plain Element."""
     rng = random.Random(u)
     for n in range(1, 5):
         first, second = TupleSpace(u, n), TupleSpace(u, n)
@@ -370,8 +379,11 @@ def test_the_element_path_matches_the_kernels_built_per_call(u):
         coords = range(n)
         for x in values:
             for i in coords:
-                assert outcome(cyl, i, x) == outcome(per_call.cyl, i, x), (n, i)
-                assert cyl(i, x).space is x.space
+                if type(x) is RaElement:
+                    assert outcome(cyl, i, x) == (TypeError, "expected an Element, got RaElement")
+                else:
+                    assert outcome(cyl, i, x) == outcome(per_call.cyl, i, x), (n, i)
+                    assert cyl(i, x).space is x.space
                 for j in coords:
                     assert outcome(subst, i, j, x) == outcome(per_call.subst, i, j, x), (n, i, j)
                     assert outcome(diag, x.space, i, j) == outcome(per_call.diag, x.space, i, j)
@@ -395,6 +407,20 @@ def test_the_element_path_raises_the_errors_of_the_per_call_builds():
     assert outcome(subst, 3, 3, x)[0] is IndexError
     assert outcome(subst, 1, 1, x)[0] is ValueError
     assert outcome(subst, 0, 1, relation)[0] is TypeError
+
+
+def test_cyl_refuses_a_relation_as_subst_does():
+    """A relation keeps its type through no Element-level operator: cyl
+    raises the TypeError of subst, after a bad coordinate's IndexError,
+    and its Element twin, the same bits, is projected."""
+    relation = RaElement(3, 0b100010001)
+    for i in (0, 1):
+        assert outcome(cyl, i, relation) == outcome(subst, i, 1 - i, relation)
+        assert outcome(cyl, i, relation)[0] is TypeError
+        twin = Element(relation.space, relation.bits)
+        assert cyl(i, twin) == per_call.cyl(i, twin)
+    assert outcome(cyl, 2, relation) == outcome(subst, 2, 0, relation)
+    assert outcome(cyl, 2, relation)[0] is IndexError
 
 
 def test_a_kernel_whose_build_raised_is_not_kept(monkeypatch):

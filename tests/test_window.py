@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import baokit.models
+import baokit.terms
 import full_width_plan as fw
 from baokit import (
     CapacityError,
@@ -24,8 +25,8 @@ from baokit import (
 )
 from baokit.formulas import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
 from baokit.library import close_universally, formula_library
-from baokit.spaces import strictly_below
-from baokit.window import _Reach, _relation, window_satisfaction
+from baokit.spaces import relation_bits, strictly_below
+from baokit.window import _relation, window_satisfaction
 
 
 def test_fixed_points_must_respect_margin():
@@ -337,28 +338,51 @@ def full_width_window(model: WindowModel, f, radius: int) -> int:
     return fw.satisfaction_bits(space, f, leaf, allowed)
 
 
-def test_a_window_keeps_its_operator_tables_per_radius_and_margin(monkeypatch):
-    """The ranged table of each radius is made at the first call on its
-    radius and margin and kept: a second eval_window on the same radii and
-    margin, with other fixed points, makes none, and another margin gets
-    its own."""
-    made = []
+def test_a_window_keeps_one_operator_table_per_radius(monkeypatch):
+    """The table of each radius is the table of its base size, made at the
+    first call on the radius and kept: a second eval_window on the same
+    radii, with other fixed points or another margin, makes none.  The
+    guarded formula is planned once and its plan bound once per radius."""
+    made, bound = [], []
     real = baokit.models._Operators
-    monkeypatch.setattr(baokit.models, "_Operators",
-                        lambda u, reach: made.append((u, reach.radius, reach.margin)) or real(u, reach))
+    monkeypatch.setattr(baokit.models, "_Operators", lambda u: made.append(u) or real(u))
+    bind = baokit.terms.Layout.bind
+    monkeypatch.setattr(baokit.terms.Layout, "bind",  # the oracle's binds are not counted
+                        lambda self, ops: (isinstance(ops, real) and bound.append(ops.key))
+                        or bind(self, ops))
     baokit.models.operator_table.cache_clear()
     eta = close_universally(formula_library()["eta"].formula)  # depth 7
     radii = (15, 18)
-    for margin, fixed, new in ((2, (0, 5), radii), (2, (0,), ()), (1, (0, 5), radii)):
+    for margin, fixed, new in ((2, (0, 5), radii), (2, (0,), ()), (1, (0, 5), ())):
         model = WindowModel(15, margin, fixed)
         before = len(made)
         report = eval_window(model, eta, radii)
-        assert made[before:] == [(2 * r + 1, r, margin) for r in new]
+        assert made[before:] == [2 * r + 1 for r in new]
         for radius in radii:
             sat = window_satisfaction(model, eta, radius)
             assert sat.bits == full_width_window(model, eta, radius), (margin, radius)
             assert report.by_radius[radius] == sat.is_full()
-    assert len(made) == 4
+    assert made == [31, 37]
+    assert bound == [(31,), (37,)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=WINDOW_FORMULAS, margin=st.integers(1, 3), slack=st.integers(1, 3),
+       fixed=st.sets(st.integers(-1, 1)))
+def test_window_matches_the_ranged_full_width_oracle(f, margin, slack, fixed):
+    """window_satisfaction, on f and on its closure, and eval_window's
+    verdict equal the full-width plan whose quantifiers fold the runs of
+    their depths themselves, on the order atoms of the value loop."""
+    closed = close_universally(f)
+    radius = quantifier_depth(closed) * margin + slack
+    if radius <= margin:  # keep the fixed points inside the margin interval
+        fixed = set()
+    model = WindowModel(radius, margin, tuple(sorted(fixed)))
+    for g in (f, closed):
+        assert window_satisfaction(model, g, radius).bits == full_width_window(model, g, radius), g
+    space = TupleSpace(2 * radius + 1, max(max_var_index(closed) + 1, 1))
+    want = full_width_window(model, closed, radius) == space.full_mask
+    assert eval_window(model, closed, (radius,)).by_radius == {radius: want}, closed
 
 
 def test_the_capacity_check_builds_no_space(monkeypatch):
@@ -391,18 +415,17 @@ def test_atoms_with_fewer_than_two_places_are_refused_before_any_work():
             call()
 
 
-def kept_tables(radii, margins):
-    """The ranged operator table of each radius and margin, as kept."""
-    return {(r, m): baokit.models.operator_table(2 * r + 1, _Reach(r, m))
-            for r in radii for m in margins}
+def kept_tables(radii):
+    """The operator table of each radius, as kept."""
+    return {r: baokit.models.operator_table(2 * r + 1) for r in radii}
 
 
 def test_kept_leaves_match_leaves_built_afresh():
-    """Every leaf a window table keeps equals its order or diagonal built
-    on a fresh space, and the orders match the value loop with no fixed
-    point, whichever fixed sets and formulas were evaluated on it; each
-    result on warm tables equals its result on cleared ones, eta's too,
-    which the fixed sets flip between True and False."""
+    """Every leaf a window table keeps equals its order, guard or diagonal
+    built on a fresh space, and the orders match the value loop with no
+    fixed point, whichever fixed sets, margins and formulas were evaluated
+    on it; each result on warm tables equals its result on cleared ones,
+    eta's too, which the fixed sets flip between True and False."""
     baokit.models.operator_table.cache_clear()
     lib = formula_library()
     radii, margins = (15, 18), (1, 2)
@@ -413,17 +436,26 @@ def test_kept_leaves_match_leaves_built_afresh():
         return eval_window(WindowModel(15, margin, fixed), lib[name].formula, radii).by_radius
 
     warm = [evaluate(*run) for run in runs]
-    for (radius, margin), table in kept_tables(radii, margins).items():
-        assert table.leaves, (radius, margin)
-        empty = WindowModel(radius, margin, ())
+    for radius, table in kept_tables(radii).items():
+        assert table.leaves, radius
+        empty = WindowModel(radius, 1, ())
+        guards = set()
         for key, bits in table.leaves.items():
             kind, i, j, level = key
             space = TupleSpace(2 * radius + 1, level)
             if kind == "=":
                 assert bits == diag(space, i, j).bits, key
+            elif kind == "in":  # i = depth * margin, j the guarded variable, the top
+                reach = radius - i
+                assert 0 < reach and j == level - 1, key
+                values = range(radius - reach, radius + reach + 1)
+                assert bits == relation_bits(space, (j,), [(t,) for t in values]), key
+                guards.add(i)
             else:
                 assert bits == strictly_below(space, i, j), key
                 assert bits == relation_by_value_loop(space, empty, radius, i, j), key
+        # the quantifiers at depths 3 and 7 of ax and eta are vacuous once cut
+        assert guards == {k * m for k in (1, 2, 4, 5, 6) for m in margins}, radius
     after = [evaluate("eta", (0,), margin) for margin in margins]  # after (0, 5)
     cold = []
     for run in runs:
@@ -435,8 +467,8 @@ def test_kept_leaves_match_leaves_built_afresh():
 
 
 def test_kept_leaves_are_bounded_and_pin_no_model():
-    """A table keeps one leaf per order or diagonal and level, keyed by
-    ints alone, whatever fixed sets are evaluated on it, and no model
+    """A table keeps one leaf per order, guard or diagonal and level,
+    keyed by a kind and ints alone, whatever fixed sets are evaluated on it, and no model
     outlives its eval_window."""
     baokit.models.operator_table.cache_clear()
     ax = formula_library()["ax"].formula
@@ -450,9 +482,9 @@ def test_kept_leaves_are_bounded_and_pin_no_model():
         del model
         gc.collect()
         assert alive() is None, fixed
-        counts.append(len(kept_tables((8,), (1,))[8, 1].leaves))
+        counts.append(len(kept_tables((8,))[8].leaves))
     assert counts == [counts[0]] * 20
-    leaves = kept_tables((8,), (1,))[8, 1].leaves
+    leaves = kept_tables((8,))[8].leaves
     assert all(type(part) in (str, int) for key in leaves for part in key)
     assert all(type(bits) is int for bits in leaves.values())
 

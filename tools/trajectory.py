@@ -31,7 +31,11 @@ script records:
   of one `eval_window` of each of the three window jobs of perfbench's
   `wide` workload (WINDOW_JOBS), warm, over WINDOW_ROUNDS processes in the
   tree (the two trees alternate), each the median of WINDOW_SAMPLES timed
-  batches, with the allocator thresholds fixed as for `kernels_us`;
+  batches, with the allocator thresholds fixed as for `kernels_us`; and
+  each job's first call (`... first call`), timed once per process at its
+  start, the jobs in order, so the first job meets empty caches and the
+  later ones the tables and leaves it kept: the cold cost of guarding a
+  formula, laying out its plan and building its leaves;
 - `pointwise_us`, the layer of pointwise `models.holds`: the median
   microseconds of each case of POINTWISE_TIMER, over POINTWISE_ROUNDS
   processes in the tree (the two trees alternate), each the median of
@@ -164,11 +168,15 @@ from baokit import WindowModel, eval_window, formula_library
 jobs, samples = json.loads(sys.argv[1])
 library = formula_library()
 """ + MEDIAN_US + """
+runs = [(f"window {name} fixed={','.join(map(str, fixed))}",
+         WindowModel(16, 2, tuple(fixed)), library[name].formula) for name, fixed in jobs]
 out = {}
-for name, fixed in jobs:
-    model, f = WindowModel(16, 2, tuple(fixed)), library[name].formula
-    out[f"window {name} fixed={','.join(map(str, fixed))}"] = median_us(
-        lambda: eval_window(model, f))
+for label, model, f in runs:  # the first calls, in job order, before any warm one
+    started = time.perf_counter()
+    eval_window(model, f)
+    out[f"{label} first call"] = 1e6 * (time.perf_counter() - started)
+for label, model, f in runs:
+    out[label] = median_us(lambda: eval_window(model, f))
 print(json.dumps(out))
 """
 
